@@ -12,10 +12,12 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -32,24 +34,11 @@ from .dataset import (
     split_train_test,
 )
 from .errors import ConfigError, DataError, FingerprintMismatchError, GametraceError, InternalError
-from .evaluation import (
-    ForestClassifier,
-    KnnClassifier,
-    MlpClassifier,
-    ModelSpec,
-    benchmark,
-    cross_validate,
-    holdout_evaluate,
-    majority_baseline_f1,
-)
+from .evaluation import MODELS, PROTOCOLS, FoldResult, benchmark, cross_validate, majority_baseline_f1
 from .events import IngestReport, read_events, read_labels
-from .forest import TreeConfig
-from .mlp import MlpConfig
 from .model_io import load_container, load_model, save_model
 from .selection import SelectionPolicy, save_selection_report, select
 from .synth import SynthConfig, generate
-
-MODEL_KINDS = ("knn", "mlp", "forest")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,7 +69,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--events", type=Path, default=None, help="event CSV path")
         p.add_argument("--labels", type=Path, default=None, help="label CSV path")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None, help="parallelism cap (recorded)")
 
     p = sub.add_parser("gen-synthetic", help="generate a seeded synthetic corpus")
     common(p)
@@ -95,20 +83,20 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train one model on the holdout train side")
     common(p)
-    p.add_argument("--model", choices=MODEL_KINDS, required=True)
+    p.add_argument("--model", choices=tuple(MODELS), required=True)
 
     p = sub.add_parser("cv", help="cross-validate one model")
     common(p)
-    p.add_argument("--model", choices=MODEL_KINDS, required=True)
+    p.add_argument("--model", choices=tuple(MODELS), required=True)
 
     p = sub.add_parser("evaluate", help="evaluate a trained container on the holdout test side")
     common(p)
-    p.add_argument("--model", choices=MODEL_KINDS, required=True)
+    p.add_argument("--model", choices=tuple(MODELS), required=True)
     p.add_argument("--model-file", type=Path, default=None)
 
     p = sub.add_parser("benchmark", help="run every model under its protocol")
     common(p)
-    p.add_argument("--protocol", choices=("cv", "holdout"), default=None)
+    p.add_argument("--protocol", choices=PROTOCOLS, default=None)
 
     p = sub.add_parser("verify", help="check fingerprint consistency of artifacts")
     common(p)
@@ -127,8 +115,6 @@ def _resolve_config(args) -> RunConfig:
         cfg.labels_path = str(args.labels)
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.workers is not None:
-        cfg.workers = args.workers
     if getattr(args, "sessions", None) is not None:
         cfg.synth.sessions = args.sessions
     if getattr(args, "events_per_session", None) is not None:
@@ -158,10 +144,6 @@ def _labels_path(cfg: RunConfig) -> Path:
     return path
 
 
-def _effective_workers(cfg: RunConfig) -> int:
-    return cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
-
-
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as sink:
         json.dump(payload, sink, indent=2, sort_keys=True)
@@ -176,7 +158,6 @@ def _write_run_metadata(path: Path, cfg: RunConfig, runtime: float) -> None:
             "config_fingerprint": cfg.fingerprint(),
             "seed": cfg.seed,
             "runtime_seconds": runtime,
-            "workers": _effective_workers(cfg),
             "unix_time": time.time(),
         },
     )
@@ -290,56 +271,19 @@ def _split_plan(cfg: RunConfig, folds: int) -> SplitPlan:
     )
 
 
-def _model_spec(cfg: RunConfig, kind: str) -> ModelSpec:
-    if kind == "knn":
-        return ModelSpec(
-            "knn",
-            lambda: KnnClassifier(k=cfg.knn.k, metric=cfg.knn.metric),
-            cfg.knn.folds,
-            cfg.knn.scale,
-        )
-    if kind == "mlp":
-        mlp_cfg = MlpConfig(
-            input_dim=1,  # reset at fit time to the preprocessed width
-            hidden_sizes=tuple(cfg.mlp.hidden_sizes),
-            output_dim=cfg.mlp.output_dim,
-            epochs=cfg.mlp.epochs,
-            learning_rate=cfg.mlp.learning_rate,
-            batch_size=cfg.mlp.batch_size,
-            seed=cfg.seed,
-            hidden_activation=cfg.mlp.hidden_activation,
-        )
-        return ModelSpec("mlp", lambda: MlpClassifier(mlp_cfg), cfg.mlp.folds, cfg.mlp.scale)
-    if kind == "forest":
-        tree_cfg = TreeConfig(
-            criterion=cfg.forest.criterion,
-            max_depth=cfg.forest.max_depth,
-            min_samples_split=cfg.forest.min_samples_split,
-            feature_subsample=cfg.forest.feature_subsample,
-            seed=cfg.seed,
-        )
-        return ModelSpec(
-            "forest",
-            lambda: ForestClassifier(tree_count=cfg.forest.trees, config=tree_cfg, seed=cfg.seed),
-            cfg.forest.folds,
-            cfg.forest.scale,
-        )
-    raise ConfigError(f"unknown model kind {kind!r}")
-
-
 def cmd_train(cfg: RunConfig, kind: str) -> int:
     wd = _workdir(cfg)
     ds, _ = _load_joined(cfg)
-    spec = _model_spec(cfg, kind)
-    train, _test = split_train_test(ds, _split_plan(cfg, spec.fold_count))
-    pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names, scale=spec.scale)
-    model = spec.factory()
+    settings = getattr(cfg, kind)
+    train, _test = split_train_test(ds, _split_plan(cfg, settings.folds))
+    pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names, scale=settings.scale)
+    model = MODELS[kind].from_settings(settings, cfg.seed)
     model.fit(pre.transform(train.x), train.y)
     out = wd / f"model_{kind}.bin"
     save_model(
         out,
         kind,
-        model._model,
+        model.model,
         pre,
         train.feature_names,
         config_fingerprint=cfg.fingerprint(),
@@ -352,11 +296,12 @@ def cmd_train(cfg: RunConfig, kind: str) -> int:
 def cmd_cv(cfg: RunConfig, kind: str) -> int:
     wd = _workdir(cfg)
     ds, _ = _load_joined(cfg)
-    spec = _model_spec(cfg, kind)
-    plan = _split_plan(cfg, spec.fold_count)
+    settings = getattr(cfg, kind)
+    plan = _split_plan(cfg, settings.folds)
     started = time.perf_counter()
+    factory = functools.partial(MODELS[kind].from_settings, settings, cfg.seed)
     report = cross_validate(
-        spec.factory, ds, plan, scale=spec.scale, model_name=kind,
+        factory, ds, plan, scale=settings.scale, model_name=kind,
         config_fingerprint=cfg.fingerprint(),
     )
     payload = report.to_dict()
@@ -367,7 +312,7 @@ def cmd_cv(cfg: RunConfig, kind: str) -> int:
         export_fold_assignments(ds, kfold_indices(ds, plan), sink)
     for fr in report.folds:
         print(f"fold {fr.fold}: f1={fr.f1:.4f} accuracy={fr.accuracy:.4f}")
-    print(f"{kind} cv-{spec.fold_count}: mean f1={report.mean_f1:.4f} accuracy={report.mean_accuracy:.4f}")
+    print(f"{kind} cv-{settings.folds}: mean f1={report.mean_f1:.4f} accuracy={report.mean_accuracy:.4f}")
     return EXIT_OK
 
 
@@ -382,25 +327,16 @@ def cmd_evaluate(cfg: RunConfig, kind: str, model_file: Optional[Path]) -> int:
     if loaded.header.get("config_fingerprint") not in ("", cfg.fingerprint()):
         print("warning: container fingerprint differs from current config", file=sys.stderr)
     ds, _ = _load_joined(cfg)
-    spec = _model_spec(cfg, kind)
-    _train, test = split_train_test(ds, _split_plan(cfg, spec.fold_count))
+    _train, test = split_train_test(ds, _split_plan(cfg, getattr(cfg, kind).folds))
     started = time.perf_counter()
-    pred = loaded.predict(test.x)
-    from .evaluation import FoldResult, accuracy, confusion_counts, f1
-
-    result = FoldResult(0, f1(pred, test.y), accuracy(pred, test.y), confusion_counts(pred, test.y))
+    result = FoldResult.of(0, loaded.predict(test.x), test.y)
     payload = {
         "model": kind,
         "protocol": f"holdout-{cfg.split.test_fraction:g}",
         "seed": cfg.seed,
         "f1": result.f1,
         "accuracy": result.accuracy,
-        "confusion": {
-            "tp": result.confusion.tp,
-            "fp": result.confusion.fp,
-            "tn": result.confusion.tn,
-            "fn": result.confusion.fn,
-        },
+        "confusion": asdict(result.confusion),
         "config_fingerprint": cfg.fingerprint(),
         "model_fingerprint": loaded.header.get("config_fingerprint", ""),
     }
@@ -413,10 +349,9 @@ def cmd_evaluate(cfg: RunConfig, kind: str, model_file: Optional[Path]) -> int:
 def cmd_benchmark(cfg: RunConfig) -> int:
     wd = _workdir(cfg)
     ds, _ = _load_joined(cfg)
-    specs = [_model_spec(cfg, kind) for kind in MODEL_KINDS]
     started = time.perf_counter()
     result = benchmark(
-        specs,
+        {kind: getattr(cfg, kind) for kind in MODELS},
         ds,
         seed=cfg.seed,
         grouping=cfg.split.grouping,

@@ -2,55 +2,29 @@
 
 Defaults are the production protocol: KNN k=5 on 10 folds, forest of 100
 trees at seed 42 and MLP (one hidden layer of 128, 100 epochs, Adam at
-0.001) on 5 folds each, 80-20 holdout split. The fingerprint is a SHA-256
-over the canonical JSON of everything that can change results; filesystem
-paths and worker counts are excluded so reruns elsewhere compare equal.
+0.001) on 5 folds each, 80-20 holdout split. The dataclass fields are the
+schema: ``load_config`` checks every value against its field's annotation,
+then builds each model once so its range checks run before any input is
+read. The fingerprint is a SHA-256 over the canonical JSON of every field
+except the filesystem paths, so reruns elsewhere compare equal.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .aggregation import DEFAULT_SPECS, AggregatorSpec, validate_specs
-from .dataset import DEFAULT_QUESTION_GROUPS
+from .dataset import DEFAULT_QUESTION_GROUPS, SplitPlan
 from .errors import ConfigError
+from .evaluation import MODELS, ForestSettings, KnnSettings, MlpSettings, check_protocol
 from .selection import DEFAULT_MANDATORY_DROPS
 from .synth import DEFAULT_BIAS, DEFAULT_NOISE, DEFAULT_NULL_RATES, DEFAULT_WEIGHTS
 
-
-@dataclass
-class KnnSettings:
-    k: int = 5
-    metric: str = "euclidean"
-    folds: int = 10
-    scale: bool = True
-
-
-@dataclass
-class MlpSettings:
-    hidden_sizes: tuple[int, ...] = (128,)
-    output_dim: int = 2
-    epochs: int = 100
-    learning_rate: float = 0.001
-    batch_size: int = 256
-    hidden_activation: str = "logistic"
-    folds: int = 5
-    scale: bool = True
-
-
-@dataclass
-class ForestSettings:
-    trees: int = 100
-    criterion: str = "gini"
-    feature_subsample: str = "sqrt"
-    max_depth: Optional[int] = None
-    min_samples_split: int = 2
-    folds: int = 5
-    scale: bool = False
+_PATH = {"path": True}  # field metadata: resolved at run time, never fingerprinted
 
 
 @dataclass
@@ -80,11 +54,9 @@ class SynthSettings:
 
 @dataclass
 class RunConfig:
-    # paths: resolved at run time, never fingerprinted
-    workdir: str = "."
-    events_path: str = ""
-    labels_path: str = ""
-    workers: int = 0  # 0 = all available cores; recorded in run metadata
+    workdir: str = field(default=".", metadata=_PATH)
+    events_path: str = field(default="", metadata=_PATH)
+    labels_path: str = field(default="", metadata=_PATH)
 
     seed: int = 42
     protocol: str = "cv"  # or "holdout"
@@ -92,6 +64,7 @@ class RunConfig:
     aggregator_specs: tuple[AggregatorSpec, ...] = DEFAULT_SPECS
     split: SplitSettings = field(default_factory=SplitSettings)
     selection: SelectionSettings = field(default_factory=SelectionSettings)
+    # one section per kind in evaluation.MODELS, named by the kind
     knn: KnnSettings = field(default_factory=KnnSettings)
     mlp: MlpSettings = field(default_factory=MlpSettings)
     forest: ForestSettings = field(default_factory=ForestSettings)
@@ -100,19 +73,7 @@ class RunConfig:
     def fingerprint_payload(self) -> dict:
         """Everything that can change computed results, canonically keyed."""
         return {
-            "seed": self.seed,
-            "protocol": self.protocol,
-            "question_groups": {str(k): v for k, v in sorted(self.question_groups.items())},
-            "aggregator_specs": [
-                {"column": s.column, "kind": s.kind, "output_name": s.output_name}
-                for s in self.aggregator_specs
-            ],
-            "split": asdict(self.split),
-            "selection": {**asdict(self.selection), "mandatory_drops": list(self.selection.mandatory_drops)},
-            "knn": asdict(self.knn),
-            "mlp": {**asdict(self.mlp), "hidden_sizes": list(self.mlp.hidden_sizes)},
-            "forest": asdict(self.forest),
-            "synth": {**asdict(self.synth), "weights": list(self.synth.weights)},
+            f.name: _plain(getattr(self, f.name)) for f in fields(self) if not f.metadata.get("path")
         }
 
     def fingerprint(self) -> str:
@@ -120,21 +81,89 @@ class RunConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _apply_section(obj, data: dict, section: str):
-    known = {f.name for f in fields(obj)}
-    for key, value in data.items():
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in config section {section!r}")
-        current = getattr(obj, key)
-        if isinstance(current, tuple) and isinstance(value, list):
-            value = tuple(value)
-        setattr(obj, key, value)
-    return obj
+def _plain(value):
+    """JSON-ready copy: dataclasses to dicts, tuples to lists, dict keys to str."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    return value
+
+
+def _type_name(tp) -> str:
+    if is_dataclass(tp):
+        return "an object"
+    return tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
+
+
+def _check(value, tp, where: str):
+    """``value`` checked against annotation ``tp``; containers are rebuilt."""
+    origin = get_origin(tp)
+    if origin is Union:  # Optional[X]
+        if value is None:
+            return None
+        (tp,) = [a for a in get_args(tp) if a is not type(None)]
+        return _check(value, tp, where)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        item = get_args(tp)[0]
+        return tuple(_check(v, item, f"{where}[{i}]") for i, v in enumerate(value))
+    if origin is dict and isinstance(value, dict):
+        key_tp, value_tp = get_args(tp)
+        return {
+            _key(k, key_tp, where): _check(v, value_tp, f"{where}.{k}") for k, v in value.items()
+        }
+    if is_dataclass(tp) and isinstance(value, dict):
+        return _build(tp, value, where)
+    if isinstance(value, bool):
+        ok = tp is bool
+    elif tp is float:
+        ok = isinstance(value, (int, float))  # an int is kept as given
+    else:
+        ok = origin is None and isinstance(value, tp)
+    if not ok:
+        raise ConfigError(f"{where} must be {_type_name(tp)}, got {value!r}")
+    return value
+
+
+def _key(key, tp, where: str):
+    if tp is int and isinstance(key, str):  # JSON object keys are strings
+        try:
+            return int(key)
+        except ValueError:
+            pass
+    return _check(key, tp, f"{where} key")
+
+
+def _build(cls, data: dict, where: str):
+    """An instance of dataclass ``cls`` from ``data``, defaults filling the rest."""
+    hints = get_type_hints(cls)
+    names = {f.name for f in fields(cls)}
+    for key in data:
+        if key not in names:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    for f in fields(cls):
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where} is missing {f.name!r}")
+    return cls(**{k: _check(v, hints[k], f"{where}.{k}") for k, v in data.items()})
+
+
+def _check_ranges(cfg: RunConfig) -> None:
+    """Run the range checks of every stage that has them, before any input is read."""
+    validate_specs(cfg.aggregator_specs)
+    check_protocol(cfg.protocol)
+    for kind, model in MODELS.items():
+        settings = getattr(cfg, kind)
+        try:
+            model.from_settings(settings, cfg.seed)
+        except ConfigError as exc:
+            raise ConfigError(f"config.{kind}: {exc}") from None
+        SplitPlan(cfg.seed, cfg.split.test_fraction, settings.folds, cfg.split.grouping)
 
 
 def load_config(path: Optional[Path] = None, overrides: Optional[dict] = None) -> RunConfig:
     """Build a RunConfig from defaults, then a file, then explicit overrides."""
-    cfg = RunConfig()
     data: dict = {}
     if path is not None:
         try:
@@ -143,33 +172,12 @@ def load_config(path: Optional[Path] = None, overrides: Optional[dict] = None) -
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
     if overrides:
         data = _merge(data, overrides)
-
-    sections = {
-        "split": cfg.split,
-        "selection": cfg.selection,
-        "knn": cfg.knn,
-        "mlp": cfg.mlp,
-        "forest": cfg.forest,
-        "synth": cfg.synth,
-    }
-    top_known = {f.name for f in fields(RunConfig)}
-    for key, value in data.items():
-        if key in sections:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be an object")
-            _apply_section(sections[key], value, key)
-        elif key == "question_groups":
-            cfg.question_groups = {int(q): g for q, g in value.items()}
-        elif key == "aggregator_specs":
-            cfg.aggregator_specs = validate_specs(
-                AggregatorSpec(s["column"], s["kind"], s.get("output_name", "")) for s in value
-            )
-        elif key in top_known:
-            setattr(cfg, key, value)
-        else:
-            raise ConfigError(f"unknown top-level config key {key!r}")
+    cfg = _build(RunConfig, data, "config")
+    _check_ranges(cfg)
     return cfg
 
 

@@ -8,17 +8,26 @@ assembled by fold index, independent of evaluation order.
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Protocol, Sequence
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .dataset import LabeledDataset, SplitPlan, fit_preprocessor, kfold, split_train_test
 from .errors import ConfigError, LengthMismatchError
-from .forest import TreeConfig, forest_fit, forest_predict
-from .knn import knn_fit, knn_predict
-from .mlp import MlpConfig, mlp_train
+from .forest import (
+    ForestModel,
+    TreeConfig,
+    check_tree_count,
+    flatten_trees,
+    forest_fit,
+    forest_predict,
+    unflatten_trees,
+)
+from .knn import KnnModel, check_knn_params, knn_fit, knn_predict
+from .mlp import MlpConfig, MlpModel, mlp_train
 
 # Published literature baseline reported alongside computed results; never
 # computed by this pipeline.
@@ -95,53 +104,180 @@ def majority_baseline_f1(y: Sequence[int]) -> float:
     return 2.0 * p / (1.0 + p)
 
 
-class Classifier(Protocol):
-    def fit(self, x: np.ndarray, y: np.ndarray) -> None: ...
-    def predict(self, x: np.ndarray) -> np.ndarray: ...
+@dataclass
+class KnnSettings:
+    k: int = 5
+    metric: str = "euclidean"
+    folds: int = 10
+    scale: bool = True
 
 
-# Thin adapters giving the three models one fit/predict surface.
+@dataclass
+class MlpSettings:
+    hidden_sizes: tuple[int, ...] = (128,)
+    output_dim: int = 2
+    epochs: int = 100
+    learning_rate: float = 0.001
+    batch_size: int = 256
+    hidden_activation: str = "logistic"
+    folds: int = 5
+    scale: bool = True
 
-class KnnClassifier:
-    def __init__(self, k: int = 5, metric: str = "euclidean"):
-        self.k = k
-        self.metric = metric
-        self._model = None
 
-    def fit(self, x, y):
-        self._model = knn_fit(x, y, k=self.k, metric=self.metric)
+@dataclass
+class ForestSettings:
+    trees: int = 100
+    criterion: str = "gini"
+    feature_subsample: str = "sqrt"
+    max_depth: Optional[int] = None
+    min_samples_split: int = 2
+    folds: int = 5
+    scale: bool = False
+
+
+def _shared_fields(settings, target) -> dict:
+    """The settings values whose names the dataclass ``target`` also declares."""
+    names = {f.name for f in fields(target)}
+    return {k: v for k, v in asdict(settings).items() if k in names}
+
+
+class Classifier:
+    """One model kind, listed in ``MODELS``: ``settings`` is its config section;
+    ``from_settings`` builds it (running its range checks); ``fit`` stores the
+    fitted model in ``self.model``; ``apply`` predicts with a fitted model; and
+    ``to_container``/``from_container`` map it to its container header section
+    and arrays."""
+
+    settings: type
+    model = None
 
     def predict(self, x):
-        return knn_predict(self._model, x)
+        return self.apply(self.model, x)
 
 
-class MlpClassifier:
+class KnnClassifier(Classifier):
+    settings = KnnSettings
+
+    def __init__(self, k: int = 5, metric: str = "euclidean"):
+        check_knn_params(k, metric)
+        self.k = k
+        self.metric = metric
+
+    @classmethod
+    def from_settings(cls, settings: KnnSettings, seed: int) -> "KnnClassifier":
+        return cls(k=settings.k, metric=settings.metric)
+
+    def fit(self, x, y):
+        self.model = knn_fit(x, y, k=self.k, metric=self.metric)
+
+    @staticmethod
+    def apply(model: KnnModel, x):
+        return knn_predict(model, x)
+
+    @staticmethod
+    def to_container(model: KnnModel) -> tuple[dict, dict]:
+        return {"k": model.k, "metric": model.metric}, {"knn_x": model.x, "knn_y": model.y}
+
+    @staticmethod
+    def from_container(section: dict, arrays: dict) -> KnnModel:
+        x, y = arrays["knn_x"], arrays["knn_y"]
+        x.setflags(write=False)
+        y.setflags(write=False)
+        return KnnModel(x=x, y=y, k=section["k"], metric=section["metric"])
+
+
+class MlpClassifier(Classifier):
+    settings = MlpSettings
+
     def __init__(self, config: MlpConfig):
         self.config = config
-        self._model = None
+
+    @classmethod
+    def from_settings(cls, settings: MlpSettings, seed: int) -> "MlpClassifier":
+        # input_dim is reset at fit time to the preprocessed width
+        return cls(MlpConfig(input_dim=1, seed=seed, **_shared_fields(settings, MlpConfig)))
 
     def fit(self, x, y):
         cfg = self.config
         if cfg.input_dim != x.shape[1]:
             cfg = replace(cfg, input_dim=x.shape[1])
-        self._model = mlp_train(cfg, (x, y))
+        self.model = mlp_train(cfg, (x, y))
 
-    def predict(self, x):
-        return self._model.predict(x)
+    @staticmethod
+    def apply(model: MlpModel, x):
+        return model.predict(x)
+
+    @staticmethod
+    def to_container(model: MlpModel) -> tuple[dict, dict]:
+        arrays = {"mlp_loss_history": np.asarray(model.loss_history, dtype=np.float64)}
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            arrays[f"mlp_w{i}"] = w
+            arrays[f"mlp_b{i}"] = b
+        return {**asdict(model.config), "layers": len(model.weights)}, arrays
+
+    @staticmethod
+    def from_container(section: dict, arrays: dict) -> MlpModel:
+        layers = range(section["layers"])
+        return MlpModel(
+            weights=[arrays[f"mlp_w{i}"] for i in layers],
+            biases=[arrays[f"mlp_b{i}"] for i in layers],
+            config=MlpConfig(**{f.name: section[f.name] for f in fields(MlpConfig)}),
+            loss_history=list(arrays["mlp_loss_history"]),
+        )
 
 
-class ForestClassifier:
+class ForestClassifier(Classifier):
+    settings = ForestSettings
+
     def __init__(self, tree_count: int = 100, config: TreeConfig = TreeConfig(feature_subsample="sqrt"), seed: int = 42):
+        check_tree_count(tree_count)
         self.tree_count = tree_count
         self.config = config
         self.seed = seed
-        self._model = None
+
+    @classmethod
+    def from_settings(cls, settings: ForestSettings, seed: int) -> "ForestClassifier":
+        config = TreeConfig(seed=seed, **_shared_fields(settings, TreeConfig))
+        return cls(tree_count=settings.trees, config=config, seed=seed)
 
     def fit(self, x, y):
-        self._model = forest_fit(x, y, tree_count=self.tree_count, config=self.config, seed=self.seed)
+        self.model = forest_fit(x, y, tree_count=self.tree_count, config=self.config, seed=self.seed)
 
-    def predict(self, x):
-        return forest_predict(self._model, x)
+    @staticmethod
+    def apply(model: ForestModel, x):
+        return forest_predict(model, x)
+
+    @staticmethod
+    def to_container(model: ForestModel) -> tuple[dict, dict]:
+        section = {
+            **asdict(model.config),
+            "seed": model.seed,  # the forest's master seed, not the tree config's
+            "tree_count": model.tree_count,
+            "bootstrap": model.bootstrap,
+            "n_features": model.n_features,
+        }
+        arrays = {**flatten_trees(model.trees), "tree_seeds": np.array(model.tree_seeds, dtype=np.uint64)}
+        return section, arrays
+
+    @staticmethod
+    def from_container(section: dict, arrays: dict) -> ForestModel:
+        config = TreeConfig(**{f.name: section[f.name] for f in fields(TreeConfig) if f.name != "seed"})
+        return ForestModel(
+            trees=unflatten_trees(arrays),
+            config=config,
+            seed=section["seed"],
+            bootstrap=section["bootstrap"],
+            tree_seeds=tuple(int(s) for s in arrays["tree_seeds"]),
+            n_features=section["n_features"],
+        )
+
+
+# The registry: the only list of model kinds, in benchmark order.
+MODELS: dict[str, type[Classifier]] = {
+    "knn": KnnClassifier,
+    "mlp": MlpClassifier,
+    "forest": ForestClassifier,
+}
 
 
 @dataclass(frozen=True)
@@ -150,6 +286,10 @@ class FoldResult:
     f1: float
     accuracy: float
     confusion: ConfusionCounts
+
+    @classmethod
+    def of(cls, fold: int, pred, truth) -> "FoldResult":
+        return cls(fold, f1(pred, truth), accuracy(pred, truth), confusion_counts(pred, truth))
 
 
 @dataclass
@@ -166,19 +306,13 @@ class EvalReport:
     def to_dict(self) -> dict:
         """Deterministic payload; runtime is deliberately excluded so that
         reruns with the same seeds serialize byte-identically."""
-        def conf(c: ConfusionCounts) -> dict:
-            return {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn}
-
         return {
             "model": self.model_name,
             "protocol": self.protocol,
-            "folds": [
-                {"fold": f.fold, "f1": f.f1, "accuracy": f.accuracy, "confusion": conf(f.confusion)}
-                for f in self.folds
-            ],
+            "folds": [asdict(f) for f in self.folds],
             "mean_f1": self.mean_f1,
             "mean_accuracy": self.mean_accuracy,
-            "confusion_total": conf(self.confusion_total),
+            "confusion_total": asdict(self.confusion_total),
             "config_fingerprint": self.config_fingerprint,
         }
 
@@ -205,6 +339,15 @@ def _assemble_report(
     )
 
 
+def _fit_and_score(
+    fold: int, model_factory, train: LabeledDataset, test: LabeledDataset, scale: bool
+) -> FoldResult:
+    pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names, scale=scale)
+    model = model_factory()
+    model.fit(pre.transform(train.x), train.y)
+    return FoldResult.of(fold, model.predict(pre.transform(test.x)), test.y)
+
+
 def cross_validate(
     model_factory: Callable[[], Classifier],
     dataset: LabeledDataset,
@@ -217,16 +360,13 @@ def cross_validate(
     started = time.perf_counter()
     results: list[FoldResult] = []
     for i, (train, val) in enumerate(kfold(dataset, plan)):
-        pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names, scale=scale)
-        model = model_factory()
         try:
-            model.fit(pre.transform(train.x), train.y)
-            pred = model.predict(pre.transform(val.x))
+            results.append(_fit_and_score(i, model_factory, train, val, scale))
         except Exception as exc:
-            raise type(exc)(f"fold {i}: {exc}") from exc
-        results.append(
-            FoldResult(i, f1(pred, val.y), accuracy(pred, val.y), confusion_counts(pred, val.y))
-        )
+            # Re-raise the same exception, so its class and exit code are
+            # kept, with the fold index prefixed to its message.
+            exc.args = (f"fold {i}: {exc}",)
+            raise
     return _assemble_report(
         model_name,
         f"cv-{plan.fold_count}",
@@ -247,11 +387,7 @@ def holdout_evaluate(
     """Single train/test evaluation under the plan's holdout fraction."""
     started = time.perf_counter()
     train, test = split_train_test(dataset, plan)
-    pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names, scale=scale)
-    model = model_factory()
-    model.fit(pre.transform(train.x), train.y)
-    pred = model.predict(pre.transform(test.x))
-    result = FoldResult(0, f1(pred, test.y), accuracy(pred, test.y), confusion_counts(pred, test.y))
+    result = _fit_and_score(0, model_factory, train, test, scale)
     return _assemble_report(
         model_name,
         f"holdout-{plan.test_fraction:g}",
@@ -259,16 +395,6 @@ def holdout_evaluate(
         config_fingerprint,
         time.perf_counter() - started,
     )
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """One benchmark entry: a factory plus its evaluation protocol."""
-
-    name: str
-    factory: Callable[[], Classifier]
-    fold_count: int
-    scale: bool
 
 
 @dataclass
@@ -297,23 +423,22 @@ class BenchmarkResult:
 
     def to_dict(self) -> dict:
         return {
-            "rows": [
-                {
-                    "model": r.model,
-                    "f1": r.f1,
-                    "accuracy": r.accuracy,
-                    "source": r.source,
-                    "protocol": r.protocol,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "reports": [rep.to_dict() for rep in self.reports],
             "config_fingerprint": self.config_fingerprint,
         }
 
 
+PROTOCOLS = ("cv", "holdout")
+
+
+def check_protocol(protocol: str) -> None:
+    if protocol not in PROTOCOLS:
+        raise ConfigError(f"unknown protocol {protocol!r}")
+
+
 def benchmark(
-    models: Sequence[ModelSpec],
+    models: Mapping[str, object],
     dataset: LabeledDataset,
     seed: int = 42,
     grouping: str = "by_session",
@@ -321,33 +446,36 @@ def benchmark(
     test_fraction: float = 0.2,
     config_fingerprint: str = "",
 ) -> BenchmarkResult:
-    """Evaluate every model under its own fold count, plus the reference row."""
+    """Evaluate every model under its own fold count, plus the reference row.
+
+    ``models`` maps a kind in ``MODELS`` to that kind's settings.
+    """
     if not models:
         raise ConfigError("benchmark requires at least one model spec")
-    if protocol not in ("cv", "holdout"):
-        raise ConfigError(f"unknown protocol {protocol!r}")
+    check_protocol(protocol)
     rows: list[BenchmarkRow] = []
     reports: list[EvalReport] = []
-    for spec in models:
+    for name, settings in models.items():
         plan = SplitPlan(
             seed=seed,
             test_fraction=test_fraction,
-            fold_count=spec.fold_count,
+            fold_count=settings.folds,
             grouping=grouping,
         )
+        factory = functools.partial(MODELS[name].from_settings, settings, seed)
         if protocol == "cv":
             report = cross_validate(
-                spec.factory, dataset, plan, scale=spec.scale,
-                model_name=spec.name, config_fingerprint=config_fingerprint,
+                factory, dataset, plan, scale=settings.scale,
+                model_name=name, config_fingerprint=config_fingerprint,
             )
         else:
             report = holdout_evaluate(
-                spec.factory, dataset, plan, scale=spec.scale,
-                model_name=spec.name, config_fingerprint=config_fingerprint,
+                factory, dataset, plan, scale=settings.scale,
+                model_name=name, config_fingerprint=config_fingerprint,
             )
         reports.append(report)
         rows.append(
-            BenchmarkRow(spec.name, report.mean_f1, report.mean_accuracy, "computed", report.protocol)
+            BenchmarkRow(name, report.mean_f1, report.mean_accuracy, "computed", report.protocol)
         )
     for name, ref_f1, ref_acc in REFERENCE_ROWS:
         rows.append(BenchmarkRow(name, ref_f1, ref_acc, "literature", "reported"))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    ContainerFormatError,
     DataError,
     DimensionMismatchError,
     EmptySetError,
@@ -286,6 +287,11 @@ def tree_depth(node: TreeNode) -> int:
     return deepest
 
 
+def check_tree_count(tree_count: int) -> None:
+    if tree_count < 1:
+        raise ConfigError("tree_count must be >= 1")
+
+
 @dataclass
 class ForestModel:
     trees: list[TreeNode]
@@ -314,8 +320,7 @@ def forest_fit(
     """Bagged ensemble; per-tree seeds derive from (seed, tree index)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if tree_count < 1:
-        raise ConfigError("tree_count must be >= 1")
+    check_tree_count(tree_count)
     if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
         raise DataError("forest_fit needs a nonempty matrix with matching labels")
     n = x.shape[0]
@@ -352,6 +357,103 @@ def forest_predict(model: ForestModel, queries: np.ndarray) -> np.ndarray:
     for tree in model.trees:
         votes += tree_predict(tree, q)
     return (votes * 2 > len(model.trees)).astype(np.int64)
+
+
+# Flat-array encoding of a list of trees, in preorder: the model container layout.
+
+_KIND_LEAF = 0
+_KIND_INTERNAL = 1
+
+
+def flatten_trees(trees: list[TreeNode]) -> dict[str, np.ndarray]:
+    kinds: list[int] = []
+    features: list[int] = []
+    thresholds: list[float] = []
+    gains: list[float] = []
+    labels: list[int] = []
+    c0: list[int] = []
+    c1: list[int] = []
+    offsets: list[int] = []
+    for root in trees:
+        offsets.append(len(kinds))
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Leaf):
+                kinds.append(_KIND_LEAF)
+                features.append(-1)
+                thresholds.append(0.0)
+                gains.append(0.0)
+                labels.append(node.label)
+                c0.append(node.counts[0])
+                c1.append(node.counts[1])
+            else:
+                kinds.append(_KIND_INTERNAL)
+                features.append(node.feature)
+                thresholds.append(node.threshold)
+                gains.append(node.gain)
+                labels.append(-1)
+                c0.append(0)
+                c1.append(0)
+                stack.append(node.right)  # preorder: left subtree first
+                stack.append(node.left)
+    return {
+        "tree_kinds": np.array(kinds, dtype=np.int8),
+        "tree_features": np.array(features, dtype=np.int64),
+        "tree_thresholds": np.array(thresholds, dtype=np.float64),
+        "tree_gains": np.array(gains, dtype=np.float64),
+        "tree_labels": np.array(labels, dtype=np.int64),
+        "tree_count0": np.array(c0, dtype=np.int64),
+        "tree_count1": np.array(c1, dtype=np.int64),
+        "tree_offsets": np.array(offsets, dtype=np.int64),
+    }
+
+
+def _unflatten_tree(arrays: dict[str, np.ndarray], start: int) -> tuple[TreeNode, int]:
+    kinds = arrays["tree_kinds"]
+    i = start
+    frames: list[list] = []  # [feature, threshold, gain, left or None]
+    while True:
+        if i >= kinds.shape[0]:
+            raise ContainerFormatError("tree encoding ended mid-node")
+        if kinds[i] == _KIND_INTERNAL:
+            frames.append(
+                [
+                    int(arrays["tree_features"][i]),
+                    float(arrays["tree_thresholds"][i]),
+                    float(arrays["tree_gains"][i]),
+                    None,
+                ]
+            )
+            i += 1
+            continue
+        node: TreeNode = Leaf(
+            int(arrays["tree_labels"][i]),
+            (int(arrays["tree_count0"][i]), int(arrays["tree_count1"][i])),
+        )
+        i += 1
+        while True:
+            if not frames:
+                return node, i
+            top = frames[-1]
+            if top[3] is None:
+                top[3] = node
+                break  # right subtree comes next in the stream
+            frames.pop()
+            node = Internal(top[0], top[1], top[2], top[3], node)
+
+
+def unflatten_trees(arrays: dict[str, np.ndarray]) -> list[TreeNode]:
+    offsets = arrays["tree_offsets"]
+    total = arrays["tree_kinds"].shape[0]
+    trees: list[TreeNode] = []
+    for t, start in enumerate(offsets):
+        tree, end = _unflatten_tree(arrays, int(start))
+        expected_end = int(offsets[t + 1]) if t + 1 < offsets.shape[0] else total
+        if end != expected_end:
+            raise ContainerFormatError(f"tree {t} encoding inconsistent with offsets")
+        trees.append(tree)
+    return trees
 
 
 def feature_importances(model: ForestModel) -> np.ndarray:

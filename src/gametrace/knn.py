@@ -35,13 +35,17 @@ class KnnModel:
     metric: str
 
 
-def knn_fit(x: np.ndarray, y: Sequence[int], k: int = 5, metric: str = "euclidean") -> KnnModel:
-    x = np.array(x, dtype=np.float64)  # private copy, caller mutations invisible
-    y = np.array(y, dtype=np.int64)
+def check_knn_params(k: int, metric: str) -> None:
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
     if k < 1:
         raise ConfigError("k must be >= 1")
+
+
+def knn_fit(x: np.ndarray, y: Sequence[int], k: int = 5, metric: str = "euclidean") -> KnnModel:
+    x = np.array(x, dtype=np.float64)  # private copy, caller mutations invisible
+    y = np.array(y, dtype=np.int64)
+    check_knn_params(k, metric)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise DimensionMismatchError(x.shape[0], y.shape[0])
     if k > x.shape[0]:

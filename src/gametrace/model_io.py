@@ -4,6 +4,8 @@ Layout: magic, u32 format version, length-prefixed canonical-JSON header,
 then length-prefixed named arrays (raw little-endian bytes). Everything is
 content-determined, so saving the same model twice yields identical bytes
 and load-then-save round-trips exactly. Unknown versions are rejected.
+Each kind's header section and arrays come from its entry in
+``evaluation.MODELS``.
 """
 
 from __future__ import annotations
@@ -18,14 +20,10 @@ import numpy as np
 
 from .dataset import OneHotParams, Preprocessor, ScalerParams
 from .errors import ContainerFormatError, UnsupportedVersionError
-from .forest import ForestModel, Internal, Leaf, TreeConfig, TreeNode, forest_predict
-from .knn import KnnModel, knn_predict
-from .mlp import MlpConfig, MlpModel
+from .evaluation import MODELS
 
 MAGIC = b"GTMODEL\x00"
 FORMAT_VERSION = 1
-
-KINDS = ("knn", "mlp", "forest")
 
 
 def _canonical_json(obj) -> bytes:
@@ -82,103 +80,6 @@ def load_container(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-# --- tree (pre)serialization ---------------------------------------------
-
-_KIND_LEAF = 0
-_KIND_INTERNAL = 1
-
-
-def _flatten_trees(trees: list[TreeNode]) -> dict[str, np.ndarray]:
-    kinds: list[int] = []
-    features: list[int] = []
-    thresholds: list[float] = []
-    gains: list[float] = []
-    labels: list[int] = []
-    c0: list[int] = []
-    c1: list[int] = []
-    offsets: list[int] = []
-    for root in trees:
-        offsets.append(len(kinds))
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                kinds.append(_KIND_LEAF)
-                features.append(-1)
-                thresholds.append(0.0)
-                gains.append(0.0)
-                labels.append(node.label)
-                c0.append(node.counts[0])
-                c1.append(node.counts[1])
-            else:
-                kinds.append(_KIND_INTERNAL)
-                features.append(node.feature)
-                thresholds.append(node.threshold)
-                gains.append(node.gain)
-                labels.append(-1)
-                c0.append(0)
-                c1.append(0)
-                stack.append(node.right)  # preorder: left subtree first
-                stack.append(node.left)
-    return {
-        "tree_kinds": np.array(kinds, dtype=np.int8),
-        "tree_features": np.array(features, dtype=np.int64),
-        "tree_thresholds": np.array(thresholds, dtype=np.float64),
-        "tree_gains": np.array(gains, dtype=np.float64),
-        "tree_labels": np.array(labels, dtype=np.int64),
-        "tree_count0": np.array(c0, dtype=np.int64),
-        "tree_count1": np.array(c1, dtype=np.int64),
-        "tree_offsets": np.array(offsets, dtype=np.int64),
-    }
-
-
-def _unflatten_tree(arrays: dict[str, np.ndarray], start: int) -> tuple[TreeNode, int]:
-    kinds = arrays["tree_kinds"]
-    i = start
-    frames: list[list] = []  # [feature, threshold, gain, left or None]
-    while True:
-        if i >= kinds.shape[0]:
-            raise ContainerFormatError("tree encoding ended mid-node")
-        if kinds[i] == _KIND_INTERNAL:
-            frames.append(
-                [
-                    int(arrays["tree_features"][i]),
-                    float(arrays["tree_thresholds"][i]),
-                    float(arrays["tree_gains"][i]),
-                    None,
-                ]
-            )
-            i += 1
-            continue
-        node: TreeNode = Leaf(
-            int(arrays["tree_labels"][i]),
-            (int(arrays["tree_count0"][i]), int(arrays["tree_count1"][i])),
-        )
-        i += 1
-        while True:
-            if not frames:
-                return node, i
-            top = frames[-1]
-            if top[3] is None:
-                top[3] = node
-                break  # right subtree comes next in the stream
-            frames.pop()
-            node = Internal(top[0], top[1], top[2], top[3], node)
-
-
-def _unflatten_forest(arrays: dict[str, np.ndarray]) -> list[TreeNode]:
-    offsets = arrays["tree_offsets"]
-    total = arrays["tree_kinds"].shape[0]
-    trees: list[TreeNode] = []
-    for t, start in enumerate(offsets):
-        tree, end = _unflatten_tree(arrays, int(start))
-        expected_end = int(offsets[t + 1]) if t + 1 < offsets.shape[0] else total
-        if end != expected_end:
-            raise ContainerFormatError(f"tree {t} encoding inconsistent with offsets")
-        trees.append(tree)
-    return trees
-
-
 # --- preprocessor ---------------------------------------------------------
 
 
@@ -228,12 +129,7 @@ class LoadedModel:
     header: dict
 
     def predict(self, raw_x: np.ndarray) -> np.ndarray:
-        x = self.preprocessor.transform(raw_x)
-        if self.kind == "knn":
-            return knn_predict(self.model, x)
-        if self.kind == "mlp":
-            return self.model.predict(x)
-        return forest_predict(self.model, x)
+        return MODELS[self.kind].apply(self.model, self.preprocessor.transform(raw_x))
 
 
 def save_model(
@@ -246,8 +142,9 @@ def save_model(
     seed: Optional[int] = None,
 ) -> None:
     """Persist a trained model with everything needed to apply it."""
-    if kind not in KINDS:
+    if kind not in MODELS:
         raise ContainerFormatError(f"unknown model kind {kind!r}")
+    section, model_arrays = MODELS[kind].to_container(model)
     header: dict = {
         "kind": kind,
         "feature_names": list(feature_names),
@@ -255,93 +152,16 @@ def save_model(
         "preprocessor": _preprocessor_header(preprocessor),
         # deterministic creation metadata: identical inputs => identical bytes
         "created_by": {"tool": "gametrace", "container_version": FORMAT_VERSION, "seed": seed},
+        kind: section,
     }
-    arrays = _preprocessor_arrays(preprocessor)
-    if kind == "knn":
-        header["knn"] = {"k": model.k, "metric": model.metric}
-        arrays["knn_x"] = model.x
-        arrays["knn_y"] = model.y
-    elif kind == "mlp":
-        cfg = model.config
-        header["mlp"] = {
-            "input_dim": cfg.input_dim,
-            "hidden_sizes": list(cfg.hidden_sizes),
-            "output_dim": cfg.output_dim,
-            "epochs": cfg.epochs,
-            "learning_rate": cfg.learning_rate,
-            "batch_size": cfg.batch_size,
-            "seed": cfg.seed,
-            "hidden_activation": cfg.hidden_activation,
-        }
-        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-            arrays[f"mlp_w{i}"] = w
-            arrays[f"mlp_b{i}"] = b
-        header["mlp"]["layers"] = len(model.weights)
-        arrays["mlp_loss_history"] = np.asarray(model.loss_history, dtype=np.float64)
-    else:
-        cfg = model.config
-        header["forest"] = {
-            "tree_count": model.tree_count,
-            "criterion": cfg.criterion,
-            "max_depth": cfg.max_depth,
-            "min_samples_split": cfg.min_samples_split,
-            "feature_subsample": cfg.feature_subsample,
-            "seed": model.seed,
-            "bootstrap": model.bootstrap,
-            "n_features": model.n_features,
-        }
-        arrays.update(_flatten_trees(model.trees))
-        arrays["tree_seeds"] = np.array(model.tree_seeds, dtype=np.uint64)
-    save_container(path, header, arrays)
+    save_container(path, header, {**_preprocessor_arrays(preprocessor), **model_arrays})
 
 
 def load_model(path: Path) -> LoadedModel:
     header, arrays = load_container(path)
     kind = header.get("kind")
     pre = _preprocessor_from(header, arrays)
-    if kind == "knn":
-        meta = header["knn"]
-        x = arrays["knn_x"]
-        y = arrays["knn_y"]
-        x.setflags(write=False)
-        y.setflags(write=False)
-        model: object = KnnModel(x=x, y=y, k=meta["k"], metric=meta["metric"])
-    elif kind == "mlp":
-        meta = header["mlp"]
-        cfg = MlpConfig(
-            input_dim=meta["input_dim"],
-            hidden_sizes=tuple(meta["hidden_sizes"]),
-            output_dim=meta["output_dim"],
-            epochs=meta["epochs"],
-            learning_rate=meta["learning_rate"],
-            batch_size=meta["batch_size"],
-            seed=meta["seed"],
-            hidden_activation=meta["hidden_activation"],
-        )
-        weights = [arrays[f"mlp_w{i}"] for i in range(meta["layers"])]
-        biases = [arrays[f"mlp_b{i}"] for i in range(meta["layers"])]
-        model = MlpModel(
-            weights=weights,
-            biases=biases,
-            config=cfg,
-            loss_history=list(arrays["mlp_loss_history"]),
-        )
-    elif kind == "forest":
-        meta = header["forest"]
-        cfg = TreeConfig(
-            criterion=meta["criterion"],
-            max_depth=meta["max_depth"],
-            min_samples_split=meta["min_samples_split"],
-            feature_subsample=meta["feature_subsample"],
-        )
-        model = ForestModel(
-            trees=_unflatten_forest(arrays),
-            config=cfg,
-            seed=meta["seed"],
-            bootstrap=meta["bootstrap"],
-            tree_seeds=tuple(int(s) for s in arrays["tree_seeds"]),
-            n_features=meta["n_features"],
-        )
-    else:
+    if not isinstance(kind, str) or kind not in MODELS:
         raise ContainerFormatError(f"unknown model kind {kind!r}")
+    model = MODELS[kind].from_container(header[kind], arrays)
     return LoadedModel(kind=kind, model=model, preprocessor=pre, header=header)

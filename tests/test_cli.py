@@ -1,12 +1,16 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gametrace.cli import main
+from gametrace.cli import _build_parser, main
 from gametrace.config import RunConfig, load_config
 from gametrace.errors import ConfigError
+from gametrace.evaluation import MODELS
 from gametrace.model_io import load_model
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run(*argv):
@@ -48,6 +52,57 @@ def test_unknown_config_key_exits_1(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"no_such_key": 1}')
     assert run("aggregate", "--workdir", str(tmp_path), "--config", str(cfg)) == 1
+
+
+MALFORMED_CONFIGS = [
+    {"knn": {"k": "5"}},
+    {"knn": {"k": True}},
+    {"knn": {"metric": "bogus"}},
+    {"knn": {"folds": 1}},
+    {"knn": 5},
+    {"mlp": {"epochs": "3"}},
+    {"mlp": {"hidden_sizes": [0]}},
+    {"forest": {"trees": 0}},
+    {"forest": {"max_depth": 0}},
+    {"seed": "x"},
+    {"selection": {"k": "3"}},
+    {"question_groups": [1, 2]},
+    {"question_groups": {"x": "0-4"}},
+    {"aggregator_specs": [{"column": "x"}]},
+    {"protocol": "bogus"},
+    [],
+]
+
+
+@pytest.mark.parametrize("bad", MALFORMED_CONFIGS, ids=json.dumps)
+def test_malformed_config_exits_1_before_reading_inputs(tmp_path, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    # the workdir holds no inputs: a config that got past loading would exit 2
+    assert run("aggregate", "--workdir", str(tmp_path), "--config", str(cfg)) == 1
+
+
+def test_k_above_training_rows_exits_1_in_train_and_cv(pipeline_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"knn": {"k": 100000}}))
+    common = ["--workdir", str(pipeline_dir), "--config", str(cfg), "--model", "knn"]
+    assert run("train", *common) == 1
+    assert run("cv", *common) == 1
+    assert "fold 0: k=100000 exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "evaluate"])
+def test_model_choices_are_the_registry(command):
+    parser = _build_parser()
+    for kind in MODELS:
+        assert parser.parse_args([command, "--model", kind]).model == kind
+
+
+def test_every_registered_kind_has_its_config_section():
+    cfg = RunConfig()
+    for kind, entry in MODELS.items():
+        assert isinstance(getattr(cfg, kind), entry.settings)
+        assert kind in cfg.fingerprint_payload()
 
 
 def test_aggregate_row_count_matches_manifest(pipeline_dir):
@@ -97,16 +152,17 @@ def test_train_then_load_matches_in_memory_predictions(pipeline_dir):
     assert loaded.header["created_by"]["seed"] == 42
 
     # reproduce the same training in memory from the same artifacts
-    from gametrace.cli import _load_joined, _model_spec, _split_plan
+    from gametrace.cli import _load_joined, _split_plan
     from gametrace.dataset import fit_preprocessor, split_train_test
+    from gametrace.evaluation import MODELS
 
     cfg = load_config(None)
     cfg.workdir = str(pipeline_dir)
     ds, _ = _load_joined(cfg)
-    spec = _model_spec(cfg, "forest")
-    train, test = split_train_test(ds, _split_plan(cfg, spec.fold_count))
-    pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names, scale=spec.scale)
-    model = spec.factory()
+    train, test = split_train_test(ds, _split_plan(cfg, cfg.forest.folds))
+    pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names,
+                           scale=cfg.forest.scale)
+    model = MODELS["forest"].from_settings(cfg.forest, cfg.seed)
     model.fit(pre.transform(train.x), train.y)
 
     rng = np.random.default_rng(0)
@@ -132,7 +188,6 @@ def test_cv_uses_model_specific_fold_counts(pipeline_dir):
     assert folds_file[0] == "fold\tsession_id\tquestion"
     assert len(folds_file) == 1 + 20 * 18
     run_meta = json.loads((pipeline_dir / "cv_knn.run.json").read_text())
-    assert run_meta["workers"] >= 1
     assert run_meta["runtime_seconds"] > 0
 
 
@@ -198,8 +253,29 @@ def test_config_fingerprint_stability_and_sensitivity():
     assert a.fingerprint() != b.fingerprint()
     c = RunConfig()
     c.workdir = "/elsewhere"
-    c.workers = 16
-    assert c.fingerprint() == a.fingerprint()  # paths and workers excluded
+    assert c.fingerprint() == a.fingerprint()  # paths excluded
+
+
+def test_config_fingerprints_are_pinned():
+    # Values from before the schema was derived from the dataclasses; any
+    # change here changes every artifact's fingerprint.
+    assert RunConfig().fingerprint() == (
+        "77d17931ec91754e6825dd19824cf3d1c321b00640de1e694df73fdf04010402"
+    )
+    assert load_config(REPO / "perfbench" / "config.json").fingerprint() == (
+        "2d71f9e676991f9a2210a8ec0bc4194b0a049b1811fb3373ac833d36ede72c38"
+    )
+    groups = {"question_groups": {"1": "0-4", "2": "0-4", "10": "5-12"}}
+    assert load_config(None, overrides=groups).fingerprint() == (
+        "81236025be7c5561dfa71189b1e3612f74e069b8284b020394abfca01e8887c1"
+    )
+
+
+def test_config_int_for_float_is_kept_as_given():
+    cfg = load_config(None, overrides={"mlp": {"learning_rate": 1}})
+    assert cfg.mlp.learning_rate == 1
+    assert isinstance(cfg.mlp.learning_rate, int)
+    assert cfg.fingerprint_payload()["mlp"]["learning_rate"] == 1
 
 
 def test_config_rejects_unknown_section_key():

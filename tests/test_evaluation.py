@@ -8,10 +8,10 @@ from gametrace.errors import ConfigError, LengthMismatchError
 from gametrace.evaluation import (
     REFERENCE_ROWS,
     ConfusionCounts,
-    ForestClassifier,
     KnnClassifier,
-    MlpClassifier,
-    ModelSpec,
+    ForestSettings,
+    KnnSettings,
+    MlpSettings,
     accuracy,
     benchmark,
     confusion_counts,
@@ -21,7 +21,6 @@ from gametrace.evaluation import (
     macro_f1,
     majority_baseline_f1,
 )
-from gametrace.mlp import MlpConfig
 
 
 def test_accuracy_all_correct():
@@ -176,10 +175,7 @@ def test_benchmark_empty_model_list_rejected():
 
 def test_benchmark_table_has_reference_row():
     ds = balanced_dataset(80, seed=6)
-    specs = [
-        ModelSpec("knn", lambda: KnnClassifier(k=3), 5, True),
-        ModelSpec("forest", lambda: ForestClassifier(tree_count=5, seed=1), 5, False),
-    ]
+    specs = {"knn": KnnSettings(k=3, folds=5), "forest": ForestSettings(trees=5)}
     result = benchmark(specs, ds, seed=1, grouping="by_row")
     assert len(result.rows) == len(specs) + 1
     ref = result.rows[-1]
@@ -192,12 +188,11 @@ def test_benchmark_table_has_reference_row():
 
 def test_benchmark_models_learn_signal_above_baseline():
     ds = balanced_dataset(160, seed=7)
-    mlp_cfg = MlpConfig(input_dim=3, hidden_sizes=(16,), epochs=30, batch_size=32, seed=1)
-    specs = [
-        ModelSpec("knn", lambda: KnnClassifier(k=3), 5, True),
-        ModelSpec("mlp", lambda: MlpClassifier(mlp_cfg), 5, True),
-        ModelSpec("forest", lambda: ForestClassifier(tree_count=20, seed=2), 5, False),
-    ]
+    specs = {
+        "knn": KnnSettings(k=3, folds=5),
+        "mlp": MlpSettings(hidden_sizes=(16,), epochs=30, batch_size=32),
+        "forest": ForestSettings(trees=20),
+    }
     result = benchmark(specs, ds, seed=2, grouping="by_row")
     base = majority_baseline_f1(ds.y)
     for row in result.rows[:-1]:
@@ -206,10 +201,7 @@ def test_benchmark_models_learn_signal_above_baseline():
 
 def test_benchmark_respects_per_model_protocols():
     ds = balanced_dataset(100, seed=8)
-    specs = [
-        ModelSpec("knn", lambda: KnnClassifier(k=3), 10, True),
-        ModelSpec("forest", lambda: ForestClassifier(tree_count=3, seed=1), 5, False),
-    ]
+    specs = {"knn": KnnSettings(k=3, folds=10), "forest": ForestSettings(trees=3)}
     result = benchmark(specs, ds, seed=3, grouping="by_row")
     assert result.rows[0].protocol == "cv-10"
     assert result.rows[1].protocol == "cv-5"
@@ -219,14 +211,14 @@ def test_benchmark_respects_per_model_protocols():
 
 def test_benchmark_holdout_protocol():
     ds = balanced_dataset(100, seed=9)
-    specs = [ModelSpec("knn", lambda: KnnClassifier(k=3), 5, True)]
+    specs = {"knn": KnnSettings(k=3, folds=5)}
     result = benchmark(specs, ds, seed=4, grouping="by_row", protocol="holdout")
     assert result.rows[0].protocol == "holdout-0.2"
 
 
 def test_benchmark_render_and_dict():
     ds = balanced_dataset(50, seed=10)
-    specs = [ModelSpec("knn", lambda: KnnClassifier(k=3), 5, True)]
+    specs = {"knn": KnnSettings(k=3, folds=5)}
     result = benchmark(specs, ds, seed=5, grouping="by_row", config_fingerprint="fp")
     text = result.render()
     assert "french_touch" in text and "knn" in text

@@ -5,14 +5,19 @@ import pytest
 
 from gametrace.dataset import fit_preprocessor
 from gametrace.errors import ContainerFormatError, UnsupportedVersionError
-from gametrace.forest import Internal, Leaf, TreeConfig, forest_fit, forest_predict
-from gametrace.knn import knn_fit, knn_predict
+from gametrace.evaluation import MODELS
+from gametrace.forest import (
+    Internal,
+    Leaf,
+    TreeConfig,
+    flatten_trees,
+    forest_fit,
+    unflatten_trees,
+)
 from gametrace.mlp import MlpConfig, mlp_train
 from gametrace.model_io import (
     FORMAT_VERSION,
     MAGIC,
-    _flatten_trees,
-    _unflatten_forest,
     load_container,
     load_model,
     save_container,
@@ -78,26 +83,29 @@ def test_tree_flatten_unflatten_identity():
         right=Internal(feature=0, threshold=-1.25, gain=0.1,
                        left=Leaf(1, (0, 4)), right=Leaf(0, (2, 2))),
     )
-    arrays = _flatten_trees([tree, Leaf(1, (0, 7))])
-    back = _unflatten_forest(arrays)
+    arrays = flatten_trees([tree, Leaf(1, (0, 7))])
+    back = unflatten_trees(arrays)
     assert back == [tree, Leaf(1, (0, 7))]
 
 
-@pytest.mark.parametrize("kind", ["knn", "mlp", "forest"])
+# Small settings keep the round trip fast; kinds not listed use their defaults.
+FAST_SETTINGS = {
+    "knn": {"metric": "cosine"},
+    "mlp": {"hidden_sizes": (8,), "epochs": 5},
+    "forest": {"trees": 10},
+}
+
+
+@pytest.mark.parametrize("kind", list(MODELS))
 def test_model_round_trip_predictions(tmp_path, kind):
     x, y = training_data(seed=3)
-    pre = fit_preprocessor(x, ("a", "b", "c", "d"), scale=kind != "forest")
-    xt = pre.transform(x)
-    if kind == "knn":
-        model = knn_fit(xt, y, k=5, metric="cosine")
-        predict = lambda q: knn_predict(model, q)
-    elif kind == "mlp":
-        cfg = MlpConfig(input_dim=4, hidden_sizes=(8,), epochs=5, seed=2)
-        model = mlp_train(cfg, (xt, y))
-        predict = model.predict
-    else:
-        model = forest_fit(xt, y, tree_count=10, seed=4)
-        predict = lambda q: forest_predict(model, q)
+    entry = MODELS[kind]
+    settings = entry.settings(**FAST_SETTINGS.get(kind, {}))
+    pre = fit_preprocessor(x, ("a", "b", "c", "d"), scale=settings.scale)
+    classifier = entry.from_settings(settings, seed=4)
+    classifier.fit(pre.transform(x), y)
+    model = classifier.model
+    predict = classifier.predict
 
     path = tmp_path / f"{kind}.bin"
     save_model(path, kind, model, pre, ("a", "b", "c", "d"),
