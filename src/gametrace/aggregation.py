@@ -207,16 +207,15 @@ class StreamingAggregator:
         self._groups: dict[tuple[str, str], tuple[list[_NumAcc], list[_CatAcc]]] = {}
         self.events_in = 0
 
+    def _new_group(self) -> tuple[list[_NumAcc], list[_CatAcc]]:
+        return [_NumAcc(is_real) for is_real in self._num_real], [_CatAcc() for _ in self._cat_pos]
+
     def update(self, ev: RawEvent) -> None:
         self.events_in += 1
         key = (ev[0], ev[19])
         group = self._groups.get(key)
         if group is None:
-            group = (
-                [_NumAcc(is_real) for is_real in self._num_real],
-                [_CatAcc() for _ in self._cat_pos],
-            )
-            self._groups[key] = group
+            group = self._groups[key] = self._new_group()
         nums, cats = group
         for pos, acc in zip(self._num_pos, nums):
             v = ev[pos]
@@ -267,15 +266,15 @@ class StreamingAggregator:
             self.update(ev)
 
     def merge(self, other: "StreamingAggregator") -> None:
-        """Fold another aggregator (same specs) into this one."""
+        """Fold another aggregator (same specs) into this one. Its state is
+        copied, never shared: later changes to either side stay there."""
         if other.specs != self.specs:
             raise ConfigError("cannot merge aggregators with different specs")
         self.events_in += other.events_in
         for key, (onums, ocats) in other._groups.items():
             mine = self._groups.get(key)
             if mine is None:
-                self._groups[key] = (onums, ocats)
-                continue
+                mine = self._groups[key] = self._new_group()
             nums, cats = mine
             for a, b in zip(nums, onums):
                 if b.count == 0:
@@ -298,7 +297,7 @@ class StreamingAggregator:
                     continue
                 a.count += b.count
                 if b.values is not None:
-                    a.values = b.values if a.values is None else a.values | b.values
+                    a.values = set(b.values) if a.values is None else a.values | b.values
                 if b.first_idx is not None and (
                     a.first_idx is None
                     or b.first_idx < a.first_idx

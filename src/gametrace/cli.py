@@ -37,8 +37,8 @@ from .errors import ConfigError, DataError, FingerprintMismatchError, GametraceE
 from .evaluation import MODELS, PROTOCOLS, FoldResult, benchmark, cross_validate, majority_baseline_f1
 from .events import IngestReport, read_events, read_labels
 from .model_io import load_container, load_model, save_model
-from .selection import SelectionPolicy, save_selection_report, select
-from .synth import SynthConfig, generate
+from .selection import save_selection_report, select
+from .synth import generate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -165,16 +165,7 @@ def _write_run_metadata(path: Path, cfg: RunConfig, runtime: float) -> None:
 
 def cmd_gen_synthetic(cfg: RunConfig) -> int:
     wd = _workdir(cfg)
-    synth_cfg = SynthConfig(
-        sessions=cfg.synth.sessions,
-        events_per_session=cfg.synth.events_per_session,
-        seed=cfg.seed,
-        null_rates=dict(cfg.synth.null_rates),
-        weights=tuple(cfg.synth.weights),
-        bias=cfg.synth.bias,
-        noise=cfg.synth.noise,
-    )
-    result = generate(synth_cfg, wd)
+    result = generate(cfg.synth_config(), wd)
     print(
         f"generated {result.events_written} events across {cfg.synth.sessions} sessions; "
         f"{result.labels_written} labels ({result.positive_labels} positive)"
@@ -221,7 +212,8 @@ def cmd_aggregate(cfg: RunConfig) -> int:
     )
     print(f"aggregated: {compression.describe()}")
     if report.rows_skipped:
-        print(f"skipped {report.rows_skipped} malformed row(s)", file=sys.stderr)
+        by_column = ", ".join(f"{c} {n}" for c, n in sorted(report.errors_by_column.items()))
+        print(f"skipped {report.rows_skipped} malformed row(s): {by_column}", file=sys.stderr)
     print(f"features: {features_csv}")
     return EXIT_OK
 
@@ -244,13 +236,7 @@ def cmd_select(cfg: RunConfig) -> int:
     wd = _workdir(cfg)
     ds, dropped = _load_joined(cfg)
     x, _ = impute_mean(ds.x, feature_names=ds.feature_names)
-    policy = SelectionPolicy(
-        relevance_rank_k=min(cfg.selection.k, len(ds.feature_names)),
-        redundancy_threshold=cfg.selection.redundancy_threshold,
-        mandatory_drops=tuple(cfg.selection.mandatory_drops),
-        mi_bins=cfg.selection.mi_bins,
-        mi_unit=cfg.selection.mi_unit,
-    )
+    policy = cfg.selection_policy(len(ds.feature_names))
     report = select(x, ds.feature_names, ds.y, policy, categorical_names=ds.categorical_names)
     out = wd / "selection_report.tsv"
     with open(out, "w") as sink:

@@ -11,6 +11,7 @@ except the filesystem paths, so reruns elsewhere compare equal.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -21,8 +22,8 @@ from .aggregation import DEFAULT_SPECS, AggregatorSpec, validate_specs
 from .dataset import DEFAULT_QUESTION_GROUPS, SplitPlan
 from .errors import ConfigError
 from .evaluation import MODELS, ForestSettings, KnnSettings, MlpSettings, check_protocol
-from .selection import DEFAULT_MANDATORY_DROPS
-from .synth import DEFAULT_BIAS, DEFAULT_NOISE, DEFAULT_NULL_RATES, DEFAULT_WEIGHTS
+from .selection import DEFAULT_MANDATORY_DROPS, SelectionPolicy
+from .synth import DEFAULT_BIAS, DEFAULT_NOISE, DEFAULT_NULL_RATES, DEFAULT_WEIGHTS, SynthConfig
 
 _PATH = {"path": True}  # field metadata: resolved at run time, never fingerprinted
 
@@ -69,6 +70,28 @@ class RunConfig:
     mlp: MlpSettings = field(default_factory=MlpSettings)
     forest: ForestSettings = field(default_factory=ForestSettings)
     synth: SynthSettings = field(default_factory=SynthSettings)
+
+    def selection_policy(self, n_features: Optional[int] = None) -> SelectionPolicy:
+        """The selection stage's policy; k is capped at ``n_features`` when given."""
+        sel = self.selection
+        return SelectionPolicy(
+            relevance_rank_k=sel.k if n_features is None else min(sel.k, n_features),
+            redundancy_threshold=sel.redundancy_threshold,
+            mandatory_drops=tuple(sel.mandatory_drops),
+            mi_bins=sel.mi_bins,
+            mi_unit=sel.mi_unit,
+        )
+
+    def synth_config(self) -> SynthConfig:
+        return SynthConfig(
+            sessions=self.synth.sessions,
+            events_per_session=self.synth.events_per_session,
+            seed=self.seed,
+            null_rates=dict(self.synth.null_rates),
+            weights=tuple(self.synth.weights),
+            bias=self.synth.bias,
+            noise=self.synth.noise,
+        )
 
     def fingerprint_payload(self) -> dict:
         """Everything that can change computed results, canonically keyed."""
@@ -153,13 +176,16 @@ def _check_ranges(cfg: RunConfig) -> None:
     """Run the range checks of every stage that has them, before any input is read."""
     validate_specs(cfg.aggregator_specs)
     check_protocol(cfg.protocol)
-    for kind, model in MODELS.items():
-        settings = getattr(cfg, kind)
+    sections = {kind: functools.partial(model.from_settings, getattr(cfg, kind), cfg.seed)
+                for kind, model in MODELS.items()}
+    sections.update(selection=cfg.selection_policy, synth=cfg.synth_config)
+    for name, make in sections.items():
         try:
-            model.from_settings(settings, cfg.seed)
+            make()
         except ConfigError as exc:
-            raise ConfigError(f"config.{kind}: {exc}") from None
-        SplitPlan(cfg.seed, cfg.split.test_fraction, settings.folds, cfg.split.grouping)
+            raise ConfigError(f"config.{name}: {exc}") from None
+    for kind in MODELS:
+        SplitPlan(cfg.seed, cfg.split.test_fraction, getattr(cfg, kind).folds, cfg.split.grouping)
 
 
 def load_config(path: Optional[Path] = None, overrides: Optional[dict] = None) -> RunConfig:

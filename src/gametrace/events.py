@@ -135,16 +135,32 @@ class CellError:
     value: str
 
 
+# How many skipped rows ``IngestReport.cell_errors`` keeps in full; past it,
+# only the per-column counts grow, so memory stays bounded on any input.
+MAX_CELL_ERRORS = 100
+
+
 @dataclass
 class IngestReport:
-    """Accounting for one ingestion run: emitted + skipped = data rows."""
+    """Accounting for one ingestion run: emitted + skipped = data rows.
+
+    ``cell_errors`` holds the first ``MAX_CELL_ERRORS`` skipped rows;
+    ``errors_by_column`` counts every skipped row by the column that failed.
+    """
 
     rows_read: int = 0
     events_emitted: int = 0
     rows_skipped: int = 0
     consistency_violations: int = 0
     cell_errors: list[CellError] = field(default_factory=list)
+    errors_by_column: dict[str, int] = field(default_factory=dict)
     unknown_columns: tuple[str, ...] = ()
+
+    def record_error(self, row: int, column: str, value: str) -> None:
+        self.rows_skipped += 1
+        self.errors_by_column[column] = self.errors_by_column.get(column, 0) + 1
+        if len(self.cell_errors) < MAX_CELL_ERRORS:
+            self.cell_errors.append(CellError(row, column, value))
 
 
 def _diagnose_row(row: Sequence[str], pos: dict[str, int]) -> str:
@@ -301,13 +317,12 @@ def read_events(
             ):
                 raise ValueError
         except (ValueError, IndexError):
-            rep.rows_skipped += 1
             try:
                 column = _diagnose_row(row, pos)
                 value = row[pos[column]] if column in pos else ",".join(row)
             except (IndexError, KeyError):
                 column, value = "row", ",".join(row)
-            rep.cell_errors.append(CellError(lineno, column, value))
+            rep.record_error(lineno, column, value)
             continue
 
         if group != level_group_for(level):

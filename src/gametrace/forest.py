@@ -154,35 +154,44 @@ def _scan_split(
     else:
         parent = entropy((n0, n1))
     features = range(x.shape[1]) if candidate_features is None else candidate_features
-
-    best: Optional[tuple[int, float, float]] = None
-    for f in features:
-        col = x[:, f]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        cuts = np.nonzero(sv[1:] != sv[:-1])[0]  # split after position i
-        if cuts.shape[0] == 0:
-            continue
-        c1 = np.cumsum(y[order])
-        nl = cuts + 1
-        nl1 = c1[cuts]
-        nl0 = nl - nl1
-        nr = n - nl
-        nr1 = n1 - nl1
-        nr0 = nr - nr1
-        if config.criterion == "gini":
-            il = 1.0 - ((nl0 / nl) ** 2 + (nl1 / nl) ** 2)
-            ir = 1.0 - ((nr0 / nr) ** 2 + (nr1 / nr) ** 2)
-        else:
-            il = -(_plog2(nl0 / nl) + _plog2(nl1 / nl))
-            ir = -(_plog2(nr0 / nr) + _plog2(nr1 / nr))
-        gains = parent - ((nl / n) * il + (nr / n) * ir)
-        j = int(np.argmax(gains))  # first max: lowest threshold wins in-feature
-        gain = float(gains[j])
-        if best is None or gain > best[2]:
-            thr = (float(sv[cuts[j]]) + float(sv[cuts[j] + 1])) / 2.0
-            best = (int(f), thr, gain)
-    return best
+    # All candidate features at once: row i of the (c, n) array is feature
+    # features[i]. A cut at flat position p of the (c, n - 1) neighbour
+    # comparison splits feature p // (n - 1) after sorted position
+    # p % (n - 1); the first maximum in this feature-major order is the
+    # lower feature, then the lower threshold. Each gain takes the same
+    # float operations as in a per-feature scan.
+    #
+    # The sort need not be stable: the counts at a cut do not depend on the
+    # order within a run of equal values, and a threshold adds a nonzero
+    # value to its neighbour, so -0.0 and 0.0 give the same sum. NaNs never
+    # compare equal, so each is its own run: with one present, sort stably.
+    cols = x.T[features]
+    offsets = np.arange(0, cols.size, n)[:, None]
+    order = cols.argsort(axis=1)
+    sv = cols.ravel()[order + offsets]
+    if np.isnan(sv[:, -1]).any():
+        order = cols.argsort(axis=1, kind="stable")
+        sv = cols.ravel()[order + offsets]
+    flat = (sv[:, 1:] != sv[:, :-1]).ravel().nonzero()[0]
+    if flat.shape[0] == 0:
+        return None
+    feat, cuts = np.divmod(flat, n - 1)
+    nl = cuts + 1
+    nl1 = y[order].cumsum(axis=1).ravel()[flat + feat]
+    side = np.array([nl, n - nl])  # rows left of each cut, right of it
+    ones = np.array([nl1, n1 - nl1])
+    share = np.array([side - ones, ones]) / side  # [class, side, cut]
+    if config.criterion == "gini":
+        impurity = 1.0 - (share[0] ** 2 + share[1] ** 2)
+    else:
+        plog = _plog2(share)
+        impurity = -(plog[0] + plog[1])
+    weighted = side / n * impurity
+    gains = parent - (weighted[0] + weighted[1])
+    j = int(gains.argmax())
+    lo = flat[j] + feat[j]  # sorted value just left of the cut, in sv.ravel()
+    thr = (float(sv.flat[lo]) + float(sv.flat[lo + 1])) / 2.0
+    return int(features[feat[j]]), thr, float(gains[j])
 
 
 def _plog2(p: np.ndarray) -> np.ndarray:

@@ -91,32 +91,76 @@ def _distance_block(queries: np.ndarray, stored: np.ndarray, metric: str) -> np.
     return 1.0 - (queries @ stored.T) / np.outer(nq, ns)
 
 
-def knn_predict(model: KnnModel, queries: np.ndarray, block_size: int = 256) -> np.ndarray:
+# Euclidean and manhattan blocks hold a (rows, n_stored, d) float64
+# difference tensor; rows are sized so it stays near this many bytes (at
+# least one row). Each distance is a reduction over its own row of that
+# tensor, so the block size does not change any bit of it. Cosine's
+# temporaries are 2-D, and its block keeps a fixed row count so the matrix
+# product always takes the same BLAS path.
+_BLOCK_BYTES = 4 << 20
+_COSINE_BLOCK_ROWS = 256
+
+
+def _block_rows(metric: str, n_stored: int, d: int) -> int:
+    if metric == "cosine":
+        return _COSINE_BLOCK_ROWS
+    return max(1, _BLOCK_BYTES // (8 * max(1, n_stored * d)))
+
+
+def _neighbors(dists: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the indices of the k smallest distances, ties to the lower index.
+
+    The same indices, in the same order, as the first k of a stable argsort
+    of the row: only entries <= the k-th smallest value can be among them,
+    so only those are sorted (by row, then distance; lexsort is stable, so
+    equal distances stay in index order). A row with fewer than k such
+    entries (NaN distances) takes the full stable argsort.
+    """
+    kth = np.partition(dists, k - 1, axis=1)[:, k - 1 : k]
+    rows, cols = np.nonzero(dists <= kth)
+    order = np.lexsort((dists[rows, cols], rows))
+    counts = np.bincount(rows, minlength=dists.shape[0])
+    starts = np.cumsum(counts) - counts
+    nbr = np.empty((dists.shape[0], k), dtype=np.int64)
+    full = counts >= k
+    nbr[full] = cols[order][starts[full, None] + np.arange(k)]
+    for r in np.flatnonzero(~full):
+        nbr[r] = np.argsort(dists[r], kind="stable")[:k]
+    return nbr
+
+
+def _break_tie(labs: np.ndarray, nd: np.ndarray) -> int:
+    """The label among those sharing the top count with the smaller total
+    neighbour distance, then the smaller label. A NaN total (a query with
+    an absent value) counts as +inf, so the label rule still decides."""
+    counts: dict[int, int] = {}
+    for lab in labs:
+        counts[int(lab)] = counts.get(int(lab), 0) + 1
+    top = max(counts.values())
+    tied = [lab for lab, c in counts.items() if c == top]
+    totals = {lab: float(nd[labs == lab].sum()) for lab in tied}
+    return min(tied, key=lambda lab: (math.inf if math.isnan(totals[lab]) else totals[lab], lab))
+
+
+def knn_predict(model: KnnModel, queries: np.ndarray) -> np.ndarray:
     """Majority label of the k nearest stored rows for each query."""
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim == 1:
         q = q[None, :]
     if q.shape[1] != model.x.shape[1]:
         raise DimensionMismatchError(model.x.shape[1], q.shape[1])
-    k = model.k
-    y = model.y
+    classes, codes = np.unique(model.y, return_inverse=True)
     out = np.empty(q.shape[0], dtype=np.int64)
-    for start in range(0, q.shape[0], block_size):
-        dists = _distance_block(q[start : start + block_size], model.x, model.metric)
-        for r in range(dists.shape[0]):
-            row = dists[r]
-            nbr = np.argsort(row, kind="stable")[:k]  # stable: distance ties -> lower index
-            labs = y[nbr]
-            nd = row[nbr]
-            counts: dict[int, int] = {}
-            for lab in labs:
-                counts[int(lab)] = counts.get(int(lab), 0) + 1
-            top = max(counts.values())
-            tied = [lab for lab, c in counts.items() if c == top]
-            if len(tied) == 1:
-                out[start + r] = tied[0]
-            else:
-                totals = {lab: float(nd[labs == lab].sum()) for lab in tied}
-                best = min(totals.values())
-                out[start + r] = min(lab for lab, t in totals.items() if t == best)
+    step = _block_rows(model.metric, *model.x.shape)
+    for start in range(0, q.shape[0], step):
+        dists = _distance_block(q[start : start + step], model.x, model.metric)
+        nbr = _neighbors(dists, model.k)
+        rows = nbr.shape[0]
+        # votes[r, c]: how many of row r's neighbours carry label classes[c]
+        cells = codes[nbr] + classes.size * np.arange(rows)[:, None]
+        votes = np.bincount(cells.ravel(), minlength=rows * classes.size).reshape(rows, -1)
+        leading = votes == votes.max(axis=1, keepdims=True)
+        out[start : start + rows] = classes[leading.argmax(axis=1)]
+        for r in np.flatnonzero(leading.sum(axis=1) > 1):
+            out[start + r] = _break_tie(model.y[nbr[r]], dists[r, nbr[r]])
     return out

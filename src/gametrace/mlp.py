@@ -62,11 +62,20 @@ class MlpModel:
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """1 / (1 + exp(-z)) for z >= 0, else exp(z) / (1 + exp(z)); exp never overflows.
+
+    Written without masks, bit for bit the same: e = exp(-|z|), where
+    ``minimum(z, -z)`` keeps a NaN as given (``-abs`` would set its sign
+    bit); the numerator max(e, z >= 0) is 1 where z >= 0, else e, since
+    0 <= e <= 1. Steps run in place: each fresh array this size costs page
+    faults that outweigh its arithmetic.
+    """
+    e = np.negative(z)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, z >= 0)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -133,9 +142,11 @@ def _gradients_from_activations(
             upstream = delta @ model.weights[layer].T
             a = acts[layer]
             if model.config.hidden_activation == "logistic":
-                delta = upstream * a * (1.0 - a)
+                upstream *= a  # in place: upstream * a * (1.0 - a), one array fewer
+                upstream *= 1.0 - a
             else:
-                delta = upstream * (a > 0.0)
+                upstream *= a > 0.0
+            delta = upstream
     return grad_w, grad_b
 
 

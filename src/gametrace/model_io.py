@@ -159,9 +159,12 @@ def save_model(
 
 def load_model(path: Path) -> LoadedModel:
     header, arrays = load_container(path)
-    kind = header.get("kind")
-    pre = _preprocessor_from(header, arrays)
+    kind = header.get("kind") if isinstance(header, dict) else None
     if not isinstance(kind, str) or kind not in MODELS:
         raise ContainerFormatError(f"unknown model kind {kind!r}")
-    model = MODELS[kind].from_container(header[kind], arrays)
+    try:
+        pre = _preprocessor_from(header, arrays)
+        model = MODELS[kind].from_container(header[kind], arrays)
+    except KeyError as exc:  # a header section or an array the kind needs
+        raise ContainerFormatError(f"container is missing {exc.args[0]!r}: {path}") from None
     return LoadedModel(kind=kind, model=model, preprocessor=pre, header=header)

@@ -244,3 +244,112 @@ def adam_scalar_reference(theta, grads_per_step, lr, beta1=0.9, beta2=0.999, eps
         theta = theta - lr * m_hat / (math.sqrt(v_hat) + eps)
         history.append(theta)
     return history
+
+
+# --- bitwise references for the vectorized model kernels --------------------
+# Earlier straightforward versions of three hot kernels, kept verbatim
+# (apart from local names) so the rewritten kernels can be checked for
+# byte-equal results, not only for equal answers.
+
+
+def reference_logistic(z):
+    """Two masked branches, one exp each."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_plog2(p):
+    out = np.zeros_like(p)
+    mask = p > 0.0
+    out[mask] = p[mask] * np.log2(p[mask])
+    return out
+
+
+def reference_scan_split(x, y, config, candidate_features=None):
+    """One stable argsort and one cumsum per candidate feature."""
+    n = x.shape[0]
+    n1 = int(y.sum())
+    n0 = n - n1
+    if n0 == 0 or n1 == 0:
+        return None
+    if config.criterion == "gini":
+        parent = 1.0 - ((n0 / n) ** 2 + (n1 / n) ** 2)
+    else:
+        parent = entropy_formula((n0, n1))
+    features = range(x.shape[1]) if candidate_features is None else candidate_features
+
+    best = None
+    for f in features:
+        col = x[:, f]
+        order = np.argsort(col, kind="stable")
+        sv = col[order]
+        cuts = np.nonzero(sv[1:] != sv[:-1])[0]  # split after position i
+        if cuts.shape[0] == 0:
+            continue
+        c1 = np.cumsum(y[order])
+        nl = cuts + 1
+        nl1 = c1[cuts]
+        nl0 = nl - nl1
+        nr = n - nl
+        nr1 = n1 - nl1
+        nr0 = nr - nr1
+        if config.criterion == "gini":
+            il = 1.0 - ((nl0 / nl) ** 2 + (nl1 / nl) ** 2)
+            ir = 1.0 - ((nr0 / nr) ** 2 + (nr1 / nr) ** 2)
+        else:
+            il = -(_reference_plog2(nl0 / nl) + _reference_plog2(nl1 / nl))
+            ir = -(_reference_plog2(nr0 / nr) + _reference_plog2(nr1 / nr))
+        gains = parent - ((nl / n) * il + (nr / n) * ir)
+        j = int(np.argmax(gains))  # first max: lowest threshold wins in-feature
+        gain = float(gains[j])
+        if best is None or gain > best[2]:
+            thr = (float(sv[cuts[j]]) + float(sv[cuts[j] + 1])) / 2.0
+            best = (int(f), thr, gain)
+    return best
+
+
+def _reference_distance_block(queries, stored, metric):
+    if metric == "euclidean":
+        diff = queries[:, None, :] - stored[None, :, :]
+        return np.sqrt((diff * diff).sum(axis=-1))
+    if metric == "manhattan":
+        diff = queries[:, None, :] - stored[None, :, :]
+        return np.abs(diff).sum(axis=-1)
+    nq = np.sqrt((queries * queries).sum(axis=1))
+    ns = np.sqrt((stored * stored).sum(axis=1))
+    if (nq == 0.0).any() or (ns == 0.0).any():
+        raise ZeroDivisionError("zero vector under cosine")
+    return 1.0 - (queries @ stored.T) / np.outer(nq, ns)
+
+
+def reference_knn_predict(model, queries, block_size=256):
+    """Blocks of 256 queries, a full stable argsort per query row."""
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim == 1:
+        q = q[None, :]
+    k = model.k
+    y = model.y
+    out = np.empty(q.shape[0], dtype=np.int64)
+    for start in range(0, q.shape[0], block_size):
+        dists = _reference_distance_block(q[start : start + block_size], model.x, model.metric)
+        for r in range(dists.shape[0]):
+            row = dists[r]
+            nbr = np.argsort(row, kind="stable")[:k]  # stable: distance ties -> lower index
+            labs = y[nbr]
+            nd = row[nbr]
+            counts = {}
+            for lab in labs:
+                counts[int(lab)] = counts.get(int(lab), 0) + 1
+            top = max(counts.values())
+            tied = [lab for lab, c in counts.items() if c == top]
+            if len(tied) == 1:
+                out[start + r] = tied[0]
+            else:
+                totals = {lab: float(nd[labs == lab].sum()) for lab in tied}
+                best = min(totals.values())
+                out[start + r] = min(lab for lab, t in totals.items() if t == best)
+    return out

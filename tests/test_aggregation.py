@@ -142,6 +142,26 @@ def test_partition_independence_merge(seed, shards):
     assert merged.finalize().rows == single.finalize().rows
 
 
+def test_merge_copies_the_other_shard():
+    rng = np.random.default_rng(7)
+    evs = random_events(rng, 60, sessions=("a", "b", "c"))
+    a = StreamingAggregator(FULL_SPECS)
+    b = StreamingAggregator(FULL_SPECS)
+    a.update_all(evs[:20])
+    b.update_all(evs[20:40])
+    a.merge(b)
+    before = a.finalize()
+    b.update_all(evs[40:])  # b keeps streaming after the merge
+    after = a.finalize()
+    assert after.rows == before.rows
+    assert after.code_tables == before.code_tables
+    a.update_all(evs[40:])  # and a's later updates leave b alone
+    merged_twice = StreamingAggregator(FULL_SPECS)
+    merged_twice.update_all(evs[20:40])
+    merged_twice.update_all(evs[40:])
+    assert b.finalize().rows == merged_twice.finalize().rows
+
+
 def test_merge_requires_same_specs():
     a = StreamingAggregator([AggregatorSpec("level", "mean")])
     b = StreamingAggregator([AggregatorSpec("level", "max")])

@@ -8,7 +8,7 @@ from gametrace.cli import _build_parser, main
 from gametrace.config import RunConfig, load_config
 from gametrace.errors import ConfigError
 from gametrace.evaluation import MODELS
-from gametrace.model_io import load_model
+from gametrace.model_io import load_container, load_model, save_container
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -66,6 +66,9 @@ MALFORMED_CONFIGS = [
     {"forest": {"max_depth": 0}},
     {"seed": "x"},
     {"selection": {"k": "3"}},
+    {"selection": {"k": 0}},
+    {"selection": {"redundancy_threshold": 2.0}},
+    {"synth": {"sessions": 0}},
     {"question_groups": [1, 2]},
     {"question_groups": {"x": "0-4"}},
     {"aggregator_specs": [{"column": "x"}]},
@@ -177,6 +180,36 @@ def test_evaluate_uses_holdout_test_side(pipeline_dir):
     assert payload["protocol"] == "holdout-0.2"
     assert 0.0 <= payload["f1"] <= 1.0
     assert payload["model_fingerprint"] == payload["config_fingerprint"]
+
+
+def _without(header, key):
+    return {k: v for k, v in header.items() if k != key}
+
+
+# case -> (kind, header edit, expected message)
+MALFORMED_CONTAINERS = {
+    "knn section missing": ("knn", lambda h: _without(h, "knn"), "container is missing 'knn'"),
+    "mlp layers beyond arrays": (
+        "mlp", lambda h: {**h, "mlp": {**h["mlp"], "layers": 5}}, "container is missing 'mlp_w2'"
+    ),
+    "preprocessor missing": (
+        "forest", lambda h: _without(h, "preprocessor"), "container is missing 'preprocessor'"
+    ),
+    "header not an object": ("forest", lambda h: [h], "unknown model kind None"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CONTAINERS))
+def test_malformed_container_exits_2(pipeline_dir, tmp_path, capsys, case):
+    kind, edit, message = MALFORMED_CONTAINERS[case]
+    assert run("train", "--workdir", str(pipeline_dir), "--model", kind) == 0
+    header, arrays = load_container(pipeline_dir / f"model_{kind}.bin")
+    bad = tmp_path / "bad.bin"
+    save_container(bad, edit(header), arrays)
+    capsys.readouterr()
+    assert run("evaluate", "--workdir", str(pipeline_dir), "--model", kind,
+               "--model-file", str(bad)) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cv_uses_model_specific_fold_counts(pipeline_dir):

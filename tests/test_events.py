@@ -12,6 +12,7 @@ from gametrace.errors import (
 )
 from gametrace.events import (
     EVENT_COLUMNS,
+    MAX_CELL_ERRORS,
     IngestReport,
     LabelRecord,
     RawEvent,
@@ -113,6 +114,22 @@ def test_malformed_rows_skipped_and_accounted():
     assert rep.events_emitted + rep.rows_skipped == rep.rows_read
     assert [e.column for e in rep.cell_errors] == ["level", "elapsed_time", "music"]
     assert [e.row for e in rep.cell_errors] == [3, 4, 5]  # header is line 1
+
+
+def test_cell_errors_keep_the_first_rows_and_count_every_column():
+    good = {"session_id": "s", "index": "1", "elapsed_time": "5", "event_name": "e",
+            "name": "n", "level": "2", "fullscreen": "0", "hq": "0", "music": "0",
+            "level_group": "0-4"}
+    bad = [dict(good, level="99"), dict(good, music="2"), dict(good, elapsed_time="x")]
+    rows = [bad[i % 3] for i in range(3 * MAX_CELL_ERRORS + 1)]
+    rep = IngestReport()
+    assert parse(rows + [good], report=rep) and rep.events_emitted == 1
+    assert rep.rows_skipped == len(rows)
+    assert len(rep.cell_errors) == MAX_CELL_ERRORS
+    assert [e.row for e in rep.cell_errors] == list(range(2, MAX_CELL_ERRORS + 2))
+    assert rep.errors_by_column == {
+        "level": MAX_CELL_ERRORS + 1, "music": MAX_CELL_ERRORS, "elapsed_time": MAX_CELL_ERRORS,
+    }
 
 
 def test_column_order_is_not_significant():
