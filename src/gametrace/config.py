@@ -11,7 +11,6 @@ except the filesystem paths, so reruns elsewhere compare equal.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -176,16 +175,20 @@ def _check_ranges(cfg: RunConfig) -> None:
     """Run the range checks of every stage that has them, before any input is read."""
     validate_specs(cfg.aggregator_specs)
     check_protocol(cfg.protocol)
-    sections = {kind: functools.partial(model.from_settings, getattr(cfg, kind), cfg.seed)
-                for kind, model in MODELS.items()}
-    sections.update(selection=cfg.selection_policy, synth=cfg.synth_config)
-    for name, make in sections.items():
-        try:
-            make()
-        except ConfigError as exc:
-            raise ConfigError(f"config.{name}: {exc}") from None
-    for kind in MODELS:
-        SplitPlan(cfg.seed, cfg.split.test_fraction, getattr(cfg, kind).folds, cfg.split.grouping)
+    for kind, model in MODELS.items():
+        settings = getattr(cfg, kind)
+        _in_section(kind, model.from_settings, settings, cfg.seed)
+        SplitPlan(cfg.seed, cfg.split.test_fraction, settings.folds, cfg.split.grouping)
+    _in_section("selection", cfg.selection_policy)
+    _in_section("synth", cfg.synth_config)
+
+
+def _in_section(name: str, build, *args) -> None:
+    """Call ``build(*args)``, naming the config section in a ConfigError."""
+    try:
+        build(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"config.{name}: {exc}") from None
 
 
 def load_config(path: Optional[Path] = None, overrides: Optional[dict] = None) -> RunConfig:

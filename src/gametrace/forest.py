@@ -125,6 +125,7 @@ def best_split(
     Binary labels. Returns (feature, threshold, gain) maximizing gain with
     ties broken by lower feature index then lower threshold.
     """
+    x, y = _training_arrays(x, y, "best_split")
     found = _scan_split(x, y, config, candidate_features)
     if found is None or found[2] <= 0.0:
         return None
@@ -162,16 +163,12 @@ def _scan_split(
     # float operations as in a per-feature scan.
     #
     # The sort need not be stable: the counts at a cut do not depend on the
-    # order within a run of equal values, and a threshold adds a nonzero
-    # value to its neighbour, so -0.0 and 0.0 give the same sum. NaNs never
-    # compare equal, so each is its own run: with one present, sort stably.
+    # order within a run of equal values, and those values differ at most in
+    # the sign of a zero, which a midpoint with a nonzero neighbour drops.
+    # NaN, never equal to itself, is rejected by ``_training_arrays``.
     cols = x.T[features]
-    offsets = np.arange(0, cols.size, n)[:, None]
     order = cols.argsort(axis=1)
-    sv = cols.ravel()[order + offsets]
-    if np.isnan(sv[:, -1]).any():
-        order = cols.argsort(axis=1, kind="stable")
-        sv = cols.ravel()[order + offsets]
+    sv = cols.ravel()[order + np.arange(0, cols.size, n)[:, None]]
     flat = (sv[:, 1:] != sv[:, :-1]).ravel().nonzero()[0]
     if flat.shape[0] == 0:
         return None
@@ -205,6 +202,16 @@ def _majority(n0: int, n1: int) -> int:
     return 1 if n1 > n0 else 0  # tie -> label 0
 
 
+def _training_arrays(x, y, who: str) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
+        raise DataError(f"{who} needs a nonempty matrix with matching labels")
+    if np.isnan(x).any():
+        raise ConfigError("training matrix contains absent values; impute first")
+    return x, y
+
+
 def tree_fit(
     x: np.ndarray,
     y: np.ndarray,
@@ -212,10 +219,7 @@ def tree_fit(
     rng: Optional[np.random.Generator] = None,
 ) -> TreeNode:
     """Grow one tree; stops at purity, depth, node size, or zero gain."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
-        raise DataError("tree_fit needs a nonempty matrix with matching labels")
+    x, y = _training_arrays(x, y, "tree_fit")
     if rng is None:
         rng = np.random.default_rng(config.seed)
     d = x.shape[1]
@@ -327,11 +331,8 @@ def forest_fit(
     bootstrap: bool = True,
 ) -> ForestModel:
     """Bagged ensemble; per-tree seeds derive from (seed, tree index)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     check_tree_count(tree_count)
-    if x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[0] == 0:
-        raise DataError("forest_fit needs a nonempty matrix with matching labels")
+    x, y = _training_arrays(x, y, "forest_fit")
     n = x.shape[0]
     trees: list[TreeNode] = []
     seeds: list[int] = []

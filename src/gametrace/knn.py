@@ -111,22 +111,18 @@ def _neighbors(dists: np.ndarray, k: int) -> np.ndarray:
     """Per row, the indices of the k smallest distances, ties to the lower index.
 
     The same indices, in the same order, as the first k of a stable argsort
-    of the row: only entries <= the k-th smallest value can be among them,
-    so only those are sorted (by row, then distance; lexsort is stable, so
-    equal distances stay in index order). A row with fewer than k such
-    entries (NaN distances) takes the full stable argsort.
+    of the row: only entries not above the k-th smallest value can be among
+    them, so only those are sorted (by row, then distance; lexsort is stable,
+    so equal distances stay in index order). When the k-th value is NaN
+    (a query with an absent value), no entry is above it, so the whole row
+    is sorted, and NaNs sort last in index order as in argsort.
     """
     kth = np.partition(dists, k - 1, axis=1)[:, k - 1 : k]
-    rows, cols = np.nonzero(dists <= kth)
+    rows, cols = np.nonzero(~(dists > kth))
     order = np.lexsort((dists[rows, cols], rows))
     counts = np.bincount(rows, minlength=dists.shape[0])
     starts = np.cumsum(counts) - counts
-    nbr = np.empty((dists.shape[0], k), dtype=np.int64)
-    full = counts >= k
-    nbr[full] = cols[order][starts[full, None] + np.arange(k)]
-    for r in np.flatnonzero(~full):
-        nbr[r] = np.argsort(dists[r], kind="stable")[:k]
-    return nbr
+    return cols[order][starts[:, None] + np.arange(k)]
 
 
 def _break_tie(labs: np.ndarray, nd: np.ndarray) -> int:

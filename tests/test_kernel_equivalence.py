@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import gametrace.forest as forest
+import gametrace.knn as knn
+from gametrace.errors import ConfigError
 from gametrace.forest import TreeConfig, flatten_trees, forest_fit
 from gametrace.knn import METRICS, knn_fit, knn_predict
 from gametrace.mlp import _logistic
@@ -56,7 +58,7 @@ def test_scan_split_matches_reference_per_node(criterion):
         d = int(rng.integers(1, 6))
         x = rng.integers(0, 3, size=(n, d)).astype(np.float64)
         if trial % 7 == 0:
-            x[rng.integers(0, n, size=3), rng.integers(0, d)] = [np.nan, -np.nan, np.nan]
+            x[rng.integers(0, n, size=3), rng.integers(0, d)] = [np.inf, -np.inf, np.inf]
         if trial % 5 == 0:  # zeros of both signs: equal values with different bits
             zeros = x == 0.0
             x[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
@@ -68,6 +70,17 @@ def test_scan_split_matches_reference_per_node(criterion):
             assert _split_bytes(forest._scan_split(x, y, config, cand)) == _split_bytes(
                 reference_scan_split(x, y, config, cand)
             )
+
+
+def test_forest_entry_points_reject_absent_values():
+    x = np.arange(12, dtype=np.float64).reshape(6, 2)
+    x[4, 1] = np.nan
+    y = np.array([0, 1, 0, 1, 0, 1])
+    for fit in (forest.best_split, forest.tree_fit):
+        with pytest.raises(ConfigError, match="absent"):
+            fit(x, y, TreeConfig())
+    with pytest.raises(ConfigError, match="absent"):  # also when no bootstrap draws the row
+        forest_fit(x, y, tree_count=3, seed=1)
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -98,6 +111,19 @@ def test_knn_labels_match_reference(metric, k):
                 assert reference_knn_predict(model, queries[r]).tolist() == [expected]
             except ValueError:
                 assert (counts == counts.max()).sum() > 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_neighbors_match_stable_argsort(k):
+    rng = np.random.default_rng(k)
+    dists = rng.integers(0, 4, size=(60, 40)).astype(np.float64)  # many ties
+    dists[1] = np.nan  # every distance absent
+    dists[2, ::3] = np.nan  # some absent: NaNs sort last, in index order
+    dists[3, : 40 - k + 1] = np.nan  # fewer than k finite distances
+    dists[4, ::2] = np.inf
+    dists[5, 1::2] = -0.0
+    expected = np.argsort(dists, axis=1, kind="stable")[:, :k]
+    assert knn._neighbors(dists, k).tolist() == expected.tolist()
 
 
 def test_knn_predict_takes_no_block_size():
