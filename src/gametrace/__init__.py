@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .aggregation import AggregatorSpec, FeatureMatrix, StreamingAggregator, aggregate
 from .dataset import LabeledDataset, SplitPlan, join, kfold, split_train_test
-from .events import LabelRecord, RawEvent, read_events, read_labels, validate_session
+from .events import LabelRecord, RawEvent, read_events, read_labels
 from .evaluation import EvalReport, accuracy, benchmark, cross_validate, f1
 from .forest import ForestModel, TreeConfig, forest_fit, forest_predict, tree_fit
 from .knn import KnnModel, knn_fit, knn_predict
@@ -49,5 +49,4 @@ __all__ = [
     "select",
     "split_train_test",
     "tree_fit",
-    "validate_session",
 ]

@@ -311,10 +311,6 @@ class StreamingAggregator:
                 ):
                     a.last_idx, a.last_val = b.last_idx, b.last_val
 
-    @property
-    def group_count(self) -> int:
-        return len(self._groups)
-
     def compression_report(self, input_bytes: int, output_bytes: int) -> "CompressionReport":
         """Size accounting for the finished run; call after the stream ends."""
         return CompressionReport(

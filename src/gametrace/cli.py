@@ -104,24 +104,21 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_config(args) -> RunConfig:
-    cfg = load_config(args.config)
-    if args.workdir is not None:
-        cfg.workdir = str(args.workdir)
-    elif os.environ.get("GAMETRACE_WORKDIR"):
-        cfg.workdir = os.environ["GAMETRACE_WORKDIR"]
-    if args.events is not None:
-        cfg.events_path = str(args.events)
-    if args.labels is not None:
-        cfg.labels_path = str(args.labels)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "sessions", None) is not None:
-        cfg.synth.sessions = args.sessions
-    if getattr(args, "events_per_session", None) is not None:
-        cfg.synth.events_per_session = args.events_per_session
-    if getattr(args, "protocol", None) is not None:
-        cfg.protocol = args.protocol
-    return cfg
+    """Defaults, then the config file, then the flags, all checked as one."""
+
+    def given(**values) -> dict:
+        return {k: str(v) if isinstance(v, Path) else v for k, v in values.items() if v is not None}
+
+    opt = vars(args).get  # flags only some subcommands have
+    overrides = given(
+        workdir=args.workdir or os.environ.get("GAMETRACE_WORKDIR"),
+        events_path=args.events,
+        labels_path=args.labels,
+        seed=args.seed,
+        protocol=opt("protocol"),
+        synth=given(sessions=opt("sessions"), events_per_session=opt("events_per_session")) or None,
+    )
+    return load_config(args.config, overrides)
 
 
 def _workdir(cfg: RunConfig) -> Path:
@@ -313,6 +310,8 @@ def cmd_evaluate(cfg: RunConfig, kind: str, model_file: Optional[Path]) -> int:
     if loaded.header.get("config_fingerprint") not in ("", cfg.fingerprint()):
         print("warning: container fingerprint differs from current config", file=sys.stderr)
     ds, _ = _load_joined(cfg)
+    if loaded.preprocessor.input_names != ds.feature_names:
+        raise DataError(f"container was trained on other features than {wd / 'features.csv'}")
     _train, test = split_train_test(ds, _split_plan(cfg, getattr(cfg, kind).folds))
     started = time.perf_counter()
     result = FoldResult.of(0, loaded.predict(test.x), test.y)
@@ -356,24 +355,30 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _artifact_fingerprints(wd: Path) -> dict[str, str]:
-    found: dict[str, str] = {}
-    for name in ("features.meta.json", "aggregate_report.json", "benchmark_report.json"):
-        path = wd / name
-        if path.exists():
-            found[name] = json.loads(path.read_text()).get("config_fingerprint", "")
-    for path in sorted(wd.glob("cv_*.json")) + sorted(wd.glob("eval_*.json")):
-        if path.name.endswith(".run.json"):
-            continue
-        found[path.name] = json.loads(path.read_text()).get("config_fingerprint", "")
-    tsv = wd / "selection_report.tsv"
-    if tsv.exists():
-        first = tsv.read_text().splitlines()[0]
-        found[tsv.name] = first.removeprefix("# config_fingerprint=")
-    for path in sorted(wd.glob("model_*.bin")):
+def _recorded_fingerprint(path: Path) -> str:
+    if path.suffix == ".bin":
         header, _ = load_container(path)
-        found[path.name] = header.get("config_fingerprint", "")
-    return found
+    else:
+        try:
+            text = path.read_text()
+            if path.suffix == ".tsv":
+                return text.partition("\n")[0].removeprefix("# config_fingerprint=")
+            header = json.loads(text)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise DataError(f"cannot read {path}: {exc}") from None
+    found = header.get("config_fingerprint", "") if isinstance(header, dict) else ""
+    return found if isinstance(found, str) else ""
+
+
+def _artifact_fingerprints(wd: Path) -> dict[str, str]:
+    names = ["features.meta.json", "aggregate_report.json", "benchmark_report.json"]
+    paths = [wd / name for name in names] + sorted(wd.glob("cv_*.json")) + sorted(wd.glob("eval_*.json"))
+    paths += [wd / "selection_report.tsv"] + sorted(wd.glob("model_*.bin"))
+    return {
+        p.name: _recorded_fingerprint(p)
+        for p in paths
+        if p.exists() and not p.name.endswith(".run.json")
+    }
 
 
 def cmd_verify(cfg: RunConfig) -> int:

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Optional
 
 from .aggregation import DEFAULT_SPECS, AggregatorSpec, validate_specs
 from .dataset import DEFAULT_QUESTION_GROUPS, SplitPlan
 from .errors import ConfigError
 from .evaluation import MODELS, ForestSettings, KnnSettings, MlpSettings, check_protocol
+from .schema import build
 from .selection import DEFAULT_MANDATORY_DROPS, SelectionPolicy
 from .synth import DEFAULT_BIAS, DEFAULT_NOISE, DEFAULT_NULL_RATES, DEFAULT_WEIGHTS, SynthConfig
 
@@ -114,65 +115,10 @@ def _plain(value):
     return value
 
 
-def _type_name(tp) -> str:
-    if is_dataclass(tp):
-        return "an object"
-    return tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
-
-
-def _check(value, tp, where: str):
-    """``value`` checked against annotation ``tp``; containers are rebuilt."""
-    origin = get_origin(tp)
-    if origin is Union:  # Optional[X]
-        if value is None:
-            return None
-        (tp,) = [a for a in get_args(tp) if a is not type(None)]
-        return _check(value, tp, where)
-    if origin is tuple and isinstance(value, (list, tuple)):
-        item = get_args(tp)[0]
-        return tuple(_check(v, item, f"{where}[{i}]") for i, v in enumerate(value))
-    if origin is dict and isinstance(value, dict):
-        key_tp, value_tp = get_args(tp)
-        return {
-            _key(k, key_tp, where): _check(v, value_tp, f"{where}.{k}") for k, v in value.items()
-        }
-    if is_dataclass(tp) and isinstance(value, dict):
-        return _build(tp, value, where)
-    if isinstance(value, bool):
-        ok = tp is bool
-    elif tp is float:
-        ok = isinstance(value, (int, float))  # an int is kept as given
-    else:
-        ok = origin is None and isinstance(value, tp)
-    if not ok:
-        raise ConfigError(f"{where} must be {_type_name(tp)}, got {value!r}")
-    return value
-
-
-def _key(key, tp, where: str):
-    if tp is int and isinstance(key, str):  # JSON object keys are strings
-        try:
-            return int(key)
-        except ValueError:
-            pass
-    return _check(key, tp, f"{where} key")
-
-
-def _build(cls, data: dict, where: str):
-    """An instance of dataclass ``cls`` from ``data``, defaults filling the rest."""
-    hints = get_type_hints(cls)
-    names = {f.name for f in fields(cls)}
-    for key in data:
-        if key not in names:
-            raise ConfigError(f"unknown key {key!r} in {where}")
-    for f in fields(cls):
-        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{where} is missing {f.name!r}")
-    return cls(**{k: _check(v, hints[k], f"{where}.{k}") for k, v in data.items()})
-
-
 def _check_ranges(cfg: RunConfig) -> None:
     """Run the range checks of every stage that has them, before any input is read."""
+    if cfg.seed < 0:
+        raise ConfigError("config.seed must be >= 0")
     validate_specs(cfg.aggregator_specs)
     check_protocol(cfg.protocol)
     for kind, model in MODELS.items():
@@ -183,10 +129,10 @@ def _check_ranges(cfg: RunConfig) -> None:
     _in_section("synth", cfg.synth_config)
 
 
-def _in_section(name: str, build, *args) -> None:
-    """Call ``build(*args)``, naming the config section in a ConfigError."""
+def _in_section(name: str, make, *args) -> None:
+    """Call ``make(*args)``, naming the config section in a ConfigError."""
     try:
-        build(*args)
+        make(*args)
     except ConfigError as exc:
         raise ConfigError(f"config.{name}: {exc}") from None
 
@@ -199,22 +145,24 @@ def load_config(path: Optional[Path] = None, overrides: Optional[dict] = None) -
             data = json.loads(Path(path).read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     if overrides:
         data = _merge(data, overrides)
-    cfg = _build(RunConfig, data, "config")
+    cfg = build(RunConfig, data, "config")
     _check_ranges(cfg)
     return cfg
 
 
 def _merge(base: dict, extra: dict) -> dict:
+    """``extra`` laid over ``base``; a section that is not an object in
+    ``base`` is kept as it is, so its type check still fails."""
     out = dict(base)
     for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
+        if not isinstance(value, dict) or key not in out:
             out[key] = value
+        elif isinstance(out[key], dict):
+            out[key] = _merge(out[key], value)
     return out

@@ -56,14 +56,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return int(self.x.shape[0])
 
-    @property
-    def sessions(self) -> list[str]:
-        """Distinct session ids in first-appearance order."""
-        seen: dict[str, None] = {}
-        for sid, _ in self.row_keys:
-            seen.setdefault(sid)
-        return list(seen)
-
     def subset(self, indices: Sequence[int]) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
         return LabeledDataset(

@@ -113,11 +113,6 @@ class EmptySetError(DataError):
         super().__init__("impurity undefined for an empty sample set")
 
 
-class PartitionMismatchError(DataError):
-    def __init__(self) -> None:
-        super().__init__("child class counts do not partition the parent counts")
-
-
 class NumericalError(InternalError):
     """Non-finite value appeared where the algorithm guarantees finiteness."""
 

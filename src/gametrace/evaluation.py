@@ -9,14 +9,13 @@ assembled by fold index, independent of evaluation order.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .dataset import LabeledDataset, SplitPlan, fit_preprocessor, kfold, split_train_test
-from .errors import ConfigError, LengthMismatchError
+from .errors import ConfigError, ContainerFormatError, LengthMismatchError
 from .forest import (
     ForestModel,
     TreeConfig,
@@ -28,6 +27,7 @@ from .forest import (
 )
 from .knn import KnnModel, check_knn_params, knn_fit, knn_predict
 from .mlp import MlpConfig, MlpModel, mlp_train
+from .schema import build, check
 
 # Published literature baseline reported alongside computed results; never
 # computed by this pipeline.
@@ -86,11 +86,6 @@ def f1(pred, truth, positive_class: int = 1) -> float:
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
-
-
-def macro_f1(pred, truth) -> float:
-    """Unweighted mean of per-class F1 over the two classes."""
-    return 0.5 * (f1(pred, truth, positive_class=1) + f1(pred, truth, positive_class=0))
 
 
 def majority_baseline_f1(y: Sequence[int]) -> float:
@@ -180,10 +175,8 @@ class KnnClassifier(Classifier):
 
     @staticmethod
     def from_container(section: dict, arrays: dict) -> KnnModel:
-        x, y = arrays["knn_x"], arrays["knn_y"]
-        x.setflags(write=False)
-        y.setflags(write=False)
-        return KnnModel(x=x, y=y, k=section["k"], metric=section["metric"])
+        settings = build(KnnSettings, {"k": section["k"], "metric": section["metric"]}, "knn")
+        return knn_fit(arrays["knn_x"], arrays["knn_y"], k=settings.k, metric=settings.metric)
 
 
 class MlpClassifier(Classifier):
@@ -217,13 +210,17 @@ class MlpClassifier(Classifier):
 
     @staticmethod
     def from_container(section: dict, arrays: dict) -> MlpModel:
-        layers = range(section["layers"])
-        return MlpModel(
-            weights=[arrays[f"mlp_w{i}"] for i in layers],
-            biases=[arrays[f"mlp_b{i}"] for i in layers],
-            config=MlpConfig(**{f.name: section[f.name] for f in fields(MlpConfig)}),
-            loss_history=list(arrays["mlp_loss_history"]),
-        )
+        config = build(MlpConfig, {f.name: section[f.name] for f in fields(MlpConfig)}, "mlp")
+        layers = range(check(section["layers"], int, "mlp.layers"))
+        weights = [arrays[f"mlp_w{i}"] for i in layers]
+        biases = [arrays[f"mlp_b{i}"] for i in layers]
+        dims = config.layer_dims
+        if len(weights) != len(dims) - 1 or any(
+            w.shape != dims[i : i + 2] or b.shape != dims[i + 1 : i + 2]
+            for i, (w, b) in enumerate(zip(weights, biases))
+        ):
+            raise ContainerFormatError(f"mlp weights do not match the layer sizes {dims}")
+        return MlpModel(weights, biases, config, list(arrays["mlp_loss_history"]))
 
 
 class ForestClassifier(Classifier):
@@ -261,9 +258,16 @@ class ForestClassifier(Classifier):
 
     @staticmethod
     def from_container(section: dict, arrays: dict) -> ForestModel:
-        config = TreeConfig(**{f.name: section[f.name] for f in fields(TreeConfig) if f.name != "seed"})
+        names = [f.name for f in fields(TreeConfig) if f.name != "seed"]
+        config = build(TreeConfig, {name: section[name] for name in names}, "forest")
+        for name, tp in (("seed", int), ("tree_count", int), ("bootstrap", bool), ("n_features", int)):
+            check(section[name], tp, f"forest.{name}")
+        check_tree_count(section["tree_count"])
+        trees = unflatten_trees(arrays, section["n_features"])
+        if len(trees) != section["tree_count"]:
+            raise ContainerFormatError(f"forest holds {len(trees)} trees, header says {section['tree_count']}")
         return ForestModel(
-            trees=unflatten_trees(arrays),
+            trees=trees,
             config=config,
             seed=section["seed"],
             bootstrap=section["bootstrap"],
@@ -301,11 +305,10 @@ class EvalReport:
     mean_accuracy: float
     confusion_total: ConfusionCounts
     config_fingerprint: str = ""
-    runtime_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        """Deterministic payload; runtime is deliberately excluded so that
-        reruns with the same seeds serialize byte-identically."""
+        """Deterministic payload: reruns with the same seeds serialize
+        byte-identically (run times go in the CLI's ``*.run.json`` sidecars)."""
         return {
             "model": self.model_name,
             "protocol": self.protocol,
@@ -317,35 +320,37 @@ class EvalReport:
         }
 
 
-def _assemble_report(
+def _evaluate(
+    model_factory: Callable[[], Classifier],
+    pairs: Iterable[tuple[LabeledDataset, LabeledDataset]],
+    scale: bool,
     model_name: str,
     protocol: str,
-    folds: list[FoldResult],
-    fingerprint: str,
-    runtime: float,
+    config_fingerprint: str,
 ) -> EvalReport:
-    total = folds[0].confusion
-    for fr in folds[1:]:
-        total = total + fr.confusion
+    """Fit on each (train, test) pair, preprocessing re-fit on its train side,
+    and score on its test side; results are kept by pair index."""
+    folds: list[FoldResult] = []
+    for i, (train, test) in enumerate(pairs):
+        try:
+            pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names, scale=scale)
+            model = model_factory()
+            model.fit(pre.transform(train.x), train.y)
+            folds.append(FoldResult.of(i, model.predict(pre.transform(test.x)), test.y))
+        except Exception as exc:
+            # Re-raise the same exception, so its class and exit code are
+            # kept, with the fold index prefixed to its message.
+            exc.args = (f"fold {i}: {exc}",)
+            raise
     return EvalReport(
         model_name=model_name,
         protocol=protocol,
         folds=folds,
         mean_f1=float(np.mean([fr.f1 for fr in folds])),
         mean_accuracy=float(np.mean([fr.accuracy for fr in folds])),
-        confusion_total=total,
-        config_fingerprint=fingerprint,
-        runtime_seconds=runtime,
+        confusion_total=sum((fr.confusion for fr in folds[1:]), folds[0].confusion),
+        config_fingerprint=config_fingerprint,
     )
-
-
-def _fit_and_score(
-    fold: int, model_factory, train: LabeledDataset, test: LabeledDataset, scale: bool
-) -> FoldResult:
-    pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names, scale=scale)
-    model = model_factory()
-    model.fit(pre.transform(train.x), train.y)
-    return FoldResult.of(fold, model.predict(pre.transform(test.x)), test.y)
 
 
 def cross_validate(
@@ -357,22 +362,9 @@ def cross_validate(
     config_fingerprint: str = "",
 ) -> EvalReport:
     """k-fold evaluation with per-fold preprocessing re-fit."""
-    started = time.perf_counter()
-    results: list[FoldResult] = []
-    for i, (train, val) in enumerate(kfold(dataset, plan)):
-        try:
-            results.append(_fit_and_score(i, model_factory, train, val, scale))
-        except Exception as exc:
-            # Re-raise the same exception, so its class and exit code are
-            # kept, with the fold index prefixed to its message.
-            exc.args = (f"fold {i}: {exc}",)
-            raise
-    return _assemble_report(
-        model_name,
-        f"cv-{plan.fold_count}",
-        results,
-        config_fingerprint,
-        time.perf_counter() - started,
+    return _evaluate(
+        model_factory, kfold(dataset, plan), scale, model_name,
+        f"cv-{plan.fold_count}", config_fingerprint,
     )
 
 
@@ -385,15 +377,9 @@ def holdout_evaluate(
     config_fingerprint: str = "",
 ) -> EvalReport:
     """Single train/test evaluation under the plan's holdout fraction."""
-    started = time.perf_counter()
-    train, test = split_train_test(dataset, plan)
-    result = _fit_and_score(0, model_factory, train, test, scale)
-    return _assemble_report(
-        model_name,
-        f"holdout-{plan.test_fraction:g}",
-        [result],
-        config_fingerprint,
-        time.perf_counter() - started,
+    return _evaluate(
+        model_factory, [split_train_test(dataset, plan)], scale, model_name,
+        f"holdout-{plan.test_fraction:g}", config_fingerprint,
     )
 
 
@@ -463,16 +449,11 @@ def benchmark(
             grouping=grouping,
         )
         factory = functools.partial(MODELS[name].from_settings, settings, seed)
-        if protocol == "cv":
-            report = cross_validate(
-                factory, dataset, plan, scale=settings.scale,
-                model_name=name, config_fingerprint=config_fingerprint,
-            )
-        else:
-            report = holdout_evaluate(
-                factory, dataset, plan, scale=settings.scale,
-                model_name=name, config_fingerprint=config_fingerprint,
-            )
+        evaluate = cross_validate if protocol == "cv" else holdout_evaluate
+        report = evaluate(
+            factory, dataset, plan, scale=settings.scale,
+            model_name=name, config_fingerprint=config_fingerprint,
+        )
         reports.append(report)
         rows.append(
             BenchmarkRow(name, report.mean_f1, report.mean_accuracy, "computed", report.protocol)

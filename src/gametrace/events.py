@@ -68,19 +68,6 @@ CATEGORICAL_COLUMNS = frozenset(
     {"session_id", "event_name", "name", "text", "fqid", "room_fqid", "text_fqid", "level_group"}
 )
 
-OPTIONAL_COLUMNS = (
-    "page",
-    "room_coor_x",
-    "room_coor_y",
-    "screen_coor_x",
-    "screen_coor_y",
-    "hover_duration",
-    "text",
-    "fqid",
-    "room_fqid",
-    "text_fqid",
-)
-
 MIN_LEVEL = 0
 MAX_LEVEL = 22
 QUESTION_RANGE = range(1, 19)
@@ -407,47 +394,3 @@ def write_labels(sink: IO[str], labels: Iterable[LabelRecord]) -> int:
         writer.writerow([rec.session_id, rec.question, int(rec.correct)])
         n += 1
     return n
-
-
-@dataclass(frozen=True)
-class SessionReport:
-    session_id: str
-    event_count: int
-    levels_seen: tuple[int, ...]
-    level_coverage: float  # distinct levels / 23
-    monotonicity_violations: int
-    missing_rates: dict[str, float]
-
-
-def validate_session(events: Sequence[RawEvent]) -> SessionReport:
-    """Per-session sanity report; reporting only, never raises on content.
-
-    Monotonicity violations count adjacent pairs (in given order) where
-    either the event index or elapsed_time decreases.
-    """
-    if not events:
-        raise DataError("validate_session requires at least one event")
-    sid = events[0].session_id
-    if any(ev.session_id != sid for ev in events):
-        raise DataError("events from more than one session")
-
-    levels = sorted({ev.level for ev in events})
-    violations = 0
-    prev = events[0]
-    for ev in events[1:]:
-        if ev.index < prev.index or ev.elapsed_time < prev.elapsed_time:
-            violations += 1
-        prev = ev
-    n = len(events)
-    missing = {
-        col: sum(1 for ev in events if getattr(ev, col) is None) / n
-        for col in OPTIONAL_COLUMNS
-    }
-    return SessionReport(
-        session_id=sid,
-        event_count=n,
-        levels_seen=tuple(levels),
-        level_coverage=len(levels) / (MAX_LEVEL - MIN_LEVEL + 1),
-        monotonicity_violations=violations,
-        missing_rates=missing,
-    )

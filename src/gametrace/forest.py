@@ -21,7 +21,6 @@ from .errors import (
     DataError,
     DimensionMismatchError,
     EmptySetError,
-    PartitionMismatchError,
 )
 from .rng import derive_seed
 
@@ -94,26 +93,6 @@ def _impurity(counts: Sequence[int], criterion: str) -> float:
     return entropy(counts) if criterion == "entropy" else gini(counts)
 
 
-def information_gain(
-    parent_counts: Sequence[int],
-    split: Sequence[Sequence[int]],
-    criterion: str = "entropy",
-) -> float:
-    """Parent impurity minus size-weighted child impurity."""
-    parent = [int(c) for c in parent_counts]
-    children = [[int(c) for c in ch] for ch in split]
-    for cls in range(len(parent)):
-        if sum(ch[cls] for ch in children) != parent[cls]:
-            raise PartitionMismatchError()
-    total = sum(parent)
-    if total == 0:
-        raise EmptySetError()
-    weighted = sum(
-        (sum(ch) / total) * _impurity(ch, criterion) for ch in children if sum(ch) > 0
-    )
-    return _impurity(parent, criterion) - weighted
-
-
 def best_split(
     x: np.ndarray,
     y: np.ndarray,
@@ -150,10 +129,7 @@ def _scan_split(
     n0 = n - n1
     if n0 == 0 or n1 == 0:
         return None
-    if config.criterion == "gini":
-        parent = 1.0 - ((n0 / n) ** 2 + (n1 / n) ** 2)
-    else:
-        parent = entropy((n0, n1))
+    parent = _impurity((n0, n1), config.criterion)
     features = range(x.shape[1]) if candidate_features is None else candidate_features
     # All candidate features at once: row i of the (c, n) array is feature
     # features[i]. A cut at flat position p of the (c, n - 1) neighbour
@@ -287,19 +263,6 @@ def tree_predict(node: TreeNode, queries: np.ndarray) -> np.ndarray:
     return out
 
 
-def tree_depth(node: TreeNode) -> int:
-    deepest = 0
-    stack: list[tuple[TreeNode, int]] = [(node, 0)]
-    while stack:
-        nd, depth = stack.pop()
-        if isinstance(nd, Leaf):
-            deepest = max(deepest, depth)
-        else:
-            stack.append((nd.left, depth + 1))
-            stack.append((nd.right, depth + 1))
-    return deepest
-
-
 def check_tree_count(tree_count: int) -> None:
     if tree_count < 1:
         raise ConfigError("tree_count must be >= 1")
@@ -373,6 +336,10 @@ def forest_predict(model: ForestModel, queries: np.ndarray) -> np.ndarray:
 
 _KIND_LEAF = 0
 _KIND_INTERNAL = 1
+_NODE_ARRAYS = (
+    "tree_kinds", "tree_features", "tree_thresholds", "tree_gains",
+    "tree_labels", "tree_count0", "tree_count1",
+)
 
 
 def flatten_trees(trees: list[TreeNode]) -> dict[str, np.ndarray]:
@@ -419,62 +386,35 @@ def flatten_trees(trees: list[TreeNode]) -> dict[str, np.ndarray]:
     }
 
 
-def _unflatten_tree(arrays: dict[str, np.ndarray], start: int) -> tuple[TreeNode, int]:
+def unflatten_trees(arrays: dict[str, np.ndarray], n_features: int) -> list[TreeNode]:
+    """The trees ``flatten_trees`` encoded. ContainerFormatError unless each
+    offset range holds exactly one preorder tree whose splits read features
+    in [0, n_features)."""
     kinds = arrays["tree_kinds"]
-    i = start
-    frames: list[list] = []  # [feature, threshold, gain, left or None]
-    while True:
-        if i >= kinds.shape[0]:
-            raise ContainerFormatError("tree encoding ended mid-node")
-        if kinds[i] == _KIND_INTERNAL:
-            frames.append(
-                [
-                    int(arrays["tree_features"][i]),
-                    float(arrays["tree_thresholds"][i]),
-                    float(arrays["tree_gains"][i]),
-                    None,
-                ]
-            )
-            i += 1
-            continue
-        node: TreeNode = Leaf(
-            int(arrays["tree_labels"][i]),
-            (int(arrays["tree_count0"][i]), int(arrays["tree_count1"][i])),
-        )
-        i += 1
-        while True:
-            if not frames:
-                return node, i
-            top = frames[-1]
-            if top[3] is None:
-                top[3] = node
-                break  # right subtree comes next in the stream
-            frames.pop()
-            node = Internal(top[0], top[1], top[2], top[3], node)
-
-
-def unflatten_trees(arrays: dict[str, np.ndarray]) -> list[TreeNode]:
-    offsets = arrays["tree_offsets"]
-    total = arrays["tree_kinds"].shape[0]
+    if kinds.ndim != 1 or arrays["tree_offsets"].ndim != 1 or any(
+        arrays[name].shape != kinds.shape for name in _NODE_ARRAYS
+    ):
+        raise ContainerFormatError("tree arrays differ in shape")
+    kinds, features, thresholds, gains, labels, c0, c1 = (arrays[a].tolist() for a in _NODE_ARRAYS)
+    starts = arrays["tree_offsets"].tolist()
     trees: list[TreeNode] = []
-    for t, start in enumerate(offsets):
-        tree, end = _unflatten_tree(arrays, int(start))
-        expected_end = int(offsets[t + 1]) if t + 1 < offsets.shape[0] else total
-        if end != expected_end:
-            raise ContainerFormatError(f"tree {t} encoding inconsistent with offsets")
-        trees.append(tree)
+    for t, (start, end) in enumerate(zip(starts, starts[1:] + [len(kinds)])):
+        if not 0 <= start < end <= len(kinds):
+            raise ContainerFormatError(f"tree {t} offsets out of range")
+        # Preorder read backwards: when a node is reached, both its subtrees
+        # are on the stack, the left one on top.
+        stack: list[TreeNode] = []
+        for i in range(end - 1, start - 1, -1):
+            if kinds[i] != _KIND_INTERNAL:
+                stack.append(Leaf(int(labels[i]), (int(c0[i]), int(c1[i]))))
+            elif not 0 <= features[i] < n_features:
+                raise ContainerFormatError(f"tree {t} splits on feature {features[i]}")
+            elif len(stack) < 2:
+                raise ContainerFormatError(f"tree {t} encoding ends mid-node")
+            else:
+                left, right = stack.pop(), stack.pop()
+                stack.append(Internal(int(features[i]), float(thresholds[i]), float(gains[i]), left, right))
+        if len(stack) != 1:
+            raise ContainerFormatError(f"tree {t} encoding is not one tree")
+        trees.append(stack[0])
     return trees
-
-
-def feature_importances(model: ForestModel) -> np.ndarray:
-    """Total split gain per feature across all trees, normalized to sum 1."""
-    totals = np.zeros(model.n_features, dtype=np.float64)
-    stack: list[TreeNode] = list(model.trees)
-    while stack:
-        nd = stack.pop()
-        if isinstance(nd, Internal):
-            totals[nd.feature] += nd.gain
-            stack.append(nd.left)
-            stack.append(nd.right)
-    s = totals.sum()
-    return totals / s if s > 0 else totals

@@ -46,7 +46,7 @@ def knn_fit(x: np.ndarray, y: Sequence[int], k: int = 5, metric: str = "euclidea
     x = np.array(x, dtype=np.float64)  # private copy, caller mutations invisible
     y = np.array(y, dtype=np.int64)
     check_knn_params(k, metric)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise DimensionMismatchError(x.shape[0], y.shape[0])
     if k > x.shape[0]:
         raise KTooLargeError(k, x.shape[0])
@@ -55,26 +55,6 @@ def knn_fit(x: np.ndarray, y: Sequence[int], k: int = 5, metric: str = "euclidea
     x.setflags(write=False)
     y.setflags(write=False)
     return KnnModel(x=x, y=y, k=k, metric=metric)
-
-
-def distance(a: Sequence[float], b: Sequence[float], metric: str) -> float:
-    """Distance between two vectors under the given metric."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape or av.ndim != 1:
-        raise DimensionMismatchError(av.shape[-1], bv.shape[-1])
-    if metric == "euclidean":
-        d = av - bv
-        return math.sqrt(float((d * d).sum()))
-    if metric == "manhattan":
-        return float(np.abs(av - bv).sum())
-    if metric == "cosine":
-        na = math.sqrt(float((av * av).sum()))
-        nb = math.sqrt(float((bv * bv).sum()))
-        if na == 0.0 or nb == 0.0:
-            raise ZeroVectorError()
-        return 1.0 - float((av * bv).sum()) / (na * nb)
-    raise ConfigError(f"unknown metric {metric!r}")
 
 
 def _distance_block(queries: np.ndarray, stored: np.ndarray, metric: str) -> np.ndarray:

@@ -3,13 +3,15 @@
 Layout: magic, u32 format version, length-prefixed canonical-JSON header,
 then length-prefixed named arrays (raw little-endian bytes). Everything is
 content-determined, so saving the same model twice yields identical bytes
-and load-then-save round-trips exactly. Unknown versions are rejected.
-Each kind's header section and arrays come from its entry in
-``evaluation.MODELS``.
+and load-then-save round-trips exactly. Unknown versions are rejected,
+and a container that does not decode, or whose values fail the same checks
+a trained model passes, raises ContainerFormatError. Each kind's header
+section and arrays come from its entry in ``evaluation.MODELS``.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 from dataclasses import dataclass
@@ -18,9 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import OneHotParams, Preprocessor, ScalerParams
-from .errors import ContainerFormatError, UnsupportedVersionError
+from .dataset import Preprocessor
+from .errors import ConfigError, ContainerFormatError, DataError, UnsupportedVersionError
 from .evaluation import MODELS
+from .schema import build, check
 
 MAGIC = b"GTMODEL\x00"
 FORMAT_VERSION = 1
@@ -61,22 +64,28 @@ def save_container(path: Path, header: dict, arrays: dict[str, np.ndarray]) -> N
 
 
 def load_container(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
-    with open(path, "rb") as src:
-        if _read_exact(src, len(MAGIC)) != MAGIC:
-            raise ContainerFormatError(f"not a model container: {path}")
-        (version,) = struct.unpack("<I", _read_exact(src, 4))
-        if version != FORMAT_VERSION:
-            raise UnsupportedVersionError(version, FORMAT_VERSION)
+    # Read whole, so a corrupt block length cannot ask for more than the file.
+    src = io.BytesIO(Path(path).read_bytes())
+    if _read_exact(src, len(MAGIC)) != MAGIC:
+        raise ContainerFormatError(f"not a model container: {path}")
+    (version,) = struct.unpack("<I", _read_exact(src, 4))
+    if version != FORMAT_VERSION:
+        raise UnsupportedVersionError(version, FORMAT_VERSION)
+    try:
         header = json.loads(_read_block(src))
         (count,) = struct.unpack("<I", _read_exact(src, 4))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
             meta = json.loads(_read_block(src))
             raw = _read_block(src)
-            arr = np.frombuffer(raw, dtype=np.dtype(meta["dtype"])).reshape(meta["shape"]).copy()
-            arrays[meta["name"]] = arr
-        if src.read(1):
-            raise ContainerFormatError("trailing bytes after container payload")
+            dtype, shape = np.dtype(meta["dtype"]), meta["shape"]
+            if dtype.kind not in "biuf" or min(shape, default=0) < 0:
+                raise ValueError(f"array {meta['name']!r} is {dtype} of shape {shape}")
+            arrays[meta["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        raise ContainerFormatError(f"malformed container {path}: {exc!r}") from None
+    if src.read(1):
+        raise ContainerFormatError("trailing bytes after container payload")
     return header, arrays
 
 
@@ -104,18 +113,28 @@ def _preprocessor_arrays(pre: Preprocessor) -> dict[str, np.ndarray]:
 def _preprocessor_from(header: dict, arrays: dict[str, np.ndarray]) -> Preprocessor:
     ph = header["preprocessor"]
     scaler = None
-    if ph["scaled"]:
-        scaler = ScalerParams(mean=arrays["pre_scaler_mean"], std=arrays["pre_scaler_std"])
-    return Preprocessor(
-        onehot=OneHotParams(
-            columns=tuple(ph["onehot_columns"]),
-            categories=tuple(tuple(c) for c in ph["onehot_categories"]),
-        ),
-        means=arrays["pre_means"],
-        scaler=scaler,
-        input_names=tuple(ph["input_names"]),
-        output_names=tuple(ph["output_names"]),
-    )
+    if check(ph["scaled"], bool, "preprocessor.scaled"):
+        scaler = {"mean": arrays["pre_scaler_mean"], "std": arrays["pre_scaler_std"]}
+    values = {
+        "onehot": {"columns": ph["onehot_columns"], "categories": ph["onehot_categories"]},
+        "means": arrays["pre_means"],
+        "scaler": scaler,
+        "input_names": ph["input_names"],
+        "output_names": ph["output_names"],
+    }
+    pre = build(Preprocessor, values, "preprocessor")
+    # transform's output width, which every vector and output name must match
+    onehot = pre.onehot
+    width = sum(n not in onehot.columns for n in pre.input_names) + sum(map(len, onehot.categories))
+    vectors = [pre.means, *([pre.scaler.mean, pre.scaler.std] if pre.scaler else [])]
+    if (
+        not set(onehot.columns) <= set(pre.input_names)
+        or len(onehot.categories) != len(onehot.columns)
+        or len(pre.output_names) != width
+        or any(v.shape != (width,) for v in vectors)
+    ):
+        raise ContainerFormatError("preprocessor header does not match its arrays")
+    return pre
 
 
 # --- public save/load -----------------------------------------------------
@@ -162,9 +181,14 @@ def load_model(path: Path) -> LoadedModel:
     kind = header.get("kind") if isinstance(header, dict) else None
     if not isinstance(kind, str) or kind not in MODELS:
         raise ContainerFormatError(f"unknown model kind {kind!r}")
+    for name in ("preprocessor", kind):
+        if not isinstance(header.get(name, {}), dict):
+            raise ContainerFormatError(f"container section {name!r} is not an object: {path}")
     try:
         pre = _preprocessor_from(header, arrays)
         model = MODELS[kind].from_container(header[kind], arrays)
     except KeyError as exc:  # a header section or an array the kind needs
         raise ContainerFormatError(f"container is missing {exc.args[0]!r}: {path}") from None
+    except (ConfigError, DataError) as exc:  # values the model's own checks reject
+        raise ContainerFormatError(f"{path}: {exc}") from None
     return LoadedModel(kind=kind, model=model, preprocessor=pre, header=header)

@@ -36,39 +36,6 @@ def pearson(xcol: np.ndarray, ycol: np.ndarray) -> float:
     return min(1.0, max(-1.0, r))
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    names: tuple[str, ...]
-    r: np.ndarray  # symmetric, NaN marks undefined cells
-
-
-def correlation_matrix(
-    x: np.ndarray,
-    names: Sequence[str],
-    label: Optional[np.ndarray] = None,
-    label_name: str = "correct",
-) -> CorrelationMatrix:
-    """Pairwise Pearson over columns, label appended as the last row/column."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] < 2:
-        raise DataError("correlation matrix requires at least 2 rows")
-    cols = [x[:, j] for j in range(x.shape[1])]
-    out_names = list(names)
-    if label is not None:
-        cols.append(np.asarray(label, dtype=np.float64))
-        out_names.append(label_name)
-    d = len(cols)
-    r = np.full((d, d), np.nan)
-    for i in range(d):
-        if cols[i].std() > 0.0:
-            r[i, i] = 1.0
-        for j in range(i + 1, d):
-            rij = pearson(cols[i], cols[j])
-            r[i, j] = rij
-            r[j, i] = rij
-    return CorrelationMatrix(names=tuple(out_names), r=r)
-
-
 def mutual_information(
     feature: np.ndarray,
     label: np.ndarray,

@@ -1,14 +1,17 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gametrace.cli import _build_parser, main
 from gametrace.config import RunConfig, load_config
 from gametrace.errors import ConfigError
 from gametrace.evaluation import MODELS
-from gametrace.model_io import load_container, load_model, save_container
+from gametrace.model_io import MAGIC, load_container, load_model, save_container
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -65,6 +68,7 @@ MALFORMED_CONFIGS = [
     {"forest": {"trees": 0}},
     {"forest": {"max_depth": 0}},
     {"seed": "x"},
+    {"seed": -1},
     {"selection": {"k": "3"}},
     {"selection": {"k": 0}},
     {"selection": {"redundancy_threshold": 2.0}},
@@ -182,34 +186,144 @@ def test_evaluate_uses_holdout_test_side(pipeline_dir):
     assert payload["model_fingerprint"] == payload["config_fingerprint"]
 
 
+@pytest.fixture(scope="module")
+def evaluate_dir(pipeline_dir, tmp_path_factory):
+    """The inputs of `evaluate` and one trained container of each kind."""
+    wd = tmp_path_factory.mktemp("evaluate")
+    for name in ("features.csv", "features.meta.json", "labels.csv"):
+        shutil.copy(pipeline_dir / name, wd / name)
+    for kind in MODELS:
+        assert run("train", "--workdir", str(wd), "--model", kind) == 0
+    return wd
+
+
+def evaluate(wd, kind, container):
+    return run("evaluate", "--workdir", str(wd), "--model", kind, "--model-file", str(container))
+
+
 def _without(header, key):
     return {k: v for k, v in header.items() if k != key}
 
 
-# case -> (kind, header edit, expected message)
+def _header(edit):
+    return lambda h, a: (edit(h), a)
+
+
+def _section(kind, **values):
+    return _header(lambda h: {**h, kind: {**h[kind], **values}})
+
+
+def _array(name, edit):
+    return lambda h, a: (h, {**a, name: edit(a[name])})
+
+
+def _first_split_on(feature):
+    def edit(h, a):
+        features = a["tree_features"].copy()
+        features[np.flatnonzero(a["tree_kinds"] == 1)[0]] = feature
+        return h, {**a, "tree_features": features}
+
+    return edit
+
+
+def _no_trees(h, a):
+    empty = {name: v[:0] for name, v in a.items() if name.startswith("tree_")}
+    return {**h, "forest": {**h["forest"], "tree_count": 3}}, {**a, **empty}
+
+
+# case -> (kind, edit of (header, arrays), expected message)
 MALFORMED_CONTAINERS = {
-    "knn section missing": ("knn", lambda h: _without(h, "knn"), "container is missing 'knn'"),
-    "mlp layers beyond arrays": (
-        "mlp", lambda h: {**h, "mlp": {**h["mlp"], "layers": 5}}, "container is missing 'mlp_w2'"
-    ),
+    "knn section missing": ("knn", _header(lambda h: _without(h, "knn")), "container is missing 'knn'"),
+    "mlp layers beyond arrays": ("mlp", _section("mlp", layers=5), "container is missing 'mlp_w2'"),
     "preprocessor missing": (
-        "forest", lambda h: _without(h, "preprocessor"), "container is missing 'preprocessor'"
+        "forest", _header(lambda h: _without(h, "preprocessor")), "container is missing 'preprocessor'"
     ),
-    "header not an object": ("forest", lambda h: [h], "unknown model kind None"),
+    "header not an object": ("forest", _header(lambda h: [h]), "unknown model kind None"),
+    "split on feature 999": ("forest", _first_split_on(999), "splits on feature 999"),
+    "split on feature -2": ("forest", _first_split_on(-2), "splits on feature -2"),
+    "tree_thresholds short": ("forest", _array("tree_thresholds", lambda v: v[:-1]), "tree arrays differ"),
+    "no trees, tree_count 3": ("forest", _no_trees, "forest holds 0 trees, header says 3"),
+    "knn_y short": ("knn", _array("knn_y", lambda v: v[:-1]), "does not match stored dimension"),
+    "knn k above rows": ("knn", _section("knn", k=100000), "k=100000 exceeds"),
+    "knn k a string": ("knn", _section("knn", k="5"), "knn.k must be int"),
+    "mlp_w0 column count": ("mlp", _array("mlp_w0", lambda v: v[:, :-1]), "mlp weights do not match"),
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_CONTAINERS))
-def test_malformed_container_exits_2(pipeline_dir, tmp_path, capsys, case):
+def test_malformed_container_exits_2(evaluate_dir, tmp_path, capsys, case):
     kind, edit, message = MALFORMED_CONTAINERS[case]
-    assert run("train", "--workdir", str(pipeline_dir), "--model", kind) == 0
-    header, arrays = load_container(pipeline_dir / f"model_{kind}.bin")
+    header, arrays = load_container(evaluate_dir / f"model_{kind}.bin")
     bad = tmp_path / "bad.bin"
-    save_container(bad, edit(header), arrays)
+    save_container(bad, *edit(header, arrays))
     capsys.readouterr()
-    assert run("evaluate", "--workdir", str(pipeline_dir), "--model", kind,
-               "--model-file", str(bad)) == 2
+    assert evaluate(evaluate_dir, kind, bad) == 2
     assert message in capsys.readouterr().err
+
+
+def test_container_header_not_json_exits_2_in_evaluate_and_verify(evaluate_dir, tmp_path):
+    raw = bytearray((evaluate_dir / "model_knn.bin").read_bytes())
+    raw[len(MAGIC) + 4 + 8] = ord("!")  # the header's opening brace
+    (tmp_path / "model_knn.bin").write_bytes(bytes(raw))
+    assert evaluate(evaluate_dir, "knn", tmp_path / "model_knn.bin") == 2
+    assert run("verify", "--workdir", str(tmp_path)) == 2
+
+
+def test_container_array_shape_not_its_bytes_exits_2(evaluate_dir, tmp_path):
+    raw = (evaluate_dir / "model_mlp.bin").read_bytes()
+    meta = b'"name":"mlp_b0","shape":[128]'
+    assert raw.count(meta) == 1
+    (tmp_path / "bad.bin").write_bytes(raw.replace(meta, meta.replace(b"128", b"127")))
+    assert evaluate(evaluate_dir, "mlp", tmp_path / "bad.bin") == 2
+
+
+def test_verify_corrupt_report_exits_2(tmp_path):
+    (tmp_path / "aggregate_report.json").write_text('{"config_fingerprint": ')
+    assert run("verify", "--workdir", str(tmp_path)) == 2
+
+
+def _paths(value, prefix=()):
+    """The key path of every value inside a JSON document, but the root."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield prefix + (key,)
+        yield from _paths(item, prefix + (key,))
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**6), 10**6), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(-3, 300), max_size=3), st.just({}),
+)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_evaluate_never_exits_3_on_one_changed_value(evaluate_dir, data):
+    kind = data.draw(st.sampled_from(list(MODELS)))
+    header, arrays = load_container(evaluate_dir / f"model_{kind}.bin")
+    if data.draw(st.booleans(), label="edit the header"):
+        *parents, last = data.draw(st.sampled_from(list(_paths(header))))
+        target = header
+        for key in parents:
+            target = target[key]
+        target[last] = data.draw(JSON_VALUES)
+    else:
+        arr = arrays[data.draw(st.sampled_from(sorted(arrays)))]
+        assume(arr.size > 0)
+        if arr.dtype.kind == "f":
+            value = data.draw(st.floats())
+        else:
+            info = np.iinfo(arr.dtype)
+            value = data.draw(st.integers(int(info.min), int(info.max)))
+        arr.flat[data.draw(st.integers(0, arr.size - 1))] = value
+    bad = evaluate_dir / "changed.bin"
+    save_container(bad, header, arrays)
+    assert evaluate(evaluate_dir, kind, bad) in (0, 2)
 
 
 def test_cv_uses_model_specific_fold_counts(pipeline_dir):
@@ -314,6 +428,22 @@ def test_config_int_for_float_is_kept_as_given():
 def test_config_rejects_unknown_section_key():
     with pytest.raises(ConfigError):
         load_config(None, overrides={"knn": {"neighbors": 5}})
+
+
+def test_negative_seed_exits_1(pipeline_dir):
+    for command in ("train", "cv"):
+        assert run(command, "--workdir", str(pipeline_dir), "--model", "mlp", "--seed", "-1") == 1
+
+
+def test_flags_pass_the_config_checks_and_override_the_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": {"sessions": 0}}))
+    common = ["--workdir", str(tmp_path), "--config", str(cfg), "--events-per-session", "50"]
+    assert run("gen-synthetic", *common) == 1
+    assert run("gen-synthetic", *common, "--sessions", "3") == 0
+    assert run("gen-synthetic", *common, "--sessions", "-3") == 1
+    cfg.write_text(json.dumps({"synth": 5}))  # a flag does not hide a malformed section
+    assert run("gen-synthetic", *common, "--sessions", "3") == 1
 
 
 def test_gen_synthetic_flags_override_config(tmp_path):

@@ -18,7 +18,6 @@ from gametrace.evaluation import (
     cross_validate,
     f1,
     holdout_evaluate,
-    macro_f1,
     majority_baseline_f1,
 )
 
@@ -81,13 +80,6 @@ def test_f1_permutation_invariance(seed):
     truth = rng.integers(0, 2, size=n)
     order = rng.permutation(n)
     assert f1(pred, truth) == f1(pred[order], truth[order])
-
-
-def test_macro_f1_averages_both_classes():
-    pred = [1, 1, 0, 0]
-    truth = [1, 0, 1, 0]
-    want = 0.5 * (f1(pred, truth, 1) + f1(pred, truth, 0))
-    assert macro_f1(pred, truth) == pytest.approx(want)
 
 
 def test_majority_baseline_f1_analytic():
@@ -233,8 +225,9 @@ def test_eval_report_runtime_excluded_from_payload():
     ds = balanced_dataset(40, seed=11)
     plan = SplitPlan(seed=1, fold_count=4, grouping="by_row")
     report = cross_validate(lambda: KnnClassifier(k=1), ds, plan, model_name="knn")
-    assert report.runtime_seconds > 0.0
-    assert "runtime" not in report.to_dict()
+    again = cross_validate(lambda: KnnClassifier(k=1), ds, plan, model_name="knn")
+    assert "runtime" not in str(report.to_dict())
+    assert report.to_dict() == again.to_dict()
 
 
 def test_confusion_counts_addition():

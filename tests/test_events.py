@@ -20,7 +20,6 @@ from gametrace.events import (
     level_group_for,
     read_events,
     read_labels,
-    validate_session,
     write_events,
     write_labels,
 )
@@ -226,38 +225,6 @@ def test_labels_round_trip():
     write_labels(buf, records)
     buf.seek(0)
     assert read_labels(buf) == records
-
-
-# validate_session ------------------------------------------------------
-
-
-def test_validate_single_event():
-    rep = validate_session([make_event()])
-    assert rep.event_count == 1
-    assert rep.monotonicity_violations == 0
-    assert rep.levels_seen == (0,)
-
-
-def test_validate_decreasing_elapsed_counts_violation():
-    evs = [make_event(index=0, elapsed_time=100), make_event(index=1, elapsed_time=50)]
-    assert validate_session(evs).monotonicity_violations == 1
-
-
-def test_validate_decreasing_index_counts_violation():
-    evs = [make_event(index=5, elapsed_time=10), make_event(index=4, elapsed_time=20)]
-    assert validate_session(evs).monotonicity_violations == 1
-
-
-def test_validate_rejects_mixed_sessions():
-    with pytest.raises(DataError):
-        validate_session([make_event(session_id="a"), make_event(session_id="b")])
-
-
-def test_validate_missing_rates():
-    evs = [make_event(index=i, elapsed_time=i, page=(3 if i % 2 else None)) for i in range(10)]
-    rep = validate_session(evs)
-    assert rep.missing_rates["page"] == pytest.approx(0.5)
-    assert rep.missing_rates["text"] == 1.0
 
 
 def test_event_serialization_uses_empty_for_absent():

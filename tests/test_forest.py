@@ -5,7 +5,6 @@ from gametrace.errors import (
     ConfigError,
     DimensionMismatchError,
     EmptySetError,
-    PartitionMismatchError,
 )
 from gametrace.forest import (
     ForestModel,
@@ -14,17 +13,21 @@ from gametrace.forest import (
     TreeConfig,
     best_split,
     entropy,
-    feature_importances,
     forest_fit,
     forest_predict,
     gini,
-    information_gain,
-    tree_depth,
     tree_fit,
     tree_predict,
 )
 
-from oracles import best_split_oracle, gain_formula
+from oracles import best_split_oracle
+
+
+def tree_depth(node) -> int:
+    """Edges on the longest root-to-leaf path."""
+    if isinstance(node, Leaf):
+        return 0
+    return 1 + max(tree_depth(node.left), tree_depth(node.right))
 
 
 def test_entropy_pure_node_is_zero():
@@ -51,34 +54,6 @@ def test_gini_pure_and_balanced():
 
 def test_gini_3_1_exact_fraction():
     assert gini((3, 1)) == pytest.approx(0.375, abs=1e-12)
-
-
-def test_information_gain_useless_split_is_zero():
-    assert information_gain((4, 2), [(4, 2), (0, 0)], "entropy") == pytest.approx(0.0)
-
-
-def test_information_gain_perfect_split_one_bit():
-    assert information_gain((2, 2), [(2, 0), (0, 2)], "entropy") == pytest.approx(1.0)
-
-
-def test_information_gain_matches_formula_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        a = rng.integers(0, 8, size=2)
-        b = rng.integers(0, 8, size=2)
-        parent = (int(a[0] + b[0]), int(a[1] + b[1]))
-        if sum(parent) == 0:
-            continue
-        children = [tuple(int(v) for v in a), tuple(int(v) for v in b)]
-        for crit in ("entropy", "gini"):
-            got = information_gain(parent, children, crit)
-            want = gain_formula(parent, children, crit)
-            assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_information_gain_partition_mismatch():
-    with pytest.raises(PartitionMismatchError):
-        information_gain((3, 3), [(2, 0), (0, 2)])
 
 
 def test_best_split_no_distinct_values_returns_none():
@@ -279,15 +254,3 @@ def test_forest_rejects_bad_config():
         TreeConfig(max_depth=0)
     with pytest.raises(ConfigError):
         forest_fit(np.zeros((2, 2)), np.zeros(2, dtype=int), tree_count=0)
-
-
-def test_feature_importances_concentrate_on_informative_feature():
-    rng = np.random.default_rng(13)
-    driver = rng.normal(size=300)
-    noise = rng.normal(size=(300, 2))
-    x = np.column_stack([noise[:, 0], driver, noise[:, 1]])
-    y = (driver > 0).astype(int)
-    forest = forest_fit(x, y, tree_count=20, seed=5)
-    imps = feature_importances(forest)
-    assert imps.sum() == pytest.approx(1.0, abs=1e-12)
-    assert imps[1] > 0.6

@@ -7,7 +7,7 @@ from gametrace.errors import (
     KTooLargeError,
     ZeroVectorError,
 )
-from gametrace.knn import METRICS, distance, knn_fit, knn_predict
+from gametrace.knn import METRICS, knn_fit, knn_predict
 
 from oracles import knn_oracle
 
@@ -43,30 +43,48 @@ def test_fit_stores_immutable_copy():
         model.x[0, 0] = 5.0
 
 
+def nearest(stored, query, metric):
+    """Index of the stored row ``knn_predict`` finds closest to ``query``."""
+    model = knn_fit(np.array(stored, dtype=float), np.arange(len(stored)), k=1, metric=metric)
+    return int(knn_predict(model, np.array([query], dtype=float))[0])
+
+
 def test_euclidean_3_4_5():
-    assert distance((0.0, 0.0), (3.0, 4.0), "euclidean") == 5.0
+    # (3, 4) is 5 away from the origin, nearer than 5.1 along one axis but
+    # farther than 4.9: the distance is the root of the summed squares
+    assert nearest([[5.1, 0.0], [3.0, 4.0]], [0.0, 0.0], "euclidean") == 1
+    assert nearest([[4.9, 0.0], [3.0, 4.0]], [0.0, 0.0], "euclidean") == 0
 
 
 def test_manhattan():
-    assert distance((1.0, 1.0), (4.0, 5.0), "manhattan") == 7.0
+    # (4, 5) is 7 from (1, 1): nearer than 7.1 on one axis, farther than 6.9
+    assert nearest([[8.1, 1.0], [4.0, 5.0]], [1.0, 1.0], "manhattan") == 1
+    assert nearest([[7.9, 1.0], [4.0, 5.0]], [1.0, 1.0], "manhattan") == 0
 
 
 def test_cosine_parallel_vectors_have_zero_distance():
-    assert distance((2.0, 2.0), (5.0, 5.0), "cosine") == pytest.approx(0.0, abs=1e-12)
+    # direction, not length: the far parallel row beats a near slanted one
+    assert nearest([[2.0, 2.1], [50.0, 50.0]], [2.0, 2.0], "cosine") == 1
 
 
 def test_cosine_orthogonal_vectors():
-    assert distance((1.0, 0.0), (0.0, 1.0), "cosine") == pytest.approx(1.0)
+    # orthogonal (distance 1) is nearer than opposite (distance 2)
+    assert nearest([[-1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], "cosine") == 1
 
 
 def test_cosine_zero_vector_raises():
+    model = knn_fit(np.array([[1.0, 1.0], [2.0, 0.5]]), [0, 1], k=1, metric="cosine")
     with pytest.raises(ZeroVectorError):
-        distance((0.0, 0.0), (1.0, 1.0), "cosine")
+        knn_predict(model, np.array([[0.0, 0.0]]))
+    stored_zero = knn_fit(np.array([[0.0, 0.0], [2.0, 0.5]]), [0, 1], k=1, metric="cosine")
+    with pytest.raises(ZeroVectorError):
+        knn_predict(stored_zero, np.array([[1.0, 1.0]]))
 
 
 def test_distance_dimension_mismatch():
+    model = knn_fit(np.array([[1.0, 2.0], [3.0, 4.0]]), [0, 1], k=1)
     with pytest.raises(DimensionMismatchError):
-        distance((1.0,), (1.0, 2.0), "euclidean")
+        knn_predict(model, np.array([[1.0]]))
 
 
 def test_predict_k1_on_training_row_returns_its_label():

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gametrace.dataset import fit_preprocessor
 from gametrace.errors import ContainerFormatError, UnsupportedVersionError
@@ -84,8 +86,67 @@ def test_tree_flatten_unflatten_identity():
                        left=Leaf(1, (0, 4)), right=Leaf(0, (2, 2))),
     )
     arrays = flatten_trees([tree, Leaf(1, (0, 7))])
-    back = unflatten_trees(arrays)
+    back = unflatten_trees(arrays, n_features=2)
     assert back == [tree, Leaf(1, (0, 7))]
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy"])
+@pytest.mark.parametrize("subsample", ["sqrt", "all"])
+@pytest.mark.parametrize("max_depth", [None, 1, 3])
+def test_tree_decoder_round_trips_random_forests(criterion, subsample, max_depth):
+    x, y = training_data(seed=11, n=60, d=5)
+    config = TreeConfig(criterion=criterion, max_depth=max_depth, feature_subsample=subsample)
+    trees = forest_fit(x, y, tree_count=6, config=config, seed=3).trees
+    arrays = flatten_trees(trees)
+    back = unflatten_trees(arrays, n_features=5)
+    assert back == trees
+    again = flatten_trees(back)
+    assert all(again[name].tobytes() == arrays[name].tobytes() for name in arrays)
+
+
+NODE_ARRAYS = ("tree_kinds", "tree_features", "tree_thresholds", "tree_gains",
+               "tree_labels", "tree_count0", "tree_count1")
+
+
+def _flip_kind(arrays, at):
+    kinds = arrays["tree_kinds"]
+    kinds[at % kinds.size] = 1 - kinds[at % kinds.size]
+
+
+def _shift_offset(arrays, at):
+    offsets = arrays["tree_offsets"]
+    offsets[at % offsets.size] += 1 if at % 2 else -1
+
+
+def _truncate_one(arrays, at):
+    name = NODE_ARRAYS[at % len(NODE_ARRAYS)]
+    arrays[name] = arrays[name][:-1]
+
+
+def _truncate_all(arrays, at):
+    for name in NODE_ARRAYS:
+        arrays[name] = arrays[name][:-1]
+
+
+def _feature_out_of_range(arrays, at):
+    splits = np.flatnonzero(arrays["tree_kinds"] == 1)
+    assume(splits.size > 0)
+    arrays["tree_features"][splits[at % splits.size]] = (5, 999, -1, -2)[at % 4]
+
+
+# A full binary tree has one more leaf than it has splits, so each mutation
+# leaves some offset range that is not exactly one preorder tree.
+MUTATIONS = [_flip_kind, _shift_offset, _truncate_one, _truncate_all, _feature_out_of_range]
+
+
+@given(seed=st.integers(0, 40), mutate=st.sampled_from(MUTATIONS), at=st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_tree_decoder_rejects_each_mutation(seed, mutate, at):
+    x, y = training_data(seed=seed, n=40, d=5)
+    arrays = flatten_trees(forest_fit(x, y, tree_count=3, seed=seed).trees)
+    mutate(arrays, at)
+    with pytest.raises(ContainerFormatError):
+        unflatten_trees(arrays, n_features=5)
 
 
 # Small settings keep the round trip fast; kinds not listed use their defaults.

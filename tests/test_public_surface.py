@@ -1,0 +1,81 @@
+"""Every public function, class and method in the package is used by the package.
+
+A public top-level function or class, or a public method, counts as used
+when an ``ast.Name`` or ``ast.Attribute`` with its name appears somewhere in
+``src/gametrace/`` outside its own definition and outside ``__init__.py``
+(the re-exports there are not a use). Code nothing runs is deleted, or kept
+with its reason in ``KEPT``.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gametrace"
+
+# Public names no module calls, each kept for a stated reason.
+KEPT = {
+    "best_split": "acceptance criterion 5 checks the split scan through it",
+    "mlp_backward": "acceptance criterion 3 checks the gradients through it",
+    "aggregate": "the README's sharding property: one-shot aggregation of a whole stream",
+    "StreamingAggregator.merge": "the README's sharding property: shards merge into one result",
+}
+
+
+def _modules():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            yield path.name, ast.parse(path.read_text())
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _definitions():
+    """(module, qualified name, bare name, line span) of every public definition."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for module, tree in _modules():
+        for node in tree.body:
+            if not isinstance(node, kinds) or not _public(node.name):
+                continue
+            yield module, node.name, node.name, (node.lineno, node.end_lineno)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, kinds) and _public(item.name):
+                        span = (item.lineno, item.end_lineno)
+                        yield module, f"{node.name}.{item.name}", item.name, span
+
+
+def _uses():
+    """Module and line of every Name and Attribute, by the name they carry."""
+    found: dict[str, list[tuple[str, int]]] = {}
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                found.setdefault(node.attr, []).append((module, node.lineno))
+    return found
+
+
+def unused_public_names() -> list[str]:
+    uses = _uses()
+    unused = []
+    for module, qualified, name, (first, last) in _definitions():
+        outside = [
+            (m, line) for m, line in uses.get(name, ())
+            if m != module or not first <= line <= last
+        ]
+        if not outside:
+            unused.append(qualified)
+    return unused
+
+
+def test_every_public_name_is_used_or_kept_for_a_reason():
+    unused = [name for name in unused_public_names() if name not in KEPT]
+    assert unused == [], f"public but unused (delete, or add to KEPT with a reason): {unused}"
+
+
+def test_kept_names_are_still_unused():
+    # A kept name that gained a caller no longer needs its entry.
+    assert set(KEPT) <= set(unused_public_names())

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gametrace.errors import DataError, LengthMismatchError, PolicyUnsatisfiableError
 from gametrace.selection import (
     SelectionPolicy,
-    correlation_matrix,
     mutual_information,
     pearson,
     save_selection_report,
@@ -60,37 +59,6 @@ def test_pearson_affine_invariance(xs, a, b):
     r_neg = pearson(-a * x + b, y)
     assert abs(r_pos - r) < 1e-12
     assert abs(r_neg + r) < 1e-12
-
-
-def test_correlation_matrix_identical_columns():
-    x = np.array([[1.0, 1.0], [2.0, 2.0], [5.0, 5.0]])
-    cm = correlation_matrix(x, ("a", "b"))
-    assert cm.r[0, 1] == 1.0
-    assert cm.r[0, 0] == 1.0
-
-
-def test_correlation_matrix_independent_columns_near_zero():
-    rng = np.random.default_rng(42)
-    x = rng.normal(size=(10000, 2))
-    cm = correlation_matrix(x, ("a", "b"))
-    assert abs(cm.r[0, 1]) < 0.05
-
-
-def test_correlation_matrix_is_exactly_symmetric():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(50, 6))
-    cm = correlation_matrix(x, tuple("abcdef"))
-    assert np.array_equal(cm.r, cm.r.T, equal_nan=True)
-
-
-def test_correlation_matrix_appends_label_last():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(100, 2))
-    y = (x[:, 0] > 0).astype(float)
-    cm = correlation_matrix(x, ("a", "b"), label=y)
-    assert cm.names == ("a", "b", "correct")
-    assert cm.r.shape == (3, 3)
-    assert abs(cm.r[0, 2]) > 0.5  # label driven by column a
 
 
 def test_mi_constant_feature_is_zero():
