@@ -17,7 +17,7 @@ from typing import IO, Iterable, Optional
 
 from math import fsum
 
-from .errors import ConfigError, SpecTypeMismatchError
+from .errors import ConfigError, DataError, SpecTypeMismatchError
 from .events import (
     CATEGORICAL_COLUMNS,
     EVENT_COLUMNS,
@@ -444,7 +444,10 @@ def save_feature_matrix(
 
 
 def load_feature_matrix(csv_path: Path, meta_path: Path) -> FeatureMatrix:
-    meta = json.loads(Path(meta_path).read_text())
+    try:
+        meta = json.loads(Path(meta_path).read_text())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataError(f"cannot read {meta_path}: {exc}") from None
     if meta.get("format") != "gametrace-feature-matrix":
         raise ConfigError(f"not a feature matrix sidecar: {meta_path}")
     specs = tuple(
@@ -457,9 +460,14 @@ def load_feature_matrix(csv_path: Path, meta_path: Path) -> FeatureMatrix:
         expected = ["session_id", "level_group"] + [s.output_name for s in specs]
         if header != expected:
             raise ConfigError(f"feature CSV header does not match sidecar: {csv_path}")
-        for row in reader:
-            values = tuple(float(v) if v else None for v in row[2:])
-            rows.append(FeatureRow(row[0], row[1], values))
+        try:
+            for row in reader:
+                if len(row) != len(expected):
+                    raise ValueError(f"{len(row)} fields, the header has {len(expected)}")
+                values = tuple(float(v) if v else None for v in row[2:])
+                rows.append(FeatureRow(row[0], row[1], values))
+        except (ValueError, csv.Error) as exc:  # also text that is not UTF-8
+            raise DataError(f"{csv_path}: line {reader.line_num}: {exc}") from None
     return FeatureMatrix(
         column_names=tuple(s.output_name for s in specs),
         rows=rows,

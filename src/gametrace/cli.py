@@ -12,12 +12,11 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional
 
@@ -162,7 +161,7 @@ def _write_run_metadata(path: Path, cfg: RunConfig, runtime: float) -> None:
 
 def cmd_gen_synthetic(cfg: RunConfig) -> int:
     wd = _workdir(cfg)
-    result = generate(cfg.synth_config(), wd)
+    result = generate(cfg.synth, wd, cfg.seed)
     print(
         f"generated {result.events_written} events across {cfg.synth.sessions} sessions; "
         f"{result.labels_written} labels ({result.positive_labels} positive)"
@@ -233,7 +232,7 @@ def cmd_select(cfg: RunConfig) -> int:
     wd = _workdir(cfg)
     ds, dropped = _load_joined(cfg)
     x, _ = impute_mean(ds.x, feature_names=ds.feature_names)
-    policy = cfg.selection_policy(len(ds.feature_names))
+    policy = replace(cfg.selection, k=min(cfg.selection.k, len(ds.feature_names)))
     report = select(x, ds.feature_names, ds.y, policy, categorical_names=ds.categorical_names)
     out = wd / "selection_report.tsv"
     with open(out, "w") as sink:
@@ -257,16 +256,15 @@ def _split_plan(cfg: RunConfig, folds: int) -> SplitPlan:
 def cmd_train(cfg: RunConfig, kind: str) -> int:
     wd = _workdir(cfg)
     ds, _ = _load_joined(cfg)
-    settings = getattr(cfg, kind)
-    train, _test = split_train_test(ds, _split_plan(cfg, settings.folds))
-    pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names, scale=settings.scale)
-    model = MODELS[kind].from_settings(settings, cfg.seed)
-    model.fit(pre.transform(train.x), train.y)
+    classifier = getattr(cfg, kind)
+    train, _test = split_train_test(ds, _split_plan(cfg, classifier.folds))
+    pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names, scale=classifier.scale)
+    model = classifier.fit(pre.transform(train.x), train.y, cfg.seed)
     out = wd / f"model_{kind}.bin"
     save_model(
         out,
         kind,
-        model.model,
+        model,
         pre,
         train.feature_names,
         config_fingerprint=cfg.fingerprint(),
@@ -279,13 +277,10 @@ def cmd_train(cfg: RunConfig, kind: str) -> int:
 def cmd_cv(cfg: RunConfig, kind: str) -> int:
     wd = _workdir(cfg)
     ds, _ = _load_joined(cfg)
-    settings = getattr(cfg, kind)
-    plan = _split_plan(cfg, settings.folds)
+    plan = _split_plan(cfg, getattr(cfg, kind).folds)
     started = time.perf_counter()
-    factory = functools.partial(MODELS[kind].from_settings, settings, cfg.seed)
     report = cross_validate(
-        factory, ds, plan, scale=settings.scale, model_name=kind,
-        config_fingerprint=cfg.fingerprint(),
+        getattr(cfg, kind), ds, plan, model_name=kind, config_fingerprint=cfg.fingerprint()
     )
     payload = report.to_dict()
     payload["seed"] = cfg.seed
@@ -295,7 +290,7 @@ def cmd_cv(cfg: RunConfig, kind: str) -> int:
         export_fold_assignments(ds, kfold_indices(ds, plan), sink)
     for fr in report.folds:
         print(f"fold {fr.fold}: f1={fr.f1:.4f} accuracy={fr.accuracy:.4f}")
-    print(f"{kind} cv-{settings.folds}: mean f1={report.mean_f1:.4f} accuracy={report.mean_accuracy:.4f}")
+    print(f"{kind} cv-{plan.fold_count}: mean f1={report.mean_f1:.4f} accuracy={report.mean_accuracy:.4f}")
     return EXIT_OK
 
 

@@ -2,11 +2,12 @@
 
 Defaults are the production protocol: KNN k=5 on 10 folds, forest of 100
 trees at seed 42 and MLP (one hidden layer of 128, 100 epochs, Adam at
-0.001) on 5 folds each, 80-20 holdout split. The dataclass fields are the
-schema: ``load_config`` checks every value against its field's annotation,
-then builds each model once so its range checks run before any input is
-read. The fingerprint is a SHA-256 over the canonical JSON of every field
-except the filesystem paths, so reruns elsewhere compare equal.
+0.001) on 5 folds each, 80-20 holdout split. Each section is the dataclass
+its stage consumes, and the fields are the schema: ``load_config`` checks
+every value against its field's annotation and each section's own range
+checks, all before any input is read. The fingerprint is a SHA-256 over
+the canonical JSON of every field except the filesystem paths, so reruns
+elsewhere compare equal.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from typing import Optional
 from .aggregation import DEFAULT_SPECS, AggregatorSpec, validate_specs
 from .dataset import DEFAULT_QUESTION_GROUPS, SplitPlan
 from .errors import ConfigError
-from .evaluation import MODELS, ForestSettings, KnnSettings, MlpSettings, check_protocol
+from .evaluation import MODELS, ForestClassifier, KnnClassifier, MlpClassifier, check_protocol
 from .schema import build
-from .selection import DEFAULT_MANDATORY_DROPS, SelectionPolicy
-from .synth import DEFAULT_BIAS, DEFAULT_NOISE, DEFAULT_NULL_RATES, DEFAULT_WEIGHTS, SynthConfig
+from .selection import SelectionPolicy
+from .synth import SynthConfig
 
 _PATH = {"path": True}  # field metadata: resolved at run time, never fingerprinted
 
@@ -32,25 +33,6 @@ _PATH = {"path": True}  # field metadata: resolved at run time, never fingerprin
 class SplitSettings:
     test_fraction: float = 0.2
     grouping: str = "by_session"
-
-
-@dataclass
-class SelectionSettings:
-    k: int = 11
-    redundancy_threshold: float = 0.9
-    mandatory_drops: tuple[str, ...] = DEFAULT_MANDATORY_DROPS
-    mi_bins: int = 10
-    mi_unit: str = "nats"
-
-
-@dataclass
-class SynthSettings:
-    sessions: int = 120
-    events_per_session: int = 1000
-    noise: float = DEFAULT_NOISE
-    bias: float = DEFAULT_BIAS
-    weights: tuple[float, ...] = DEFAULT_WEIGHTS
-    null_rates: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_NULL_RATES))
 
 
 @dataclass
@@ -64,34 +46,12 @@ class RunConfig:
     question_groups: dict[int, str] = field(default_factory=lambda: dict(DEFAULT_QUESTION_GROUPS))
     aggregator_specs: tuple[AggregatorSpec, ...] = DEFAULT_SPECS
     split: SplitSettings = field(default_factory=SplitSettings)
-    selection: SelectionSettings = field(default_factory=SelectionSettings)
+    selection: SelectionPolicy = field(default_factory=SelectionPolicy)
     # one section per kind in evaluation.MODELS, named by the kind
-    knn: KnnSettings = field(default_factory=KnnSettings)
-    mlp: MlpSettings = field(default_factory=MlpSettings)
-    forest: ForestSettings = field(default_factory=ForestSettings)
-    synth: SynthSettings = field(default_factory=SynthSettings)
-
-    def selection_policy(self, n_features: Optional[int] = None) -> SelectionPolicy:
-        """The selection stage's policy; k is capped at ``n_features`` when given."""
-        sel = self.selection
-        return SelectionPolicy(
-            relevance_rank_k=sel.k if n_features is None else min(sel.k, n_features),
-            redundancy_threshold=sel.redundancy_threshold,
-            mandatory_drops=tuple(sel.mandatory_drops),
-            mi_bins=sel.mi_bins,
-            mi_unit=sel.mi_unit,
-        )
-
-    def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            sessions=self.synth.sessions,
-            events_per_session=self.synth.events_per_session,
-            seed=self.seed,
-            null_rates=dict(self.synth.null_rates),
-            weights=tuple(self.synth.weights),
-            bias=self.synth.bias,
-            noise=self.synth.noise,
-        )
+    knn: KnnClassifier = field(default_factory=KnnClassifier)
+    mlp: MlpClassifier = field(default_factory=MlpClassifier)
+    forest: ForestClassifier = field(default_factory=ForestClassifier)
+    synth: SynthConfig = field(default_factory=SynthConfig)
 
     def fingerprint_payload(self) -> dict:
         """Everything that can change computed results, canonically keyed."""
@@ -116,25 +76,13 @@ def _plain(value):
 
 
 def _check_ranges(cfg: RunConfig) -> None:
-    """Run the range checks of every stage that has them, before any input is read."""
+    """The checks that span sections; each section checked its own values."""
     if cfg.seed < 0:
         raise ConfigError("config.seed must be >= 0")
     validate_specs(cfg.aggregator_specs)
     check_protocol(cfg.protocol)
-    for kind, model in MODELS.items():
-        settings = getattr(cfg, kind)
-        _in_section(kind, model.from_settings, settings, cfg.seed)
-        SplitPlan(cfg.seed, cfg.split.test_fraction, settings.folds, cfg.split.grouping)
-    _in_section("selection", cfg.selection_policy)
-    _in_section("synth", cfg.synth_config)
-
-
-def _in_section(name: str, make, *args) -> None:
-    """Call ``make(*args)``, naming the config section in a ConfigError."""
-    try:
-        make(*args)
-    except ConfigError as exc:
-        raise ConfigError(f"config.{name}: {exc}") from None
+    for kind in MODELS:
+        SplitPlan(cfg.seed, cfg.split.test_fraction, getattr(cfg, kind).folds, cfg.split.grouping)
 
 
 def load_config(path: Optional[Path] = None, overrides: Optional[dict] = None) -> RunConfig:
@@ -143,8 +91,8 @@ def load_config(path: Optional[Path] = None, overrides: Optional[dict] = None) -
     if path is not None:
         try:
             data = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ConfigError(f"cannot read config file: {exc}") from None
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -75,8 +75,8 @@ class TooFewRowsError(DataError):
 # selection / metrics ----------------------------------------------------
 
 class LengthMismatchError(DataError):
-    def __init__(self, n_left: int, n_right: int):
-        super().__init__(f"vector lengths differ: {n_left} vs {n_right}")
+    def __init__(self, n_left: int, n_right: int, what: str = "vector lengths"):
+        super().__init__(f"{what} differ: {n_left} vs {n_right}")
 
 
 class PolicyUnsatisfiableError(ConfigError):

@@ -8,9 +8,8 @@ assembled by fold index, independent of evaluation order.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -99,71 +98,33 @@ def majority_baseline_f1(y: Sequence[int]) -> float:
     return 2.0 * p / (1.0 + p)
 
 
-@dataclass
-class KnnSettings:
+def _shared_fields(section, target) -> dict:
+    """The section values whose names the dataclass ``target`` also declares."""
+    names = {f.name for f in fields(target)}
+    return {k: v for k, v in asdict(section).items() if k in names}
+
+
+class Classifier:
+    """One model kind, listed in ``MODELS``; each is a dataclass whose fields
+    are its config section, range-checked when it is built. ``fit(x, y,
+    seed)`` returns a fitted model, ``apply`` predicts with one, and
+    ``to_container``/``from_container`` map one to its container header
+    section and arrays. Its ``folds`` and ``scale`` fields set how it is
+    evaluated."""
+
+
+@dataclass(frozen=True)
+class KnnClassifier(Classifier):
     k: int = 5
     metric: str = "euclidean"
     folds: int = 10
     scale: bool = True
 
+    def __post_init__(self):
+        check_knn_params(self.k, self.metric)
 
-@dataclass
-class MlpSettings:
-    hidden_sizes: tuple[int, ...] = (128,)
-    output_dim: int = 2
-    epochs: int = 100
-    learning_rate: float = 0.001
-    batch_size: int = 256
-    hidden_activation: str = "logistic"
-    folds: int = 5
-    scale: bool = True
-
-
-@dataclass
-class ForestSettings:
-    trees: int = 100
-    criterion: str = "gini"
-    feature_subsample: str = "sqrt"
-    max_depth: Optional[int] = None
-    min_samples_split: int = 2
-    folds: int = 5
-    scale: bool = False
-
-
-def _shared_fields(settings, target) -> dict:
-    """The settings values whose names the dataclass ``target`` also declares."""
-    names = {f.name for f in fields(target)}
-    return {k: v for k, v in asdict(settings).items() if k in names}
-
-
-class Classifier:
-    """One model kind, listed in ``MODELS``: ``settings`` is its config section;
-    ``from_settings`` builds it (running its range checks); ``fit`` stores the
-    fitted model in ``self.model``; ``apply`` predicts with a fitted model; and
-    ``to_container``/``from_container`` map it to its container header section
-    and arrays."""
-
-    settings: type
-    model = None
-
-    def predict(self, x):
-        return self.apply(self.model, x)
-
-
-class KnnClassifier(Classifier):
-    settings = KnnSettings
-
-    def __init__(self, k: int = 5, metric: str = "euclidean"):
-        check_knn_params(k, metric)
-        self.k = k
-        self.metric = metric
-
-    @classmethod
-    def from_settings(cls, settings: KnnSettings, seed: int) -> "KnnClassifier":
-        return cls(k=settings.k, metric=settings.metric)
-
-    def fit(self, x, y):
-        self.model = knn_fit(x, y, k=self.k, metric=self.metric)
+    def fit(self, x, y, seed: int) -> KnnModel:
+        return knn_fit(x, y, k=self.k, metric=self.metric)
 
     @staticmethod
     def apply(model: KnnModel, x):
@@ -175,26 +136,29 @@ class KnnClassifier(Classifier):
 
     @staticmethod
     def from_container(section: dict, arrays: dict) -> KnnModel:
-        settings = build(KnnSettings, {"k": section["k"], "metric": section["metric"]}, "knn")
-        return knn_fit(arrays["knn_x"], arrays["knn_y"], k=settings.k, metric=settings.metric)
+        knn = build(KnnClassifier, {"k": section["k"], "metric": section["metric"]}, "knn")
+        return knn_fit(arrays["knn_x"], arrays["knn_y"], k=knn.k, metric=knn.metric)
 
 
+@dataclass(frozen=True)
 class MlpClassifier(Classifier):
-    settings = MlpSettings
+    hidden_sizes: tuple[int, ...] = (128,)
+    output_dim: int = 2
+    epochs: int = 100
+    learning_rate: float = 0.001
+    batch_size: int = 256
+    hidden_activation: str = "logistic"
+    folds: int = 5
+    scale: bool = True
 
-    def __init__(self, config: MlpConfig):
-        self.config = config
+    def __post_init__(self):
+        self._config(input_dim=1, seed=0)
 
-    @classmethod
-    def from_settings(cls, settings: MlpSettings, seed: int) -> "MlpClassifier":
-        # input_dim is reset at fit time to the preprocessed width
-        return cls(MlpConfig(input_dim=1, seed=seed, **_shared_fields(settings, MlpConfig)))
+    def _config(self, input_dim: int, seed: int) -> MlpConfig:
+        return MlpConfig(input_dim=input_dim, seed=seed, **_shared_fields(self, MlpConfig))
 
-    def fit(self, x, y):
-        cfg = self.config
-        if cfg.input_dim != x.shape[1]:
-            cfg = replace(cfg, input_dim=x.shape[1])
-        self.model = mlp_train(cfg, (x, y))
+    def fit(self, x, y, seed: int) -> MlpModel:
+        return mlp_train(self._config(x.shape[1], seed), (x, y))
 
     @staticmethod
     def apply(model: MlpModel, x):
@@ -223,22 +187,25 @@ class MlpClassifier(Classifier):
         return MlpModel(weights, biases, config, list(arrays["mlp_loss_history"]))
 
 
+@dataclass(frozen=True)
 class ForestClassifier(Classifier):
-    settings = ForestSettings
+    trees: int = 100
+    criterion: str = "gini"
+    feature_subsample: str = "sqrt"
+    max_depth: Optional[int] = None
+    min_samples_split: int = 2
+    folds: int = 5
+    scale: bool = False
 
-    def __init__(self, tree_count: int = 100, config: TreeConfig = TreeConfig(feature_subsample="sqrt"), seed: int = 42):
-        check_tree_count(tree_count)
-        self.tree_count = tree_count
-        self.config = config
-        self.seed = seed
+    def __post_init__(self):
+        check_tree_count(self.trees)
+        self._config(seed=0)
 
-    @classmethod
-    def from_settings(cls, settings: ForestSettings, seed: int) -> "ForestClassifier":
-        config = TreeConfig(seed=seed, **_shared_fields(settings, TreeConfig))
-        return cls(tree_count=settings.trees, config=config, seed=seed)
+    def _config(self, seed: int) -> TreeConfig:
+        return TreeConfig(seed=seed, **_shared_fields(self, TreeConfig))
 
-    def fit(self, x, y):
-        self.model = forest_fit(x, y, tree_count=self.tree_count, config=self.config, seed=self.seed)
+    def fit(self, x, y, seed: int) -> ForestModel:
+        return forest_fit(x, y, tree_count=self.trees, config=self._config(seed), seed=seed)
 
     @staticmethod
     def apply(model: ForestModel, x):
@@ -321,9 +288,9 @@ class EvalReport:
 
 
 def _evaluate(
-    model_factory: Callable[[], Classifier],
+    classifier: Classifier,
     pairs: Iterable[tuple[LabeledDataset, LabeledDataset]],
-    scale: bool,
+    seed: int,
     model_name: str,
     protocol: str,
     config_fingerprint: str,
@@ -333,10 +300,11 @@ def _evaluate(
     folds: list[FoldResult] = []
     for i, (train, test) in enumerate(pairs):
         try:
-            pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names, scale=scale)
-            model = model_factory()
-            model.fit(pre.transform(train.x), train.y)
-            folds.append(FoldResult.of(i, model.predict(pre.transform(test.x)), test.y))
+            pre = fit_preprocessor(
+                train.x, train.feature_names, train.categorical_names, scale=classifier.scale
+            )
+            model = classifier.fit(pre.transform(train.x), train.y, seed)
+            folds.append(FoldResult.of(i, classifier.apply(model, pre.transform(test.x)), test.y))
         except Exception as exc:
             # Re-raise the same exception, so its class and exit code are
             # kept, with the fold index prefixed to its message.
@@ -354,31 +322,29 @@ def _evaluate(
 
 
 def cross_validate(
-    model_factory: Callable[[], Classifier],
+    classifier: Classifier,
     dataset: LabeledDataset,
     plan: SplitPlan,
-    scale: bool = True,
     model_name: str = "model",
     config_fingerprint: str = "",
 ) -> EvalReport:
     """k-fold evaluation with per-fold preprocessing re-fit."""
     return _evaluate(
-        model_factory, kfold(dataset, plan), scale, model_name,
+        classifier, kfold(dataset, plan), plan.seed, model_name,
         f"cv-{plan.fold_count}", config_fingerprint,
     )
 
 
 def holdout_evaluate(
-    model_factory: Callable[[], Classifier],
+    classifier: Classifier,
     dataset: LabeledDataset,
     plan: SplitPlan,
-    scale: bool = True,
     model_name: str = "model",
     config_fingerprint: str = "",
 ) -> EvalReport:
     """Single train/test evaluation under the plan's holdout fraction."""
     return _evaluate(
-        model_factory, [split_train_test(dataset, plan)], scale, model_name,
+        classifier, [split_train_test(dataset, plan)], plan.seed, model_name,
         f"holdout-{plan.test_fraction:g}", config_fingerprint,
     )
 
@@ -424,7 +390,7 @@ def check_protocol(protocol: str) -> None:
 
 
 def benchmark(
-    models: Mapping[str, object],
+    models: Mapping[str, Classifier],
     dataset: LabeledDataset,
     seed: int = 42,
     grouping: str = "by_session",
@@ -434,25 +400,23 @@ def benchmark(
 ) -> BenchmarkResult:
     """Evaluate every model under its own fold count, plus the reference row.
 
-    ``models`` maps a kind in ``MODELS`` to that kind's settings.
+    ``models`` maps a kind in ``MODELS`` to that kind's classifier.
     """
     if not models:
         raise ConfigError("benchmark requires at least one model spec")
     check_protocol(protocol)
     rows: list[BenchmarkRow] = []
     reports: list[EvalReport] = []
-    for name, settings in models.items():
+    for name, classifier in models.items():
         plan = SplitPlan(
             seed=seed,
             test_fraction=test_fraction,
-            fold_count=settings.folds,
+            fold_count=classifier.folds,
             grouping=grouping,
         )
-        factory = functools.partial(MODELS[name].from_settings, settings, seed)
         evaluate = cross_validate if protocol == "cv" else holdout_evaluate
         report = evaluate(
-            factory, dataset, plan, scale=settings.scale,
-            model_name=name, config_fingerprint=config_fingerprint,
+            classifier, dataset, plan, model_name=name, config_fingerprint=config_fingerprint
         )
         reports.append(report)
         rows.append(

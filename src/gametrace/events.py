@@ -197,6 +197,26 @@ def _diagnose_row(row: Sequence[str], pos: dict[str, int]) -> str:
     return "row"  # wrong field count or another structural defect
 
 
+def _positions(reader, columns: Sequence[str]) -> tuple[list[str], dict[str, int]]:
+    """The header row, and the position in it of each of ``columns``."""
+    header = next(reader, [])
+    for name in columns:
+        if name not in header:
+            raise MissingColumnError(name)
+    return header, {name: header.index(name) for name in columns}
+
+
+def _unreadable(source: IO[str], reader, exc: Exception) -> DataError:
+    """A csv.Error or UnicodeDecodeError as a DataError naming file and line."""
+    where = getattr(source, "name", "input")
+    if isinstance(exc, UnicodeDecodeError):
+        # The text layer decodes a whole chunk ahead of the csv reader; the
+        # bad line is the next one, plus the lines before the bad byte.
+        line = reader.line_num + 1 + exc.object[: exc.start].count(b"\n")
+        return DataError(f"{where}: line {line} is not UTF-8")
+    return DataError(f"{where}: line {reader.line_num}: {exc}")
+
+
 def read_events(
     source: IO[str],
     schema: Sequence[str] = EVENT_COLUMNS,
@@ -207,118 +227,114 @@ def read_events(
     Malformed rows are skipped and recorded in ``report`` with their line
     number; level/level_group inconsistencies are counted but the event is
     still emitted. Raises MissingColumnError if the header lacks a schema
-    column.
+    column, and DataError, naming the line, on text that is not UTF-8 or
+    that the csv module cannot split (such as a field over its size limit).
     """
     rep = report if report is not None else IngestReport()
     reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None:
-        raise MissingColumnError(schema[0])
-    pos = {}
-    for name in schema:
-        try:
-            pos[name] = header.index(name)
-        except ValueError:
-            raise MissingColumnError(name) from None
-    extras = tuple(c for c in header if c not in schema)
-    if extras:
-        rep.unknown_columns = extras
-        logger.warning("ignoring %d unknown column(s): %s", len(extras), ", ".join(extras))
+    try:
+        header, pos = _positions(reader, schema)
+        extras = tuple(c for c in header if c not in schema)
+        if extras:
+            rep.unknown_columns = extras
+            logger.warning("ignoring %d unknown column(s): %s", len(extras), ", ".join(extras))
 
-    # Hot loop: locals for column positions, inline conversions, one
-    # try/except per row with diagnosis deferred to the slow path.
-    i_sid = pos["session_id"]
-    i_idx = pos["index"]
-    i_et = pos["elapsed_time"]
-    i_en = pos["event_name"]
-    i_nm = pos["name"]
-    i_lv = pos["level"]
-    i_pg = pos["page"]
-    i_rx = pos["room_coor_x"]
-    i_ry = pos["room_coor_y"]
-    i_sx = pos["screen_coor_x"]
-    i_sy = pos["screen_coor_y"]
-    i_hd = pos["hover_duration"]
-    i_tx = pos["text"]
-    i_fq = pos["fqid"]
-    i_rf = pos["room_fqid"]
-    i_tf = pos["text_fqid"]
-    i_fs = pos["fullscreen"]
-    i_hq = pos["hq"]
-    i_mu = pos["music"]
-    i_lg = pos["level_group"]
-    groups = LEVEL_GROUPS
+        # Hot loop: locals for column positions, inline conversions, one
+        # try/except per row with diagnosis deferred to the slow path.
+        i_sid = pos["session_id"]
+        i_idx = pos["index"]
+        i_et = pos["elapsed_time"]
+        i_en = pos["event_name"]
+        i_nm = pos["name"]
+        i_lv = pos["level"]
+        i_pg = pos["page"]
+        i_rx = pos["room_coor_x"]
+        i_ry = pos["room_coor_y"]
+        i_sx = pos["screen_coor_x"]
+        i_sy = pos["screen_coor_y"]
+        i_hd = pos["hover_duration"]
+        i_tx = pos["text"]
+        i_fq = pos["fqid"]
+        i_rf = pos["room_fqid"]
+        i_tf = pos["text_fqid"]
+        i_fs = pos["fullscreen"]
+        i_hq = pos["hq"]
+        i_mu = pos["music"]
+        i_lg = pos["level_group"]
+        groups = LEVEL_GROUPS
 
-    lineno = 1
-    for row in reader:
-        lineno += 1
-        rep.rows_read += 1
-        try:
-            sid = row[i_sid]
-            index = int(row[i_idx])
-            elapsed = int(row[i_et])
-            event_name = row[i_en]
-            name = row[i_nm]
-            level = int(row[i_lv])
-            v = row[i_pg]
-            page = int(v) if v else None
-            v = row[i_rx]
-            rx = float(v) if v else None
-            v = row[i_ry]
-            ry = float(v) if v else None
-            v = row[i_sx]
-            sx = float(v) if v else None
-            v = row[i_sy]
-            sy = float(v) if v else None
-            v = row[i_hd]
-            hover = int(v) if v else None
-            v = row[i_tx]
-            text = v if v else None
-            v = row[i_fq]
-            fqid = v if v else None
-            v = row[i_rf]
-            room_fqid = v if v else None
-            v = row[i_tf]
-            text_fqid = v if v else None
-            fullscreen = int(row[i_fs])
-            hq = int(row[i_hq])
-            music = int(row[i_mu])
-            group = row[i_lg]
-            if (
-                not sid
-                or not event_name
-                or not name
-                or index < 0
-                or elapsed < 0
-                or not MIN_LEVEL <= level <= MAX_LEVEL
-                or fullscreen not in (0, 1)
-                or hq not in (0, 1)
-                or music not in (0, 1)
-                or group not in groups
-                or (page is not None and page < 0)
-                or (hover is not None and hover < 0)
-                or (rx is not None and not isfinite(rx))
-                or (ry is not None and not isfinite(ry))
-                or (sx is not None and not isfinite(sx))
-                or (sy is not None and not isfinite(sy))
-            ):
-                raise ValueError
-        except (ValueError, IndexError):
+        lineno = 1
+        for row in reader:
+            lineno += 1
+            rep.rows_read += 1
             try:
-                column = _diagnose_row(row, pos)
-                value = row[pos[column]] if column in pos else ",".join(row)
-            except (IndexError, KeyError):
-                column, value = "row", ",".join(row)
-            rep.record_error(lineno, column, value)
-            continue
+                sid = row[i_sid]
+                index = int(row[i_idx])
+                elapsed = int(row[i_et])
+                event_name = row[i_en]
+                name = row[i_nm]
+                level = int(row[i_lv])
+                v = row[i_pg]
+                page = int(v) if v else None
+                v = row[i_rx]
+                rx = float(v) if v else None
+                v = row[i_ry]
+                ry = float(v) if v else None
+                v = row[i_sx]
+                sx = float(v) if v else None
+                v = row[i_sy]
+                sy = float(v) if v else None
+                v = row[i_hd]
+                hover = int(v) if v else None
+                v = row[i_tx]
+                text = v if v else None
+                v = row[i_fq]
+                fqid = v if v else None
+                v = row[i_rf]
+                room_fqid = v if v else None
+                v = row[i_tf]
+                text_fqid = v if v else None
+                fullscreen = int(row[i_fs])
+                hq = int(row[i_hq])
+                music = int(row[i_mu])
+                group = row[i_lg]
+                if (
+                    not sid
+                    or not event_name
+                    or not name
+                    or index < 0
+                    or elapsed < 0
+                    or not MIN_LEVEL <= level <= MAX_LEVEL
+                    or fullscreen not in (0, 1)
+                    or hq not in (0, 1)
+                    or music not in (0, 1)
+                    or group not in groups
+                    or (page is not None and page < 0)
+                    or (hover is not None and hover < 0)
+                    or (rx is not None and not isfinite(rx))
+                    or (ry is not None and not isfinite(ry))
+                    or (sx is not None and not isfinite(sx))
+                    or (sy is not None and not isfinite(sy))
+                ):
+                    raise ValueError
+            except (ValueError, IndexError):
+                try:
+                    column = _diagnose_row(row, pos)
+                    value = row[pos[column]] if column in pos else ",".join(row)
+                except (IndexError, KeyError):
+                    column, value = "row", ",".join(row)
+                rep.record_error(lineno, column, value)
+                continue
 
-        if group != level_group_for(level):
-            rep.consistency_violations += 1
-        rep.events_emitted += 1
-        yield RawEvent(
-            sid, index, elapsed, event_name, name, level, page, rx, ry, sx, sy,
-            hover, text, fqid, room_fqid, text_fqid, fullscreen, hq, music, group,
-        )
+            if group != level_group_for(level):
+                rep.consistency_violations += 1
+            rep.events_emitted += 1
+            yield RawEvent(
+                sid, index, elapsed, event_name, name, level, page, rx, ry, sx, sy,
+                hover, text, fqid, room_fqid, text_fqid, fullscreen, hq, music, group,
+            )
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise _unreadable(source, reader, exc) from None
 
 
 def _cell(value) -> str:
@@ -348,41 +364,36 @@ def write_events(sink: IO[str], events: Iterable[RawEvent]) -> int:
 def read_labels(source: IO[str]) -> list[LabelRecord]:
     """Read the label file: columns session_id, question, correct (0/1).
 
-    Strict: any malformed row raises. Duplicate (session, question) pairs
-    and questions outside [1, 18] are errors.
+    Strict: any malformed row raises, as does text that is not UTF-8.
+    Duplicate (session, question) pairs and questions outside [1, 18] are
+    errors.
     """
     reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None:
-        raise MissingColumnError(LABEL_COLUMNS[0])
-    pos = {}
-    for name in LABEL_COLUMNS:
-        try:
-            pos[name] = header.index(name)
-        except ValueError:
-            raise MissingColumnError(name) from None
-    i_sid, i_q, i_c = pos["session_id"], pos["question"], pos["correct"]
-
     records: list[LabelRecord] = []
     seen: set[tuple[str, int]] = set()
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            sid = row[i_sid]
-            question = int(row[i_q])
-            correct = row[i_c]
-        except (ValueError, IndexError):
-            raise DataError(f"malformed label row at line {lineno}") from None
-        if not sid:
-            raise DataError(f"empty session_id in label row at line {lineno}")
-        if question not in QUESTION_RANGE:
-            raise QuestionOutOfRangeError(question)
-        if correct not in ("0", "1"):
-            raise DataError(f"correct must be 0 or 1, got {correct!r} at line {lineno}")
-        key = (sid, question)
-        if key in seen:
-            raise DuplicateLabelError(sid, question)
-        seen.add(key)
-        records.append(LabelRecord(sid, question, correct == "1"))
+    try:
+        _, pos = _positions(reader, LABEL_COLUMNS)
+        i_sid, i_q, i_c = pos["session_id"], pos["question"], pos["correct"]
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                sid = row[i_sid]
+                question = int(row[i_q])
+                correct = row[i_c]
+            except (ValueError, IndexError):
+                raise DataError(f"malformed label row at line {lineno}") from None
+            if not sid:
+                raise DataError(f"empty session_id in label row at line {lineno}")
+            if question not in QUESTION_RANGE:
+                raise QuestionOutOfRangeError(question)
+            if correct not in ("0", "1"):
+                raise DataError(f"correct must be 0 or 1, got {correct!r} at line {lineno}")
+            key = (sid, question)
+            if key in seen:
+                raise DuplicateLabelError(sid, question)
+            seen.add(key)
+            records.append(LabelRecord(sid, question, correct == "1"))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise _unreadable(source, reader, exc) from None
     return records
 
 

@@ -19,6 +19,8 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     KTooLargeError,
+    LengthMismatchError,
+    ShapeMismatchError,
     ZeroVectorError,
 )
 
@@ -46,8 +48,10 @@ def knn_fit(x: np.ndarray, y: Sequence[int], k: int = 5, metric: str = "euclidea
     x = np.array(x, dtype=np.float64)  # private copy, caller mutations invisible
     y = np.array(y, dtype=np.int64)
     check_knn_params(k, metric)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-        raise DimensionMismatchError(x.shape[0], y.shape[0])
+    if x.ndim != 2 or y.ndim != 1:
+        raise ShapeMismatchError(f"knn needs 2-D rows and 1-D labels, got {x.ndim}-D and {y.ndim}-D")
+    if x.shape[0] != y.shape[0]:
+        raise LengthMismatchError(x.shape[0], y.shape[0], "row and label counts")
     if k > x.shape[0]:
         raise KTooLargeError(k, x.shape[0])
     if np.isnan(x).any():

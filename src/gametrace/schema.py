@@ -3,7 +3,8 @@
 One checker for every JSON document the pipeline reads that maps onto
 dataclasses: the run config and the model container header. A value that
 does not match its field's annotation raises ConfigError naming where it
-sits; lists become tuples where the annotation says so.
+sits; lists become tuples where the annotation says so. A dataclass whose
+``__post_init__`` range-checks its values is checked in the same pass.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ def _key(key, tp, where: str):
 
 
 def build(cls, data: dict, where: str):
-    """An instance of dataclass ``cls`` from ``data``, defaults filling the rest."""
+    """An instance of dataclass ``cls`` from ``data``, defaults filling the rest;
+    a ConfigError from the dataclass's own checks is re-raised naming ``where``."""
     hints = get_type_hints(cls)
     names = {f.name for f in fields(cls)}
     for key in data:
@@ -68,4 +70,8 @@ def build(cls, data: dict, where: str):
     for f in fields(cls):
         if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{where} is missing {f.name!r}")
-    return cls(**{k: check(v, hints[k], f"{where}.{k}") for k, v in data.items()})
+    values = {k: check(v, hints[k], f"{where}.{k}") for k, v in data.items()}
+    try:
+        return cls(**values)
+    except ConfigError as exc:  # the dataclass's own range checks
+        raise ConfigError(f"{where}: {exc}") from None

@@ -36,6 +36,13 @@ def pearson(xcol: np.ndarray, ycol: np.ndarray) -> float:
     return min(1.0, max(-1.0, r))
 
 
+def check_mi_params(bins: int, unit: str) -> None:
+    if bins < 2:
+        raise ConfigError("mi_bins must be >= 2")
+    if unit not in ("nats", "bits"):
+        raise ConfigError(f"unknown mi_unit {unit!r}")
+
+
 def mutual_information(
     feature: np.ndarray,
     label: np.ndarray,
@@ -56,15 +63,12 @@ def mutual_information(
     n = f.shape[0]
     if n == 0:
         raise DataError("mutual information requires at least 1 observation")
-    if unit not in ("nats", "bits"):
-        raise ConfigError(f"unknown unit {unit!r}")
+    check_mi_params(bins, unit)
 
     if categorical:
         _, fx = np.unique(f, return_inverse=True)
         nx = int(fx.max()) + 1
     else:
-        if bins < 2:
-            raise ConfigError("bins must be >= 2 for continuous features")
         lo, hi = float(f.min()), float(f.max())
         if hi == lo:
             fx = np.zeros(n, dtype=np.int64)
@@ -90,17 +94,18 @@ def mutual_information(
 
 @dataclass(frozen=True)
 class SelectionPolicy:
-    relevance_rank_k: int
+    k: int = 11  # features kept, at most
     redundancy_threshold: float = 0.9
     mandatory_drops: tuple[str, ...] = DEFAULT_MANDATORY_DROPS
     mi_bins: int = 10
     mi_unit: str = "nats"
 
     def __post_init__(self):
-        if self.relevance_rank_k < 1:
-            raise ConfigError("relevance_rank_k must be >= 1")
+        if self.k < 1:
+            raise ConfigError("k must be >= 1")
         if not 0.0 < self.redundancy_threshold <= 1.0:
             raise ConfigError("redundancy_threshold must be in (0, 1]")
+        check_mi_params(self.mi_bins, self.mi_unit)
 
 
 @dataclass
@@ -163,7 +168,7 @@ def select(
     kept: list[str] = []
     reasons: dict[str, str] = {}
     for n in ranked:
-        if len(kept) >= policy.relevance_rank_k:
+        if len(kept) >= policy.k:
             reasons[n] = "rank_limit"
             continue
         clash = None
@@ -177,8 +182,8 @@ def select(
         else:
             kept.append(n)
             reasons[n] = "kept"
-    if len(kept) < policy.relevance_rank_k:
-        raise PolicyUnsatisfiableError(len(kept), policy.relevance_rank_k)
+    if len(kept) < policy.k:
+        raise PolicyUnsatisfiableError(len(kept), policy.k)
 
     scores = [
         FeatureScore(n, r_label[n], mi_score[n], reasons[n] == "kept", reasons[n])

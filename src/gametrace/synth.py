@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -76,8 +76,7 @@ _TEXT_FQID_VOCAB = tuple(f"dialog.node_{i:02d}" for i in range(20))
 class SynthConfig:
     sessions: int = 120
     events_per_session: int = 1000
-    seed: int = 42
-    null_rates: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_NULL_RATES))
+    null_rates: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_NULL_RATES))
     weights: tuple[float, ...] = DEFAULT_WEIGHTS
     bias: float = DEFAULT_BIAS
     noise: float = DEFAULT_NOISE
@@ -113,7 +112,7 @@ def _maybe(rng: np.random.Generator, rate: float, value):
 
 
 def _session_events(sid: str, rng: np.random.Generator, cfg: SynthConfig) -> list[RawEvent]:
-    rates = {**DEFAULT_NULL_RATES, **dict(cfg.null_rates)}
+    rates = {**DEFAULT_NULL_RATES, **cfg.null_rates}
     mean = cfg.events_per_session
     n = max(46, int(rng.normal(mean, 0.1 * mean)))
     # every level gets at least one event; the rest spread by random weights
@@ -203,11 +202,12 @@ def _group_truth(events: Sequence[RawEvent]) -> list[Optional[float]]:
     ]
 
 
-def generate(config: SynthConfig, outdir: Path) -> SynthResult:
+def generate(config: SynthConfig, outdir: Path, seed: int) -> SynthResult:
     """Write events.csv, labels.csv, and manifest.json under outdir.
 
-    Byte-identical for a fixed config; sessions are generated from seeds
-    derived by session index, so output does not depend on iteration order.
+    Byte-identical for a fixed config and seed; sessions are generated from
+    seeds derived by session index, so output does not depend on iteration
+    order.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -224,7 +224,7 @@ def generate(config: SynthConfig, outdir: Path) -> SynthResult:
         def stream():
             nonlocal events_written
             for i, sid in enumerate(sids):
-                rng = np.random.default_rng(derive_seed(config.seed, i))
+                rng = np.random.default_rng(derive_seed(seed, i))
                 session = _session_events(sid, rng, config)
                 by_group: dict[str, list[RawEvent]] = {g: [] for g in LEVEL_GROUPS}
                 for ev in session:
@@ -262,7 +262,7 @@ def generate(config: SynthConfig, outdir: Path) -> SynthResult:
     draws: list[dict] = []
     positives = 0
     for i, sid in enumerate(sids):
-        rng = np.random.default_rng(derive_seed(config.seed, config.sessions + i))
+        rng = np.random.default_rng(derive_seed(seed, config.sessions + i))
         for q in range(1, 19):
             g = DEFAULT_QUESTION_GROUPS[q]
             zrow = zs[row_of[f"{sid}|{g}"]]
@@ -288,8 +288,8 @@ def generate(config: SynthConfig, outdir: Path) -> SynthResult:
         "config": {
             "sessions": config.sessions,
             "events_per_session": config.events_per_session,
-            "seed": config.seed,
-            "null_rates": {**DEFAULT_NULL_RATES, **dict(config.null_rates)},
+            "seed": seed,
+            "null_rates": {**DEFAULT_NULL_RATES, **config.null_rates},
             "weights": list(config.weights),
             "bias": config.bias,
             "noise": config.noise,

@@ -91,6 +91,6 @@ def small_corpus(tmp_path_factory):
     from gametrace.synth import SynthConfig, generate
 
     outdir = tmp_path_factory.mktemp("corpus")
-    cfg = SynthConfig(sessions=12, events_per_session=120, seed=7)
-    result = generate(cfg, outdir)
+    cfg = SynthConfig(sessions=12, events_per_session=120)
+    result = generate(cfg, outdir, seed=7)
     return cfg, result

@@ -43,8 +43,8 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 def big_corpus(tmp_path_factory):
     """>= 1e6 events: 1000 sessions at ~1000 events each."""
     outdir = tmp_path_factory.mktemp("big")
-    cfg = SynthConfig(sessions=1000, events_per_session=1000, seed=42)
-    result = generate(cfg, outdir)
+    cfg = SynthConfig(sessions=1000, events_per_session=1000)
+    result = generate(cfg, outdir, seed=42)
     assert result.events_written >= 1_000_000
     return result
 
@@ -229,9 +229,9 @@ def test_criterion_5_tree_and_forest_correctness():
 def test_criterion_6_selection_ground_truth(tmp_path):
     dominant = "room_coor_x_mean"
     weights = tuple(10.0 if name == dominant else 0.05 for name in FEATURE_NAMES)
-    cfg = SynthConfig(sessions=60, events_per_session=200, seed=6,
+    cfg = SynthConfig(sessions=60, events_per_session=200,
                       weights=weights, bias=0.0, noise=0.0)
-    result = generate(cfg, tmp_path)
+    result = generate(cfg, tmp_path, seed=6)
     with open(result.events_path, newline="") as fh:
         agg = StreamingAggregator(DEFAULT_SPECS)
         agg.update_all(read_events(fh))
@@ -240,7 +240,7 @@ def test_criterion_6_selection_ground_truth(tmp_path):
         labels = read_labels(fh)
     ds, _ = join(matrix, labels)
     x, _ = impute_mean(ds.x, feature_names=ds.feature_names)
-    policy = SelectionPolicy(relevance_rank_k=5, redundancy_threshold=0.9)
+    policy = SelectionPolicy(k=5, redundancy_threshold=0.9)
     sel = select(x, ds.feature_names, ds.y, policy)
     first_is_dominant = sel.scores[0].name == dominant and sel.selected[0] == dominant
 

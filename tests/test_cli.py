@@ -1,6 +1,7 @@
 import json
 import shutil
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from gametrace.config import RunConfig, load_config
 from gametrace.errors import ConfigError
 from gametrace.evaluation import MODELS
 from gametrace.model_io import MAGIC, load_container, load_model, save_container
+from gametrace.selection import SelectionPolicy
+from gametrace.synth import SynthConfig
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -72,6 +75,8 @@ MALFORMED_CONFIGS = [
     {"selection": {"k": "3"}},
     {"selection": {"k": 0}},
     {"selection": {"redundancy_threshold": 2.0}},
+    {"selection": {"mi_unit": "bogus"}},
+    {"selection": {"mi_bins": 1}},
     {"synth": {"sessions": 0}},
     {"question_groups": [1, 2]},
     {"question_groups": {"x": "0-4"}},
@@ -87,6 +92,26 @@ def test_malformed_config_exits_1_before_reading_inputs(tmp_path, bad):
     cfg.write_text(json.dumps(bad))
     # the workdir holds no inputs: a config that got past loading would exit 2
     assert run("aggregate", "--workdir", str(tmp_path), "--config", str(cfg)) == 1
+
+
+def test_section_check_names_its_section(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mlp": {"epochs": 0}}))
+    assert run("aggregate", "--workdir", str(tmp_path), "--config", str(cfg)) == 1
+    assert "config.mlp: epochs must be >= 1" in capsys.readouterr().err
+
+
+def test_config_path_that_is_a_directory_exits_1(tmp_path, capsys):
+    assert run("aggregate", "--workdir", str(tmp_path), "--config", str(tmp_path)) == 1
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_run_config_sections_are_the_stage_types():
+    hints = get_type_hints(RunConfig)
+    assert hints["selection"] is SelectionPolicy
+    assert hints["synth"] is SynthConfig
+    for kind, entry in MODELS.items():
+        assert hints[kind] is entry
 
 
 def test_k_above_training_rows_exits_1_in_train_and_cv(pipeline_dir, tmp_path, capsys):
@@ -108,7 +133,7 @@ def test_model_choices_are_the_registry(command):
 def test_every_registered_kind_has_its_config_section():
     cfg = RunConfig()
     for kind, entry in MODELS.items():
-        assert isinstance(getattr(cfg, kind), entry.settings)
+        assert isinstance(getattr(cfg, kind), entry)
         assert kind in cfg.fingerprint_payload()
 
 
@@ -161,7 +186,6 @@ def test_train_then_load_matches_in_memory_predictions(pipeline_dir):
     # reproduce the same training in memory from the same artifacts
     from gametrace.cli import _load_joined, _split_plan
     from gametrace.dataset import fit_preprocessor, split_train_test
-    from gametrace.evaluation import MODELS
 
     cfg = load_config(None)
     cfg.workdir = str(pipeline_dir)
@@ -169,13 +193,12 @@ def test_train_then_load_matches_in_memory_predictions(pipeline_dir):
     train, test = split_train_test(ds, _split_plan(cfg, cfg.forest.folds))
     pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names,
                            scale=cfg.forest.scale)
-    model = MODELS["forest"].from_settings(cfg.forest, cfg.seed)
-    model.fit(pre.transform(train.x), train.y)
+    model = cfg.forest.fit(pre.transform(train.x), train.y, cfg.seed)
 
     rng = np.random.default_rng(0)
     probes = ds.x[rng.integers(0, len(ds), size=100)]
     filled = np.where(np.isnan(probes), 0.0, probes)
-    assert np.array_equal(loaded.predict(filled), model.predict(pre.transform(filled)))
+    assert np.array_equal(loaded.predict(filled), cfg.forest.apply(model, pre.transform(filled)))
 
 
 def test_evaluate_uses_holdout_test_side(pipeline_dir):
@@ -243,7 +266,7 @@ MALFORMED_CONTAINERS = {
     "split on feature -2": ("forest", _first_split_on(-2), "splits on feature -2"),
     "tree_thresholds short": ("forest", _array("tree_thresholds", lambda v: v[:-1]), "tree arrays differ"),
     "no trees, tree_count 3": ("forest", _no_trees, "forest holds 0 trees, header says 3"),
-    "knn_y short": ("knn", _array("knn_y", lambda v: v[:-1]), "does not match stored dimension"),
+    "knn_y short": ("knn", _array("knn_y", lambda v: v[:-1]), "row and label counts differ"),
     "knn k above rows": ("knn", _section("knn", k=100000), "k=100000 exceeds"),
     "knn k a string": ("knn", _section("knn", k="5"), "knn.k must be int"),
     "mlp_w0 column count": ("mlp", _array("mlp_w0", lambda v: v[:, :-1]), "mlp weights do not match"),
@@ -275,6 +298,47 @@ def test_container_array_shape_not_its_bytes_exits_2(evaluate_dir, tmp_path):
     assert raw.count(meta) == 1
     (tmp_path / "bad.bin").write_bytes(raw.replace(meta, meta.replace(b"128", b"127")))
     assert evaluate(evaluate_dir, "mlp", tmp_path / "bad.bin") == 2
+
+
+def _last_field(value):
+    return lambda line: line.rsplit(b",", 1)[0] + value
+
+
+# case -> (file, line, edit of the line's bytes, command, expected message)
+UNREADABLE_INPUTS = {
+    "events.csv not UTF-8": (
+        "events.csv", 500, lambda line: line + b"\xff", "aggregate", "events.csv: line 500 is not UTF-8"
+    ),
+    "labels.csv not UTF-8": (
+        "labels.csv", 40, lambda line: line + b"\xff", "select", "labels.csv: line 40 is not UTF-8"
+    ),
+    "events.csv field over the csv limit": (
+        "events.csv", 3, lambda line: line + b"," + b"x" * 140_000, "aggregate",
+        "events.csv: line 3: field larger than field limit",
+    ),
+    "features.csv row truncated": (
+        "features.csv", 5, _last_field(b""), "select", "features.csv: line 5: ",
+    ),
+    "features.csv cell not a number": (
+        "features.csv", 5, _last_field(b",abc"), "select", "features.csv: line 5: could not convert",
+    ),
+    "features.meta.json not JSON": (
+        "features.meta.json", 1, lambda line: b"!" + line, "select", "features.meta.json: Expecting value",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE_INPUTS))
+def test_unreadable_input_file_exits_2_naming_file_and_line(pipeline_dir, tmp_path, capsys, case):
+    name, lineno, edit, command, message = UNREADABLE_INPUTS[case]
+    for kept in ("events.csv", "labels.csv", "features.csv", "features.meta.json"):
+        shutil.copy(pipeline_dir / kept, tmp_path / kept)
+    lines = (tmp_path / name).read_bytes().split(b"\n")
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    (tmp_path / name).write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert run(command, "--workdir", str(tmp_path)) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_verify_corrupt_report_exits_2(tmp_path):

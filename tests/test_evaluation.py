@@ -8,10 +8,9 @@ from gametrace.errors import ConfigError, LengthMismatchError
 from gametrace.evaluation import (
     REFERENCE_ROWS,
     ConfusionCounts,
+    ForestClassifier,
     KnnClassifier,
-    ForestSettings,
-    KnnSettings,
-    MlpSettings,
+    MlpClassifier,
     accuracy,
     benchmark,
     confusion_counts,
@@ -90,14 +89,17 @@ def test_majority_baseline_f1_analytic():
 
 
 class ConstantModel:
+    scale = False
+
     def __init__(self, label=1):
         self.label = label
 
-    def fit(self, x, y):
-        pass
+    def fit(self, x, y, seed):
+        return self.label
 
-    def predict(self, x):
-        return np.full(x.shape[0], self.label, dtype=np.int64)
+    @staticmethod
+    def apply(label, x):
+        return np.full(x.shape[0], label, dtype=np.int64)
 
 
 def balanced_dataset(n=100, seed=0):
@@ -111,7 +113,7 @@ def balanced_dataset(n=100, seed=0):
 def test_cross_validate_constant_model_on_balanced_data():
     ds = balanced_dataset(100)
     plan = SplitPlan(seed=1, fold_count=5, grouping="by_row")
-    report = cross_validate(lambda: ConstantModel(1), ds, plan, scale=False, model_name="const")
+    report = cross_validate(ConstantModel(1), ds, plan, model_name="const")
     assert report.mean_accuracy == pytest.approx(0.5, abs=0.1)
     assert report.protocol == "cv-5"
     assert len(report.folds) == 5
@@ -120,7 +122,7 @@ def test_cross_validate_constant_model_on_balanced_data():
 def test_mean_metrics_equal_fold_average():
     ds = balanced_dataset(60, seed=3)
     plan = SplitPlan(seed=2, fold_count=5, grouping="by_row")
-    report = cross_validate(lambda: KnnClassifier(k=3), ds, plan, model_name="knn")
+    report = cross_validate(KnnClassifier(k=3), ds, plan, model_name="knn")
     assert report.mean_f1 == pytest.approx(np.mean([fr.f1 for fr in report.folds]), abs=1e-12)
     assert report.mean_accuracy == pytest.approx(
         np.mean([fr.accuracy for fr in report.folds]), abs=1e-12
@@ -131,7 +133,7 @@ def test_mean_metrics_equal_fold_average():
 def test_cross_validate_knn_on_separable_data():
     ds = balanced_dataset(120, seed=4)  # class-shifted blobs, duplicate-free
     plan = SplitPlan(seed=3, fold_count=5, grouping="by_row")
-    report = cross_validate(lambda: KnnClassifier(k=1), ds, plan, model_name="knn")
+    report = cross_validate(KnnClassifier(k=1), ds, plan, model_name="knn")
     assert report.mean_accuracy >= 0.9
 
 
@@ -139,21 +141,24 @@ def test_cross_validate_annotates_fold_errors():
     ds = balanced_dataset(20)
 
     class Exploding:
-        def fit(self, x, y):
+        scale = True
+
+        def fit(self, x, y, seed):
             raise ValueError("boom")
 
-        def predict(self, x):
+        @staticmethod
+        def apply(model, x):
             return np.zeros(x.shape[0])
 
     plan = SplitPlan(seed=1, fold_count=4, grouping="by_row")
     with pytest.raises(ValueError, match="fold 0"):
-        cross_validate(lambda: Exploding(), ds, plan)
+        cross_validate(Exploding(), ds, plan)
 
 
 def test_holdout_evaluate_reports_single_fold():
     ds = balanced_dataset(100, seed=5)
     plan = SplitPlan(seed=4, fold_count=5, grouping="by_row", test_fraction=0.2)
-    report = holdout_evaluate(lambda: KnnClassifier(k=3), ds, plan, model_name="knn")
+    report = holdout_evaluate(KnnClassifier(k=3), ds, plan, model_name="knn")
     assert report.protocol == "holdout-0.2"
     assert len(report.folds) == 1
     assert report.confusion_total.total == 20
@@ -167,7 +172,7 @@ def test_benchmark_empty_model_list_rejected():
 
 def test_benchmark_table_has_reference_row():
     ds = balanced_dataset(80, seed=6)
-    specs = {"knn": KnnSettings(k=3, folds=5), "forest": ForestSettings(trees=5)}
+    specs = {"knn": KnnClassifier(k=3, folds=5), "forest": ForestClassifier(trees=5)}
     result = benchmark(specs, ds, seed=1, grouping="by_row")
     assert len(result.rows) == len(specs) + 1
     ref = result.rows[-1]
@@ -181,9 +186,9 @@ def test_benchmark_table_has_reference_row():
 def test_benchmark_models_learn_signal_above_baseline():
     ds = balanced_dataset(160, seed=7)
     specs = {
-        "knn": KnnSettings(k=3, folds=5),
-        "mlp": MlpSettings(hidden_sizes=(16,), epochs=30, batch_size=32),
-        "forest": ForestSettings(trees=20),
+        "knn": KnnClassifier(k=3, folds=5),
+        "mlp": MlpClassifier(hidden_sizes=(16,), epochs=30, batch_size=32),
+        "forest": ForestClassifier(trees=20),
     }
     result = benchmark(specs, ds, seed=2, grouping="by_row")
     base = majority_baseline_f1(ds.y)
@@ -193,7 +198,7 @@ def test_benchmark_models_learn_signal_above_baseline():
 
 def test_benchmark_respects_per_model_protocols():
     ds = balanced_dataset(100, seed=8)
-    specs = {"knn": KnnSettings(k=3, folds=10), "forest": ForestSettings(trees=3)}
+    specs = {"knn": KnnClassifier(k=3, folds=10), "forest": ForestClassifier(trees=3)}
     result = benchmark(specs, ds, seed=3, grouping="by_row")
     assert result.rows[0].protocol == "cv-10"
     assert result.rows[1].protocol == "cv-5"
@@ -203,14 +208,14 @@ def test_benchmark_respects_per_model_protocols():
 
 def test_benchmark_holdout_protocol():
     ds = balanced_dataset(100, seed=9)
-    specs = {"knn": KnnSettings(k=3, folds=5)}
+    specs = {"knn": KnnClassifier(k=3, folds=5)}
     result = benchmark(specs, ds, seed=4, grouping="by_row", protocol="holdout")
     assert result.rows[0].protocol == "holdout-0.2"
 
 
 def test_benchmark_render_and_dict():
     ds = balanced_dataset(50, seed=10)
-    specs = {"knn": KnnSettings(k=3, folds=5)}
+    specs = {"knn": KnnClassifier(k=3, folds=5)}
     result = benchmark(specs, ds, seed=5, grouping="by_row", config_fingerprint="fp")
     text = result.render()
     assert "french_touch" in text and "knn" in text
@@ -224,8 +229,8 @@ def test_benchmark_render_and_dict():
 def test_eval_report_runtime_excluded_from_payload():
     ds = balanced_dataset(40, seed=11)
     plan = SplitPlan(seed=1, fold_count=4, grouping="by_row")
-    report = cross_validate(lambda: KnnClassifier(k=1), ds, plan, model_name="knn")
-    again = cross_validate(lambda: KnnClassifier(k=1), ds, plan, model_name="knn")
+    report = cross_validate(KnnClassifier(k=1), ds, plan, model_name="knn")
+    again = cross_validate(KnnClassifier(k=1), ds, plan, model_name="knn")
     assert "runtime" not in str(report.to_dict())
     assert report.to_dict() == again.to_dict()
 
@@ -252,5 +257,5 @@ def test_cross_validate_one_hot_encodes_code_columns():
         categorical_names=("kind_first",),
     )
     plan = SplitPlan(seed=2, fold_count=5, grouping="by_row")
-    report = cross_validate(lambda: KnnClassifier(k=3), ds, plan, model_name="knn")
+    report = cross_validate(KnnClassifier(k=3), ds, plan, model_name="knn")
     assert report.mean_accuracy >= 0.9

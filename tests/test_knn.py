@@ -5,6 +5,7 @@ from gametrace.errors import (
     ConfigError,
     DimensionMismatchError,
     KTooLargeError,
+    LengthMismatchError,
     ZeroVectorError,
 )
 from gametrace.knn import METRICS, knn_fit, knn_predict
@@ -85,6 +86,11 @@ def test_distance_dimension_mismatch():
     model = knn_fit(np.array([[1.0, 2.0], [3.0, 4.0]]), [0, 1], k=1)
     with pytest.raises(DimensionMismatchError):
         knn_predict(model, np.array([[1.0]]))
+
+
+def test_fit_names_rows_against_labels():
+    with pytest.raises(LengthMismatchError, match="row and label counts differ: 3 vs 2"):
+        knn_fit(np.eye(3), [0, 1], k=1)
 
 
 def test_predict_k1_on_training_row_returns_its_label():

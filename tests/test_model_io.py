@@ -160,13 +160,9 @@ FAST_SETTINGS = {
 @pytest.mark.parametrize("kind", list(MODELS))
 def test_model_round_trip_predictions(tmp_path, kind):
     x, y = training_data(seed=3)
-    entry = MODELS[kind]
-    settings = entry.settings(**FAST_SETTINGS.get(kind, {}))
-    pre = fit_preprocessor(x, ("a", "b", "c", "d"), scale=settings.scale)
-    classifier = entry.from_settings(settings, seed=4)
-    classifier.fit(pre.transform(x), y)
-    model = classifier.model
-    predict = classifier.predict
+    classifier = MODELS[kind](**FAST_SETTINGS.get(kind, {}))
+    pre = fit_preprocessor(x, ("a", "b", "c", "d"), scale=classifier.scale)
+    model = classifier.fit(pre.transform(x), y, seed=4)
 
     path = tmp_path / f"{kind}.bin"
     save_model(path, kind, model, pre, ("a", "b", "c", "d"),
@@ -178,7 +174,7 @@ def test_model_round_trip_predictions(tmp_path, kind):
 
     rng = np.random.default_rng(9)
     probes = rng.normal(size=(100, 4))
-    want = predict(pre.transform(probes))
+    want = classifier.apply(model, pre.transform(probes))
     got = loaded.predict(probes)
     assert np.array_equal(got, want)
 

@@ -137,7 +137,7 @@ def planted_matrix(n=400, seed=0):
 
 def test_select_keeps_one_of_two_duplicates():
     x, names, y = planted_matrix()
-    policy = SelectionPolicy(relevance_rank_k=1, redundancy_threshold=0.9)
+    policy = SelectionPolicy(k=1, redundancy_threshold=0.9)
     report = select(x, names, y, policy)
     assert len(report.selected) == 1
     assert report.selected[0] in ("driver", "driver_copy")
@@ -151,7 +151,7 @@ def test_select_k_all_threshold_one_keeps_everything():
     x = rng.normal(size=(100, 4))
     y = rng.integers(0, 2, size=100)
     names = ("a", "b", "c", "d")
-    policy = SelectionPolicy(relevance_rank_k=4, redundancy_threshold=1.0, mandatory_drops=())
+    policy = SelectionPolicy(k=4, redundancy_threshold=1.0, mandatory_drops=())
     report = select(x, names, y, policy)
     assert len(report.selected) == 4
     ranked = [s.name for s in report.scores]
@@ -160,7 +160,7 @@ def test_select_k_all_threshold_one_keeps_everything():
 
 def test_select_ranks_planted_driver_first():
     x, names, y = planted_matrix(seed=3)
-    policy = SelectionPolicy(relevance_rank_k=3, redundancy_threshold=0.9)
+    policy = SelectionPolicy(k=3, redundancy_threshold=0.9)
     report = select(x, names, y, policy)
     assert report.scores[0].name in ("driver", "driver_copy")
     assert report.selected[0] in ("driver", "driver_copy")
@@ -168,7 +168,7 @@ def test_select_ranks_planted_driver_first():
 
 def test_select_never_keeps_correlated_pair():
     x, names, y = planted_matrix(seed=9)
-    policy = SelectionPolicy(relevance_rank_k=3, redundancy_threshold=0.9)
+    policy = SelectionPolicy(k=3, redundancy_threshold=0.9)
     report = select(x, names, y, policy)
     kept = report.selected
     assert not ({"driver", "driver_copy"} <= set(kept))
@@ -184,7 +184,7 @@ def test_select_mandatory_drops_match_source_prefix():
     x = rng.normal(size=(50, 3))
     y = rng.integers(0, 2, size=50)
     names = ("page_mean", "level_mean", "text")
-    policy = SelectionPolicy(relevance_rank_k=1, mandatory_drops=("page", "text"))
+    policy = SelectionPolicy(k=1, mandatory_drops=("page", "text"))
     report = select(x, names, y, policy)
     assert report.selected == ("level_mean",)
     reasons = {s.name: s.reason for s in report.scores}
@@ -194,14 +194,14 @@ def test_select_mandatory_drops_match_source_prefix():
 
 def test_select_unsatisfiable_policy_raises():
     x, names, y = planted_matrix()
-    policy = SelectionPolicy(relevance_rank_k=4, redundancy_threshold=0.9)
+    policy = SelectionPolicy(k=4, redundancy_threshold=0.9)
     with pytest.raises(PolicyUnsatisfiableError):
         select(x, names, y, policy)  # duplicates leave only 3 keepable
 
 
 def test_select_deterministic_under_column_permutation():
     x, names, y = planted_matrix(seed=21)
-    policy = SelectionPolicy(relevance_rank_k=2, redundancy_threshold=0.9)
+    policy = SelectionPolicy(k=2, redundancy_threshold=0.9)
     a = select(x, names, y, policy)
     order = [2, 0, 3, 1]
     b = select(x[:, order], tuple(names[i] for i in order), y, policy)
@@ -211,7 +211,7 @@ def test_select_deterministic_under_column_permutation():
 
 def test_selection_report_file_format():
     x, names, y = planted_matrix()
-    policy = SelectionPolicy(relevance_rank_k=2, redundancy_threshold=0.9)
+    policy = SelectionPolicy(k=2, redundancy_threshold=0.9)
     report = select(x, names, y, policy)
     sink = io.StringIO()
     save_selection_report(report, sink, config_fingerprint="fp123")

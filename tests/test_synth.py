@@ -21,8 +21,8 @@ def read_corpus(result):
 
 
 def test_single_session_emits_18_labels(tmp_path):
-    cfg = SynthConfig(sessions=1, events_per_session=80, seed=3)
-    result = generate(cfg, tmp_path)
+    cfg = SynthConfig(sessions=1, events_per_session=80)
+    result = generate(cfg, tmp_path, seed=3)
     _, labels, _, _ = read_corpus(result)
     assert len(labels) == 18
     assert result.labels_written == 18
@@ -59,17 +59,22 @@ def test_sessions_are_monotone_in_index_and_time(small_corpus):
 
 
 def test_same_seed_byte_identical_outputs(tmp_path):
-    cfg = SynthConfig(sessions=4, events_per_session=60, seed=11)
-    r1 = generate(cfg, tmp_path / "a")
-    r2 = generate(cfg, tmp_path / "b")
+    cfg = SynthConfig(sessions=4, events_per_session=60)
+    r1 = generate(cfg, tmp_path / "a", seed=11)
+    r2 = generate(cfg, tmp_path / "b", seed=11)
     assert r1.events_path.read_bytes() == r2.events_path.read_bytes()
     assert r1.labels_path.read_bytes() == r2.labels_path.read_bytes()
     assert r1.manifest_path.read_bytes() == r2.manifest_path.read_bytes()
 
 
+def test_manifest_records_the_seed_given_to_generate(tmp_path):
+    result = generate(SynthConfig(sessions=1, events_per_session=60), tmp_path, seed=5)
+    assert json.loads(result.manifest_path.read_text())["config"]["seed"] == 5
+
+
 def test_different_seed_differs(tmp_path):
-    r1 = generate(SynthConfig(sessions=2, events_per_session=60, seed=1), tmp_path / "a")
-    r2 = generate(SynthConfig(sessions=2, events_per_session=60, seed=2), tmp_path / "b")
+    r1 = generate(SynthConfig(sessions=2, events_per_session=60), tmp_path / "a", seed=1)
+    r2 = generate(SynthConfig(sessions=2, events_per_session=60), tmp_path / "b", seed=2)
     assert r1.events_path.read_bytes() != r2.events_path.read_bytes()
 
 
@@ -105,8 +110,8 @@ def test_manifest_records_draws_and_balance(small_corpus):
 
 
 def test_null_rates_match_manifest_draws_and_config(tmp_path):
-    cfg = SynthConfig(sessions=1, events_per_session=500, seed=3)
-    result = generate(cfg, tmp_path)
+    cfg = SynthConfig(sessions=1, events_per_session=500)
+    result = generate(cfg, tmp_path, seed=3)
     events, _, manifest, _ = read_corpus(result)
     configured = manifest["config"]["null_rates"]
     for col, stats in manifest["null_draws"].items():
@@ -118,21 +123,21 @@ def test_null_rates_match_manifest_draws_and_config(tmp_path):
 
 def test_null_rate_zero_means_no_absent_cells(tmp_path):
     rates = {"page": 0.0}
-    cfg = SynthConfig(sessions=2, events_per_session=60, seed=9, null_rates=rates)
-    result = generate(cfg, tmp_path)
+    cfg = SynthConfig(sessions=2, events_per_session=60, null_rates=rates)
+    result = generate(cfg, tmp_path, seed=9)
     events, _, _, _ = read_corpus(result)
     assert all(ev.page is not None for ev in events)
 
 
 def test_noise_zero_extreme_weights_gives_learnable_labels(tmp_path):
     weights = tuple(200.0 if name == "fqid_count" else 0.0 for name in FEATURE_NAMES)
-    cfg = SynthConfig(sessions=40, events_per_session=120, seed=13,
+    cfg = SynthConfig(sessions=40, events_per_session=120,
                       weights=weights, bias=0.0, noise=0.0)
-    result = generate(cfg, tmp_path)
+    result = generate(cfg, tmp_path, seed=13)
     events, labels, manifest, _ = read_corpus(result)
 
     # deterministic given aggregates: regenerating reproduces every label
-    again = generate(cfg, tmp_path / "again")
+    again = generate(cfg, tmp_path / "again", seed=13)
     assert again.labels_path.read_bytes() == result.labels_path.read_bytes()
     # and with the extreme weight nearly all probabilities saturate
     extreme = sum(1 for d in manifest["label_draws"] if d["p"] < 1e-3 or d["p"] > 1 - 1e-3)
