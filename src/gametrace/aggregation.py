@@ -26,6 +26,7 @@ from .events import (
     REAL_COLUMNS,
     RawEvent,
 )
+from .schema import check
 
 NUMERIC_KINDS = ("mean", "sum", "min", "max")
 CATEGORICAL_KINDS = ("first", "last", "count", "nunique")
@@ -443,24 +444,42 @@ def save_feature_matrix(
     meta_sink.write("\n")
 
 
-def load_feature_matrix(csv_path: Path, meta_path: Path) -> FeatureMatrix:
+def _read_sidecar(meta_path: Path) -> tuple[tuple[AggregatorSpec, ...], dict[str, dict[str, int]]]:
+    """The column specs and code tables a feature matrix sidecar records."""
     try:
         meta = json.loads(Path(meta_path).read_text())
     except ValueError as exc:  # not UTF-8, or not JSON
         raise DataError(f"cannot read {meta_path}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{meta_path}: not a JSON object")
     if meta.get("format") != "gametrace-feature-matrix":
         raise ConfigError(f"not a feature matrix sidecar: {meta_path}")
-    specs = tuple(
-        AggregatorSpec(c["source"], c["kind"], c["name"]) for c in meta["columns"]
-    )
+    try:
+        specs = []
+        for i, entry in enumerate(check(meta.get("columns"), list, "columns")):
+            entry = check(entry, dict, f"columns[{i}]")
+            source, kind, name = (
+                check(entry.get(key), str, f"columns[{i}].{key}") for key in ("source", "kind", "name")
+            )
+            specs.append(AggregatorSpec(source, kind, name))
+        code_tables = check(meta.get("code_tables"), dict[str, dict[str, int]], "code_tables")
+    except ConfigError as exc:
+        raise DataError(f"{meta_path}: {exc}") from None
+    return tuple(specs), code_tables
+
+
+def load_feature_matrix(csv_path: Path, meta_path: Path) -> FeatureMatrix:
+    specs, code_tables = _read_sidecar(meta_path)
     rows: list[FeatureRow] = []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
         expected = ["session_id", "level_group"] + [s.output_name for s in specs]
-        if header != expected:
-            raise ConfigError(f"feature CSV header does not match sidecar: {csv_path}")
         try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{csv_path}: empty file, no header row")
+            if header != expected:
+                raise ConfigError(f"feature CSV header does not match sidecar: {csv_path}")
             for row in reader:
                 if len(row) != len(expected):
                     raise ValueError(f"{len(row)} fields, the header has {len(expected)}")
@@ -471,6 +490,6 @@ def load_feature_matrix(csv_path: Path, meta_path: Path) -> FeatureMatrix:
     return FeatureMatrix(
         column_names=tuple(s.output_name for s in specs),
         rows=rows,
-        code_tables={k: dict(v) for k, v in meta["code_tables"].items()},
+        code_tables=code_tables,
         specs=specs,
     )

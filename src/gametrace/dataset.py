@@ -273,8 +273,9 @@ def _session_rows(d: LabeledDataset) -> dict[str, list[int]]:
     return rows
 
 
-def split_train_test(d: LabeledDataset, plan: SplitPlan) -> tuple[LabeledDataset, LabeledDataset]:
-    """Disjoint, exhaustive split; by_session keeps a session on one side."""
+def holdout_indices(d: LabeledDataset, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
+    """(train, test) row indices of a disjoint, exhaustive split; by_session
+    keeps a session on one side."""
     n = len(d)
     if n < 2:
         raise TooFewRowsError("need at least 2 rows to split")
@@ -301,7 +302,13 @@ def split_train_test(d: LabeledDataset, plan: SplitPlan) -> tuple[LabeledDataset
         train_idx = sorted(i for sid, idxs in rows.items() if sid not in chosen for i in idxs)
     if not test_idx or not train_idx:
         raise TooFewRowsError("split left one side empty")
-    return d.subset(train_idx), d.subset(test_idx)
+    return np.array(train_idx, dtype=np.int64), np.array(test_idx, dtype=np.int64)
+
+
+def split_train_test(d: LabeledDataset, plan: SplitPlan) -> tuple[LabeledDataset, LabeledDataset]:
+    """The holdout (train, test) datasets of ``holdout_indices``."""
+    train, test = holdout_indices(d, plan)
+    return d.subset(train), d.subset(test)
 
 
 def kfold_indices(d: LabeledDataset, plan: SplitPlan) -> list[np.ndarray]:
@@ -334,18 +341,22 @@ def kfold_indices(d: LabeledDataset, plan: SplitPlan) -> list[np.ndarray]:
     return [np.array(sorted(fr), dtype=np.int64) for fr in fold_rows]
 
 
+def kfold_index_pairs(d: LabeledDataset, plan: SplitPlan) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(train, validation) row indices of each fold; validations partition the rows."""
+    all_idx = np.arange(len(d))
+    pairs = []
+    for val in kfold_indices(d, plan):
+        mask = np.ones(len(d), dtype=bool)
+        mask[val] = False
+        pairs.append((all_idx[mask], val))
+    return pairs
+
+
 def kfold(
     d: LabeledDataset, plan: SplitPlan
 ) -> list[tuple[LabeledDataset, LabeledDataset]]:
-    """(train, validation) dataset pairs; validations partition the data."""
-    folds = kfold_indices(d, plan)
-    all_idx = np.arange(len(d))
-    pairs = []
-    for val in folds:
-        mask = np.ones(len(d), dtype=bool)
-        mask[val] = False
-        pairs.append((d.subset(all_idx[mask]), d.subset(val)))
-    return pairs
+    """(train, validation) dataset pairs of ``kfold_index_pairs``."""
+    return [(d.subset(train), d.subset(val)) for train, val in kfold_index_pairs(d, plan)]
 
 
 def export_fold_assignments(

@@ -2,19 +2,22 @@
 
 The positive class is "answered correctly" (label 1). Preprocessing (mean
 imputation, optional standardization, one-hot) is re-fit inside every
-training fold so no validation statistic leaks into a fit. Fold results are
-assembled by fold index, independent of evaluation order.
+training fold so no validation statistic leaks into a fit. Every fold fit of
+one call runs as a task in one fork process pool sized from the CPUs this
+process may use; results are assembled by task index, so reports do not
+depend on the worker count or the evaluation order.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dataset import LabeledDataset, SplitPlan, fit_preprocessor, kfold, split_train_test
-from .errors import ConfigError, ContainerFormatError, LengthMismatchError
+from .dataset import LabeledDataset, SplitPlan, fit_preprocessor, holdout_indices, kfold_index_pairs
+from .errors import ConfigError, ContainerFormatError, LengthMismatchError, TooFewRowsError
 from .forest import (
     ForestModel,
     TreeConfig,
@@ -287,38 +290,125 @@ class EvalReport:
         }
 
 
-def _evaluate(
-    classifier: Classifier,
-    pairs: Iterable[tuple[LabeledDataset, LabeledDataset]],
-    seed: int,
-    model_name: str,
-    protocol: str,
-    config_fingerprint: str,
-) -> EvalReport:
-    """Fit on each (train, test) pair, preprocessing re-fit on its train side,
-    and score on its test side; results are kept by pair index."""
-    folds: list[FoldResult] = []
-    for i, (train, test) in enumerate(pairs):
-        try:
-            pre = fit_preprocessor(
-                train.x, train.feature_names, train.categorical_names, scale=classifier.scale
-            )
-            model = classifier.fit(pre.transform(train.x), train.y, seed)
-            folds.append(FoldResult.of(i, classifier.apply(model, pre.transform(test.x)), test.y))
-        except Exception as exc:
-            # Re-raise the same exception, so its class and exit code are
-            # kept, with the fold index prefixed to its message.
-            exc.args = (f"fold {i}: {exc}",)
-            raise
-    return EvalReport(
-        model_name=model_name,
-        protocol=protocol,
-        folds=folds,
-        mean_f1=float(np.mean([fr.f1 for fr in folds])),
-        mean_accuracy=float(np.mean([fr.accuracy for fr in folds])),
-        confusion_total=sum((fr.confusion for fr in folds[1:]), folds[0].confusion),
-        config_fingerprint=config_fingerprint,
-    )
+@dataclass(frozen=True)
+class _Job:
+    """One model's evaluation: its classifier and the row indices of its folds."""
+
+    classifier: Classifier
+    dataset: LabeledDataset
+    seed: int
+    model_name: str
+    protocol: str
+    folds: list[tuple[np.ndarray, np.ndarray]]  # (train, test) row indices
+
+
+def _plan(classifier: Classifier, dataset: LabeledDataset, plan: SplitPlan, model_name: str,
+          protocol: str) -> _Job:
+    if protocol == "cv":
+        folds, protocol = kfold_index_pairs(dataset, plan), f"cv-{plan.fold_count}"
+    else:
+        folds, protocol = [holdout_indices(dataset, plan)], f"holdout-{plan.test_fraction:g}"
+    return _Job(classifier, dataset, plan.seed, model_name, protocol, folds)
+
+
+def _fit_fold(job: _Job, i: int) -> FoldResult:
+    """Fit on fold ``i``'s train side, preprocessing re-fit there, and score
+    on its test side."""
+    train_idx, test_idx = job.folds[i]
+    train, test = job.dataset.subset(train_idx), job.dataset.subset(test_idx)
+    classifier = job.classifier
+    pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names, scale=classifier.scale)
+    model = classifier.fit(pre.transform(train.x), train.y, job.seed)
+    return FoldResult.of(i, classifier.apply(model, pre.transform(test.x)), test.y)
+
+
+# A pool worker's jobs. Workers are forked, so ``_start_worker`` receives
+# the parent's job list without pickling it: each worker inherits the
+# datasets, classifiers and fold indices, a task names only (job, fold), and
+# only FoldResults travel back.
+_worker_jobs: list[_Job] = []
+
+
+def _start_worker(jobs: list[_Job]) -> None:
+    global _worker_jobs
+    _worker_jobs = jobs
+
+
+def _pool_task(task: tuple[int, int]) -> Optional[FoldResult]:
+    # A failure comes back as None, not as the exception, which may not
+    # survive pickling; the parent then re-runs every task to raise it.
+    try:
+        return _fit_fold(_worker_jobs[task[0]], task[1])
+    except Exception:
+        return None
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_pool(jobs: list[_Job], tasks: list[tuple[int, int]]) -> Optional[list[FoldResult]]:
+    """Every task's result in task order, or None when the pool cannot run
+    them or any task failed."""
+    workers = min(_usable_cpus(), len(tasks))
+    if workers < 2:
+        return None
+    # Imported here, so that a command that runs no pool does not pay for it.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork, not spawn: a spawned worker would import the package again and
+    # unpickle the dataset. The pool forks its workers before it starts its
+    # own thread, and this process starts none.
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    context = multiprocessing.get_context("fork")
+    try:
+        with ProcessPoolExecutor(
+            workers, mp_context=context, initializer=_start_worker, initargs=(jobs,)
+        ) as pool:
+            results = list(pool.map(_pool_task, tasks))
+    except (BrokenProcessPool, OSError):  # a worker died, or could not be forked
+        return None
+    return None if any(r is None for r in results) else results
+
+
+def _run(jobs: list[_Job], config_fingerprint: str) -> list[EvalReport]:
+    """One EvalReport per job, its folds in fold order.
+
+    The tasks run in the pool when it can be used. Otherwise, or when a task
+    failed or the pool broke, every task runs here, in order, so the first
+    failing fold raises its own exception, its class kept and ``fold i: ``
+    prefixed to its message.
+    """
+    tasks = [(j, i) for j, job in enumerate(jobs) for i in range(len(job.folds))]
+    results = _in_pool(jobs, tasks)
+    if results is None:
+        results = []
+        for j, i in tasks:
+            try:
+                results.append(_fit_fold(jobs[j], i))
+            except Exception as exc:
+                exc.args = (f"fold {i}: {exc}",)
+                raise
+    by_job: list[list[FoldResult]] = [[] for _ in jobs]
+    for (j, _), result in zip(tasks, results):
+        by_job[j].append(result)
+    return [
+        EvalReport(
+            model_name=job.model_name,
+            protocol=job.protocol,
+            folds=folds,
+            mean_f1=float(np.mean([fr.f1 for fr in folds])),
+            mean_accuracy=float(np.mean([fr.accuracy for fr in folds])),
+            confusion_total=sum((fr.confusion for fr in folds[1:]), folds[0].confusion),
+            config_fingerprint=config_fingerprint,
+        )
+        for job, folds in zip(jobs, by_job)
+    ]
 
 
 def cross_validate(
@@ -329,24 +419,7 @@ def cross_validate(
     config_fingerprint: str = "",
 ) -> EvalReport:
     """k-fold evaluation with per-fold preprocessing re-fit."""
-    return _evaluate(
-        classifier, kfold(dataset, plan), plan.seed, model_name,
-        f"cv-{plan.fold_count}", config_fingerprint,
-    )
-
-
-def holdout_evaluate(
-    classifier: Classifier,
-    dataset: LabeledDataset,
-    plan: SplitPlan,
-    model_name: str = "model",
-    config_fingerprint: str = "",
-) -> EvalReport:
-    """Single train/test evaluation under the plan's holdout fraction."""
-    return _evaluate(
-        classifier, [split_train_test(dataset, plan)], plan.seed, model_name,
-        f"holdout-{plan.test_fraction:g}", config_fingerprint,
-    )
+    return _run([_plan(classifier, dataset, plan, model_name, "cv")], config_fingerprint)[0]
 
 
 @dataclass
@@ -400,13 +473,13 @@ def benchmark(
 ) -> BenchmarkResult:
     """Evaluate every model under its own fold count, plus the reference row.
 
-    ``models`` maps a kind in ``MODELS`` to that kind's classifier.
+    ``models`` maps a kind in ``MODELS`` to that kind's classifier. The folds
+    of every model are planned first, then all run as the tasks of one pool.
     """
     if not models:
         raise ConfigError("benchmark requires at least one model spec")
     check_protocol(protocol)
-    rows: list[BenchmarkRow] = []
-    reports: list[EvalReport] = []
+    jobs: list[_Job] = []
     for name, classifier in models.items():
         plan = SplitPlan(
             seed=seed,
@@ -414,14 +487,17 @@ def benchmark(
             fold_count=classifier.folds,
             grouping=grouping,
         )
-        evaluate = cross_validate if protocol == "cv" else holdout_evaluate
-        report = evaluate(
-            classifier, dataset, plan, model_name=name, config_fingerprint=config_fingerprint
-        )
-        reports.append(report)
-        rows.append(
-            BenchmarkRow(name, report.mean_f1, report.mean_accuracy, "computed", report.protocol)
-        )
+        try:
+            jobs.append(_plan(classifier, dataset, plan, name, protocol))
+        except TooFewRowsError:
+            # Run model by model, the folds of the models before this one
+            # would fit first, so a failing fold among them is the error.
+            _run(jobs, config_fingerprint)
+            raise
+    reports = _run(jobs, config_fingerprint)
+    rows = [
+        BenchmarkRow(r.model_name, r.mean_f1, r.mean_accuracy, "computed", r.protocol) for r in reports
+    ]
     for name, ref_f1, ref_acc in REFERENCE_ROWS:
         rows.append(BenchmarkRow(name, ref_f1, ref_acc, "literature", "reported"))
     return BenchmarkResult(rows=rows, reports=reports, config_fingerprint=config_fingerprint)

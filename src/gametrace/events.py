@@ -117,7 +117,7 @@ def level_group_for(level: int) -> str:
 
 @dataclass
 class CellError:
-    row: int  # 1-based physical line number (header is row 1)
+    row: int  # 1-based physical line where the record starts (header is row 1)
     column: str
     value: str
 
@@ -206,6 +206,14 @@ def _positions(reader, columns: Sequence[str]) -> tuple[list[str], dict[str, int
     return header, {name: header.index(name) for name in columns}
 
 
+def _record_start(reader, row: Sequence[str]) -> int:
+    """The physical line where the record just read starts: the reader's
+    line count less the line breaks (universal newlines, as a file opened
+    with ``newline=""`` splits them) inside its quoted fields."""
+    text = ",".join(row)
+    return reader.line_num - (text.count("\n") + text.count("\r") - text.count("\r\n"))
+
+
 def _unreadable(source: IO[str], reader, exc: Exception) -> DataError:
     """A csv.Error or UnicodeDecodeError as a DataError naming file and line."""
     where = getattr(source, "name", "input")
@@ -263,9 +271,7 @@ def read_events(
         i_lg = pos["level_group"]
         groups = LEVEL_GROUPS
 
-        lineno = 1
         for row in reader:
-            lineno += 1
             rep.rows_read += 1
             try:
                 sid = row[i_sid]
@@ -323,7 +329,7 @@ def read_events(
                     value = row[pos[column]] if column in pos else ",".join(row)
                 except (IndexError, KeyError):
                     column, value = "row", ",".join(row)
-                rep.record_error(lineno, column, value)
+                rep.record_error(_record_start(reader, row), column, value)
                 continue
 
             if group != level_group_for(level):
@@ -374,19 +380,21 @@ def read_labels(source: IO[str]) -> list[LabelRecord]:
     try:
         _, pos = _positions(reader, LABEL_COLUMNS)
         i_sid, i_q, i_c = pos["session_id"], pos["question"], pos["correct"]
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             try:
                 sid = row[i_sid]
                 question = int(row[i_q])
                 correct = row[i_c]
             except (ValueError, IndexError):
-                raise DataError(f"malformed label row at line {lineno}") from None
+                raise DataError(f"malformed label row at line {_record_start(reader, row)}") from None
             if not sid:
-                raise DataError(f"empty session_id in label row at line {lineno}")
+                raise DataError(f"empty session_id in label row at line {_record_start(reader, row)}")
             if question not in QUESTION_RANGE:
                 raise QuestionOutOfRangeError(question)
             if correct not in ("0", "1"):
-                raise DataError(f"correct must be 0 or 1, got {correct!r} at line {lineno}")
+                raise DataError(
+                    f"correct must be 0 or 1, got {correct!r} at line {_record_start(reader, row)}"
+                )
             key = (sid, question)
             if key in seen:
                 raise DuplicateLabelError(sid, question)

@@ -1,7 +1,7 @@
-"""JSON values checked against dataclass annotations.
+"""JSON values checked against type annotations.
 
-One checker for every JSON document the pipeline reads that maps onto
-dataclasses: the run config and the model container header. A value that
+One checker for every JSON document the pipeline reads: the run config,
+the model container header and the feature matrix sidecar. A value that
 does not match its field's annotation raises ConfigError naming where it
 sits; lists become tuples where the annotation says so. A dataclass whose
 ``__post_init__`` range-checks its values is checked in the same pass.

@@ -341,6 +341,45 @@ def test_unreadable_input_file_exits_2_naming_file_and_line(pipeline_dir, tmp_pa
     assert message in capsys.readouterr().err
 
 
+def _sidecar_with(**changes):
+    def edit(meta: bytes) -> bytes:
+        return json.dumps({**json.loads(meta), **changes}).encode()
+    return edit
+
+
+# case -> (file, new bytes from the old, expected message)
+HALF_WRITTEN_WORKDIRS = {
+    "features.csv empty": ("features.csv", lambda _: b"", "features.csv: empty file, no header row"),
+    "sidecar not an object": ("features.meta.json", lambda _: b"[1]", "features.meta.json: not a JSON object"),
+    "sidecar without columns": (
+        "features.meta.json", lambda _: b'{"format": "gametrace-feature-matrix"}',
+        "features.meta.json: columns must be list, got None",
+    ),
+    "columns entry not an object": (
+        "features.meta.json", _sidecar_with(columns=[1]), "features.meta.json: columns[0] must be dict, got 1",
+    ),
+    "columns entry without source": (
+        "features.meta.json", _sidecar_with(columns=[{"kind": "mean", "name": "x"}]),
+        "features.meta.json: columns[0].source must be str, got None",
+    ),
+    "code table entry not an int": (
+        "features.meta.json", _sidecar_with(code_tables={"fqid": {"a": "0"}}),
+        "features.meta.json: code_tables.fqid.a must be int, got '0'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(HALF_WRITTEN_WORKDIRS))
+def test_half_written_workdir_exits_2_naming_the_file(pipeline_dir, tmp_path, capsys, case):
+    name, edit, message = HALF_WRITTEN_WORKDIRS[case]
+    for kept in ("labels.csv", "features.csv", "features.meta.json"):
+        shutil.copy(pipeline_dir / kept, tmp_path / kept)
+    (tmp_path / name).write_bytes(edit((tmp_path / name).read_bytes()))
+    capsys.readouterr()
+    assert run("select", "--workdir", str(tmp_path)) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_verify_corrupt_report_exits_2(tmp_path):
     (tmp_path / "aggregate_report.json").write_text('{"config_fingerprint": ')
     assert run("verify", "--workdir", str(tmp_path)) == 2

@@ -1,8 +1,14 @@
+import json
+import multiprocessing
+import os
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gametrace import evaluation
 from gametrace.dataset import LabeledDataset, SplitPlan
 from gametrace.errors import ConfigError, LengthMismatchError
 from gametrace.evaluation import (
@@ -16,7 +22,6 @@ from gametrace.evaluation import (
     confusion_counts,
     cross_validate,
     f1,
-    holdout_evaluate,
     majority_baseline_f1,
 )
 
@@ -157,8 +162,11 @@ def test_cross_validate_annotates_fold_errors():
 
 def test_holdout_evaluate_reports_single_fold():
     ds = balanced_dataset(100, seed=5)
-    plan = SplitPlan(seed=4, fold_count=5, grouping="by_row", test_fraction=0.2)
-    report = holdout_evaluate(KnnClassifier(k=3), ds, plan, model_name="knn")
+    result = benchmark(
+        {"knn": KnnClassifier(k=3, folds=5)}, ds, seed=4, grouping="by_row",
+        protocol="holdout", test_fraction=0.2,
+    )
+    (report,) = result.reports
     assert report.protocol == "holdout-0.2"
     assert len(report.folds) == 1
     assert report.confusion_total.total == 20
@@ -259,3 +267,154 @@ def test_cross_validate_one_hot_encodes_code_columns():
     plan = SplitPlan(seed=2, fold_count=5, grouping="by_row")
     report = cross_validate(KnnClassifier(k=3), ds, plan, model_name="knn")
     assert report.mean_accuracy >= 0.9
+
+
+# The pool needs the fork start method. The tests force the worker count,
+# so the pool runs even on a one-CPU machine, and with more workers than
+# CPUs on a small one.
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+
+
+def _with_workers(monkeypatch, n, run):
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: n)
+    return run()
+
+
+def _serialized(payload) -> bytes:
+    return json.dumps(payload, indent=2, sort_keys=True).encode()
+
+
+POOL_MODELS = {
+    "knn": KnnClassifier(k=3, folds=4),
+    "mlp": MlpClassifier(hidden_sizes=(8,), epochs=5, batch_size=16, folds=3),
+    "forest": ForestClassifier(trees=4, folds=3),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("protocol", ["cv", "holdout"])
+def test_benchmark_from_the_pool_equals_the_serial_report(monkeypatch, protocol):
+    ds = balanced_dataset(90, seed=13)
+
+    def run():
+        return benchmark(POOL_MODELS, ds, seed=6, grouping="by_row", protocol=protocol,
+                         config_fingerprint="fp").to_dict()
+
+    pooled = _with_workers(monkeypatch, 4, run)
+    serial = _with_workers(monkeypatch, 1, run)
+    assert pooled == serial
+    assert _serialized(pooled) == _serialized(serial)
+
+
+@needs_fork
+def test_cross_validate_from_the_pool_equals_the_serial_report(monkeypatch):
+    ds = balanced_dataset(60, seed=14)
+    plan = SplitPlan(seed=3, fold_count=5, grouping="by_row")
+
+    def run():
+        return cross_validate(ForestClassifier(trees=3), ds, plan, model_name="forest").to_dict()
+
+    pooled = _with_workers(monkeypatch, 2, run)
+    serial = _with_workers(monkeypatch, 1, run)
+    assert pooled == serial
+    assert _serialized(pooled) == _serialized(serial)
+
+
+TEST_PROCESS = os.getpid()
+
+
+class PidModel:
+    """Predicts 1 when it was fitted in another process than the test's."""
+
+    scale = False
+
+    def fit(self, x, y, seed):
+        return os.getpid()
+
+    @staticmethod
+    def apply(pid, x):
+        return np.full(x.shape[0], int(pid != TEST_PROCESS), dtype=np.int64)
+
+
+@needs_fork
+def test_folds_are_fitted_in_worker_processes(monkeypatch):
+    ds = balanced_dataset(40, seed=15)
+    ds_ones = LabeledDataset(ds.feature_names, ds.x, np.ones(len(ds), dtype=np.int64), ds.row_keys)
+    plan = SplitPlan(seed=1, fold_count=4, grouping="by_row")
+    pooled = _with_workers(monkeypatch, 2, lambda: cross_validate(PidModel(), ds_ones, plan))
+    serial = _with_workers(monkeypatch, 1, lambda: cross_validate(PidModel(), ds_ones, plan))
+    assert pooled.mean_accuracy == 1.0
+    assert serial.mean_accuracy == 0.0
+
+
+class TwoArgumentError(Exception):
+    # pickles as (cls, args) but cannot be rebuilt from its one message argument
+    def __init__(self, row, reason):
+        super().__init__(f"row {row}: {reason}")
+
+
+class ExplodesOnHeldOutRow:
+    """Raises ``error()`` in the fold whose test side holds row ``row``
+    (feature a is the row index)."""
+
+    scale = False
+
+    def __init__(self, error, row, folds):
+        self.error = error
+        self.row = row
+        self.folds = folds
+
+    def fit(self, x, y, seed):
+        if self.row not in x[:, 0]:
+            raise self.error()
+        return 1
+
+    @staticmethod
+    def apply(model, x):
+        return np.full(x.shape[0], model, dtype=np.int64)
+
+
+def indexed_dataset(n=24):
+    x = np.column_stack([np.arange(n, dtype=np.float64), np.zeros(n)])
+    return LabeledDataset(("a", "b"), x, np.array([0, 1] * (n // 2)), [(f"s{i}", 1) for i in range(n)])
+
+
+def _failure(run):
+    with pytest.raises(Exception) as info:
+        run()
+    return type(info.value), str(info.value)
+
+
+FOLD_ERRORS = {
+    "ValueError": (lambda: ValueError("boom"), ValueError, "boom"),
+    "unpicklable": (lambda: TwoArgumentError(7, "held out"), TwoArgumentError, "row 7: held out"),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("case", list(FOLD_ERRORS))
+def test_failing_fold_raises_the_same_error_from_the_pool(monkeypatch, case):
+    error, error_type, message = FOLD_ERRORS[case]
+    ds = indexed_dataset()
+    models = {"knn": KnnClassifier(k=1, folds=3), "bad": ExplodesOnHeldOutRow(error, row=7, folds=4)}
+
+    def run():
+        return benchmark(models, ds, seed=1, grouping="by_row")
+
+    pooled = _failure(lambda: _with_workers(monkeypatch, 2, run))
+    serial = _failure(lambda: _with_workers(monkeypatch, 1, run))
+    assert pooled == serial
+    assert pooled[0] is error_type
+    assert re.fullmatch(rf"fold [0-3]: {message}", pooled[1])
+
+
+@needs_fork
+def test_failing_fold_comes_before_a_later_models_planning_error(monkeypatch):
+    ds = indexed_dataset()
+    bad = ExplodesOnHeldOutRow(lambda: ValueError("boom"), row=0, folds=3)
+    models = {"bad": bad, "knn": KnnClassifier(k=1, folds=50)}  # 50 folds > 24 rows
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+    with pytest.raises(ValueError, match=r"^fold \d: boom$"):
+        benchmark(models, ds, seed=1, grouping="by_row")

@@ -115,6 +115,21 @@ def test_malformed_rows_skipped_and_accounted():
     assert [e.row for e in rep.cell_errors] == [3, 4, 5]  # header is line 1
 
 
+def test_cell_error_row_is_the_physical_line_where_the_record_starts():
+    good = {"session_id": "s", "index": "1", "elapsed_time": "5", "event_name": "e",
+            "name": "n", "level": "2", "fullscreen": "0", "hq": "0", "music": "0",
+            "level_group": "0-4"}
+    two_lines = dict(good, text='"a\nb"')  # one record on physical lines 2 and 3
+    bad = dict(good, level="99")
+    bad_two_lines = dict(bad, text='"c\r\nd"')
+    rep = IngestReport()
+    events = parse([two_lines, bad, bad_two_lines, bad], report=rep)
+    assert [e.text for e in events] == ["a\nb"]
+    assert rep.rows_read == 4
+    # lines: header 1, first record 2-3, bad 4, bad 5-6, bad 7
+    assert [e.row for e in rep.cell_errors] == [4, 5, 7]
+
+
 def test_cell_errors_keep_the_first_rows_and_count_every_column():
     good = {"session_id": "s", "index": "1", "elapsed_time": "5", "event_name": "e",
             "name": "n", "level": "2", "fullscreen": "0", "hq": "0", "music": "0",
@@ -217,6 +232,12 @@ def test_labels_question_out_of_range():
 def test_labels_bad_correct_value():
     with pytest.raises(DataError):
         read_labels(labels_csv(["s1,3,yes"]))
+
+
+def test_label_errors_name_the_physical_line():
+    source = io.StringIO('session_id,question,correct\n"s\n1",3,1\ns2,3,yes\n')
+    with pytest.raises(DataError, match="at line 4"):
+        read_labels(source)
 
 
 def test_labels_round_trip():

@@ -18,6 +18,7 @@ KEPT = {
     "mlp_backward": "acceptance criterion 3 checks the gradients through it",
     "aggregate": "the README's sharding property: one-shot aggregation of a whole stream",
     "StreamingAggregator.merge": "the README's sharding property: shards merge into one result",
+    "kfold": "perfbench/traced_cli.py's TRACED list wraps it; the CLI plans folds as indices",
 }
 
 
