@@ -18,6 +18,12 @@ same artifacts when their outputs are equal:
     PYTHONPATH=src python3 scripts/artifact_digests.py --workdir a > a.txt
     diff a.txt b.txt
 
+Run it under the default config, under ``--config perfbench/config.json``
+and under ``--config scripts/onehot_config.json``. The last one adds a
+``first`` and a ``last`` spec to the default specs, so selection and every
+model see dictionary-coded columns and go through one-hot expansion, which
+neither of the other two configs reaches.
+
 The CLI's own output goes to stderr. Exits with the first failing step's
 exit code.
 """

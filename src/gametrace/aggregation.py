@@ -453,7 +453,7 @@ def _read_sidecar(meta_path: Path) -> tuple[tuple[AggregatorSpec, ...], dict[str
     if not isinstance(meta, dict):
         raise DataError(f"{meta_path}: not a JSON object")
     if meta.get("format") != "gametrace-feature-matrix":
-        raise ConfigError(f"not a feature matrix sidecar: {meta_path}")
+        raise DataError(f"not a feature matrix sidecar: {meta_path}")
     try:
         specs = []
         for i, entry in enumerate(check(meta.get("columns"), list, "columns")):
@@ -479,7 +479,7 @@ def load_feature_matrix(csv_path: Path, meta_path: Path) -> FeatureMatrix:
             if header is None:
                 raise DataError(f"{csv_path}: empty file, no header row")
             if header != expected:
-                raise ConfigError(f"feature CSV header does not match sidecar: {csv_path}")
+                raise DataError(f"feature CSV header does not match sidecar: {csv_path}")
             for row in reader:
                 if len(row) != len(expected):
                     raise ValueError(f"{len(row)} fields, the header has {len(expected)}")

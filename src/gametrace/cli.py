@@ -126,17 +126,11 @@ def _workdir(cfg: RunConfig) -> Path:
     return wd
 
 
-def _events_path(cfg: RunConfig) -> Path:
-    path = Path(cfg.events_path) if cfg.events_path else _workdir(cfg) / "events.csv"
-    if not path.exists():
-        raise DataError(f"MissingFile: event file not found: {path}")
-    return path
-
-
-def _labels_path(cfg: RunConfig) -> Path:
-    path = Path(cfg.labels_path) if cfg.labels_path else _workdir(cfg) / "labels.csv"
-    if not path.exists():
-        raise DataError(f"MissingFile: label file not found: {path}")
+def _input_file(path: Path, what: str) -> Path:
+    """``path``, or a DataError naming it when it is missing or not a file."""
+    if not path.is_file():
+        problem = "is not a file" if path.exists() else "not found"
+        raise DataError(f"MissingFile: {what} {problem}: {path}")
     return path
 
 
@@ -174,7 +168,7 @@ def cmd_gen_synthetic(cfg: RunConfig) -> int:
 
 def cmd_aggregate(cfg: RunConfig) -> int:
     wd = _workdir(cfg)
-    events_path = _events_path(cfg)
+    events_path = _input_file(Path(cfg.events_path or wd / "events.csv"), "event file")
     report = IngestReport()
     agg = StreamingAggregator(cfg.aggregator_specs)
     with open(events_path, newline="") as source:
@@ -216,12 +210,12 @@ def cmd_aggregate(cfg: RunConfig) -> int:
 
 def _load_joined(cfg: RunConfig) -> tuple[LabeledDataset, int]:
     wd = _workdir(cfg)
-    features_csv = wd / "features.csv"
-    features_meta = wd / "features.meta.json"
-    if not features_csv.exists() or not features_meta.exists():
-        raise DataError(f"MissingFile: run `gametrace aggregate` first (no {features_csv})")
-    matrix = load_feature_matrix(features_csv, features_meta)
-    with open(_labels_path(cfg), newline="") as source:
+    aggregated = "feature matrix (run `gametrace aggregate` first)"
+    matrix = load_feature_matrix(
+        _input_file(wd / "features.csv", aggregated), _input_file(wd / "features.meta.json", aggregated)
+    )
+    labels_path = _input_file(Path(cfg.labels_path or wd / "labels.csv"), "label file")
+    with open(labels_path, newline="") as source:
         labels = read_labels(source)
     return join(matrix, labels, cfg.question_groups)
 
@@ -296,9 +290,7 @@ def cmd_cv(cfg: RunConfig, kind: str) -> int:
 
 def cmd_evaluate(cfg: RunConfig, kind: str, model_file: Optional[Path]) -> int:
     wd = _workdir(cfg)
-    path = model_file or wd / f"model_{kind}.bin"
-    if not path.exists():
-        raise DataError(f"MissingFile: model container not found: {path}")
+    path = _input_file(model_file or wd / f"model_{kind}.bin", "model container")
     loaded = load_model(path)
     if loaded.kind != kind:
         raise DataError(f"container holds a {loaded.kind} model, not {kind}")
@@ -370,7 +362,7 @@ def _artifact_fingerprints(wd: Path) -> dict[str, str]:
     paths = [wd / name for name in names] + sorted(wd.glob("cv_*.json")) + sorted(wd.glob("eval_*.json"))
     paths += [wd / "selection_report.tsv"] + sorted(wd.glob("model_*.bin"))
     return {
-        p.name: _recorded_fingerprint(p)
+        p.name: _recorded_fingerprint(_input_file(p, "artifact"))
         for p in paths
         if p.exists() and not p.name.endswith(".run.json")
     }

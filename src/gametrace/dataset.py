@@ -18,6 +18,7 @@ from .aggregation import FeatureMatrix
 from .errors import (
     AllMissingColumnError,
     ConfigError,
+    DataError,
     EmptyJoinError,
     TooFewRowsError,
 )
@@ -108,119 +109,77 @@ def join(
     return ds, dropped
 
 
-def impute_mean(
-    x: np.ndarray,
-    means: Optional[np.ndarray] = None,
-    feature_names: Optional[Sequence[str]] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Replace NaNs by per-column means of present values.
+def _column_means(x: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    """Per-column means of the present values; every column needs one."""
+    present = ~np.isnan(x)
+    counts = present.sum(axis=0)
+    if np.any(counts == 0):
+        raise AllMissingColumnError(str(names[int(np.argmax(counts == 0))]))
+    return np.where(present, x, 0.0).sum(axis=0) / counts
 
-    When ``means`` is given (test-time path) it is applied unchanged;
-    otherwise means are computed from ``x`` and returned for reuse.
-    """
+
+def impute_mean(x: np.ndarray, feature_names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` with NaNs replaced by its per-column means of present values,
+    and those means."""
     x = np.asarray(x, dtype=np.float64)
-    if means is None:
-        present = ~np.isnan(x)
-        counts = present.sum(axis=0)
-        if np.any(counts == 0):
-            col = int(np.argmax(counts == 0))
-            name = feature_names[col] if feature_names else f"column {col}"
-            raise AllMissingColumnError(str(name))
-        means = np.where(present, x, 0.0).sum(axis=0) / counts
-    out = np.where(np.isnan(x), means, x)
-    return out, np.asarray(means, dtype=np.float64)
+    means = _column_means(x, feature_names)
+    return np.where(np.isnan(x), means, x), means
 
 
-@dataclass(frozen=True)
-class ScalerParams:
-    """Per-column standardization constants (population convention)."""
-
-    mean: np.ndarray
-    std: np.ndarray  # 0.0 flags a constant column
-
-    @property
-    def constant_mask(self) -> np.ndarray:
-        return self.std == 0.0
-
-
-def standardize(
-    x: np.ndarray, params: Optional[ScalerParams] = None
-) -> tuple[np.ndarray, ScalerParams]:
-    """Transform to zero mean, unit variance; constant columns map to 0.
-
-    With ``params`` supplied the stored constants are applied unchanged.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if params is None:
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)  # divide-by-n convention
-        params = ScalerParams(mean=mean, std=std)
-    safe = np.where(params.std == 0.0, 1.0, params.std)
-    out = (x - params.mean) / safe
-    out[:, params.constant_mask] = 0.0
-    return out, params
-
-
-@dataclass(frozen=True)
-class OneHotParams:
-    """Per-categorical-column category codes learned from training data."""
-
-    columns: tuple[str, ...]
-    categories: tuple[tuple[float, ...], ...]  # sorted codes per column
-
-
-def one_hot(
-    x: np.ndarray,
-    feature_names: Sequence[str],
-    categorical_names: Sequence[str],
-    params: Optional[OneHotParams] = None,
-) -> tuple[np.ndarray, tuple[str, ...], OneHotParams]:
-    """Expand dictionary-coded columns into indicator columns.
-
-    A no-op when no categorical columns are present. Absent cells and codes
-    unseen at fit time produce an all-zero indicator block.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    names = tuple(feature_names)
-    cat = tuple(c for c in categorical_names if c in names)
-    if params is None:
-        cats = []
-        for col in cat:
-            j = names.index(col)
-            vals = x[:, j]
-            cats.append(tuple(sorted(float(v) for v in np.unique(vals[~np.isnan(vals)]))))
-        params = OneHotParams(columns=cat, categories=tuple(cats))
-    if not params.columns:
-        return x, names, params
-
-    cat_idx = {c: names.index(c) for c in params.columns}
-    keep = [j for j, n in enumerate(names) if n not in params.columns]
-    blocks = [x[:, keep]]
-    out_names = [names[j] for j in keep]
-    for col, codes in zip(params.columns, params.categories):
-        v = x[:, cat_idx[col]]
-        for code in codes:
-            blocks.append((v == code).astype(np.float64)[:, None])
-            out_names.append(f"{col}={int(code)}")
-    return np.hstack(blocks), tuple(out_names), params
+def _one_hot(x: np.ndarray, names: Sequence[str], columns: Sequence[str], categories) -> np.ndarray:
+    """``x`` without ``columns``, then one indicator column per code of each."""
+    if not columns:
+        return x
+    blocks = [x[:, [j for j, n in enumerate(names) if n not in columns]]]
+    for col, codes in zip(columns, categories):
+        v = x[:, names.index(col)]
+        blocks += [(v == code).astype(np.float64)[:, None] for code in codes]
+    return np.hstack(blocks)
 
 
 @dataclass(frozen=True)
 class Preprocessor:
-    """Fitted one-hot + imputation + optional scaling, applied atomically."""
+    """One-hot expansion, mean imputation and optional scaling, fitted on
+    training rows only and applied unchanged to any rows.
 
-    onehot: OneHotParams
-    means: np.ndarray
-    scaler: Optional[ScalerParams]
+    The fields are the model container's ``preprocessor`` header keys and
+    its ``pre_*`` arrays. Absent cells and codes unseen at fit time expand
+    to an all-zero indicator block; a scaler std of 0.0 flags a constant
+    column, which maps to 0.
+    """
+
     input_names: tuple[str, ...]
     output_names: tuple[str, ...]
+    onehot_columns: tuple[str, ...]
+    onehot_categories: tuple[tuple[float, ...], ...]  # sorted codes per column
+    means: np.ndarray
+    scaler_mean: Optional[np.ndarray] = None  # both None when not scaled
+    scaler_std: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        missing = [c for c in self.onehot_columns if c not in self.input_names]
+        if missing:
+            raise DataError(f"preprocessor one-hot column {missing[0]!r} is not an input name")
+        if len(self.onehot_categories) != len(self.onehot_columns):
+            raise DataError("preprocessor needs one category list per one-hot column")
+        width = sum(n not in self.onehot_columns for n in self.input_names)
+        width += sum(map(len, self.onehot_categories))
+        if len(self.output_names) != width:
+            raise DataError(f"preprocessor has {len(self.output_names)} output names for {width} columns")
+        for name in ("means", "scaler_mean", "scaler_std"):
+            value = getattr(self, name)
+            if value is not None and np.shape(value) != (width,):
+                raise DataError(f"preprocessor {name} has shape {np.shape(value)}, not ({width},)")
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        x2, _, _ = one_hot(x, self.input_names, self.onehot.columns, self.onehot)
-        x3, _ = impute_mean(x2, means=self.means)
-        if self.scaler is not None:
-            x3, _ = standardize(x3, self.scaler)
-        return x3
+        x = np.asarray(x, dtype=np.float64)
+        x = _one_hot(x, self.input_names, self.onehot_columns, self.onehot_categories)
+        x = np.where(np.isnan(x), self.means, x)
+        if self.scaler_std is not None:
+            constant = self.scaler_std == 0.0
+            x = (x - self.scaler_mean) / np.where(constant, 1.0, self.scaler_std)
+            x[:, constant] = 0.0
+        return x
 
 
 def fit_preprocessor(
@@ -230,16 +189,23 @@ def fit_preprocessor(
     scale: bool = True,
 ) -> Preprocessor:
     """Fit all preprocessing constants on training rows only."""
-    x2, out_names, oh = one_hot(x, feature_names, categorical_names)
-    x3, means = impute_mean(x2, feature_names=out_names)
-    scaler = standardize(x3)[1] if scale else None
-    return Preprocessor(
-        onehot=oh,
-        means=means,
-        scaler=scaler,
-        input_names=tuple(feature_names),
-        output_names=out_names,
+    x = np.asarray(x, dtype=np.float64)
+    names = tuple(feature_names)
+    columns = tuple(c for c in categorical_names if c in names)
+    categories = []
+    for col in columns:
+        v = x[:, names.index(col)]
+        categories.append(tuple(sorted(float(c) for c in np.unique(v[~np.isnan(v)]))))
+    output_names = tuple(n for n in names if n not in columns) + tuple(
+        f"{col}={int(code)}" for col, codes in zip(columns, categories) for code in codes
     )
+    x = _one_hot(x, names, columns, categories)
+    means = _column_means(x, output_names)
+    scaler_mean = scaler_std = None
+    if scale:
+        x = np.where(np.isnan(x), means, x)
+        scaler_mean, scaler_std = x.mean(axis=0), x.std(axis=0)  # divide-by-n convention
+    return Preprocessor(names, output_names, columns, tuple(categories), means, scaler_mean, scaler_std)
 
 
 @dataclass(frozen=True)

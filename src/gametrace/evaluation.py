@@ -63,10 +63,10 @@ def _check_lengths(pred, truth) -> tuple[np.ndarray, np.ndarray]:
     return p, t
 
 
-def confusion_counts(pred, truth, positive_class: int = 1) -> ConfusionCounts:
+def confusion_counts(pred, truth) -> ConfusionCounts:
     p, t = _check_lengths(pred, truth)
-    pos_p = p == positive_class
-    pos_t = t == positive_class
+    pos_p = p == 1
+    pos_t = t == 1
     return ConfusionCounts(
         tp=int((pos_p & pos_t).sum()),
         fp=int((pos_p & ~pos_t).sum()),
@@ -80,9 +80,9 @@ def accuracy(pred, truth) -> float:
     return float((p == t).mean())
 
 
-def f1(pred, truth, positive_class: int = 1) -> float:
+def f1(pred, truth) -> float:
     """Positive-class F1; an undefined precision or recall counts as 0."""
-    c = confusion_counts(pred, truth, positive_class)
+    c = confusion_counts(pred, truth)
     precision = c.tp / (c.tp + c.fp) if c.tp + c.fp > 0 else 0.0
     recall = c.tp / (c.tp + c.fn) if c.tp + c.fn > 0 else 0.0
     if precision + recall == 0.0:

@@ -225,24 +225,21 @@ def _unreadable(source: IO[str], reader, exc: Exception) -> DataError:
     return DataError(f"{where}: line {reader.line_num}: {exc}")
 
 
-def read_events(
-    source: IO[str],
-    schema: Sequence[str] = EVENT_COLUMNS,
-    report: IngestReport | None = None,
-) -> Iterator[RawEvent]:
+def read_events(source: IO[str], report: IngestReport | None = None) -> Iterator[RawEvent]:
     """Stream RawEvents from a CSV text source.
 
     Malformed rows are skipped and recorded in ``report`` with their line
     number; level/level_group inconsistencies are counted but the event is
-    still emitted. Raises MissingColumnError if the header lacks a schema
-    column, and DataError, naming the line, on text that is not UTF-8 or
-    that the csv module cannot split (such as a field over its size limit).
+    still emitted. Raises MissingColumnError if the header lacks one of
+    ``EVENT_COLUMNS``, and DataError, naming the line, on text that is not
+    UTF-8 or that the csv module cannot split (such as a field over its size
+    limit).
     """
     rep = report if report is not None else IngestReport()
     reader = csv.reader(source)
     try:
-        header, pos = _positions(reader, schema)
-        extras = tuple(c for c in header if c not in schema)
+        header, pos = _positions(reader, EVENT_COLUMNS)
+        extras = tuple(c for c in header if c not in EVENT_COLUMNS)
         if extras:
             rep.unknown_columns = extras
             logger.warning("ignoring %d unknown column(s): %s", len(extras), ", ".join(extras))

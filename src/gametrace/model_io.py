@@ -14,7 +14,7 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -89,52 +89,9 @@ def load_container(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-# --- preprocessor ---------------------------------------------------------
-
-
-def _preprocessor_header(pre: Preprocessor) -> dict:
-    return {
-        "input_names": list(pre.input_names),
-        "output_names": list(pre.output_names),
-        "onehot_columns": list(pre.onehot.columns),
-        "onehot_categories": [list(c) for c in pre.onehot.categories],
-        "scaled": pre.scaler is not None,
-    }
-
-
-def _preprocessor_arrays(pre: Preprocessor) -> dict[str, np.ndarray]:
-    arrays = {"pre_means": np.asarray(pre.means, dtype=np.float64)}
-    if pre.scaler is not None:
-        arrays["pre_scaler_mean"] = np.asarray(pre.scaler.mean, dtype=np.float64)
-        arrays["pre_scaler_std"] = np.asarray(pre.scaler.std, dtype=np.float64)
-    return arrays
-
-
-def _preprocessor_from(header: dict, arrays: dict[str, np.ndarray]) -> Preprocessor:
-    ph = header["preprocessor"]
-    scaler = None
-    if check(ph["scaled"], bool, "preprocessor.scaled"):
-        scaler = {"mean": arrays["pre_scaler_mean"], "std": arrays["pre_scaler_std"]}
-    values = {
-        "onehot": {"columns": ph["onehot_columns"], "categories": ph["onehot_categories"]},
-        "means": arrays["pre_means"],
-        "scaler": scaler,
-        "input_names": ph["input_names"],
-        "output_names": ph["output_names"],
-    }
-    pre = build(Preprocessor, values, "preprocessor")
-    # transform's output width, which every vector and output name must match
-    onehot = pre.onehot
-    width = sum(n not in onehot.columns for n in pre.input_names) + sum(map(len, onehot.categories))
-    vectors = [pre.means, *([pre.scaler.mean, pre.scaler.std] if pre.scaler else [])]
-    if (
-        not set(onehot.columns) <= set(pre.input_names)
-        or len(onehot.categories) != len(onehot.columns)
-        or len(pre.output_names) != width
-        or any(v.shape != (width,) for v in vectors)
-    ):
-        raise ContainerFormatError("preprocessor header does not match its arrays")
-    return pre
+# The preprocessor's array fields, stored as ``pre_<field>``; its other
+# fields, plus ``scaled``, are the header's ``preprocessor`` section.
+_PRE_ARRAYS = ("means", "scaler_mean", "scaler_std")
 
 
 # --- public save/load -----------------------------------------------------
@@ -164,16 +121,18 @@ def save_model(
     if kind not in MODELS:
         raise ContainerFormatError(f"unknown model kind {kind!r}")
     section, model_arrays = MODELS[kind].to_container(model)
+    pre = {f.name: getattr(preprocessor, f.name) for f in fields(Preprocessor)}
+    arrays = {f"pre_{name}": v for name in _PRE_ARRAYS if (v := pre.pop(name)) is not None}
     header: dict = {
         "kind": kind,
         "feature_names": list(feature_names),
         "config_fingerprint": config_fingerprint,
-        "preprocessor": _preprocessor_header(preprocessor),
+        "preprocessor": {**pre, "scaled": preprocessor.scaler_std is not None},
         # deterministic creation metadata: identical inputs => identical bytes
         "created_by": {"tool": "gametrace", "container_version": FORMAT_VERSION, "seed": seed},
         kind: section,
     }
-    save_container(path, header, {**_preprocessor_arrays(preprocessor), **model_arrays})
+    save_container(path, header, {**arrays, **model_arrays})
 
 
 def load_model(path: Path) -> LoadedModel:
@@ -185,7 +144,11 @@ def load_model(path: Path) -> LoadedModel:
         if not isinstance(header.get(name, {}), dict):
             raise ContainerFormatError(f"container section {name!r} is not an object: {path}")
     try:
-        pre = _preprocessor_from(header, arrays)
+        section = dict(header["preprocessor"])
+        scaled = check(section.pop("scaled"), bool, "preprocessor.scaled")
+        for name in _PRE_ARRAYS if scaled else ("means",):
+            section[name] = arrays[f"pre_{name}"]
+        pre = build(Preprocessor, section, "preprocessor")
         model = MODELS[kind].from_container(header[kind], arrays)
     except KeyError as exc:  # a header section or an array the kind needs
         raise ContainerFormatError(f"container is missing {exc.args[0]!r}: {path}") from None

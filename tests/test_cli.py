@@ -254,6 +254,11 @@ def _no_trees(h, a):
     return {**h, "forest": {**h["forest"], "tree_count": 3}}, {**a, **empty}
 
 
+def _extra_output_name(h):
+    pre = h["preprocessor"]
+    return {**h, "preprocessor": {**pre, "output_names": [*pre["output_names"], "extra"]}}
+
+
 # case -> (kind, edit of (header, arrays), expected message)
 MALFORMED_CONTAINERS = {
     "knn section missing": ("knn", _header(lambda h: _without(h, "knn")), "container is missing 'knn'"),
@@ -270,6 +275,17 @@ MALFORMED_CONTAINERS = {
     "knn k above rows": ("knn", _section("knn", k=100000), "k=100000 exceeds"),
     "knn k a string": ("knn", _section("knn", k="5"), "knn.k must be int"),
     "mlp_w0 column count": ("mlp", _array("mlp_w0", lambda v: v[:, :-1]), "mlp weights do not match"),
+    "pre_means short": ("knn", _array("pre_means", lambda v: v[:-1]), "preprocessor means has shape (10,)"),
+    "scaled without pre_scaler_std": (
+        "knn", lambda h, a: (h, _without(a, "pre_scaler_std")), "container is missing 'pre_scaler_std'"
+    ),
+    "one extra output name": (
+        "forest", _header(_extra_output_name), "preprocessor has 12 output names for 11 columns",
+    ),
+    "one-hot column not an input name": (
+        "forest", _section("preprocessor", onehot_columns=["nope"], onehot_categories=[[]]),
+        "preprocessor one-hot column 'nope' is not an input name",
+    ),
 }
 
 
@@ -366,6 +382,13 @@ HALF_WRITTEN_WORKDIRS = {
         "features.meta.json", _sidecar_with(code_tables={"fqid": {"a": "0"}}),
         "features.meta.json: code_tables.fqid.a must be int, got '0'",
     ),
+    "sidecar of another format": (
+        "features.meta.json", _sidecar_with(format="other"), "not a feature matrix sidecar: ",
+    ),
+    "features.csv header not the sidecar's": (
+        "features.csv", lambda csv: csv.replace(b"session_id", b"session", 1),
+        "feature CSV header does not match sidecar: ",
+    ),
 }
 
 
@@ -378,6 +401,30 @@ def test_half_written_workdir_exits_2_naming_the_file(pipeline_dir, tmp_path, ca
     capsys.readouterr()
     assert run("select", "--workdir", str(tmp_path)) == 2
     assert message in capsys.readouterr().err
+
+
+# case -> (path in the workdir made a directory, command line; "{}" is that path)
+DIRECTORY_INPUTS = {
+    "--events": ("events_dir", ["aggregate", "--events", "{}"]),
+    "--labels": ("labels_dir", ["select", "--labels", "{}"]),
+    "features.csv": ("features.csv", ["select"]),
+    "features.meta.json": ("features.meta.json", ["select"]),
+    "--model-file": ("model_dir", ["evaluate", "--model", "knn", "--model-file", "{}"]),
+    "a report verify reads": ("aggregate_report.json", ["verify"]),
+}
+
+
+@pytest.mark.parametrize("case", list(DIRECTORY_INPUTS))
+def test_directory_in_place_of_an_input_file_exits_2_naming_it(pipeline_dir, tmp_path, capsys, case):
+    name, argv = DIRECTORY_INPUTS[case]
+    for kept in ("events.csv", "labels.csv", "features.csv", "features.meta.json"):
+        shutil.copy(pipeline_dir / kept, tmp_path / kept)
+    target = tmp_path / name
+    target.unlink(missing_ok=True)
+    target.mkdir()
+    capsys.readouterr()
+    assert run(*(arg.format(target) for arg in argv), "--workdir", str(tmp_path)) == 2
+    assert f"is not a file: {target}" in capsys.readouterr().err
 
 
 def test_verify_corrupt_report_exits_2(tmp_path):

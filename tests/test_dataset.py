@@ -16,9 +16,7 @@ from gametrace.dataset import (
     join,
     kfold,
     kfold_indices,
-    one_hot,
     split_train_test,
-    standardize,
 )
 from gametrace.errors import (
     AllMissingColumnError,
@@ -85,25 +83,37 @@ def test_join_matches_nested_loop_oracle():
     assert dropped == len(labels) - len(expected)
 
 
+def names(x):
+    return tuple(f"c{j}" for j in range(np.shape(x)[1]))
+
+
+def imputer(x):
+    return fit_preprocessor(x, names(x), scale=False)
+
+
+def scaler(x):
+    return fit_preprocessor(x, names(x), scale=True)
+
+
 def test_impute_simple_column():
     x = np.array([[1.0], [np.nan], [3.0]])
-    out, means = impute_mean(x)
-    assert out[:, 0].tolist() == [1.0, 2.0, 3.0]
-    assert means.tolist() == [2.0]
+    pre = imputer(x)
+    assert pre.transform(x)[:, 0].tolist() == [1.0, 2.0, 3.0]
+    assert pre.means.tolist() == [2.0]
 
 
 def test_impute_no_absents_is_identity():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out, means = impute_mean(x)
-    assert np.array_equal(out, x)
-    assert means.tolist() == [2.0, 3.0]
+    pre = imputer(x)
+    assert np.array_equal(pre.transform(x), x)
+    assert pre.means.tolist() == [2.0, 3.0]
 
 
 def test_impute_with_train_means_on_test():
     train = np.array([[0.0], [4.0]])
-    _, means = impute_mean(train)
+    pre = imputer(train)
     test = np.array([[np.nan], [10.0]])
-    out, _ = impute_mean(test, means=means)
+    out = pre.transform(test)
     assert out[:, 0].tolist() == [2.0, 10.0]  # train mean, not test mean
 
 
@@ -113,36 +123,38 @@ def test_impute_random_matches_oracle():
     mask = rng.random(x.shape) < 0.3
     x[mask] = np.nan
     x[0, :] = 1.0  # ensure every column has a present value
-    out, _ = impute_mean(x)
+    out = imputer(x).transform(x)
     assert np.allclose(out, naive_impute(x), atol=1e-12)
+    assert np.array_equal(impute_mean(x, names(x))[0], out)
 
 
 def test_impute_all_missing_column_raises():
     x = np.array([[np.nan], [np.nan]])
-    with pytest.raises(AllMissingColumnError):
+    with pytest.raises(AllMissingColumnError, match="broken"):
+        fit_preprocessor(x, ["broken"])
+    with pytest.raises(AllMissingColumnError, match="broken"):
         impute_mean(x, feature_names=["broken"])
 
 
 def test_standardize_two_point_column():
     x = np.array([[0.0], [10.0]])
-    out, params = standardize(x)
-    assert out[:, 0].tolist() == [-1.0, 1.0]  # population std = 5
-    assert params.std.tolist() == [5.0]
+    pre = scaler(x)
+    assert pre.transform(x)[:, 0].tolist() == [-1.0, 1.0]  # population std = 5
+    assert pre.scaler_std.tolist() == [5.0]
 
 
 def test_standardize_constant_column_maps_to_zero():
     x = np.array([[7.0], [7.0], [7.0]])
-    out, params = standardize(x)
-    assert out[:, 0].tolist() == [0.0, 0.0, 0.0]
-    assert params.constant_mask.tolist() == [True]
+    pre = scaler(x)
+    assert pre.transform(x)[:, 0].tolist() == [0.0, 0.0, 0.0]
+    assert (pre.scaler_std == 0.0).tolist() == [True]
 
 
 def test_standardize_train_params_on_heldout_matches_oracle():
     rng = np.random.default_rng(8)
     train = rng.normal(2.0, 3.0, size=(50, 4))
     test = rng.normal(2.0, 3.0, size=(20, 4))
-    _, params = standardize(train)
-    got, _ = standardize(test, params)
+    got = scaler(train).transform(test)
     _, mean, std = naive_standardize(train)
     want, _, _ = naive_standardize(test, mean, std)
     assert np.allclose(got, want, atol=1e-12)
@@ -153,9 +165,9 @@ def test_impute_then_standardize_normalizes_training_data():
     x = rng.normal(5.0, 2.0, size=(200, 6))
     x[rng.random(x.shape) < 0.2] = np.nan
     x[0, :] = 0.5
-    imputed, _ = impute_mean(x)
-    out, params = standardize(imputed)
-    nonconst = ~params.constant_mask
+    pre = scaler(x)
+    out = pre.transform(x)
+    nonconst = pre.scaler_std != 0.0
     assert np.all(np.abs(out.mean(axis=0)[nonconst]) < 1e-9)
     assert np.all(np.abs(out.std(axis=0)[nonconst] - 1.0) < 1e-9)
 
@@ -259,16 +271,17 @@ def test_kfold_determinism_property(seed):
 
 def test_one_hot_noop_without_categoricals():
     x = np.array([[1.0, 2.0]])
-    out, names, params = one_hot(x, ("a", "b"), ())
-    assert np.array_equal(out, x)
-    assert names == ("a", "b")
-    assert params.columns == ()
+    pre = fit_preprocessor(x, ("a", "b"), (), scale=False)
+    assert np.array_equal(pre.transform(x), x)
+    assert pre.output_names == ("a", "b")
+    assert pre.onehot_columns == ()
 
 
 def test_one_hot_expands_dictionary_codes():
     x = np.array([[0.0, 5.0], [1.0, 6.0], [2.0, 7.0], [0.0, 8.0]])
-    out, names, params = one_hot(x, ("code", "val"), ("code",))
-    assert names == ("val", "code=0", "code=1", "code=2")
+    pre = fit_preprocessor(x, ("code", "val"), ("code",), scale=False)
+    out = pre.transform(x)
+    assert pre.output_names == ("val", "code=0", "code=1", "code=2")
     assert out[:, 0].tolist() == [5.0, 6.0, 7.0, 8.0]
     assert out[:, 1].tolist() == [1.0, 0.0, 0.0, 1.0]
     assert out[:, 2].tolist() == [0.0, 1.0, 0.0, 0.0]
@@ -276,11 +289,11 @@ def test_one_hot_expands_dictionary_codes():
 
 def test_one_hot_unknown_test_code_is_all_zeros():
     train = np.array([[0.0], [1.0]])
-    _, _, params = one_hot(train, ("code",), ("code",))
+    pre = fit_preprocessor(train, ("code",), ("code",), scale=False)
     test = np.array([[9.0]])
-    out, names, _ = one_hot(test, ("code",), ("code",), params)
+    out = pre.transform(test)
     assert out[0].tolist() == [0.0, 0.0]
-    assert names == ("code=0", "code=1")
+    assert pre.output_names == ("code=0", "code=1")
 
 
 def test_preprocessor_never_uses_test_statistics():
@@ -311,7 +324,7 @@ def test_fold_isolation_no_leakage():
         assert set(reduced.row_keys) == set(tr.row_keys) - victim_keys or victim_keys <= set(tr.row_keys)
         refit = fit_preprocessor(tr.x, tr.feature_names, tr.categorical_names, scale=True)
         assert np.array_equal(refit.means, params[i].means)
-        assert np.array_equal(refit.scaler.mean, params[i].scaler.mean)
+        assert np.array_equal(refit.scaler_mean, params[i].scaler_mean)
 
 
 def test_export_fold_assignments():

@@ -185,6 +185,34 @@ def test_model_round_trip_predictions(tmp_path, kind):
     assert path.read_bytes() == first
 
 
+@pytest.mark.parametrize("kind", list(MODELS))
+def test_model_round_trip_with_one_hot_columns(tmp_path, kind):
+    names = ("a", "code", "c", "d")
+    x, y = training_data(seed=8)
+    rng = np.random.default_rng(10)
+    x[:, 1] = rng.integers(0, 4, size=len(x))
+    x[::9, 1] = np.nan  # an absent code
+    classifier = MODELS[kind](**FAST_SETTINGS.get(kind, {}))
+    pre = fit_preprocessor(x, names, ("code",), scale=classifier.scale)
+    assert pre.onehot_categories == ((0.0, 1.0, 2.0, 3.0),)
+    model = classifier.fit(pre.transform(x), y, seed=4)
+    path = tmp_path / f"{kind}.bin"
+    save_model(path, kind, model, pre, names, config_fingerprint="fp", seed=7)
+    loaded = load_model(path)
+
+    probes = rng.normal(size=(100, 4))
+    probes[:, 1] = rng.integers(0, 4, size=100)
+    probes[:10, 1] = 7.0  # a code the model never saw in training
+    absent = probes[:10].copy()
+    absent[:, 1] = np.nan
+    assert np.array_equal(pre.transform(probes[:10]), pre.transform(absent))  # all-zero indicators
+    assert np.array_equal(loaded.predict(probes), classifier.apply(model, pre.transform(probes)))
+
+    first = path.read_bytes()
+    save_model(path, kind, loaded.model, loaded.preprocessor, names, config_fingerprint="fp", seed=7)
+    assert path.read_bytes() == first
+
+
 def test_mlp_container_preserves_config_and_history(tmp_path):
     x, y = training_data(seed=5)
     pre = fit_preprocessor(x, ("a", "b", "c", "d"), scale=True)
