@@ -1,7 +1,13 @@
 #!/usr/bin/env python3
-"""Run every CLI command once and print the sha256 of each artifact it wrote.
+"""Run every CLI command under each config and print the sha256 of each artifact.
 
-Steps, all with the same --workdir, --config and --seed:
+The configs are the defaults, ``perfbench/config.json`` and
+``scripts/onehot_config.json``; the last one adds a ``first`` and a ``last``
+spec to the default specs, so selection and every model see
+dictionary-coded columns and go through one-hot expansion, which neither of
+the other two reaches. Each config runs in its own subdirectory of
+``--workdir`` (``default``, ``perfbench``, ``onehot``), with these steps,
+all with that subdirectory as --workdir, the config and --seed:
 
     gametrace gen-synthetic --sessions N --events-per-session M
     gametrace aggregate
@@ -11,18 +17,12 @@ Steps, all with the same --workdir, --config and --seed:
     gametrace cv / train / evaluate --model KIND   (for each kind in MODELS)
     gametrace verify
 
-Prints ``sha256  name`` for every artifact in the workdir, sorted by name,
-except the run sidecars, which hold timings. Two checkouts produced the
-same artifacts when their outputs are equal:
+Prints ``config/name sha256`` for every artifact, sorted by name within
+each config, except the run sidecars, which hold timings. Two checkouts
+produced the same artifacts when their outputs are equal:
 
     PYTHONPATH=src python3 scripts/artifact_digests.py --workdir a > a.txt
     diff a.txt b.txt
-
-Run it under the default config, under ``--config perfbench/config.json``
-and under ``--config scripts/onehot_config.json``. The last one adds a
-``first`` and a ``last`` spec to the default specs, so selection and every
-model see dictionary-coded columns and go through one-hot expansion, which
-neither of the other two configs reaches.
 
 The CLI's own output goes to stderr. Exits with the first failing step's
 exit code.
@@ -37,6 +37,13 @@ from pathlib import Path
 
 from gametrace.cli import main as cli
 from gametrace.evaluation import MODELS
+
+REPO = Path(__file__).resolve().parent.parent
+CONFIGS = {
+    "default": None,
+    "perfbench": REPO / "perfbench" / "config.json",
+    "onehot": REPO / "scripts" / "onehot_config.json",
+}
 
 
 def steps(args) -> list[list[str]]:
@@ -56,27 +63,27 @@ def steps(args) -> list[list[str]]:
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("--workdir", type=Path, default=Path("digests_out"))
-    parser.add_argument("--config", type=Path, default=None)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--sessions", type=int, default=60)
     parser.add_argument("--events-per-session", type=int, default=600)
     args = parser.parse_args(argv)
 
-    common = ["--workdir", str(args.workdir), "--seed", str(args.seed)]
-    if args.config is not None:
-        common += ["--config", str(args.config)]
-    for step in steps(args):
-        with contextlib.redirect_stdout(sys.stderr):
-            code = cli(step + common)
-        if code != 0:
-            print(f"step {' '.join(step)} failed with exit code {code}", file=sys.stderr)
-            return code
-        if step[0] == "benchmark" and step[-1] == "holdout":
-            shutil.copy(args.workdir / "benchmark_report.json",
-                        args.workdir / "benchmark_report.holdout.json")
-    for path in sorted(args.workdir.iterdir()):
-        if path.is_file() and not path.name.endswith("run.json"):
-            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+    for name, config in CONFIGS.items():
+        workdir = args.workdir / name
+        common = ["--workdir", str(workdir), "--seed", str(args.seed)]
+        if config is not None:
+            common += ["--config", str(config)]
+        for step in steps(args):
+            with contextlib.redirect_stdout(sys.stderr):
+                code = cli(step + common)
+            if code != 0:
+                print(f"{name}: step {' '.join(step)} failed with exit code {code}", file=sys.stderr)
+                return code
+            if step[0] == "benchmark" and step[-1] == "holdout":
+                shutil.copy(workdir / "benchmark_report.json", workdir / "benchmark_report.holdout.json")
+        for path in sorted(workdir.iterdir()):
+            if path.is_file() and not path.name.endswith("run.json"):
+                print(f"{name}/{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
     return 0
 
 

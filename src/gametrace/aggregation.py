@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Optional
 
-from math import fsum
+from math import fsum, isfinite
 
 from .errors import ConfigError, DataError, SpecTypeMismatchError
 from .events import (
@@ -166,6 +166,26 @@ class _NumAcc:
         if self.partials is None:
             return float(self.total)
         return fsum(self.partials)
+
+
+def _reduce(acc: _NumAcc, spec: AggregatorSpec, key: tuple[str, str]) -> float:
+    """The spec's reduction of a non-empty accumulator; DataError unless it
+    is a finite float (a sum past the float range, or a huge integer)."""
+    try:
+        if spec.kind == "mean":
+            value = acc.sum_value() / acc.count
+        elif spec.kind == "sum":
+            value = acc.sum_value()
+        else:
+            value = float(acc.mn if spec.kind == "min" else acc.mx)
+    except (OverflowError, ValueError):  # int too large for a float; inf - inf in fsum
+        value = float("nan")
+    if not isfinite(value):
+        raise DataError(
+            f"{spec.output_name} of session {key[0]!r}, level group {key[1]!r} "
+            "is not a finite float"
+        )
+    return value
 
 
 class _CatAcc:
@@ -336,16 +356,7 @@ class StreamingAggregator:
             for s in self.specs:
                 if s.column in NUMERIC_COLUMNS:
                     acc = nums[num_slot[s.column]]
-                    if acc.count == 0:
-                        values.append(None)
-                    elif s.kind == "mean":
-                        values.append(acc.sum_value() / acc.count)
-                    elif s.kind == "sum":
-                        values.append(acc.sum_value())
-                    elif s.kind == "min":
-                        values.append(float(acc.mn))
-                    else:
-                        values.append(float(acc.mx))
+                    values.append(None if acc.count == 0 else _reduce(acc, s, key))
                 else:
                     acc = cats[cat_slot[s.column]]
                     if s.kind == "count":

@@ -25,7 +25,6 @@ from .aggregation import StreamingAggregator, load_feature_matrix, save_feature_
 from .config import RunConfig, load_config
 from .dataset import (
     LabeledDataset,
-    SplitPlan,
     export_fold_assignments,
     fit_preprocessor,
     join,
@@ -238,20 +237,11 @@ def cmd_select(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _split_plan(cfg: RunConfig, folds: int) -> SplitPlan:
-    return SplitPlan(
-        seed=cfg.seed,
-        test_fraction=cfg.split.test_fraction,
-        fold_count=folds,
-        grouping=cfg.split.grouping,
-    )
-
-
 def cmd_train(cfg: RunConfig, kind: str) -> int:
     wd = _workdir(cfg)
     ds, _ = _load_joined(cfg)
     classifier = getattr(cfg, kind)
-    train, _test = split_train_test(ds, _split_plan(cfg, classifier.folds))
+    train, _test = split_train_test(ds, cfg.split, cfg.seed)
     pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names, scale=classifier.scale)
     model = classifier.fit(pre.transform(train.x), train.y, cfg.seed)
     out = wd / f"model_{kind}.bin"
@@ -271,20 +261,20 @@ def cmd_train(cfg: RunConfig, kind: str) -> int:
 def cmd_cv(cfg: RunConfig, kind: str) -> int:
     wd = _workdir(cfg)
     ds, _ = _load_joined(cfg)
-    plan = _split_plan(cfg, getattr(cfg, kind).folds)
+    classifier = getattr(cfg, kind)
     started = time.perf_counter()
     report = cross_validate(
-        getattr(cfg, kind), ds, plan, model_name=kind, config_fingerprint=cfg.fingerprint()
+        classifier, ds, cfg.split, cfg.seed, model_name=kind, config_fingerprint=cfg.fingerprint()
     )
     payload = report.to_dict()
     payload["seed"] = cfg.seed
     _write_json(wd / f"cv_{kind}.json", payload)
     _write_run_metadata(wd / f"cv_{kind}.run.json", cfg, time.perf_counter() - started)
     with open(wd / f"folds_{kind}.tsv", "w") as sink:
-        export_fold_assignments(ds, kfold_indices(ds, plan), sink)
+        export_fold_assignments(ds, kfold_indices(ds, cfg.split, classifier.folds, cfg.seed), sink)
     for fr in report.folds:
         print(f"fold {fr.fold}: f1={fr.f1:.4f} accuracy={fr.accuracy:.4f}")
-    print(f"{kind} cv-{plan.fold_count}: mean f1={report.mean_f1:.4f} accuracy={report.mean_accuracy:.4f}")
+    print(f"{kind} {report.protocol}: mean f1={report.mean_f1:.4f} accuracy={report.mean_accuracy:.4f}")
     return EXIT_OK
 
 
@@ -299,7 +289,7 @@ def cmd_evaluate(cfg: RunConfig, kind: str, model_file: Optional[Path]) -> int:
     ds, _ = _load_joined(cfg)
     if loaded.preprocessor.input_names != ds.feature_names:
         raise DataError(f"container was trained on other features than {wd / 'features.csv'}")
-    _train, test = split_train_test(ds, _split_plan(cfg, getattr(cfg, kind).folds))
+    _train, test = split_train_test(ds, cfg.split, cfg.seed)
     started = time.perf_counter()
     result = FoldResult.of(0, loaded.predict(test.x), test.y)
     payload = {
@@ -325,10 +315,9 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     result = benchmark(
         {kind: getattr(cfg, kind) for kind in MODELS},
         ds,
-        seed=cfg.seed,
-        grouping=cfg.split.grouping,
+        cfg.split,
+        cfg.seed,
         protocol=cfg.protocol,
-        test_fraction=cfg.split.test_fraction,
         config_fingerprint=cfg.fingerprint(),
     )
     payload = result.to_dict()

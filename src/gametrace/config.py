@@ -21,18 +21,12 @@ from typing import Optional
 from .aggregation import DEFAULT_SPECS, AggregatorSpec, validate_specs
 from .dataset import DEFAULT_QUESTION_GROUPS, SplitPlan
 from .errors import ConfigError
-from .evaluation import MODELS, ForestClassifier, KnnClassifier, MlpClassifier, check_protocol
+from .evaluation import ForestClassifier, KnnClassifier, MlpClassifier, check_protocol
 from .schema import build
 from .selection import SelectionPolicy
 from .synth import SynthConfig
 
 _PATH = {"path": True}  # field metadata: resolved at run time, never fingerprinted
-
-
-@dataclass
-class SplitSettings:
-    test_fraction: float = 0.2
-    grouping: str = "by_session"
 
 
 @dataclass
@@ -45,7 +39,7 @@ class RunConfig:
     protocol: str = "cv"  # or "holdout"
     question_groups: dict[int, str] = field(default_factory=lambda: dict(DEFAULT_QUESTION_GROUPS))
     aggregator_specs: tuple[AggregatorSpec, ...] = DEFAULT_SPECS
-    split: SplitSettings = field(default_factory=SplitSettings)
+    split: SplitPlan = field(default_factory=SplitPlan)
     selection: SelectionPolicy = field(default_factory=SelectionPolicy)
     # one section per kind in evaluation.MODELS, named by the kind
     knn: KnnClassifier = field(default_factory=KnnClassifier)
@@ -81,8 +75,6 @@ def _check_ranges(cfg: RunConfig) -> None:
         raise ConfigError("config.seed must be >= 0")
     validate_specs(cfg.aggregator_specs)
     check_protocol(cfg.protocol)
-    for kind in MODELS:
-        SplitPlan(cfg.seed, cfg.split.test_fraction, getattr(cfg, kind).folds, cfg.split.grouping)
 
 
 def load_config(path: Optional[Path] = None, overrides: Optional[dict] = None) -> RunConfig:

@@ -210,20 +210,22 @@ def fit_preprocessor(
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Seeded plan for the holdout split and k-fold assignment."""
+    """How rows are split: the holdout's test share and whether a session's
+    rows stay together. The seed and the fold count are call arguments."""
 
-    seed: int = 42
     test_fraction: float = 0.2
-    fold_count: int = 5
     grouping: str = "by_session"  # or "by_row"
 
     def __post_init__(self):
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must be in (0, 1)")
-        if self.fold_count < 2:
-            raise ConfigError("fold_count must be >= 2")
         if self.grouping not in ("by_row", "by_session"):
             raise ConfigError(f"unknown grouping {self.grouping!r}")
+
+
+def check_folds(folds: int) -> None:
+    if folds < 2:
+        raise ConfigError("folds must be >= 2")
 
 
 def _shuffled(items: list, seed: int) -> list:
@@ -239,7 +241,7 @@ def _session_rows(d: LabeledDataset) -> dict[str, list[int]]:
     return rows
 
 
-def holdout_indices(d: LabeledDataset, plan: SplitPlan) -> tuple[np.ndarray, np.ndarray]:
+def holdout_indices(d: LabeledDataset, plan: SplitPlan, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(train, test) row indices of a disjoint, exhaustive split; by_session
     keeps a session on one side."""
     n = len(d)
@@ -247,7 +249,7 @@ def holdout_indices(d: LabeledDataset, plan: SplitPlan) -> tuple[np.ndarray, np.
         raise TooFewRowsError("need at least 2 rows to split")
     target = n * plan.test_fraction
     if plan.grouping == "by_row":
-        order = _shuffled(list(range(n)), plan.seed)
+        order = _shuffled(list(range(n)), seed)
         n_test = min(max(int(round(target)), 1), n - 1)
         test_idx = sorted(order[:n_test])
         train_idx = sorted(order[n_test:])
@@ -255,7 +257,7 @@ def holdout_indices(d: LabeledDataset, plan: SplitPlan) -> tuple[np.ndarray, np.
         rows = _session_rows(d)
         if len(rows) < 2:
             raise TooFewRowsError("by_session split needs at least 2 sessions")
-        order = _shuffled(sorted(rows), plan.seed)
+        order = _shuffled(sorted(rows), seed)
         test_sessions: list[str] = []
         n_test = 0
         for sid in order:
@@ -271,47 +273,49 @@ def holdout_indices(d: LabeledDataset, plan: SplitPlan) -> tuple[np.ndarray, np.
     return np.array(train_idx, dtype=np.int64), np.array(test_idx, dtype=np.int64)
 
 
-def split_train_test(d: LabeledDataset, plan: SplitPlan) -> tuple[LabeledDataset, LabeledDataset]:
+def split_train_test(d: LabeledDataset, plan: SplitPlan, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
     """The holdout (train, test) datasets of ``holdout_indices``."""
-    train, test = holdout_indices(d, plan)
+    train, test = holdout_indices(d, plan, seed)
     return d.subset(train), d.subset(test)
 
 
-def kfold_indices(d: LabeledDataset, plan: SplitPlan) -> list[np.ndarray]:
-    """Validation index arrays for each fold; folds partition all rows."""
+def kfold_indices(d: LabeledDataset, plan: SplitPlan, folds: int, seed: int) -> list[np.ndarray]:
+    """Validation index arrays for each of ``folds`` folds; folds partition all rows."""
+    check_folds(folds)
     n = len(d)
-    k = plan.fold_count
-    if k > n:
-        raise TooFewRowsError(f"fold_count {k} exceeds {n} rows")
+    if folds > n:
+        raise TooFewRowsError(f"{folds} folds exceed {n} rows")
     if plan.grouping == "by_row":
-        order = _shuffled(list(range(n)), plan.seed)
-        base, extra = divmod(n, k)
-        folds = []
+        order = _shuffled(list(range(n)), seed)
+        base, extra = divmod(n, folds)
+        out = []
         start = 0
-        for f in range(k):
+        for f in range(folds):
             size = base + (1 if f < extra else 0)
-            folds.append(np.array(sorted(order[start : start + size]), dtype=np.int64))
+            out.append(np.array(sorted(order[start : start + size]), dtype=np.int64))
             start += size
-        return folds
+        return out
     rows = _session_rows(d)
-    if k > len(rows):
-        raise TooFewRowsError(f"fold_count {k} exceeds {len(rows)} sessions")
-    order = _shuffled(sorted(rows), plan.seed)
-    fold_rows: list[list[int]] = [[] for _ in range(k)]
-    sizes = [0] * k
+    if folds > len(rows):
+        raise TooFewRowsError(f"{folds} folds exceed {len(rows)} sessions")
+    order = _shuffled(sorted(rows), seed)
+    fold_rows: list[list[int]] = [[] for _ in range(folds)]
+    sizes = [0] * folds
     for sid in order:
         # smallest fold so far; ties resolved by fold index
-        f = min(range(k), key=lambda j: (sizes[j], j))
+        f = min(range(folds), key=lambda j: (sizes[j], j))
         fold_rows[f].extend(rows[sid])
         sizes[f] += len(rows[sid])
     return [np.array(sorted(fr), dtype=np.int64) for fr in fold_rows]
 
 
-def kfold_index_pairs(d: LabeledDataset, plan: SplitPlan) -> list[tuple[np.ndarray, np.ndarray]]:
+def kfold_index_pairs(
+    d: LabeledDataset, plan: SplitPlan, folds: int, seed: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """(train, validation) row indices of each fold; validations partition the rows."""
     all_idx = np.arange(len(d))
     pairs = []
-    for val in kfold_indices(d, plan):
+    for val in kfold_indices(d, plan, folds, seed):
         mask = np.ones(len(d), dtype=bool)
         mask[val] = False
         pairs.append((all_idx[mask], val))
@@ -319,10 +323,10 @@ def kfold_index_pairs(d: LabeledDataset, plan: SplitPlan) -> list[tuple[np.ndarr
 
 
 def kfold(
-    d: LabeledDataset, plan: SplitPlan
+    d: LabeledDataset, plan: SplitPlan, folds: int, seed: int
 ) -> list[tuple[LabeledDataset, LabeledDataset]]:
     """(train, validation) dataset pairs of ``kfold_index_pairs``."""
-    return [(d.subset(train), d.subset(val)) for train, val in kfold_index_pairs(d, plan)]
+    return [(d.subset(train), d.subset(val)) for train, val in kfold_index_pairs(d, plan, folds, seed)]
 
 
 def export_fold_assignments(

@@ -16,7 +16,14 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dataset import LabeledDataset, SplitPlan, fit_preprocessor, holdout_indices, kfold_index_pairs
+from .dataset import (
+    LabeledDataset,
+    SplitPlan,
+    check_folds,
+    fit_preprocessor,
+    holdout_indices,
+    kfold_index_pairs,
+)
 from .errors import ConfigError, ContainerFormatError, LengthMismatchError, TooFewRowsError
 from .forest import (
     ForestModel,
@@ -101,12 +108,6 @@ def majority_baseline_f1(y: Sequence[int]) -> float:
     return 2.0 * p / (1.0 + p)
 
 
-def _shared_fields(section, target) -> dict:
-    """The section values whose names the dataclass ``target`` also declares."""
-    names = {f.name for f in fields(target)}
-    return {k: v for k, v in asdict(section).items() if k in names}
-
-
 class Classifier:
     """One model kind, listed in ``MODELS``; each is a dataclass whose fields
     are its config section, range-checked when it is built. ``fit(x, y,
@@ -125,6 +126,7 @@ class KnnClassifier(Classifier):
 
     def __post_init__(self):
         check_knn_params(self.k, self.metric)
+        check_folds(self.folds)
 
     def fit(self, x, y, seed: int) -> KnnModel:
         return knn_fit(x, y, k=self.k, metric=self.metric)
@@ -144,24 +146,18 @@ class KnnClassifier(Classifier):
 
 
 @dataclass(frozen=True)
-class MlpClassifier(Classifier):
-    hidden_sizes: tuple[int, ...] = (128,)
-    output_dim: int = 2
-    epochs: int = 100
-    learning_rate: float = 0.001
-    batch_size: int = 256
-    hidden_activation: str = "logistic"
+class MlpClassifier(MlpConfig, Classifier):
+    """The MLP settings, plus how the MLP is evaluated."""
+
     folds: int = 5
     scale: bool = True
 
     def __post_init__(self):
-        self._config(input_dim=1, seed=0)
-
-    def _config(self, input_dim: int, seed: int) -> MlpConfig:
-        return MlpConfig(input_dim=input_dim, seed=seed, **_shared_fields(self, MlpConfig))
+        super().__post_init__()
+        check_folds(self.folds)
 
     def fit(self, x, y, seed: int) -> MlpModel:
-        return mlp_train(self._config(x.shape[1], seed), (x, y))
+        return mlp_train(self, x, y, seed)
 
     @staticmethod
     def apply(model: MlpModel, x):
@@ -173,42 +169,45 @@ class MlpClassifier(Classifier):
         for i, (w, b) in enumerate(zip(model.weights, model.biases)):
             arrays[f"mlp_w{i}"] = w
             arrays[f"mlp_b{i}"] = b
-        return {**asdict(model.config), "layers": len(model.weights)}, arrays
+        section = {f.name: getattr(model.config, f.name) for f in fields(MlpConfig)}
+        section.update(input_dim=model.input_dim, seed=model.seed, layers=len(model.weights))
+        return section, arrays
 
     @staticmethod
     def from_container(section: dict, arrays: dict) -> MlpModel:
         config = build(MlpConfig, {f.name: section[f.name] for f in fields(MlpConfig)}, "mlp")
-        layers = range(check(section["layers"], int, "mlp.layers"))
-        weights = [arrays[f"mlp_w{i}"] for i in layers]
-        biases = [arrays[f"mlp_b{i}"] for i in layers]
-        dims = config.layer_dims
+        names = ("input_dim", "seed", "layers")
+        input_dim, seed, layers = (check(section[n], int, f"mlp.{n}") for n in names)
+        weights = [arrays[f"mlp_w{i}"] for i in range(layers)]
+        biases = [arrays[f"mlp_b{i}"] for i in range(layers)]
+        dims = config.layer_dims(input_dim)
         if len(weights) != len(dims) - 1 or any(
             w.shape != dims[i : i + 2] or b.shape != dims[i + 1 : i + 2]
             for i, (w, b) in enumerate(zip(weights, biases))
         ):
             raise ContainerFormatError(f"mlp weights do not match the layer sizes {dims}")
-        return MlpModel(weights, biases, config, list(arrays["mlp_loss_history"]))
+        history = arrays["mlp_loss_history"]
+        if history.shape != (config.epochs,):
+            raise ContainerFormatError(f"mlp loss history has shape {history.shape}, not ({config.epochs},)")
+        return MlpModel(weights, biases, config, seed, list(history))
 
 
 @dataclass(frozen=True)
-class ForestClassifier(Classifier):
+class ForestClassifier(TreeConfig, Classifier):
+    """The tree settings, plus the forest's size and how it is evaluated."""
+
+    feature_subsample: str = "sqrt"  # a forest's default; a lone tree's is "all"
     trees: int = 100
-    criterion: str = "gini"
-    feature_subsample: str = "sqrt"
-    max_depth: Optional[int] = None
-    min_samples_split: int = 2
     folds: int = 5
     scale: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         check_tree_count(self.trees)
-        self._config(seed=0)
-
-    def _config(self, seed: int) -> TreeConfig:
-        return TreeConfig(seed=seed, **_shared_fields(self, TreeConfig))
+        check_folds(self.folds)
 
     def fit(self, x, y, seed: int) -> ForestModel:
-        return forest_fit(x, y, tree_count=self.trees, config=self._config(seed), seed=seed)
+        return forest_fit(x, y, tree_count=self.trees, config=self, seed=seed)
 
     @staticmethod
     def apply(model: ForestModel, x):
@@ -216,33 +215,32 @@ class ForestClassifier(Classifier):
 
     @staticmethod
     def to_container(model: ForestModel) -> tuple[dict, dict]:
-        section = {
-            **asdict(model.config),
-            "seed": model.seed,  # the forest's master seed, not the tree config's
-            "tree_count": model.tree_count,
-            "bootstrap": model.bootstrap,
-            "n_features": model.n_features,
-        }
+        section = {f.name: getattr(model.config, f.name) for f in fields(TreeConfig)}
+        section.update(seed=model.seed, tree_count=model.tree_count, bootstrap=model.bootstrap,
+                       n_features=model.n_features)
         arrays = {**flatten_trees(model.trees), "tree_seeds": np.array(model.tree_seeds, dtype=np.uint64)}
         return section, arrays
 
     @staticmethod
     def from_container(section: dict, arrays: dict) -> ForestModel:
-        names = [f.name for f in fields(TreeConfig) if f.name != "seed"]
-        config = build(TreeConfig, {name: section[name] for name in names}, "forest")
-        for name, tp in (("seed", int), ("tree_count", int), ("bootstrap", bool), ("n_features", int)):
-            check(section[name], tp, f"forest.{name}")
-        check_tree_count(section["tree_count"])
-        trees = unflatten_trees(arrays, section["n_features"])
-        if len(trees) != section["tree_count"]:
-            raise ContainerFormatError(f"forest holds {len(trees)} trees, header says {section['tree_count']}")
+        config = build(TreeConfig, {f.name: section[f.name] for f in fields(TreeConfig)}, "forest")
+        names = ("seed", "tree_count", "n_features")
+        seed, tree_count, n_features = (check(section[n], int, f"forest.{n}") for n in names)
+        bootstrap = check(section["bootstrap"], bool, "forest.bootstrap")
+        check_tree_count(tree_count)
+        trees = unflatten_trees(arrays, n_features)
+        if len(trees) != tree_count:
+            raise ContainerFormatError(f"forest holds {len(trees)} trees, header says {tree_count}")
+        seeds = arrays["tree_seeds"]
+        if seeds.shape != (tree_count,):
+            raise ContainerFormatError(f"forest tree_seeds has shape {seeds.shape}, not ({tree_count},)")
         return ForestModel(
             trees=trees,
             config=config,
-            seed=section["seed"],
-            bootstrap=section["bootstrap"],
-            tree_seeds=tuple(int(s) for s in arrays["tree_seeds"]),
-            n_features=section["n_features"],
+            seed=seed,
+            bootstrap=bootstrap,
+            tree_seeds=tuple(int(s) for s in seeds),
+            n_features=n_features,
         )
 
 
@@ -302,13 +300,14 @@ class _Job:
     folds: list[tuple[np.ndarray, np.ndarray]]  # (train, test) row indices
 
 
-def _plan(classifier: Classifier, dataset: LabeledDataset, plan: SplitPlan, model_name: str,
-          protocol: str) -> _Job:
+def _plan(classifier: Classifier, dataset: LabeledDataset, plan: SplitPlan, seed: int,
+          model_name: str, protocol: str) -> _Job:
     if protocol == "cv":
-        folds, protocol = kfold_index_pairs(dataset, plan), f"cv-{plan.fold_count}"
+        folds = kfold_index_pairs(dataset, plan, classifier.folds, seed)
+        protocol = f"cv-{classifier.folds}"
     else:
-        folds, protocol = [holdout_indices(dataset, plan)], f"holdout-{plan.test_fraction:g}"
-    return _Job(classifier, dataset, plan.seed, model_name, protocol, folds)
+        folds, protocol = [holdout_indices(dataset, plan, seed)], f"holdout-{plan.test_fraction:g}"
+    return _Job(classifier, dataset, seed, model_name, protocol, folds)
 
 
 def _fit_fold(job: _Job, i: int) -> FoldResult:
@@ -415,11 +414,12 @@ def cross_validate(
     classifier: Classifier,
     dataset: LabeledDataset,
     plan: SplitPlan,
+    seed: int,
     model_name: str = "model",
     config_fingerprint: str = "",
 ) -> EvalReport:
-    """k-fold evaluation with per-fold preprocessing re-fit."""
-    return _run([_plan(classifier, dataset, plan, model_name, "cv")], config_fingerprint)[0]
+    """Evaluation on the classifier's ``folds`` folds, preprocessing re-fit in each."""
+    return _run([_plan(classifier, dataset, plan, seed, model_name, "cv")], config_fingerprint)[0]
 
 
 @dataclass
@@ -465,10 +465,9 @@ def check_protocol(protocol: str) -> None:
 def benchmark(
     models: Mapping[str, Classifier],
     dataset: LabeledDataset,
-    seed: int = 42,
-    grouping: str = "by_session",
+    plan: SplitPlan,
+    seed: int,
     protocol: str = "cv",
-    test_fraction: float = 0.2,
     config_fingerprint: str = "",
 ) -> BenchmarkResult:
     """Evaluate every model under its own fold count, plus the reference row.
@@ -481,14 +480,8 @@ def benchmark(
     check_protocol(protocol)
     jobs: list[_Job] = []
     for name, classifier in models.items():
-        plan = SplitPlan(
-            seed=seed,
-            test_fraction=test_fraction,
-            fold_count=classifier.folds,
-            grouping=grouping,
-        )
         try:
-            jobs.append(_plan(classifier, dataset, plan, name, protocol))
+            jobs.append(_plan(classifier, dataset, plan, seed, name, protocol))
         except TooFewRowsError:
             # Run model by model, the folds of the models before this one
             # would fit first, so a failing fold among them is the error.

@@ -49,7 +49,6 @@ class TreeConfig:
     max_depth: Optional[int] = None
     min_samples_split: int = 2
     feature_subsample: str = "all"  # "sqrt" for classical forests
-    seed: int = 0
 
     def __post_init__(self):
         if self.criterion not in ("entropy", "gini"):
@@ -194,10 +193,11 @@ def tree_fit(
     config: TreeConfig = TreeConfig(),
     rng: Optional[np.random.Generator] = None,
 ) -> TreeNode:
-    """Grow one tree; stops at purity, depth, node size, or zero gain."""
+    """Grow one tree; stops at purity, depth, node size, or zero gain.
+    Feature subsets are drawn from ``rng``, by default ``default_rng(0)``."""
     x, y = _training_arrays(x, y, "tree_fit")
     if rng is None:
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(0)
     d = x.shape[1]
     if config.feature_subsample == "sqrt":
         n_candidates = max(1, int(math.isqrt(d)))

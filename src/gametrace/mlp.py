@@ -3,7 +3,8 @@
 Hidden layers apply an affine map followed by the activation; the output
 layer is a 2-way (or wider) softmax trained on mean cross-entropy. All
 randomness (weight init, epoch shuffles) flows from one seeded generator,
-so a config seed fixes the whole trajectory.
+so the seed passed to ``mlp_train`` fixes the whole trajectory. The input
+width is the training matrix's column count.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import LabeledDataset
 from .errors import ConfigError, NumericalError, ShapeMismatchError
 
 ACTIVATIONS = ("logistic", "relu")
@@ -23,18 +23,16 @@ LOG_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class MlpConfig:
-    input_dim: int
     hidden_sizes: tuple[int, ...] = (128,)
     output_dim: int = 2
     epochs: int = 100
     learning_rate: float = 0.001
     batch_size: int = 256
-    seed: int = 42
     hidden_activation: str = "logistic"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
-        if self.input_dim < 1 or self.output_dim < 1 or any(h < 1 for h in self.hidden_sizes):
+        if self.output_dim < 1 or any(h < 1 for h in self.hidden_sizes):
             raise ConfigError("all layer dimensions must be >= 1")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
@@ -45,9 +43,10 @@ class MlpConfig:
         if self.hidden_activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.hidden_activation!r}")
 
-    @property
-    def layer_dims(self) -> tuple[int, ...]:
-        return (self.input_dim, *self.hidden_sizes, self.output_dim)
+    def layer_dims(self, input_dim: int) -> tuple[int, ...]:
+        if input_dim < 1:
+            raise ConfigError("the input width must be >= 1")
+        return (input_dim, *self.hidden_sizes, self.output_dim)
 
 
 @dataclass
@@ -55,7 +54,12 @@ class MlpModel:
     weights: list[np.ndarray]  # W_l with shape (fan_in, fan_out)
     biases: list[np.ndarray]
     config: MlpConfig
+    seed: int
     loss_history: list[float] = field(default_factory=list)
+
+    @property
+    def input_dim(self) -> int:
+        return self.weights[0].shape[0]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(mlp_forward(self, x), axis=1)
@@ -108,8 +112,8 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    if x.shape[1] != model.config.input_dim:
-        raise ShapeMismatchError(f"expected {model.config.input_dim} inputs, got {x.shape[1]}")
+    if x.shape[1] != model.input_dim:
+        raise ShapeMismatchError(f"expected {model.input_dim} inputs, got {x.shape[1]}")
     return _forward_activations(model, x)[-1]
 
 
@@ -206,10 +210,12 @@ def adam_step(
     return new_params, AdamState(m=new_m, v=new_v)
 
 
-def init_params(config: MlpConfig) -> tuple[list[np.ndarray], list[np.ndarray], np.random.Generator]:
-    """Glorot-uniform weights, zero biases, from the config seed."""
-    rng = np.random.default_rng(config.seed)
-    dims = config.layer_dims
+def init_params(
+    config: MlpConfig, input_dim: int, seed: int
+) -> tuple[list[np.ndarray], list[np.ndarray], np.random.Generator]:
+    """Glorot-uniform weights, zero biases, and the generator they came from."""
+    dims = config.layer_dims(input_dim)
+    rng = np.random.default_rng(seed)
     weights = []
     biases = []
     for fan_in, fan_out in zip(dims, dims[1:]):
@@ -219,25 +225,19 @@ def init_params(config: MlpConfig) -> tuple[list[np.ndarray], list[np.ndarray], 
     return weights, biases, rng
 
 
-def mlp_train(config: MlpConfig, train: "LabeledDataset | tuple[np.ndarray, np.ndarray]") -> MlpModel:
+def mlp_train(config: MlpConfig, x: np.ndarray, y: np.ndarray, seed: int) -> MlpModel:
     """Seeded minibatch training; bitwise deterministic for a fixed seed."""
-    if isinstance(train, LabeledDataset):
-        x, y = train.x, train.y
-    else:
-        x, y = train
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.shape[0] == 0:
         raise ConfigError("training set is empty")
-    if x.shape[1] != config.input_dim:
-        raise ConfigError(f"config.input_dim={config.input_dim} but data has {x.shape[1]} columns")
     if np.isnan(x).any():
         raise ConfigError("training matrix contains absent values; impute first")
     if y.max(initial=0) >= config.output_dim:
         raise ConfigError("label outside output_dim classes")
 
-    weights, biases, rng = init_params(config)
-    model = MlpModel(weights=weights, biases=biases, config=config)
+    weights, biases, rng = init_params(config, x.shape[1], seed)
+    model = MlpModel(weights=weights, biases=biases, config=config, seed=seed)
     n_params = len(weights)
     state = AdamState.zeros_like(weights + biases)
     n = x.shape[0]

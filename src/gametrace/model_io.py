@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -27,6 +28,7 @@ from .schema import build, check
 
 MAGIC = b"GTMODEL\x00"
 FORMAT_VERSION = 1
+_DTYPE = re.compile(r"[<>|=][biuf][0-9]+")
 
 
 def _canonical_json(obj) -> bytes:
@@ -78,9 +80,10 @@ def load_container(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
         for _ in range(count):
             meta = json.loads(_read_block(src))
             raw = _read_block(src)
+            # only the byte-order, kind and size strings save_container writes
+            if not _DTYPE.fullmatch(meta["dtype"]) or min(meta["shape"], default=0) < 0:
+                raise ValueError(f"array {meta['name']!r} is {meta['dtype']} of shape {meta['shape']}")
             dtype, shape = np.dtype(meta["dtype"]), meta["shape"]
-            if dtype.kind not in "biuf" or min(shape, default=0) < 0:
-                raise ValueError(f"array {meta['name']!r} is {dtype} of shape {shape}")
             arrays[meta["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     except (ValueError, TypeError, KeyError, OverflowError) as exc:
         raise ContainerFormatError(f"malformed container {path}: {exc!r}") from None

@@ -135,9 +135,9 @@ def test_criterion_2_compression_property(cli_runs):
 
 
 def test_criterion_3_mlp_gradient_check():
-    cfg = MlpConfig(input_dim=3, hidden_sizes=(4,), output_dim=2, seed=42)
-    weights, biases, _ = init_params(cfg)
-    model = MlpModel(weights=weights, biases=biases, config=cfg)
+    cfg = MlpConfig(hidden_sizes=(4,), output_dim=2)
+    weights, biases, _ = init_params(cfg, 3, 42)
+    model = MlpModel(weights=weights, biases=biases, config=cfg, seed=42)
     rng = np.random.default_rng(42)
     x = rng.normal(size=(10, 3))
     y = rng.integers(0, 2, size=10)

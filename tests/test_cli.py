@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import events_csv
 from gametrace.cli import _build_parser, main
 from gametrace.config import RunConfig, load_config
+from gametrace.dataset import SplitPlan
 from gametrace.errors import ConfigError
 from gametrace.evaluation import MODELS
 from gametrace.model_io import MAGIC, load_container, load_model, save_container
@@ -108,6 +110,7 @@ def test_config_path_that_is_a_directory_exits_1(tmp_path, capsys):
 
 def test_run_config_sections_are_the_stage_types():
     hints = get_type_hints(RunConfig)
+    assert hints["split"] is SplitPlan
     assert hints["selection"] is SelectionPolicy
     assert hints["synth"] is SynthConfig
     for kind, entry in MODELS.items():
@@ -184,13 +187,13 @@ def test_train_then_load_matches_in_memory_predictions(pipeline_dir):
     assert loaded.header["created_by"]["seed"] == 42
 
     # reproduce the same training in memory from the same artifacts
-    from gametrace.cli import _load_joined, _split_plan
+    from gametrace.cli import _load_joined
     from gametrace.dataset import fit_preprocessor, split_train_test
 
     cfg = load_config(None)
     cfg.workdir = str(pipeline_dir)
     ds, _ = _load_joined(cfg)
-    train, test = split_train_test(ds, _split_plan(cfg, cfg.forest.folds))
+    train, test = split_train_test(ds, cfg.split, cfg.seed)
     pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names,
                            scale=cfg.forest.scale)
     model = cfg.forest.fit(pre.transform(train.x), train.y, cfg.seed)
@@ -286,6 +289,16 @@ MALFORMED_CONTAINERS = {
         "forest", _section("preprocessor", onehot_columns=["nope"], onehot_categories=[[]]),
         "preprocessor one-hot column 'nope' is not an input name",
     ),
+    "tree_seeds 2-D": (
+        "forest", _array("tree_seeds", lambda v: v[None, :]), "forest tree_seeds has shape (1, 100), not (100,)"
+    ),
+    "tree_seeds short": (
+        "forest", _array("tree_seeds", lambda v: v[:-1]), "forest tree_seeds has shape (99,), not (100,)"
+    ),
+    "mlp_loss_history 2-D": (
+        "mlp", _array("mlp_loss_history", lambda v: v[:, None]),
+        "mlp loss history has shape (100, 1), not (100,)",
+    ),
 }
 
 
@@ -314,6 +327,15 @@ def test_container_array_shape_not_its_bytes_exits_2(evaluate_dir, tmp_path):
     assert raw.count(meta) == 1
     (tmp_path / "bad.bin").write_bytes(raw.replace(meta, meta.replace(b"128", b"127")))
     assert evaluate(evaluate_dir, "mlp", tmp_path / "bad.bin") == 2
+
+
+def test_container_array_dtype_not_written_by_save_exits_2(evaluate_dir, tmp_path, capsys):
+    raw = (evaluate_dir / "model_mlp.bin").read_bytes()
+    # one bit flipped: "<" is 0x3c, "," is 0x2c
+    (tmp_path / "bad.bin").write_bytes(raw.replace(b'"dtype":"<f8"', b'"dtype":",f8"', 1))
+    capsys.readouterr()
+    assert evaluate(evaluate_dir, "mlp", tmp_path / "bad.bin") == 2
+    assert "is ,f8 of shape" in capsys.readouterr().err
 
 
 def _last_field(value):
@@ -425,6 +447,27 @@ def test_directory_in_place_of_an_input_file_exits_2_naming_it(pipeline_dir, tmp
     capsys.readouterr()
     assert run(*(arg.format(target) for arg in argv), "--workdir", str(tmp_path)) == 2
     assert f"is not a file: {target}" in capsys.readouterr().err
+
+
+GOOD_EVENT = {"session_id": "s", "index": "1", "elapsed_time": "5", "event_name": "e", "name": "n",
+              "level": "2", "fullscreen": "0", "hq": "0", "music": "0", "level_group": "0-4"}
+
+# case -> (event rows, the output column the message names)
+OVERFLOWING_REDUCTIONS = {
+    "elapsed_time of 401 digits": ([{**GOOD_EVENT, "elapsed_time": "9" * 401}], "elapsed_time_sum"),
+    "two room_coor_x of 1e308": (
+        [{**GOOD_EVENT, "index": str(i), "room_coor_x": "1e308"} for i in (1, 2)], "room_coor_x_mean"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWING_REDUCTIONS))
+def test_aggregate_reduction_past_float_range_exits_2(tmp_path, capsys, case):
+    rows, column = OVERFLOWING_REDUCTIONS[case]
+    (tmp_path / "events.csv").write_text(events_csv(rows).getvalue())
+    assert run("aggregate", "--workdir", str(tmp_path)) == 2
+    assert f"{column} of session 's', level group '0-4' is not a finite float" in capsys.readouterr().err
+    assert not (tmp_path / "features.csv").exists()
 
 
 def test_verify_corrupt_report_exits_2(tmp_path):

@@ -189,7 +189,7 @@ def make_dataset(n_rows=10, n_sessions=None, seed=0):
 
 def test_split_by_row_80_20():
     ds = make_dataset(10)
-    train, test = split_train_test(ds, SplitPlan(seed=1, grouping="by_row"))
+    train, test = split_train_test(ds, SplitPlan(grouping="by_row"), 1)
     assert len(train) == 8 and len(test) == 2
     assert set(train.row_keys) | set(test.row_keys) == set(ds.row_keys)
     assert not set(train.row_keys) & set(test.row_keys)
@@ -197,15 +197,15 @@ def test_split_by_row_80_20():
 
 def test_split_deterministic_same_seed():
     ds = make_dataset(40)
-    a = split_train_test(ds, SplitPlan(seed=9, grouping="by_row"))
-    b = split_train_test(ds, SplitPlan(seed=9, grouping="by_row"))
+    a = split_train_test(ds, SplitPlan(grouping="by_row"), 9)
+    b = split_train_test(ds, SplitPlan(grouping="by_row"), 9)
     assert a[0].row_keys == b[0].row_keys
     assert a[1].row_keys == b[1].row_keys
 
 
 def test_split_by_session_keeps_sessions_whole():
     ds = make_dataset(n_rows=90, n_sessions=5)
-    train, test = split_train_test(ds, SplitPlan(seed=4, grouping="by_session"))
+    train, test = split_train_test(ds, SplitPlan(grouping="by_session"), 4)
     train_sessions = {sid for sid, _ in train.row_keys}
     test_sessions = {sid for sid, _ in test.row_keys}
     assert not train_sessions & test_sessions
@@ -215,12 +215,12 @@ def test_split_by_session_keeps_sessions_whole():
 def test_split_too_few_rows():
     ds = make_dataset(1)
     with pytest.raises(TooFewRowsError):
-        split_train_test(ds, SplitPlan(seed=1, grouping="by_row"))
+        split_train_test(ds, SplitPlan(grouping="by_row"), 1)
 
 
 def test_kfold_sizes_10_rows_k5():
     ds = make_dataset(10)
-    folds = kfold(ds, SplitPlan(seed=2, fold_count=5, grouping="by_row"))
+    folds = kfold(ds, SplitPlan(grouping="by_row"), 5, 2)
     assert [len(val) for _, val in folds] == [2, 2, 2, 2, 2]
     for train, val in folds:
         assert len(train) == 8
@@ -228,13 +228,13 @@ def test_kfold_sizes_10_rows_k5():
 
 def test_kfold_sizes_3_rows_k2():
     ds = make_dataset(3)
-    folds = kfold_indices(ds, SplitPlan(seed=2, fold_count=2, grouping="by_row"))
+    folds = kfold_indices(ds, SplitPlan(grouping="by_row"), 2, 2)
     assert sorted(len(f) for f in folds) == [1, 2]
 
 
 def test_kfold_partitions_rows_exactly_once():
     ds = make_dataset(47)
-    folds = kfold_indices(ds, SplitPlan(seed=3, fold_count=5, grouping="by_row"))
+    folds = kfold_indices(ds, SplitPlan(grouping="by_row"), 5, 3)
     seen = np.concatenate(folds)
     assert sorted(seen.tolist()) == list(range(47))
     sizes = [len(f) for f in folds]
@@ -243,7 +243,7 @@ def test_kfold_partitions_rows_exactly_once():
 
 def test_kfold_by_session_keeps_sessions_whole():
     ds = make_dataset(n_rows=90, n_sessions=6)
-    folds = kfold_indices(ds, SplitPlan(seed=3, fold_count=3, grouping="by_session"))
+    folds = kfold_indices(ds, SplitPlan(grouping="by_session"), 3, 3)
     for f in folds:
         sessions = {ds.row_keys[i][0] for i in f.tolist()}
         for other in folds:
@@ -255,16 +255,16 @@ def test_kfold_by_session_keeps_sessions_whole():
 def test_kfold_too_few_rows():
     ds = make_dataset(3)
     with pytest.raises(TooFewRowsError):
-        kfold(ds, SplitPlan(seed=1, fold_count=4, grouping="by_row"))
+        kfold(ds, SplitPlan(grouping="by_row"), 4, 1)
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_kfold_determinism_property(seed):
     ds = make_dataset(23)
-    plan = SplitPlan(seed=seed, fold_count=4, grouping="by_row")
-    a = kfold_indices(ds, plan)
-    b = kfold_indices(ds, plan)
+    plan = SplitPlan(grouping="by_row")
+    a = kfold_indices(ds, plan, 4, seed)
+    b = kfold_indices(ds, plan, 4, seed)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert sorted(np.concatenate(a).tolist()) == list(range(23))
 
@@ -308,8 +308,8 @@ def test_preprocessor_never_uses_test_statistics():
 
 def test_fold_isolation_no_leakage():
     ds = make_dataset(30, seed=5)
-    plan = SplitPlan(seed=6, fold_count=5, grouping="by_row")
-    folds = kfold(ds, plan)
+    plan = SplitPlan(grouping="by_row")
+    folds = kfold(ds, plan, 5, 6)
     params = [
         fit_preprocessor(tr.x, tr.feature_names, tr.categorical_names, scale=True)
         for tr, _ in folds
@@ -329,7 +329,7 @@ def test_fold_isolation_no_leakage():
 
 def test_export_fold_assignments():
     ds = make_dataset(6)
-    folds = kfold_indices(ds, SplitPlan(seed=1, fold_count=3, grouping="by_row"))
+    folds = kfold_indices(ds, SplitPlan(grouping="by_row"), 3, 1)
     sink = io.StringIO()
     export_fold_assignments(ds, folds, sink)
     lines = sink.getvalue().strip().splitlines()

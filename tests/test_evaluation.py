@@ -95,6 +95,7 @@ def test_majority_baseline_f1_analytic():
 
 class ConstantModel:
     scale = False
+    folds = 5
 
     def __init__(self, label=1):
         self.label = label
@@ -117,8 +118,8 @@ def balanced_dataset(n=100, seed=0):
 
 def test_cross_validate_constant_model_on_balanced_data():
     ds = balanced_dataset(100)
-    plan = SplitPlan(seed=1, fold_count=5, grouping="by_row")
-    report = cross_validate(ConstantModel(1), ds, plan, model_name="const")
+    plan = SplitPlan(grouping="by_row")
+    report = cross_validate(ConstantModel(1), ds, plan, 1, model_name="const")
     assert report.mean_accuracy == pytest.approx(0.5, abs=0.1)
     assert report.protocol == "cv-5"
     assert len(report.folds) == 5
@@ -126,8 +127,8 @@ def test_cross_validate_constant_model_on_balanced_data():
 
 def test_mean_metrics_equal_fold_average():
     ds = balanced_dataset(60, seed=3)
-    plan = SplitPlan(seed=2, fold_count=5, grouping="by_row")
-    report = cross_validate(KnnClassifier(k=3), ds, plan, model_name="knn")
+    plan = SplitPlan(grouping="by_row")
+    report = cross_validate(KnnClassifier(k=3, folds=5), ds, plan, 2, model_name="knn")
     assert report.mean_f1 == pytest.approx(np.mean([fr.f1 for fr in report.folds]), abs=1e-12)
     assert report.mean_accuracy == pytest.approx(
         np.mean([fr.accuracy for fr in report.folds]), abs=1e-12
@@ -137,8 +138,8 @@ def test_mean_metrics_equal_fold_average():
 
 def test_cross_validate_knn_on_separable_data():
     ds = balanced_dataset(120, seed=4)  # class-shifted blobs, duplicate-free
-    plan = SplitPlan(seed=3, fold_count=5, grouping="by_row")
-    report = cross_validate(KnnClassifier(k=1), ds, plan, model_name="knn")
+    plan = SplitPlan(grouping="by_row")
+    report = cross_validate(KnnClassifier(k=1, folds=5), ds, plan, 3, model_name="knn")
     assert report.mean_accuracy >= 0.9
 
 
@@ -147,6 +148,7 @@ def test_cross_validate_annotates_fold_errors():
 
     class Exploding:
         scale = True
+        folds = 4
 
         def fit(self, x, y, seed):
             raise ValueError("boom")
@@ -155,16 +157,16 @@ def test_cross_validate_annotates_fold_errors():
         def apply(model, x):
             return np.zeros(x.shape[0])
 
-    plan = SplitPlan(seed=1, fold_count=4, grouping="by_row")
+    plan = SplitPlan(grouping="by_row")
     with pytest.raises(ValueError, match="fold 0"):
-        cross_validate(Exploding(), ds, plan)
+        cross_validate(Exploding(), ds, plan, 1)
 
 
 def test_holdout_evaluate_reports_single_fold():
     ds = balanced_dataset(100, seed=5)
     result = benchmark(
-        {"knn": KnnClassifier(k=3, folds=5)}, ds, seed=4, grouping="by_row",
-        protocol="holdout", test_fraction=0.2,
+        {"knn": KnnClassifier(k=3, folds=5)}, ds, SplitPlan(test_fraction=0.2, grouping="by_row"), 4,
+        protocol="holdout",
     )
     (report,) = result.reports
     assert report.protocol == "holdout-0.2"
@@ -175,13 +177,13 @@ def test_holdout_evaluate_reports_single_fold():
 def test_benchmark_empty_model_list_rejected():
     ds = balanced_dataset(30)
     with pytest.raises(ConfigError):
-        benchmark([], ds)
+        benchmark([], ds, SplitPlan(), 42)
 
 
 def test_benchmark_table_has_reference_row():
     ds = balanced_dataset(80, seed=6)
     specs = {"knn": KnnClassifier(k=3, folds=5), "forest": ForestClassifier(trees=5)}
-    result = benchmark(specs, ds, seed=1, grouping="by_row")
+    result = benchmark(specs, ds, SplitPlan(grouping="by_row"), 1)
     assert len(result.rows) == len(specs) + 1
     ref = result.rows[-1]
     assert ref.model == "french_touch"
@@ -198,7 +200,7 @@ def test_benchmark_models_learn_signal_above_baseline():
         "mlp": MlpClassifier(hidden_sizes=(16,), epochs=30, batch_size=32),
         "forest": ForestClassifier(trees=20),
     }
-    result = benchmark(specs, ds, seed=2, grouping="by_row")
+    result = benchmark(specs, ds, SplitPlan(grouping="by_row"), 2)
     base = majority_baseline_f1(ds.y)
     for row in result.rows[:-1]:
         assert row.f1 > base + 0.05
@@ -207,7 +209,7 @@ def test_benchmark_models_learn_signal_above_baseline():
 def test_benchmark_respects_per_model_protocols():
     ds = balanced_dataset(100, seed=8)
     specs = {"knn": KnnClassifier(k=3, folds=10), "forest": ForestClassifier(trees=3)}
-    result = benchmark(specs, ds, seed=3, grouping="by_row")
+    result = benchmark(specs, ds, SplitPlan(grouping="by_row"), 3)
     assert result.rows[0].protocol == "cv-10"
     assert result.rows[1].protocol == "cv-5"
     assert len(result.reports[0].folds) == 10
@@ -217,14 +219,14 @@ def test_benchmark_respects_per_model_protocols():
 def test_benchmark_holdout_protocol():
     ds = balanced_dataset(100, seed=9)
     specs = {"knn": KnnClassifier(k=3, folds=5)}
-    result = benchmark(specs, ds, seed=4, grouping="by_row", protocol="holdout")
+    result = benchmark(specs, ds, SplitPlan(grouping="by_row"), 4, protocol="holdout")
     assert result.rows[0].protocol == "holdout-0.2"
 
 
 def test_benchmark_render_and_dict():
     ds = balanced_dataset(50, seed=10)
     specs = {"knn": KnnClassifier(k=3, folds=5)}
-    result = benchmark(specs, ds, seed=5, grouping="by_row", config_fingerprint="fp")
+    result = benchmark(specs, ds, SplitPlan(grouping="by_row"), 5, config_fingerprint="fp")
     text = result.render()
     assert "french_touch" in text and "knn" in text
     payload = result.to_dict()
@@ -236,9 +238,9 @@ def test_benchmark_render_and_dict():
 
 def test_eval_report_runtime_excluded_from_payload():
     ds = balanced_dataset(40, seed=11)
-    plan = SplitPlan(seed=1, fold_count=4, grouping="by_row")
-    report = cross_validate(KnnClassifier(k=1), ds, plan, model_name="knn")
-    again = cross_validate(KnnClassifier(k=1), ds, plan, model_name="knn")
+    plan = SplitPlan(grouping="by_row")
+    report = cross_validate(KnnClassifier(k=1, folds=4), ds, plan, 1, model_name="knn")
+    again = cross_validate(KnnClassifier(k=1, folds=4), ds, plan, 1, model_name="knn")
     assert "runtime" not in str(report.to_dict())
     assert report.to_dict() == again.to_dict()
 
@@ -264,8 +266,8 @@ def test_cross_validate_one_hot_encodes_code_columns():
         row_keys=[(f"s{i}", 1 + i % 18) for i in range(90)],
         categorical_names=("kind_first",),
     )
-    plan = SplitPlan(seed=2, fold_count=5, grouping="by_row")
-    report = cross_validate(KnnClassifier(k=3), ds, plan, model_name="knn")
+    plan = SplitPlan(grouping="by_row")
+    report = cross_validate(KnnClassifier(k=3, folds=5), ds, plan, 2, model_name="knn")
     assert report.mean_accuracy >= 0.9
 
 
@@ -299,7 +301,7 @@ def test_benchmark_from_the_pool_equals_the_serial_report(monkeypatch, protocol)
     ds = balanced_dataset(90, seed=13)
 
     def run():
-        return benchmark(POOL_MODELS, ds, seed=6, grouping="by_row", protocol=protocol,
+        return benchmark(POOL_MODELS, ds, SplitPlan(grouping="by_row"), 6, protocol=protocol,
                          config_fingerprint="fp").to_dict()
 
     pooled = _with_workers(monkeypatch, 4, run)
@@ -311,10 +313,10 @@ def test_benchmark_from_the_pool_equals_the_serial_report(monkeypatch, protocol)
 @needs_fork
 def test_cross_validate_from_the_pool_equals_the_serial_report(monkeypatch):
     ds = balanced_dataset(60, seed=14)
-    plan = SplitPlan(seed=3, fold_count=5, grouping="by_row")
+    plan = SplitPlan(grouping="by_row")
 
     def run():
-        return cross_validate(ForestClassifier(trees=3), ds, plan, model_name="forest").to_dict()
+        return cross_validate(ForestClassifier(trees=3), ds, plan, 3, model_name="forest").to_dict()
 
     pooled = _with_workers(monkeypatch, 2, run)
     serial = _with_workers(monkeypatch, 1, run)
@@ -329,6 +331,7 @@ class PidModel:
     """Predicts 1 when it was fitted in another process than the test's."""
 
     scale = False
+    folds = 4
 
     def fit(self, x, y, seed):
         return os.getpid()
@@ -342,9 +345,9 @@ class PidModel:
 def test_folds_are_fitted_in_worker_processes(monkeypatch):
     ds = balanced_dataset(40, seed=15)
     ds_ones = LabeledDataset(ds.feature_names, ds.x, np.ones(len(ds), dtype=np.int64), ds.row_keys)
-    plan = SplitPlan(seed=1, fold_count=4, grouping="by_row")
-    pooled = _with_workers(monkeypatch, 2, lambda: cross_validate(PidModel(), ds_ones, plan))
-    serial = _with_workers(monkeypatch, 1, lambda: cross_validate(PidModel(), ds_ones, plan))
+    plan = SplitPlan(grouping="by_row")
+    pooled = _with_workers(monkeypatch, 2, lambda: cross_validate(PidModel(), ds_ones, plan, 1))
+    serial = _with_workers(monkeypatch, 1, lambda: cross_validate(PidModel(), ds_ones, plan, 1))
     assert pooled.mean_accuracy == 1.0
     assert serial.mean_accuracy == 0.0
 
@@ -401,7 +404,7 @@ def test_failing_fold_raises_the_same_error_from_the_pool(monkeypatch, case):
     models = {"knn": KnnClassifier(k=1, folds=3), "bad": ExplodesOnHeldOutRow(error, row=7, folds=4)}
 
     def run():
-        return benchmark(models, ds, seed=1, grouping="by_row")
+        return benchmark(models, ds, SplitPlan(grouping="by_row"), 1)
 
     pooled = _failure(lambda: _with_workers(monkeypatch, 2, run))
     serial = _failure(lambda: _with_workers(monkeypatch, 1, run))
@@ -417,4 +420,4 @@ def test_failing_fold_comes_before_a_later_models_planning_error(monkeypatch):
     models = {"bad": bad, "knn": KnnClassifier(k=1, folds=50)}  # 50 folds > 24 rows
     monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
     with pytest.raises(ValueError, match=r"^fold \d: boom$"):
-        benchmark(models, ds, seed=1, grouping="by_row")
+        benchmark(models, ds, SplitPlan(grouping="by_row"), 1)

@@ -20,12 +20,11 @@ from oracles import adam_scalar_reference
 
 
 def zero_model(input_dim=3, hidden=(4,), output_dim=2, activation="logistic"):
-    cfg = MlpConfig(input_dim=input_dim, hidden_sizes=hidden, output_dim=output_dim,
-                    hidden_activation=activation)
-    dims = cfg.layer_dims
+    cfg = MlpConfig(hidden_sizes=hidden, output_dim=output_dim, hidden_activation=activation)
+    dims = cfg.layer_dims(input_dim)
     weights = [np.zeros((a, b)) for a, b in zip(dims, dims[1:])]
     biases = [np.zeros(b) for b in dims[1:]]
-    return MlpModel(weights=weights, biases=biases, config=cfg)
+    return MlpModel(weights=weights, biases=biases, config=cfg, seed=0)
 
 
 def test_zero_network_outputs_uniform_probabilities():
@@ -42,21 +41,21 @@ def test_single_row_output_shape():
 
 def test_forward_rows_sum_to_one():
     rng = np.random.default_rng(0)
-    cfg = MlpConfig(input_dim=5, hidden_sizes=(7,), seed=1)
-    w, b, _ = init_params(cfg)
-    model = MlpModel(weights=w, biases=b, config=cfg)
+    cfg = MlpConfig(hidden_sizes=(7,))
+    w, b, _ = init_params(cfg, 5, 1)
+    model = MlpModel(weights=w, biases=b, config=cfg, seed=1)
     probs = mlp_forward(model, rng.normal(size=(50, 5)))
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
     assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
 
 def test_forward_matches_hand_computed_2_2_2_network():
-    cfg = MlpConfig(input_dim=2, hidden_sizes=(2,), hidden_activation="logistic")
+    cfg = MlpConfig(hidden_sizes=(2,), hidden_activation="logistic")
     w1 = np.array([[0.5, -0.25], [0.75, 0.1]])
     b1 = np.array([0.1, -0.2])
     w2 = np.array([[1.0, -1.0], [0.5, 0.25]])
     b2 = np.array([0.0, 0.3])
-    model = MlpModel(weights=[w1, w2], biases=[b1, b2], config=cfg)
+    model = MlpModel(weights=[w1, w2], biases=[b1, b2], config=cfg, seed=0)
     x1, x2 = 0.8, -0.4
 
     # scalar-by-scalar recomputation of the same arithmetic
@@ -114,9 +113,9 @@ def test_output_bias_gradient_zero_at_symmetric_point():
 
 
 def test_duplicating_batch_rows_leaves_gradients_unchanged():
-    cfg = MlpConfig(input_dim=3, hidden_sizes=(4,), seed=3)
-    w, b, _ = init_params(cfg)
-    model = MlpModel(weights=w, biases=b, config=cfg)
+    cfg = MlpConfig(hidden_sizes=(4,))
+    w, b, _ = init_params(cfg, 3, 3)
+    model = MlpModel(weights=w, biases=b, config=cfg, seed=3)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(6, 3))
     y = rng.integers(0, 2, size=6)
@@ -128,10 +127,9 @@ def test_duplicating_batch_rows_leaves_gradients_unchanged():
 
 @pytest.mark.parametrize("activation", ["logistic", "relu"])
 def test_gradient_check_central_differences(activation):
-    cfg = MlpConfig(input_dim=3, hidden_sizes=(4,), output_dim=2, seed=42,
-                    hidden_activation=activation)
-    weights, biases, _ = init_params(cfg)
-    model = MlpModel(weights=weights, biases=biases, config=cfg)
+    cfg = MlpConfig(hidden_sizes=(4,), output_dim=2, hidden_activation=activation)
+    weights, biases, _ = init_params(cfg, 3, 42)
+    model = MlpModel(weights=weights, biases=biases, config=cfg, seed=42)
     rng = np.random.default_rng(7)
     x = rng.normal(size=(12, 3))
     y = rng.integers(0, 2, size=12)
@@ -207,14 +205,14 @@ def test_adam_rejects_bad_t_and_shapes():
 
 def test_config_rejects_zero_epochs():
     with pytest.raises(ConfigError):
-        MlpConfig(input_dim=2, epochs=0)
+        MlpConfig(epochs=0)
 
 
 def test_train_is_bitwise_deterministic():
     x, y = _blobs(seed=11, n=120)
-    cfg = MlpConfig(input_dim=2, hidden_sizes=(8,), epochs=12, batch_size=32, seed=5)
-    a = mlp_train(cfg, (x, y))
-    b = mlp_train(cfg, (x, y))
+    cfg = MlpConfig(hidden_sizes=(8,), epochs=12, batch_size=32)
+    a = mlp_train(cfg, x, y, 5)
+    b = mlp_train(cfg, x, y, 5)
     assert a.loss_history == b.loss_history
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
@@ -234,9 +232,8 @@ def _blobs(seed=0, n=200, gap=5.0):
 
 def test_train_separates_blobs():
     x, y = _blobs(seed=21, n=240)
-    cfg = MlpConfig(input_dim=2, hidden_sizes=(128,), epochs=100, learning_rate=0.001,
-                    batch_size=256, seed=42)
-    model = mlp_train(cfg, (x, y))
+    cfg = MlpConfig(hidden_sizes=(128,), epochs=100, learning_rate=0.001, batch_size=256)
+    model = mlp_train(cfg, x, y, 42)
     acc = float((model.predict(x) == y).mean())
     assert acc >= 0.98
     assert len(model.loss_history) == 100
@@ -245,17 +242,17 @@ def test_train_separates_blobs():
 
 def test_train_loss_nonincreasing_early_epochs():
     x, y = _blobs(seed=33, n=200)
-    cfg = MlpConfig(input_dim=2, hidden_sizes=(16,), epochs=10, batch_size=64, seed=2)
-    model = mlp_train(cfg, (x, y))
+    cfg = MlpConfig(hidden_sizes=(16,), epochs=10, batch_size=64)
+    model = mlp_train(cfg, x, y, 2)
     hist = model.loss_history
     for a, b in zip(hist, hist[1:]):
         assert b <= a + 1e-3  # minibatch noise allowance
 
 
 def test_train_rejects_nan_inputs_and_bad_labels():
-    cfg = MlpConfig(input_dim=2, epochs=1)
+    cfg = MlpConfig(epochs=1)
     x = np.array([[1.0, np.nan]])
     with pytest.raises(ConfigError):
-        mlp_train(cfg, (x, np.array([0])))
+        mlp_train(cfg, x, np.array([0]), 42)
     with pytest.raises(ConfigError):
-        mlp_train(cfg, (np.array([[1.0, 2.0]]), np.array([5])))
+        mlp_train(cfg, np.array([[1.0, 2.0]]), np.array([5]), 42)

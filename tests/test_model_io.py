@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gametrace.dataset import fit_preprocessor
-from gametrace.errors import ContainerFormatError, UnsupportedVersionError
+from gametrace.errors import ConfigError, ContainerFormatError, DataError, UnsupportedVersionError
 from gametrace.evaluation import MODELS
 from gametrace.forest import (
     Internal,
@@ -216,9 +217,9 @@ def test_model_round_trip_with_one_hot_columns(tmp_path, kind):
 def test_mlp_container_preserves_config_and_history(tmp_path):
     x, y = training_data(seed=5)
     pre = fit_preprocessor(x, ("a", "b", "c", "d"), scale=True)
-    cfg = MlpConfig(input_dim=4, hidden_sizes=(6, 3), epochs=4, learning_rate=0.01,
-                    batch_size=16, seed=11, hidden_activation="relu")
-    model = mlp_train(cfg, (pre.transform(x), y))
+    cfg = MlpConfig(hidden_sizes=(6, 3), epochs=4, learning_rate=0.01,
+                    batch_size=16, hidden_activation="relu")
+    model = mlp_train(cfg, pre.transform(x), y, 11)
     path = tmp_path / "m.bin"
     save_model(path, "mlp", model, pre, ("a", "b", "c", "d"))
     loaded = load_model(path)
@@ -245,3 +246,90 @@ def test_unknown_kind_rejected(tmp_path):
     pre = fit_preprocessor(x, ("a", "b", "c", "d"))
     with pytest.raises(ContainerFormatError):
         save_model(tmp_path / "x.bin", "svm", None, pre, ("a",))
+
+
+# A small fit per kind whose settings differ from the defaults.
+SMALL_SETTINGS = {
+    "knn": {"k": 3, "metric": "cosine"},
+    "mlp": {"hidden_sizes": (4, 3), "epochs": 2, "batch_size": 16, "learning_rate": 0.01},
+    "forest": {"trees": 2, "max_depth": 3, "criterion": "entropy"},
+}
+
+
+def small_container(tmp_path, kind):
+    """A container of a small fit, and the raw rows it was fitted on."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(40, 3))
+    y = (x[:, 0] > 0).astype(np.int64)
+    classifier = MODELS[kind](**SMALL_SETTINGS[kind])
+    pre = fit_preprocessor(x, ("a", "b", "c"), scale=classifier.scale)
+    model = classifier.fit(pre.transform(x), y, 11)
+    path = tmp_path / f"{kind}.bin"
+    save_model(path, kind, model, pre, ("a", "b", "c"), config_fingerprint="fp", seed=11)
+    return path, x
+
+
+PINNED_SECTIONS = {
+    "knn": '{"k":3,"metric":"cosine"}',
+    "mlp": (
+        '{"batch_size":16,"epochs":2,"hidden_activation":"logistic","hidden_sizes":[4,3],'
+        '"input_dim":3,"layers":3,"learning_rate":0.01,"output_dim":2,"seed":11}'
+    ),
+    "forest": (
+        '{"bootstrap":true,"criterion":"entropy","feature_subsample":"sqrt","max_depth":3,'
+        '"min_samples_split":2,"n_features":3,"seed":11,"tree_count":2}'
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(MODELS))
+def test_container_header_section_is_pinned(tmp_path, kind):
+    header, _ = load_container(small_container(tmp_path, kind)[0])
+    assert json.dumps(header[kind], sort_keys=True, separators=(",", ":")) == PINNED_SECTIONS[kind]
+
+
+def _meta_spans(raw: bytes) -> list[tuple[int, int]]:
+    """Byte ranges of the header block and of every array-meta block,
+    each with its length prefix."""
+    pos = len(MAGIC) + 4
+    (n,) = struct.unpack_from("<Q", raw, pos)
+    spans = [(pos, pos + 8 + n)]
+    pos += 8 + n
+    (count,) = struct.unpack_from("<I", raw, pos)
+    pos += 4
+    for _ in range(count):
+        (meta,) = struct.unpack_from("<Q", raw, pos)
+        spans.append((pos, pos + 8 + meta))
+        (data,) = struct.unpack_from("<Q", raw, pos + 8 + meta)
+        pos += 16 + meta + data
+    assert pos == len(raw)
+    return spans
+
+
+def _corruptions(raw: bytes):
+    """(description, bytes): truncations at sampled offsets, then one flip of
+    bit 0x01, 0x10 or 0x80 in every byte of the header and array-meta blocks."""
+    for cut in range(0, len(raw), max(1, len(raw) // 64)):
+        yield f"cut at {cut}", raw[:cut]
+    for start, end in _meta_spans(raw):
+        for i in range(start, end):
+            for bit in (0x01, 0x10, 0x80):
+                flipped = bytearray(raw)
+                flipped[i] ^= bit
+                yield f"byte {i} ^ {bit:#04x}", bytes(flipped)
+
+
+@pytest.mark.parametrize("kind", list(MODELS))
+def test_corrupted_container_loads_or_raises_a_named_error(tmp_path, kind):
+    path, x = small_container(tmp_path, kind)
+    bad = tmp_path / "bad.bin"
+    unnamed = []
+    for what, corrupt in _corruptions(path.read_bytes()):
+        bad.write_bytes(corrupt)
+        try:
+            load_model(bad).predict(x)
+        except (DataError, ConfigError):
+            pass
+        except Exception as exc:
+            unnamed.append(f"{what}: {exc!r}")
+    assert unnamed == []
