@@ -1,21 +1,23 @@
 """Streaming aggregation of the event stream into per-(session, level_group) rows.
 
-One pass, per-group accumulators only: running sum/count/min/max for numeric
-columns, hash sets for nunique, index-tracked first/last for categoricals.
-The raw stream is never buffered, so output size is proportional to the
-number of groups, not events. Accumulators merge associatively, which allows
-sharding by session and combining shard results.
+One pass, per-group accumulators only, holding just the statistics the specs
+read: counts, exact sums, min/max, hash sets for nunique and index-tracked
+first/last. A real-column sum buffers at most ``_BUFFER`` values per group
+before math.fsum compacts them exactly, so state is bounded by the number of
+groups, not events. Accumulators merge associatively, which allows sharding
+by session and combining shard results.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Optional
 
-from math import fsum, isfinite
+from math import copysign, fsum, inf, isfinite, nan
 
 from .errors import ConfigError, DataError, SpecTypeMismatchError
 from .events import (
@@ -133,53 +135,64 @@ class FeatureMatrix:
         return tuple(s.output_name for s in self.specs if s.is_categorical_code)
 
 
-def _add_partial(partials: list[float], x: float) -> None:
-    """Shewchuk exact accumulation: partials stay non-overlapping, so the
-    represented sum is exact and therefore independent of addition order."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
+# Values a real-sum slot buffers before math.fsum compacts them.
+_BUFFER = 64
 
 
-class _NumAcc:
-    """Integer columns keep an exact int total; real columns keep exact
-    float partials. Either way the sum is order-independent."""
+def _exact_sum(buf):
+    """The exact sum of a real-sum buffer, as a Fraction."""
+    from fractions import Fraction  # rare path: a partial sum past the float range
 
-    __slots__ = ("count", "total", "partials", "mn", "mx")
-
-    def __init__(self, is_real: bool):
-        self.count = 0
-        self.total = 0
-        self.partials: Optional[list[float]] = [] if is_real else None
-        self.mn = None
-        self.mx = None
-
-    def sum_value(self) -> float:
-        if self.partials is None:
-            return float(self.total)
-        return fsum(self.partials)
+    return sum(map(Fraction, buf), Fraction(0))
 
 
-def _reduce(acc: _NumAcc, spec: AggregatorSpec, key: tuple[str, str]) -> float:
-    """The spec's reduction of a non-empty accumulator; DataError unless it
-    is a finite float (a sum past the float range, or a huge integer)."""
+def _compact(buf):
+    """A short buffer with the exact sum of ``buf``: its rounded sum, then the
+    rounded remainder, until none is left. One exact Fraction when a partial
+    sum passes the float range; nan for non-finite values."""
+    if type(buf) is array:
+        try:
+            s = fsum(buf)
+            if not isfinite(s):
+                return array("d", [s])
+            vals, out = list(buf), array("d")
+            while s:
+                out.append(s)
+                vals.append(-s)
+                s = fsum(vals)
+            return out
+        except ValueError:  # inf - inf
+            return array("d", [nan])
+        except OverflowError:
+            pass
     try:
-        if spec.kind == "mean":
-            value = acc.sum_value() / acc.count
-        elif spec.kind == "sum":
-            value = acc.sum_value()
+        return [_exact_sum(buf)]
+    except (OverflowError, ValueError):  # inf or nan among the values
+        return array("d", [nan])
+
+
+def _real_sum(buf) -> float:
+    """The correctly rounded exact sum of a real-sum buffer."""
+    if type(buf) is array:
+        try:
+            return fsum(buf)
+        except OverflowError:
+            pass
+    return float(_exact_sum(buf))
+
+
+def _reduce(spec: AggregatorSpec, count: int, stat, key: tuple[str, str]) -> float:
+    """The spec's reduction of a group with ``count`` values; DataError unless
+    it is a finite float (a sum past the float range, or a huge integer)."""
+    try:
+        if spec.kind in ("min", "max"):
+            value = float(stat)
         else:
-            value = float(acc.mn if spec.kind == "min" else acc.mx)
-    except (OverflowError, ValueError):  # int too large for a float; inf - inf in fsum
-        value = float("nan")
+            value = _real_sum(stat) if spec.column in REAL_COLUMNS else float(stat)
+            if spec.kind == "mean":
+                value /= count
+    except (OverflowError, ValueError):  # int too large for a float; inf - inf; nan
+        value = nan
     if not isfinite(value):
         raise DataError(
             f"{spec.output_name} of session {key[0]!r}, level group {key[1]!r} "
@@ -188,20 +201,22 @@ def _reduce(acc: _NumAcc, spec: AggregatorSpec, key: tuple[str, str]) -> float:
     return value
 
 
-class _CatAcc:
-    __slots__ = ("count", "values", "first_idx", "first_val", "last_idx", "last_val")
-
-    def __init__(self):
-        self.count = 0
-        self.values = None  # set, allocated only when nunique is needed
-        self.first_idx = None
-        self.first_val = None
-        self.last_idx = None
-        self.last_val = None
+# The statistic a kind reads; other kinds name their own.
+_STATISTIC = {"mean": "sum", "nunique": "set"}
+_INITIAL = {"count": 0, "sum": 0, "min": inf, "max": -inf}
+_FRESH = {"real": lambda: array("d"), "set": set}
+_PLANS = ("count", "sum", "real", "min", "max", "set", "first", "last")
 
 
 class StreamingAggregator:
     """Single-pass accumulator; update per event, finalize to a matrix.
+
+    Each group is one flat list of slots, laid out once from the specs: a
+    count per numeric column (and per categorical ``count``), a sum (an exact
+    int, or for real columns a buffer of at most ``_BUFFER`` values that
+    math.fsum compacts without rounding), a min, a max, a nunique set, and
+    an (index, value) pair per first/last. An event touches only the slots
+    some spec reads.
 
     Instances may be built on disjoint shards of the stream (grouped by
     session) and merged; merge is associative and commutative, so the
@@ -210,81 +225,93 @@ class StreamingAggregator:
 
     def __init__(self, specs: Iterable[AggregatorSpec] = DEFAULT_SPECS):
         self.specs = validate_specs(specs)
-        num_cols: list[str] = []
-        cat_cols: list[str] = []
+        slots: dict[tuple[str, str], int] = {}  # (column, statistic) -> slot
+        self._cells = []  # per spec: (spec, slot of its numeric column's count, slot it reads)
         for s in self.specs:
-            if s.column in NUMERIC_COLUMNS and s.column not in num_cols:
-                num_cols.append(s.column)
-            if s.column in CATEGORICAL_COLUMNS and s.column not in cat_cols:
-                cat_cols.append(s.column)
-        self._num_cols = num_cols
-        self._cat_cols = cat_cols
-        self._num_pos = [_FIELD_INDEX[c] for c in num_cols]
-        self._num_real = [c in REAL_COLUMNS for c in num_cols]
-        self._cat_pos = [_FIELD_INDEX[c] for c in cat_cols]
-        cat_kinds = {c: {s.kind for s in self.specs if s.column == c} for c in cat_cols}
-        self._cat_need_set = [bool(cat_kinds[c] & {"nunique"}) for c in cat_cols]
-        self._cat_need_ends = [bool(cat_kinds[c] & {"first", "last"}) for c in cat_cols]
-        self._groups: dict[tuple[str, str], tuple[list[_NumAcc], list[_CatAcc]]] = {}
+            count = None
+            if s.column in NUMERIC_COLUMNS:  # the count says whether any value came
+                count = slots.setdefault((s.column, "count"), len(slots))
+            stat = slots.setdefault((s.column, _STATISTIC.get(s.kind, s.kind)), len(slots))
+            self._cells.append((s, count, stat))
+        self._kinds = [
+            "real" if stat == "sum" and column in REAL_COLUMNS else stat for column, stat in slots
+        ]
+        plans: dict[str, list[tuple]] = {kind: [] for kind in _PLANS}
+        for (column, stat), i in slots.items():
+            kind, pos = self._kinds[i], _FIELD_INDEX[column]
+            if kind in ("sum", "real"):
+                plans[kind].append((pos, slots[(column, "count")], i))
+            elif stat != "count" or (column, "sum") not in slots:  # a sum plan counts too
+                plans[kind].append((pos, i))
+        self._plans = tuple(plans.values())
+        self._template = [_INITIAL.get(kind) for kind in self._kinds]
+        self._fresh = [(i, _FRESH[kind]) for i, kind in enumerate(self._kinds) if kind in _FRESH]
+        self._groups: dict[tuple[str, str], list] = {}
         self.events_in = 0
 
-    def _new_group(self) -> tuple[list[_NumAcc], list[_CatAcc]]:
-        return [_NumAcc(is_real) for is_real in self._num_real], [_CatAcc() for _ in self._cat_pos]
-
-    def update(self, ev: RawEvent) -> None:
-        self.events_in += 1
-        key = (ev[0], ev[19])
-        group = self._groups.get(key)
-        if group is None:
-            group = self._groups[key] = self._new_group()
-        nums, cats = group
-        for pos, acc in zip(self._num_pos, nums):
-            v = ev[pos]
-            if v is None:
-                continue
-            if acc.count == 0:
-                acc.mn = v
-                acc.mx = v
-            else:
-                if v < acc.mn:
-                    acc.mn = v
-                if v > acc.mx:
-                    acc.mx = v
-            acc.count += 1
-            if acc.partials is None:
-                acc.total += v
-            else:
-                _add_partial(acc.partials, v)
-        if not self._cat_pos:
-            return
-        idx = ev[1]
-        for pos, acc, need_set, need_ends in zip(
-            self._cat_pos, cats, self._cat_need_set, self._cat_need_ends
-        ):
-            v = ev[pos]
-            if v is None:
-                continue
-            acc.count += 1
-            if need_set:
-                if acc.values is None:
-                    acc.values = {v}
-                else:
-                    acc.values.add(v)
-            if need_ends:
-                if acc.first_idx is None or idx < acc.first_idx or (
-                    idx == acc.first_idx and v < acc.first_val
-                ):
-                    acc.first_idx = idx
-                    acc.first_val = v
-                if acc.last_idx is None or idx > acc.last_idx or (
-                    idx == acc.last_idx and v > acc.last_val
-                ):
-                    acc.last_idx = idx
-                    acc.last_val = v
+    def _new_group(self) -> list:
+        group = self._template.copy()
+        for i, make in self._fresh:
+            group[i] = make()
+        return group
 
     def update_all(self, events: Iterable[RawEvent]) -> None:
-        for ev in events:
-            self.update(ev)
+        groups = self._groups
+        counts, sums, reals, mins, maxs, sets, firsts, lasts = self._plans
+        n = 0
+        try:
+            for ev in events:
+                n += 1
+                key = (ev[0], ev[19])
+                g = groups.get(key)
+                if g is None:
+                    g = groups[key] = self._new_group()
+                for pos, c, i in reals:
+                    v = ev[pos]
+                    if v is not None:
+                        g[c] += 1
+                        buf = g[i]
+                        buf.append(v)
+                        if len(buf) >= _BUFFER:
+                            g[i] = _compact(buf)
+                for pos, c, i in sums:
+                    v = ev[pos]
+                    if v is not None:
+                        g[c] += 1
+                        g[i] += v
+                for pos, i in counts:
+                    if ev[pos] is not None:
+                        g[i] += 1
+                for pos, i in mins:
+                    v = ev[pos]
+                    if v is not None:
+                        m = g[i]
+                        if v < m or (v == m and not v and copysign(1.0, v) < 0):  # -0.0 wins
+                            g[i] = v
+                for pos, i in maxs:
+                    v = ev[pos]
+                    if v is not None:
+                        m = g[i]
+                        if v > m or (v == m and not v and copysign(1.0, m) < 0):  # 0.0 wins
+                            g[i] = v
+                for pos, i in sets:
+                    v = ev[pos]
+                    if v is not None:
+                        g[i].add(v)
+                for pos, i in firsts:
+                    v = ev[pos]
+                    if v is not None:
+                        end = (ev[1], v)
+                        if g[i] is None or end < g[i]:
+                            g[i] = end
+                for pos, i in lasts:
+                    v = ev[pos]
+                    if v is not None:
+                        end = (ev[1], v)
+                        if g[i] is None or end > g[i]:
+                            g[i] = end
+        finally:
+            self.events_in += n
 
     def merge(self, other: "StreamingAggregator") -> None:
         """Fold another aggregator (same specs) into this one. Its state is
@@ -292,45 +319,26 @@ class StreamingAggregator:
         if other.specs != self.specs:
             raise ConfigError("cannot merge aggregators with different specs")
         self.events_in += other.events_in
-        for key, (onums, ocats) in other._groups.items():
+        for key, theirs in other._groups.items():
             mine = self._groups.get(key)
             if mine is None:
                 mine = self._groups[key] = self._new_group()
-            nums, cats = mine
-            for a, b in zip(nums, onums):
-                if b.count == 0:
-                    continue
-                if a.count == 0:
-                    a.mn, a.mx = b.mn, b.mx
-                else:
-                    if b.mn < a.mn:
-                        a.mn = b.mn
-                    if b.mx > a.mx:
-                        a.mx = b.mx
-                a.count += b.count
-                if a.partials is None:
-                    a.total += b.total
-                else:
-                    for p in b.partials:
-                        _add_partial(a.partials, p)
-            for a, b in zip(cats, ocats):
-                if b.count == 0:
-                    continue
-                a.count += b.count
-                if b.values is not None:
-                    a.values = set(b.values) if a.values is None else a.values | b.values
-                if b.first_idx is not None and (
-                    a.first_idx is None
-                    or b.first_idx < a.first_idx
-                    or (b.first_idx == a.first_idx and b.first_val < a.first_val)
-                ):
-                    a.first_idx, a.first_val = b.first_idx, b.first_val
-                if b.last_idx is not None and (
-                    a.last_idx is None
-                    or b.last_idx > a.last_idx
-                    or (b.last_idx == a.last_idx and b.last_val > a.last_val)
-                ):
-                    a.last_idx, a.last_val = b.last_idx, b.last_val
+            for i, (kind, a, b) in enumerate(zip(self._kinds, mine, theirs)):
+                if kind in ("count", "sum"):
+                    mine[i] = a + b
+                elif kind == "real":
+                    buf = a + b if type(a) is type(b) is array else list(a) + list(b)
+                    mine[i] = _compact(buf) if len(buf) >= _BUFFER else buf
+                elif kind == "set":
+                    mine[i] = a | b
+                elif kind == "min":
+                    if b < a or (b == a and not b and copysign(1.0, b) < 0):
+                        mine[i] = b
+                elif kind == "max":
+                    if b > a or (b == a and not b and copysign(1.0, a) < 0):
+                        mine[i] = b
+                elif b is not None and (a is None or (b < a if kind == "first" else b > a)):
+                    mine[i] = b
 
     def compression_report(self, input_bytes: int, output_bytes: int) -> "CompressionReport":
         """Size accounting for the finished run; call after the stream ends."""
@@ -343,37 +351,27 @@ class StreamingAggregator:
 
     def finalize(self) -> FeatureMatrix:
         """Emit one row per group, sorted by (session_id, level_group rank)."""
-        num_slot = {c: i for i, c in enumerate(self._num_cols)}
-        cat_slot = {c: i for i, c in enumerate(self._cat_cols)}
         keys = sorted(self._groups, key=lambda k: (k[0], _GROUP_RANK[k[1]]))
         code_tables: dict[str, dict[str, int]] = {
             s.column: {} for s in self.specs if s.is_categorical_code
         }
         rows: list[FeatureRow] = []
         for key in keys:
-            nums, cats = self._groups[key]
+            group = self._groups[key]
             values: list[Optional[float]] = []
-            for s in self.specs:
-                if s.column in NUMERIC_COLUMNS:
-                    acc = nums[num_slot[s.column]]
-                    values.append(None if acc.count == 0 else _reduce(acc, s, key))
+            for spec, count, i in self._cells:
+                stat = group[i]
+                if count is not None:
+                    values.append(_reduce(spec, group[count], stat, key) if group[count] else None)
+                elif spec.kind == "count":
+                    values.append(float(stat))
+                elif spec.kind == "nunique":
+                    values.append(float(len(stat)))
+                elif stat is None:
+                    values.append(None)
                 else:
-                    acc = cats[cat_slot[s.column]]
-                    if s.kind == "count":
-                        values.append(float(acc.count))
-                    elif s.kind == "nunique":
-                        values.append(float(len(acc.values)) if acc.values else 0.0)
-                    else:
-                        val = acc.first_val if s.kind == "first" else acc.last_val
-                        if val is None:
-                            values.append(None)
-                        else:
-                            table = code_tables[s.column]
-                            code = table.get(val)
-                            if code is None:
-                                code = len(table)
-                                table[val] = code
-                            values.append(float(code))
+                    table = code_tables[spec.column]
+                    values.append(float(table.setdefault(stat[1], len(table))))
             rows.append(FeatureRow(key[0], key[1], tuple(values)))
         return FeatureMatrix(
             column_names=tuple(s.output_name for s in self.specs),
@@ -459,7 +457,7 @@ def _read_sidecar(meta_path: Path) -> tuple[tuple[AggregatorSpec, ...], dict[str
     """The column specs and code tables a feature matrix sidecar records."""
     try:
         meta = json.loads(Path(meta_path).read_text())
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise DataError(f"cannot read {meta_path}: {exc}") from None
     if not isinstance(meta, dict):
         raise DataError(f"{meta_path}: not a JSON object")

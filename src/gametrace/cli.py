@@ -340,7 +340,7 @@ def _recorded_fingerprint(path: Path) -> str:
             if path.suffix == ".tsv":
                 return text.partition("\n")[0].removeprefix("# config_fingerprint=")
             header = json.loads(text)
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise DataError(f"cannot read {path}: {exc}") from None
     found = header.get("config_fingerprint", "") if isinstance(header, dict) else ""
     return found if isinstance(found, str) else ""

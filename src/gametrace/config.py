@@ -85,7 +85,7 @@ def load_config(path: Optional[Path] = None, overrides: Optional[dict] = None) -
             data = json.loads(Path(path).read_text())
         except OSError as exc:  # missing, a directory, unreadable
             raise ConfigError(f"cannot read config file: {exc}") from None
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")

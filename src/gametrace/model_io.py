@@ -85,7 +85,7 @@ def load_container(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
                 raise ValueError(f"array {meta['name']!r} is {meta['dtype']} of shape {meta['shape']}")
             dtype, shape = np.dtype(meta["dtype"]), meta["shape"]
             arrays[meta["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise ContainerFormatError(f"malformed container {path}: {exc!r}") from None
     if src.read(1):
         raise ContainerFormatError("trailing bytes after container payload")

@@ -20,6 +20,10 @@ NUMERIC = {
 }
 
 
+def _signed(v):
+    return (v, math.copysign(1.0, v))
+
+
 def brute_force_aggregate(events, specs):
     """Buffer everything, then reduce: returns {(sid, group): {name: value}}
     plus the canonical code tables for first/last columns."""
@@ -43,10 +47,10 @@ def brute_force_aggregate(events, specs):
                     row[s.output_name] = math.fsum(present) / len(present)
                 elif s.kind == "sum":
                     row[s.output_name] = float(math.fsum(present))
-                elif s.kind == "min":
-                    row[s.output_name] = float(min(present))
+                elif s.kind == "min":  # -0.0 counts as below 0.0
+                    row[s.output_name] = float(min(present, key=_signed))
                 else:
-                    row[s.output_name] = float(max(present))
+                    row[s.output_name] = float(max(present, key=_signed))
             else:
                 if s.kind == "count":
                     row[s.output_name] = float(len(present))

@@ -1,5 +1,6 @@
 import io
 import json
+from math import copysign, inf, nan
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from gametrace.aggregation import (
     AggregatorSpec,
     CompressionReport,
     StreamingAggregator,
+    _BUFFER,
     aggregate,
     load_feature_matrix,
     save_feature_matrix,
     validate_specs,
 )
-from gametrace.errors import ConfigError, SpecTypeMismatchError
+from gametrace.errors import ConfigError, DataError, SpecTypeMismatchError
 from conftest import make_event, random_events
 
 from oracles import brute_force_aggregate
@@ -135,11 +137,86 @@ def test_partition_independence_merge(seed, shards):
 
     parts = [StreamingAggregator(FULL_SPECS) for _ in range(shards)]
     for ev in evs:
-        parts[hash(ev.session_id) % shards].update(ev)
+        parts[hash(ev.session_id) % shards].update_all([ev])
     merged = parts[0]
     for p in parts[1:]:
         merged.merge(p)
     assert merged.finalize().rows == single.finalize().rows
+
+
+REALS = st.one_of(
+    st.floats(-1e300, 1e300),  # zeros and subnormals included
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]),
+)
+INTS = st.integers(-(2**53), 2**53)  # fsum of these is the exact integer sum, rounded
+
+
+def _events(session, level, real):
+    vocab = st.sampled_from(("p", "q", "r"))
+    return st.builds(
+        make_event, session_id=session, index=st.integers(0, 40), level=level,
+        elapsed_time=INTS, page=st.none() | st.integers(0, 6), room_coor_x=real,
+        hover_duration=st.none() | INTS, event_name=vocab, name=vocab,
+        fqid=st.none() | vocab, text_fqid=st.none() | vocab, music=st.integers(0, 1),
+    )
+
+
+@st.composite
+def exact_streams(draw):
+    """One group with more real values than a buffer holds, plus a few more
+    groups; the values repeat from a small pool. Some pools put both zeros
+    at the bottom (or top) of one sign's values, so min (or max) ties."""
+    pool = draw(st.lists(REALS, min_size=1, max_size=8))
+    sign = draw(st.sampled_from((None, 1.0, -1.0)))
+    if sign is not None:
+        pool = [copysign(v, sign) for v in pool] + [0.0, -0.0]
+    real = st.sampled_from(pool)
+    long = st.lists(_events(st.just("a"), st.just(0), real), min_size=_BUFFER + 1, max_size=2 * _BUFFER)
+    rest = st.lists(_events(st.sampled_from("ab"), st.sampled_from((0, 8)), st.none() | real), max_size=_BUFFER)
+    return draw(long) + draw(rest)
+
+
+def cells(m):
+    return [(r.session_id, r.level_group, [repr(v) for v in r.values]) for r in m.rows]
+
+
+@given(exact_streams(), st.randoms(use_true_random=False), st.integers(2, 4))
+@settings(max_examples=30, deadline=None)
+def test_every_reduction_is_exact_and_order_independent(evs, rnd, shards):
+    m = aggregate(evs, FULL_SPECS)
+    expected, codes = brute_force_aggregate(evs, FULL_SPECS)
+    assert cells(m) == [(sid, g, [repr(v) for v in row.values()]) for (sid, g), row in expected.items()]
+    assert m.code_tables == codes
+    shuffled = rnd.sample(evs, len(evs))
+    assert cells(aggregate(shuffled, FULL_SPECS)) == cells(m)
+    parts = [StreamingAggregator(FULL_SPECS) for _ in range(shards)]
+    for ev in shuffled:  # any split, so shards share groups
+        parts[rnd.randrange(shards)].update_all([ev])
+    for part in parts[1:]:
+        parts[0].merge(part)
+    assert cells(parts[0].finalize()) == cells(m)
+
+
+def test_real_sum_past_the_float_range_stays_exact():
+    values = [1e308] * 100 + [-1e308] * 100 + [0.5]
+    specs = [AggregatorSpec("room_coor_x", "sum"), AggregatorSpec("room_coor_x", "mean")]
+    for order in (values, values[::-1], values[::2] + values[1::2]):
+        evs = [make_event(index=i, room_coor_x=v) for i, v in enumerate(order)]
+        assert aggregate(evs, specs).rows[0].values == (0.5, 0.5 / 201)
+        a, b = StreamingAggregator(specs), StreamingAggregator(specs)
+        a.update_all(evs[:150])
+        b.update_all(evs[150:])
+        b.merge(a)
+        assert b.finalize().rows[0].values == (0.5, 0.5 / 201)
+
+
+@pytest.mark.parametrize("bad", [[nan], [inf], [inf, -inf], [-inf, 1e308, 1e308]], ids=repr)
+def test_non_finite_real_sum_ends_in_data_error(bad):
+    evs = [make_event(index=i, room_coor_x=v) for i, v in enumerate(bad + [1.0] * 2 * _BUFFER)]
+    agg = StreamingAggregator([AggregatorSpec("room_coor_x", "sum")])
+    agg.update_all(evs)  # compacts non-finite buffers without looping
+    with pytest.raises(DataError, match="room_coor_x_sum of session 's1', level group '0-4'"):
+        agg.finalize()
 
 
 def test_merge_copies_the_other_shard():
@@ -172,21 +249,22 @@ def test_merge_requires_same_specs():
 def test_mean_count_sum_consistency_and_bounds():
     rng = np.random.default_rng(5)
     evs = random_events(rng, 200)
-    agg = StreamingAggregator(FULL_SPECS)
-    agg.update_all(evs)
-    m = agg.finalize()
+    m = aggregate(evs, FULL_SPECS)
     got = matrix_as_dict(m)
-    for (sid, group), accs in agg._groups.items():
-        row = got[(sid, group)]
-        for col, acc in zip(agg._num_cols, accs[0]):
-            if acc.count == 0:
+    num_cols = {s.column for s in FULL_SPECS if s.kind in ("mean", "sum", "min", "max")}
+    cat_cols = {s.column for s in FULL_SPECS if s.kind in ("first", "last", "count", "nunique")}
+    for (sid, group), row in got.items():
+        group_evs = [e for e in evs if (e.session_id, e.level_group) == (sid, group)]
+        for col in num_cols:
+            count = sum(getattr(e, col) is not None for e in group_evs)
+            if count == 0:
                 continue
             mean = row.get(f"{col}_mean")
             if mean is not None and f"{col}_sum" in row:
-                assert mean * acc.count == pytest.approx(row[f"{col}_sum"], rel=1e-9)
+                assert mean * count == pytest.approx(row[f"{col}_sum"], rel=1e-9)
             if f"{col}_min" in row and f"{col}_max" in row and mean is not None:
                 assert row[f"{col}_min"] <= mean <= row[f"{col}_max"]
-        for col in agg._cat_cols:
+        for col in cat_cols:
             if f"{col}_nunique" in row and f"{col}_count" in row:
                 assert row[f"{col}_nunique"] <= row[f"{col}_count"]
 

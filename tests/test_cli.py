@@ -470,9 +470,72 @@ def test_aggregate_reduction_past_float_range_exits_2(tmp_path, capsys, case):
     assert not (tmp_path / "features.csv").exists()
 
 
+def _aggregate_rows(wd, rows, specs=None):
+    """features.csv of one ``aggregate`` run over ``rows``, or None on failure."""
+    wd.mkdir()
+    (wd / "events.csv").write_text(events_csv(rows).getvalue())
+    argv = ["aggregate", "--workdir", str(wd)]
+    if specs is not None:
+        (wd / "cfg.json").write_text(json.dumps({"aggregator_specs": specs}))
+        argv += ["--config", str(wd / "cfg.json")]
+    return (wd / "features.csv").read_text() if run(*argv) == 0 else None
+
+
+def test_real_mean_follows_the_exact_sum_in_any_order(tmp_path):
+    """A partial sum past the float range in one order only changes nothing."""
+    orders = [("1e308", "-1e308", "1e308"), ("1e308", "1e308", "-1e308"), ("-1e308", "1e308", "1e308")]
+    written = {
+        _aggregate_rows(tmp_path / str(n), [{**GOOD_EVENT, "index": str(i), "room_coor_x": x}
+                                            for i, x in enumerate(order)])
+        for n, order in enumerate(orders)
+    }
+    assert len(written) == 1
+    assert f",{1e308 / 3!r}," in written.pop()
+
+
+def test_min_and_max_of_signed_zeros_follow_no_order(tmp_path):
+    specs = [{"column": "room_coor_x", "kind": "min"}, {"column": "room_coor_x", "kind": "max"}]
+    for n, order in enumerate([("0.0", "-0.0"), ("-0.0", "0.0")]):
+        rows = [{**GOOD_EVENT, "index": str(i), "room_coor_x": x} for i, x in enumerate(order)]
+        assert _aggregate_rows(tmp_path / str(n), rows, specs).splitlines()[1] == "s,0-4,-0.0,0.0"
+
+
 def test_verify_corrupt_report_exits_2(tmp_path):
     (tmp_path / "aggregate_report.json").write_text('{"config_fingerprint": ')
     assert run("verify", "--workdir", str(tmp_path)) == 2
+
+
+DEEP_JSON = b"[" * 200_000  # nested past the interpreter's recursion limit
+
+
+def test_config_nested_too_deep_exits_1(tmp_path, capsys):
+    (tmp_path / "cfg.json").write_bytes(DEEP_JSON)
+    assert run("aggregate", "--workdir", str(tmp_path), "--config", str(tmp_path / "cfg.json")) == 1
+    assert "config file is not valid JSON: maximum recursion depth" in capsys.readouterr().err
+
+
+def test_sidecar_nested_too_deep_exits_2(pipeline_dir, tmp_path, capsys):
+    for kept in ("labels.csv", "features.csv"):
+        shutil.copy(pipeline_dir / kept, tmp_path / kept)
+    (tmp_path / "features.meta.json").write_bytes(DEEP_JSON)
+    assert run("select", "--workdir", str(tmp_path)) == 2
+    assert "features.meta.json: maximum recursion depth" in capsys.readouterr().err
+
+
+def test_container_header_nested_too_deep_exits_2(evaluate_dir, tmp_path, capsys):
+    raw = (evaluate_dir / "model_knn.bin").read_bytes()
+    start = len(MAGIC) + 4
+    end = start + 8 + int.from_bytes(raw[start:start + 8], "little")
+    bad = raw[:start] + len(DEEP_JSON).to_bytes(8, "little") + DEEP_JSON + raw[end:]
+    (tmp_path / "bad.bin").write_bytes(bad)
+    assert evaluate(evaluate_dir, "knn", tmp_path / "bad.bin") == 2
+    assert "malformed container" in capsys.readouterr().err
+
+
+def test_report_nested_too_deep_exits_2_in_verify(tmp_path, capsys):
+    (tmp_path / "aggregate_report.json").write_bytes(DEEP_JSON)
+    assert run("verify", "--workdir", str(tmp_path)) == 2
+    assert "aggregate_report.json: maximum recursion depth" in capsys.readouterr().err
 
 
 def _paths(value, prefix=()):
