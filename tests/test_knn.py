@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gametrace.knn as knn
 from gametrace.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -10,7 +15,7 @@ from gametrace.errors import (
 )
 from gametrace.knn import METRICS, knn_fit, knn_predict
 
-from oracles import knn_oracle
+from oracles import _reference_distance_block, knn_oracle, reference_knn_predict
 
 
 def test_fit_with_k_equal_rows_is_valid():
@@ -175,3 +180,100 @@ def test_predict_rejects_nan_training_data():
     x = np.array([[np.nan, 1.0], [0.0, 2.0]])
     with pytest.raises(ConfigError):
         knn_fit(x, [0, 1], k=1)
+
+
+@st.composite
+def euclidean_cases(draw):
+    """Stored rows and queries for the screened euclidean search: few
+    levels (duplicate rows, exact distance ties) or continuous values,
+    scaled from 1e-162 (squares underflow) to 1e160 (squares overflow, so
+    every row falls back), optionally on a large common offset (the
+    screen's expansion cancels heavily), with k up to n and NaN queries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n) | st.integers(max(1, n - 2), n))
+    levels = draw(st.sampled_from([None, None, 2, 3, 50]))
+    offset = draw(st.sampled_from([0.0, 0.0, 1e6, 1e15]))
+    scale = draw(st.sampled_from([1e-162, 1e-160, 1e-150, 1e-75, 1.0, 1e75, 1e150, 1e160]))
+
+    def draw_rows(count):
+        if levels is None:
+            return rng.normal(size=(count, d))
+        return rng.integers(0, levels, size=(count, d)).astype(np.float64)
+
+    stored = draw_rows(n)
+    stored[rng.integers(0, n, size=n // 3)] = stored[rng.integers(0, n, size=n // 3)]
+    queries = draw_rows(int(rng.integers(1, 12)))
+    queries[::3] = stored[rng.integers(0, n, size=queries[::3].shape[0])]
+    queries[rng.random(queries.shape) < 0.05] = np.nan
+    y = rng.integers(0, 3, size=n)
+    return (stored + offset) * scale, y, (queries + offset) * scale, k
+
+
+@given(euclidean_cases())
+@settings(max_examples=200, deadline=None)
+def test_screened_euclidean_search_matches_brute_force(case):
+    stored, y, queries, k = case
+    with np.errstate(over="ignore", invalid="ignore"):  # squares past the float64 range
+        full = _reference_distance_block(queries, stored, "euclidean")
+        want = np.argsort(full, axis=1, kind="stable")[:, :k]
+        nbr, nd = knn._euclidean_neighbors(queries, stored, (stored * stored).sum(axis=1), k)
+        assert nbr.tolist() == want.tolist()
+        assert nd.tobytes() == np.take_along_axis(full, want, axis=1).tobytes()
+
+        model = knn_fit(stored, y, k=k)
+        got = knn_predict(model, queries)
+        finite = ~np.isnan(queries).any(axis=1)
+        assert got[finite].tolist() == reference_knn_predict(model, queries[finite]).tolist()
+    # NaN rows: every distance is NaN, so the neighbours are the first k
+    # stored rows, and a vote tie goes to the smaller label
+    counts = np.bincount(y[:k])
+    assert (got[~finite] == np.flatnonzero(counts == counts.max())[0]).all()
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 11, 16, 17, 128, 129, 300])
+def test_pair_distances_are_the_block_distances_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    for scale in (1e-160, 1.0, 1e150):
+        queries = rng.normal(size=(9, d)) * scale
+        stored = rng.normal(size=(31, d)) * scale
+        stored[3] += 1e9 * scale  # one far row: large and small squares in one sum
+        rows = rng.integers(0, 9, size=200)
+        cols = rng.integers(0, 31, size=200)
+        with np.errstate(over="ignore"):  # that row's squares overflow at 1e150
+            got = knn._pair_distances(queries, rows, stored, cols)
+            full = _reference_distance_block(queries, stored, "euclidean")
+        assert got.tobytes() == full[rows, cols].tobytes()
+
+
+def test_screen_keeps_few_candidates_on_scaled_features(monkeypatch):
+    # standardized features: the rounding bound is far below the gap
+    # between neighbours, so about k rows per query reach the exact re-rank
+    rng = np.random.default_rng(5)
+    model = knn_fit(rng.normal(size=(3000, 11)), rng.integers(0, 2, size=3000), k=5)
+    queries = rng.normal(size=(200, 11))
+    reranked = []
+    exact = knn._pair_distances
+
+    def counting(q, rows, stored, cols):
+        reranked.append(rows.size)
+        return exact(q, rows, stored, cols)
+
+    monkeypatch.setattr(knn, "_pair_distances", counting)
+    knn_predict(model, queries)
+    assert sum(reranked) < 6 * queries.shape[0]
+
+
+def test_euclidean_predict_memory_stays_under_4_mib():
+    # the holdout-large shape: 5,760 stored rows of 11 features, 1,440 queries
+    rng = np.random.default_rng(0)
+    model = knn_fit(rng.normal(size=(5760, 11)), rng.integers(0, 2, size=5760), k=5)
+    queries = rng.normal(size=(1440, 11))
+    tracemalloc.start()
+    try:
+        knn_predict(model, queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
