@@ -22,7 +22,6 @@ from math import copysign, fsum, inf, isfinite, nan
 from .errors import ConfigError, DataError, SpecTypeMismatchError
 from .events import (
     CATEGORICAL_COLUMNS,
-    EVENT_COLUMNS,
     LEVEL_GROUPS,
     NUMERIC_COLUMNS,
     REAL_COLUMNS,
@@ -258,11 +257,12 @@ class StreamingAggregator:
     def update_all(self, events: Iterable[RawEvent]) -> None:
         groups = self._groups
         counts, sums, reals, mins, maxs, sets, firsts, lasts = self._plans
+        sid_at, group_at, index_at = (_FIELD_INDEX[c] for c in ("session_id", "level_group", "index"))
         n = 0
         try:
             for ev in events:
                 n += 1
-                key = (ev[0], ev[19])
+                key = (ev[sid_at], ev[group_at])
                 g = groups.get(key)
                 if g is None:
                     g = groups[key] = self._new_group()
@@ -301,13 +301,13 @@ class StreamingAggregator:
                 for pos, i in firsts:
                     v = ev[pos]
                     if v is not None:
-                        end = (ev[1], v)
+                        end = (ev[index_at], v)
                         if g[i] is None or end < g[i]:
                             g[i] = end
                 for pos, i in lasts:
                     v = ev[pos]
                     if v is not None:
-                        end = (ev[1], v)
+                        end = (ev[index_at], v)
                         if g[i] is None or end > g[i]:
                             g[i] = end
         finally:

@@ -12,7 +12,8 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence, get_args, get_type_hints
 
 from .errors import (
     DataError,
@@ -23,50 +24,9 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-EVENT_COLUMNS = (
-    "session_id",
-    "index",
-    "elapsed_time",
-    "event_name",
-    "name",
-    "level",
-    "page",
-    "room_coor_x",
-    "room_coor_y",
-    "screen_coor_x",
-    "screen_coor_y",
-    "hover_duration",
-    "text",
-    "fqid",
-    "room_fqid",
-    "text_fqid",
-    "fullscreen",
-    "hq",
-    "music",
-    "level_group",
-)
-
 LABEL_COLUMNS = ("session_id", "question", "correct")
 
 LEVEL_GROUPS = ("0-4", "5-12", "13-22")
-
-# Type classes drive which aggregator kinds a column accepts.
-REAL_COLUMNS = frozenset({"room_coor_x", "room_coor_y", "screen_coor_x", "screen_coor_y"})
-NUMERIC_COLUMNS = REAL_COLUMNS | frozenset(
-    {
-        "index",
-        "elapsed_time",
-        "level",
-        "page",
-        "hover_duration",
-        "fullscreen",
-        "hq",
-        "music",
-    }
-)
-CATEGORICAL_COLUMNS = frozenset(
-    {"session_id", "event_name", "name", "text", "fqid", "room_fqid", "text_fqid", "level_group"}
-)
 
 MIN_LEVEL = 0
 MAX_LEVEL = 22
@@ -74,7 +34,12 @@ QUESTION_RANGE = range(1, 19)
 
 
 class RawEvent(NamedTuple):
-    """One time-stamped user interaction. Immutable and thread-safe."""
+    """One time-stamped user interaction. Immutable and thread-safe.
+
+    The one declaration of the event schema: the fields are the columns, and
+    each annotation is the type a cell parses to, ``Optional`` where the cell
+    may be empty (absent).
+    """
 
     session_id: str
     index: int
@@ -96,6 +61,33 @@ class RawEvent(NamedTuple):
     hq: int
     music: int
     level_group: str
+
+
+EVENT_COLUMNS = RawEvent._fields
+_HINTS = get_type_hints(RawEvent)
+OPTIONAL_COLUMNS = frozenset(c for c, hint in _HINTS.items() if type(None) in get_args(hint))
+# The type each column's cells parse to, Optional stripped.
+_TYPES = {c: (get_args(hint) or (hint,))[0] for c, hint in _HINTS.items()}
+
+# Type classes drive which aggregator kinds a column accepts.
+REAL_COLUMNS = frozenset(c for c, t in _TYPES.items() if t is float)
+NUMERIC_COLUMNS = frozenset(c for c, t in _TYPES.items() if t in (int, float))
+CATEGORICAL_COLUMNS = frozenset(c for c, t in _TYPES.items() if t is str)
+
+
+# The rule each column's parsed, present value must meet, in the order a
+# rejected row is diagnosed: a row that breaks several is counted under the
+# first. Columns not listed only need to parse.
+_RULES = (
+    ("index", lambda v: v >= 0),
+    ("elapsed_time", lambda v: v >= 0),
+    ("level", lambda v: MIN_LEVEL <= v <= MAX_LEVEL),
+    *((c, lambda v: v in (0, 1)) for c in ("fullscreen", "hq", "music")),
+    *((c, lambda v: v >= 0) for c in ("page", "hover_duration")),
+    *((c, isfinite) for c in EVENT_COLUMNS if c in REAL_COLUMNS),
+    *((c, bool) for c in ("session_id", "event_name", "name")),
+    ("level_group", lambda v: v in LEVEL_GROUPS),
+)
 
 
 class LabelRecord(NamedTuple):
@@ -152,48 +144,15 @@ class IngestReport:
 
 def _diagnose_row(row: Sequence[str], pos: dict[str, int]) -> str:
     """Slow path: name the first column of a rejected row that fails its rule."""
-    checks_int = (("index", 0), ("elapsed_time", 0))
-    for col, lo in checks_int:
-        v = row[pos[col]]
+    for column, ok in _RULES:
+        cell = row[pos[column]]
+        if not cell and column in OPTIONAL_COLUMNS:
+            continue
         try:
-            if int(v) < lo:
-                return col
+            if not ok(_TYPES[column](cell)):
+                return column
         except ValueError:
-            return col
-    v = row[pos["level"]]
-    try:
-        if not MIN_LEVEL <= int(v) <= MAX_LEVEL:
-            return "level"
-    except ValueError:
-        return "level"
-    for col in ("fullscreen", "hq", "music"):
-        v = row[pos[col]]
-        try:
-            if int(v) not in (0, 1):
-                return col
-        except ValueError:
-            return col
-    for col in ("page", "hover_duration"):
-        v = row[pos[col]]
-        if v:
-            try:
-                if int(v) < 0:
-                    return col
-            except ValueError:
-                return col
-    for col in ("room_coor_x", "room_coor_y", "screen_coor_x", "screen_coor_y"):
-        v = row[pos[col]]
-        if v:
-            try:
-                if not isfinite(float(v)):
-                    return col
-            except ValueError:
-                return col
-    for col in ("session_id", "event_name", "name"):
-        if not row[pos[col]]:
-            return col
-    if row[pos["level_group"]] not in LEVEL_GROUPS:
-        return "level_group"
+            return column
     return "row"  # wrong field count or another structural defect
 
 
@@ -244,63 +203,33 @@ def read_events(source: IO[str], report: IngestReport | None = None) -> Iterator
             rep.unknown_columns = extras
             logger.warning("ignoring %d unknown column(s): %s", len(extras), ", ".join(extras))
 
-        # Hot loop: locals for column positions, inline conversions, one
+        # Hot loop: one itemgetter unpacks a row, conversions and checks are
+        # inline (a second statement of _RULES, kept for speed), one
         # try/except per row with diagnosis deferred to the slow path.
-        i_sid = pos["session_id"]
-        i_idx = pos["index"]
-        i_et = pos["elapsed_time"]
-        i_en = pos["event_name"]
-        i_nm = pos["name"]
-        i_lv = pos["level"]
-        i_pg = pos["page"]
-        i_rx = pos["room_coor_x"]
-        i_ry = pos["room_coor_y"]
-        i_sx = pos["screen_coor_x"]
-        i_sy = pos["screen_coor_y"]
-        i_hd = pos["hover_duration"]
-        i_tx = pos["text"]
-        i_fq = pos["fqid"]
-        i_rf = pos["room_fqid"]
-        i_tf = pos["text_fqid"]
-        i_fs = pos["fullscreen"]
-        i_hq = pos["hq"]
-        i_mu = pos["music"]
-        i_lg = pos["level_group"]
+        cells = itemgetter(*(pos[c] for c in EVENT_COLUMNS))
         groups = LEVEL_GROUPS
 
         for row in reader:
             rep.rows_read += 1
             try:
-                sid = row[i_sid]
-                index = int(row[i_idx])
-                elapsed = int(row[i_et])
-                event_name = row[i_en]
-                name = row[i_nm]
-                level = int(row[i_lv])
-                v = row[i_pg]
-                page = int(v) if v else None
-                v = row[i_rx]
-                rx = float(v) if v else None
-                v = row[i_ry]
-                ry = float(v) if v else None
-                v = row[i_sx]
-                sx = float(v) if v else None
-                v = row[i_sy]
-                sy = float(v) if v else None
-                v = row[i_hd]
-                hover = int(v) if v else None
-                v = row[i_tx]
-                text = v if v else None
-                v = row[i_fq]
-                fqid = v if v else None
-                v = row[i_rf]
-                room_fqid = v if v else None
-                v = row[i_tf]
-                text_fqid = v if v else None
-                fullscreen = int(row[i_fs])
-                hq = int(row[i_hq])
-                music = int(row[i_mu])
-                group = row[i_lg]
+                (sid, index, elapsed, event_name, name, level, page, rx, ry, sx, sy,
+                 hover, text, fqid, room_fqid, text_fqid, fullscreen, hq, music, group) = cells(row)
+                index = int(index)
+                elapsed = int(elapsed)
+                level = int(level)
+                page = int(page) if page else None
+                rx = float(rx) if rx else None
+                ry = float(ry) if ry else None
+                sx = float(sx) if sx else None
+                sy = float(sy) if sy else None
+                hover = int(hover) if hover else None
+                text = text or None
+                fqid = fqid or None
+                room_fqid = room_fqid or None
+                text_fqid = text_fqid or None
+                fullscreen = int(fullscreen)
+                hq = int(hq)
+                music = int(music)
                 if (
                     not sid
                     or not event_name
@@ -340,28 +269,12 @@ def read_events(source: IO[str], report: IngestReport | None = None) -> Iterator
         raise _unreadable(source, reader, exc) from None
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def event_to_row(ev: RawEvent) -> list[str]:
-    """Serialize to CSV cells; parsing the result yields an equal RawEvent."""
-    return [_cell(v) for v in ev]
-
-
-def write_events(sink: IO[str], events: Iterable[RawEvent]) -> int:
-    """Write header plus one row per event; returns rows written."""
+def write_events(sink: IO[str], events: Iterable[RawEvent]) -> None:
+    """Write a header plus one row per event. The csv module writes None as
+    an empty cell and a float as its repr, so parsing yields equal events."""
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(EVENT_COLUMNS)
-    n = 0
-    for ev in events:
-        writer.writerow(event_to_row(ev))
-        n += 1
-    return n
+    writer.writerows(events)
 
 
 def read_labels(source: IO[str]) -> list[LabelRecord]:

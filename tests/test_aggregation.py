@@ -68,10 +68,15 @@ def test_random_events_match_brute_force_oracle():
 
 
 def test_spec_type_mismatch():
-    with pytest.raises(SpecTypeMismatchError):
-        validate_specs([AggregatorSpec("elapsed_time", "nunique")])
-    with pytest.raises(SpecTypeMismatchError):
-        validate_specs([AggregatorSpec("fqid", "mean")])
+    # one accepted and one rejected kind per type class: real, integer,
+    # optional integer, categorical
+    accepted = [("room_coor_x", "sum"), ("elapsed_time", "min"), ("hover_duration", "max"),
+                ("fqid", "nunique")]
+    assert len(validate_specs(AggregatorSpec(c, k) for c, k in accepted)) == len(accepted)
+    for column, kind in [("room_coor_x", "count"), ("elapsed_time", "nunique"),
+                         ("hover_duration", "first"), ("fqid", "mean")]:
+        with pytest.raises(SpecTypeMismatchError):
+            validate_specs([AggregatorSpec(column, kind)])
     with pytest.raises(ConfigError):
         validate_specs([AggregatorSpec("no_such_column", "mean")])
     with pytest.raises(ConfigError):

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import pytest
@@ -16,7 +17,7 @@ from gametrace.events import (
     IngestReport,
     LabelRecord,
     RawEvent,
-    event_to_row,
+    _diagnose_row,
     level_group_for,
     read_events,
     read_labels,
@@ -248,10 +249,23 @@ def test_labels_round_trip():
     assert read_labels(buf) == records
 
 
-def test_event_serialization_uses_empty_for_absent():
-    row = event_to_row(make_event())
-    assert row[EVENT_COLUMNS.index("page")] == ""
-    assert row[EVENT_COLUMNS.index("session_id")] == "s1"
+def test_write_events_cells_are_empty_or_repr_and_parse_back():
+    values = (None, -0.0, 0.1, 1e16, 5e-324)
+    events = [make_event(index=i, room_coor_x=v, page=None) for i, v in enumerate(values)]
+    buf = io.StringIO()
+    write_events(buf, events)
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == ",".join(EVENT_COLUMNS)
+    at = EVENT_COLUMNS.index("room_coor_x")
+    for line, v in zip(lines[1:], values):
+        cells = line.split(",")
+        assert cells[at] == ("" if v is None else repr(v))
+        assert cells[EVENT_COLUMNS.index("page")] == ""
+        assert cells[EVENT_COLUMNS.index("session_id")] == "s1"
+    buf.seek(0)
+    back = list(read_events(buf))
+    assert back == events
+    assert [repr(ev.room_coor_x) for ev in back] == [repr(v) for v in values]
 
 
 class _CountingSource:
@@ -293,3 +307,56 @@ def test_rejects_non_finite_coordinates():
     assert parse(rows, report=rep) == []
     assert rep.rows_skipped == 1
     assert rep.cell_errors[0].column == "room_coor_x"
+
+
+# Cells valid in some column and invalid in others; ``1_0`` and `` 3 `` are
+# int/float syntax, ``23-99`` a level group that does not exist.
+CELLS = ("", "0", "1", "-1", "2", "22", "23", "99", "1_0", " 3 ", "3.5", "-0.0", "1e3",
+         "nan", "inf", "-inf", "1e309", "x", "s", "0-4", "5-12", "13-22", "23-99")
+GOOD = {"session_id": "s", "index": "1", "elapsed_time": "5", "event_name": "e",
+        "name": "n", "level": "2", "fullscreen": "0", "hq": "0", "music": "0",
+        "level_group": "0-4"}
+
+
+@given(
+    header=st.permutations(EVENT_COLUMNS),
+    rows=st.lists(
+        st.lists(st.tuples(st.sampled_from(EVENT_COLUMNS), st.sampled_from(CELLS)), max_size=4),
+        min_size=1, max_size=12,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_read_events_rejects_exactly_the_rows_diagnose_names(header, rows):
+    pos = {c: i for i, c in enumerate(header)}
+    full = []
+    for edits in rows:
+        values = dict.fromkeys(EVENT_COLUMNS, "") | GOOD | dict(edits)
+        full.append([values[c] for c in header])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(full)
+    buf.seek(0)
+    rep = IngestReport()
+    events = list(read_events(buf, report=rep))
+    diagnosed = [_diagnose_row(row, pos) for row in full]
+    rejected = [
+        (line, col, row[pos[col]])
+        for line, (col, row) in enumerate(zip(diagnosed, full), start=2) if col != "row"
+    ]
+    assert len(events) == len(full) - len(rejected) == rep.events_emitted
+    assert [(e.row, e.column, e.value) for e in rep.cell_errors] == rejected
+
+
+def test_a_row_breaking_several_rules_is_counted_under_the_first():
+    # The diagnosis order README states; each row breaks the rules of a
+    # shorter suffix of it.
+    broken = {"index": "-1", "elapsed_time": "x", "level": "23", "fullscreen": "2", "hq": "2",
+              "music": "-1", "page": "-1", "hover_duration": "1.5", "room_coor_x": "nan",
+              "room_coor_y": "inf", "screen_coor_x": "-inf", "screen_coor_y": "1e309",
+              "session_id": "", "event_name": "", "name": "", "level_group": "23-99"}
+    order = list(broken)
+    rows = [dict(GOOD, **{c: broken[c] for c in order[i:]}) for i in range(len(order))]
+    rep = IngestReport()
+    assert parse(rows, report=rep) == []
+    assert [e.column for e in rep.cell_errors] == order

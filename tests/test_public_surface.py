@@ -1,4 +1,5 @@
-"""Every public function, class and method in the package is used by the package.
+"""Every public function, class and method in the package is used by the
+package, and every name a module imports is used in that module.
 
 A public top-level function or class, or a public method, counts as used
 when an ``ast.Name`` or ``ast.Attribute`` with its name appears somewhere in
@@ -80,3 +81,23 @@ def test_every_public_name_is_used_or_kept_for_a_reason():
 def test_kept_names_are_still_unused():
     # A kept name that gained a caller no longer needs its entry.
     assert set(KEPT) <= set(unused_public_names())
+
+
+def unused_imports() -> list[str]:
+    """``module: name`` for every name a module imports but never reads."""
+    unused = []
+    for module, tree in _modules():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{module}: {name}")
+    return unused
+
+
+def test_every_imported_name_is_used():
+    assert unused_imports() == []
