@@ -2,18 +2,19 @@
 """Run every CLI command under each config and print the sha256 of each artifact.
 
 The configs are the defaults, ``perfbench/config.json``,
-``scripts/onehot_config.json``, ``scripts/allkinds_config.json`` and
-``scripts/manhattan_config.json``. The onehot one adds a ``first`` and a
+``scripts/onehot_config.json``, ``scripts/allkinds_config.json``,
+``scripts/manhattan_config.json`` and ``scripts/cosine_config.json``. The onehot one adds a ``first`` and a
 ``last`` spec to the default specs, so selection and every model see
 dictionary-coded columns and go through one-hot expansion, which the first
 two do not reach. The allkinds one takes mean, sum, min and max of a real,
 an integer and an optional-integer column, and first, last, count and
 nunique of an optional categorical column, so aggregation's min/max,
 real-sum and absent-value paths run too; it drops no column by name, so the
-optional ones reach the models. The manhattan one keeps the default specs
-and sets KNN's metric to manhattan; the others all use euclidean. Each
-config runs in its own subdirectory of ``--workdir`` (``default``,
-``perfbench``, ``onehot``, ``allkinds``, ``manhattan``), with these steps,
+optional ones reach the models. The manhattan and cosine ones keep the
+default specs and set KNN's metric to manhattan and to cosine; the others
+all use euclidean. Each config runs in its own subdirectory of
+``--workdir`` (``default``, ``perfbench``, ``onehot``, ``allkinds``,
+``manhattan``, ``cosine``), with these steps,
 all with that subdirectory as --workdir, the config and --seed:
 
     gametrace gen-synthetic --sessions N --events-per-session M
@@ -52,6 +53,7 @@ CONFIGS = {
     "onehot": REPO / "scripts" / "onehot_config.json",
     "allkinds": REPO / "scripts" / "allkinds_config.json",
     "manhattan": REPO / "scripts" / "manhattan_config.json",
+    "cosine": REPO / "scripts" / "cosine_config.json",
 }
 
 

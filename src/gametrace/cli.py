@@ -241,20 +241,23 @@ def cmd_train(cfg: RunConfig, kind: str) -> int:
     wd = _workdir(cfg)
     ds, _ = _load_joined(cfg)
     classifier = getattr(cfg, kind)
-    train, _test = split_train_test(ds, cfg.split, cfg.seed)
+    train = split_train_test(ds, cfg.split, cfg.seed)[0]
+    del ds  # from here on, only the train side
     pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names, scale=classifier.scale)
-    model = classifier.fit(pre.transform(train.x), train.y, cfg.seed)
+    x, y, rows = pre.transform(train.x), train.y, len(train)
+    del train  # the fit holds only its input matrix and labels
+    model = classifier.fit(x, y, cfg.seed)
     out = wd / f"model_{kind}.bin"
     save_model(
         out,
         kind,
         model,
         pre,
-        train.feature_names,
+        pre.input_names,
         config_fingerprint=cfg.fingerprint(),
         seed=cfg.seed,
     )
-    print(f"trained {kind} on {len(train)} rows; container: {out}")
+    print(f"trained {kind} on {rows} rows; container: {out}")
     return EXIT_OK
 
 
@@ -263,15 +266,17 @@ def cmd_cv(cfg: RunConfig, kind: str) -> int:
     ds, _ = _load_joined(cfg)
     classifier = getattr(cfg, kind)
     started = time.perf_counter()
+    folds = kfold_indices(ds, cfg.split, classifier.folds, cfg.seed)
     report = cross_validate(
-        classifier, ds, cfg.split, cfg.seed, model_name=kind, config_fingerprint=cfg.fingerprint()
+        classifier, ds, cfg.split, cfg.seed, model_name=kind, config_fingerprint=cfg.fingerprint(),
+        validation=folds,
     )
     payload = report.to_dict()
     payload["seed"] = cfg.seed
     _write_json(wd / f"cv_{kind}.json", payload)
     _write_run_metadata(wd / f"cv_{kind}.run.json", cfg, time.perf_counter() - started)
     with open(wd / f"folds_{kind}.tsv", "w") as sink:
-        export_fold_assignments(ds, kfold_indices(ds, cfg.split, classifier.folds, cfg.seed), sink)
+        export_fold_assignments(ds, folds, sink)
     for fr in report.folds:
         print(f"fold {fr.fold}: f1={fr.f1:.4f} accuracy={fr.accuracy:.4f}")
     print(f"{kind} {report.protocol}: mean f1={report.mean_f1:.4f} accuracy={report.mean_accuracy:.4f}")
@@ -289,7 +294,8 @@ def cmd_evaluate(cfg: RunConfig, kind: str, model_file: Optional[Path]) -> int:
     ds, _ = _load_joined(cfg)
     if loaded.preprocessor.input_names != ds.feature_names:
         raise DataError(f"container was trained on other features than {wd / 'features.csv'}")
-    _train, test = split_train_test(ds, cfg.split, cfg.seed)
+    test = split_train_test(ds, cfg.split, cfg.seed)[1]
+    del ds  # the predictions need only the test side
     started = time.perf_counter()
     result = FoldResult.of(0, loaded.predict(test.x), test.y)
     payload = {

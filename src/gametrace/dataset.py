@@ -59,11 +59,11 @@ class LabeledDataset:
 
     def subset(self, indices: Sequence[int]) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(
+        return LabeledDataset(  # fancy indexing already copies
             feature_names=self.feature_names,
-            x=self.x[idx].copy(),
-            y=self.y[idx].copy(),
-            row_keys=[self.row_keys[i] for i in idx],
+            x=self.x[idx],
+            y=self.y[idx],
+            row_keys=[self.row_keys[i] for i in idx.tolist()],
             categorical_names=self.categorical_names,
         )
 
@@ -84,29 +84,30 @@ def join(
         if q_map[q] not in LEVEL_GROUPS:
             raise ConfigError(f"q_map[{q}] = {q_map[q]!r} is not a level group")
 
-    by_key = {(r.session_id, r.level_group): r for r in features.rows}
-    xs: list[tuple] = []
-    ys: list[int] = []
+    # One float64 row per feature row (None becomes NaN); each label names
+    # its row by index, and the examples are one gather from that table.
+    at = {(r.session_id, r.level_group): i for i, r in enumerate(features.rows)}
+    idx: list[int] = []
+    ys: list[bool] = []
     keys: list[tuple[str, int]] = []
-    dropped = 0
     for lab in labels:
-        row = by_key.get((lab.session_id, q_map[lab.question]))
-        if row is None:
-            dropped += 1
-            continue
-        xs.append(tuple(np.nan if v is None else v for v in row.values))
-        ys.append(int(lab.correct))
-        keys.append((lab.session_id, lab.question))
-    if not xs:
+        i = at.get((lab.session_id, q_map[lab.question]))
+        if i is not None:
+            idx.append(i)
+            ys.append(lab.correct)
+            keys.append((lab.session_id, lab.question))
+    if not idx:
         raise EmptyJoinError()
+    table = np.array([r.values for r in features.rows], dtype=np.float64)
+    table = table.reshape(len(features.rows), len(features.column_names))
     ds = LabeledDataset(
         feature_names=features.column_names,
-        x=np.array(xs, dtype=np.float64),
+        x=table[np.array(idx)],
         y=np.array(ys, dtype=np.int64),
         row_keys=keys,
         categorical_names=features.categorical_code_columns(),
     )
-    return ds, dropped
+    return ds, len(labels) - len(idx)
 
 
 def _column_means(x: np.ndarray, names: Sequence[str]) -> np.ndarray:
@@ -174,10 +175,11 @@ class Preprocessor:
     def transform(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         x = _one_hot(x, self.input_names, self.onehot_columns, self.onehot_categories)
-        x = np.where(np.isnan(x), self.means, x)
+        x = np.where(np.isnan(x), self.means, x)  # a new array: scaled in place
         if self.scaler_std is not None:
             constant = self.scaler_std == 0.0
-            x = (x - self.scaler_mean) / np.where(constant, 1.0, self.scaler_std)
+            x -= self.scaler_mean
+            x /= np.where(constant, 1.0, self.scaler_std)
             x[:, constant] = 0.0
         return x
 
@@ -313,10 +315,16 @@ def kfold_index_pairs(
     d: LabeledDataset, plan: SplitPlan, folds: int, seed: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(train, validation) row indices of each fold; validations partition the rows."""
-    all_idx = np.arange(len(d))
+    return fold_pairs(len(d), kfold_indices(d, plan, folds, seed))
+
+
+def fold_pairs(n: int, validation: Iterable[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(train, validation) row indices of each of ``n`` rows' validation sets:
+    the train side is every row not in the validation side."""
+    all_idx = np.arange(n)
     pairs = []
-    for val in kfold_indices(d, plan, folds, seed):
-        mask = np.ones(len(d), dtype=bool)
+    for val in validation:
+        mask = np.ones(n, dtype=bool)
         mask[val] = False
         pairs.append((all_idx[mask], val))
     return pairs

@@ -21,8 +21,9 @@ from .dataset import (
     SplitPlan,
     check_folds,
     fit_preprocessor,
+    fold_pairs,
     holdout_indices,
-    kfold_index_pairs,
+    kfold_indices,
 )
 from .errors import ConfigError, ContainerFormatError, LengthMismatchError, TooFewRowsError
 from .forest import (
@@ -301,9 +302,11 @@ class _Job:
 
 
 def _plan(classifier: Classifier, dataset: LabeledDataset, plan: SplitPlan, seed: int,
-          model_name: str, protocol: str) -> _Job:
+          model_name: str, protocol: str, validation: Optional[Sequence[np.ndarray]] = None) -> _Job:
     if protocol == "cv":
-        folds = kfold_index_pairs(dataset, plan, classifier.folds, seed)
+        if validation is None:
+            validation = kfold_indices(dataset, plan, classifier.folds, seed)
+        folds = fold_pairs(len(dataset), validation)
         protocol = f"cv-{classifier.folds}"
     else:
         folds, protocol = [holdout_indices(dataset, plan, seed)], f"holdout-{plan.test_fraction:g}"
@@ -417,9 +420,16 @@ def cross_validate(
     seed: int,
     model_name: str = "model",
     config_fingerprint: str = "",
+    validation: Optional[Sequence[np.ndarray]] = None,
 ) -> EvalReport:
-    """Evaluation on the classifier's ``folds`` folds, preprocessing re-fit in each."""
-    return _run([_plan(classifier, dataset, plan, seed, model_name, "cv")], config_fingerprint)[0]
+    """Evaluation on the classifier's ``folds`` folds, preprocessing re-fit in each.
+
+    ``validation`` is ``kfold_indices(dataset, plan, classifier.folds, seed)``
+    when the caller has already planned the folds; by default they are
+    planned here.
+    """
+    job = _plan(classifier, dataset, plan, seed, model_name, "cv", validation)
+    return _run([job], config_fingerprint)[0]
 
 
 @dataclass

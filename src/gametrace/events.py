@@ -188,11 +188,12 @@ def read_events(source: IO[str], report: IngestReport | None = None) -> Iterator
     """Stream RawEvents from a CSV text source.
 
     Malformed rows are skipped and recorded in ``report`` with their line
-    number; level/level_group inconsistencies are counted but the event is
-    still emitted. Raises MissingColumnError if the header lacks one of
-    ``EVENT_COLUMNS``, and DataError, naming the line, on text that is not
-    UTF-8 or that the csv module cannot split (such as a field over its size
-    limit).
+    number (a row whose cells all pass but whose field count is not the
+    header's under ``row``); level/level_group inconsistencies are counted
+    but the event is still emitted. Raises MissingColumnError if the header
+    lacks one of ``EVENT_COLUMNS``, and DataError, naming the line, on text
+    that is not UTF-8 or that the csv module cannot split (such as a field
+    over its size limit).
     """
     rep = report if report is not None else IngestReport()
     reader = csv.reader(source)
@@ -208,6 +209,7 @@ def read_events(source: IO[str], report: IngestReport | None = None) -> Iterator
         # try/except per row with diagnosis deferred to the slow path.
         cells = itemgetter(*(pos[c] for c in EVENT_COLUMNS))
         groups = LEVEL_GROUPS
+        width = len(header)
 
         for row in reader:
             rep.rows_read += 1
@@ -247,6 +249,7 @@ def read_events(source: IO[str], report: IngestReport | None = None) -> Iterator
                     or (ry is not None and not isfinite(ry))
                     or (sx is not None and not isfinite(sx))
                     or (sy is not None and not isfinite(sy))
+                    or len(row) != width
                 ):
                     raise ValueError
             except (ValueError, IndexError):
@@ -286,7 +289,9 @@ def read_labels(source: IO[str]) -> list[LabelRecord]:
     """
     reader = csv.reader(source)
     records: list[LabelRecord] = []
-    seen: set[tuple[str, int]] = set()
+    # Per session id: its one shared str, and bit q set for each question
+    # read so far.
+    seen: dict[str, tuple[str, int]] = {}
     try:
         _, pos = _positions(reader, LABEL_COLUMNS)
         i_sid, i_q, i_c = pos["session_id"], pos["question"], pos["correct"]
@@ -305,10 +310,10 @@ def read_labels(source: IO[str]) -> list[LabelRecord]:
                 raise DataError(
                     f"correct must be 0 or 1, got {correct!r} at line {_record_start(reader, row)}"
                 )
-            key = (sid, question)
-            if key in seen:
+            sid, questions = seen.get(sid) or (sid, 0)
+            if questions >> question & 1:
                 raise DuplicateLabelError(sid, question)
-            seen.add(key)
+            seen[sid] = (sid, questions | 1 << question)
             records.append(LabelRecord(sid, question, correct == "1"))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise _unreadable(source, reader, exc) from None

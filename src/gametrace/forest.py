@@ -25,13 +25,13 @@ from .errors import (
 from .rng import derive_seed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     label: int
     counts: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Internal:
     feature: int
     threshold: float  # value <= threshold routes left
@@ -129,7 +129,12 @@ def _scan_split(
     if n0 == 0 or n1 == 0:
         return None
     parent = _impurity((n0, n1), config.criterion)
-    features = range(x.shape[1]) if candidate_features is None else candidate_features
+    if candidate_features is None:
+        features = range(x.shape[1])
+        cols = x.T  # a view: tree growth passes the transpose of a (c, n) gather
+    else:
+        features = candidate_features
+        cols = x.T[features]
     # All candidate features at once: row i of the (c, n) array is feature
     # features[i]. A cut at flat position p of the (c, n - 1) neighbour
     # comparison splits feature p // (n - 1) after sorted position
@@ -141,7 +146,6 @@ def _scan_split(
     # order within a run of equal values, and those values differ at most in
     # the sign of a zero, which a midpoint with a nonzero neighbour drops.
     # NaN, never equal to itself, is rejected by ``_training_arrays``.
-    cols = x.T[features]
     order = cols.argsort(axis=1)
     sv = cols.ravel()[order + np.arange(0, cols.size, n)[:, None]]
     flat = (sv[:, 1:] != sv[:, :-1]).ravel().nonzero()[0]
@@ -192,12 +196,25 @@ def tree_fit(
     y: np.ndarray,
     config: TreeConfig = TreeConfig(),
     rng: Optional[np.random.Generator] = None,
+    rows: Optional[np.ndarray] = None,
 ) -> TreeNode:
     """Grow one tree; stops at purity, depth, node size, or zero gain.
-    Feature subsets are drawn from ``rng``, by default ``default_rng(0)``."""
+    Feature subsets are drawn from ``rng``, by default ``default_rng(0)``.
+
+    The tree is grown on the rows ``x[rows]``, repeats allowed, by default
+    every row; it equals the tree of ``tree_fit(x[rows], y[rows])`` without
+    copying them: a node holds only its row indices, and gathers only its
+    candidate columns of those rows for the split scan.
+    """
     x, y = _training_arrays(x, y, "tree_fit")
     if rng is None:
         rng = np.random.default_rng(0)
+    if rows is None:
+        rows = np.arange(x.shape[0])
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1 or rows.shape[0] == 0 or rows.min() < 0 or rows.max() >= x.shape[0]:
+            raise DataError("tree_fit rows must be a nonempty vector of row indices")
     d = x.shape[1]
     if config.feature_subsample == "sqrt":
         n_candidates = max(1, int(math.isqrt(d)))
@@ -207,7 +224,7 @@ def tree_fit(
     # Explicit stack (deep chains would blow Python's recursion limit).
     # Expansion happens in preorder, so feature-candidate draws are
     # reproducible for a given seed regardless of tree shape.
-    tasks: list[tuple] = [("expand", x, y, 0)]
+    tasks: list[tuple] = [("expand", rows, 0)]
     done: list[TreeNode] = []
     while tasks:
         task = tasks.pop()
@@ -217,7 +234,8 @@ def tree_fit(
             left = done.pop()
             done.append(Internal(f, thr, gain, left, right))
             continue
-        _, xs, ys, depth = task
+        _, node_rows, depth = task
+        ys = y[node_rows]
         n1 = int(ys.sum())
         n0 = ys.shape[0] - n1
         if (
@@ -232,15 +250,16 @@ def tree_fit(
             candidates = np.sort(rng.choice(d, size=n_candidates, replace=False))
         else:
             candidates = np.arange(d)
-        found = _scan_split(xs, ys, config, candidates)
+        block = x.T[candidates[:, None], node_rows]  # (c, n): one row per candidate
+        found = _scan_split(block.T, ys, config)
         if found is None:
             done.append(Leaf(_majority(n0, n1), (n0, n1)))
             continue
-        f, thr, gain = found
-        mask = xs[:, f] <= thr
-        tasks.append(("combine", f, thr, gain))
-        tasks.append(("expand", xs[~mask], ys[~mask], depth + 1))
-        tasks.append(("expand", xs[mask], ys[mask], depth + 1))
+        j, thr, gain = found
+        mask = block[j] <= thr
+        tasks.append(("combine", int(candidates[j]), thr, gain))
+        tasks.append(("expand", node_rows[~mask], depth + 1))
+        tasks.append(("expand", node_rows[mask], depth + 1))
     return done[0]
 
 
@@ -303,12 +322,8 @@ def forest_fit(
         tree_seed = derive_seed(seed, t)
         seeds.append(tree_seed)
         rng = np.random.default_rng(tree_seed)
-        if bootstrap:
-            idx = rng.integers(0, n, size=n)
-            xt, yt = x[idx], y[idx]
-        else:
-            xt, yt = x, y
-        trees.append(tree_fit(xt, yt, config, rng=rng))
+        rows = rng.integers(0, n, size=n) if bootstrap else None
+        trees.append(tree_fit(x, y, config, rng=rng, rows=rows))
     return ForestModel(
         trees=trees,
         config=config,

@@ -10,7 +10,7 @@ width is the training matrix's column count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -65,28 +65,30 @@ class MlpModel:
         return np.argmax(mlp_forward(self, x), axis=1)
 
 
-def _logistic(z: np.ndarray) -> np.ndarray:
+def _logistic(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """1 / (1 + exp(-z)) for z >= 0, else exp(z) / (1 + exp(z)); exp never overflows.
 
     Written without masks, bit for bit the same: e = exp(-|z|), where
     ``minimum(z, -z)`` keeps a NaN as given (``-abs`` would set its sign
     bit); the numerator max(e, z >= 0) is 1 where z >= 0, else e, since
     0 <= e <= 1. Steps run in place: each fresh array this size costs page
-    faults that outweigh its arithmetic.
+    faults that outweigh its arithmetic. ``out`` may be ``z`` itself.
     """
+    positive = z >= 0
     e = np.negative(z)
     np.minimum(z, e, out=e)
     np.exp(e, out=e)
-    out = np.maximum(e, z >= 0)
+    out = np.maximum(e, positive, out=out)
     e += 1.0
     out /= e
     return out
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate_in_place(z: np.ndarray, kind: str) -> np.ndarray:
+    """The hidden activation of ``z``, written over ``z``."""
     if kind == "logistic":
-        return _logistic(z)
-    return np.maximum(z, 0.0)
+        return _logistic(z, out=z)
+    return np.maximum(z, 0.0, out=z)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -95,16 +97,24 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward_activations(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
-    """All layer activations; last entry is the softmax output."""
+def _layer_outputs(model: MlpModel, x: np.ndarray) -> Iterator[np.ndarray]:
+    """Each layer's activation in turn; the last one is the softmax output.
+
+    One loop for both paths: training keeps every activation for the
+    backward pass, prediction only the current one.
+    """
     a = x
-    acts = [a]
     last = len(model.weights) - 1
     for layer, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        a = _softmax(z) if layer == last else _activate(z, model.config.hidden_activation)
-        acts.append(a)
-    return acts
+        z = a @ w
+        z += b
+        a = _softmax(z) if layer == last else _activate_in_place(z, model.config.hidden_activation)
+        yield a
+
+
+def _forward_activations(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
+    """The input, then every layer activation; last entry is the softmax output."""
+    return [x, *_layer_outputs(model, x)]
 
 
 def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -114,7 +124,9 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
         x = x[None, :]
     if x.shape[1] != model.input_dim:
         raise ShapeMismatchError(f"expected {model.input_dim} inputs, got {x.shape[1]}")
-    return _forward_activations(model, x)[-1]
+    for a in _layer_outputs(model, x):
+        pass
+    return a
 
 
 def cross_entropy(probs: np.ndarray, y: Sequence[int]) -> float:

@@ -594,6 +594,28 @@ def test_cv_uses_model_specific_fold_counts(pipeline_dir):
     assert run_meta["runtime_seconds"] > 0
 
 
+def test_cv_plans_its_folds_once(pipeline_dir, monkeypatch):
+    # The folds the report scores are the folds folds_<kind>.tsv lists: one
+    # kfold_indices call serves both.
+    import gametrace.cli
+    import gametrace.dataset
+    import gametrace.evaluation
+
+    real = gametrace.dataset.kfold_indices
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:])
+        return real(*args, **kwargs)
+
+    for module in (gametrace.cli, gametrace.dataset, gametrace.evaluation):
+        monkeypatch.setattr(module, "kfold_indices", counted, raising=False)
+    assert run("cv", "--workdir", str(pipeline_dir), "--model", "mlp") == 0
+    assert len(calls) == 1
+    folds = (pipeline_dir / "folds_mlp.tsv").read_text().splitlines()[1:]
+    assert sorted({line.split("\t")[0] for line in folds}) == [str(f) for f in range(5)]
+
+
 def test_benchmark_emits_three_computed_plus_reference(pipeline_dir):
     assert run("benchmark", "--workdir", str(pipeline_dir)) == 0
     payload = json.loads((pipeline_dir / "benchmark_report.json").read_text())

@@ -1,11 +1,12 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gametrace.aggregation import AggregatorSpec, aggregate
+from gametrace.aggregation import AggregatorSpec, FeatureMatrix, FeatureRow, aggregate
 from gametrace.dataset import (
     DEFAULT_QUESTION_GROUPS,
     LabeledDataset,
@@ -24,7 +25,7 @@ from gametrace.errors import (
     EmptyJoinError,
     TooFewRowsError,
 )
-from gametrace.events import LabelRecord
+from gametrace.events import LEVEL_GROUPS, LabelRecord, read_labels
 from conftest import make_event, random_events
 
 from oracles import naive_impute, naive_standardize, nested_loop_join
@@ -81,6 +82,58 @@ def test_join_matches_nested_loop_oracle():
     expected = nested_loop_join(matrix.rows, labels, DEFAULT_QUESTION_GROUPS)
     assert ds.row_keys == expected
     assert dropped == len(labels) - len(expected)
+
+
+def test_join_gathers_absent_values_as_nan_rows_of_the_feature_table():
+    matrix = FeatureMatrix(
+        ("a", "b"),
+        [FeatureRow("s1", "0-4", (1.5, None)), FeatureRow("s1", "5-12", (None, -0.0)),
+         FeatureRow("s2", "0-4", (3, 4.25))],
+    )
+    labels = [LabelRecord("s2", 2, True), LabelRecord("s1", 5, False), LabelRecord("s1", 1, True),
+              LabelRecord("s3", 1, True)]
+    ds, dropped = join(matrix, labels)
+    assert dropped == 1
+    assert ds.row_keys == [("s2", 2), ("s1", 5), ("s1", 1)]
+    assert ds.y.tolist() == [1, 0, 1]
+    assert ds.x.dtype == np.float64 and ds.x.shape == (3, 2)
+    want = np.array([[3.0, 4.25], [np.nan, -0.0], [1.5, np.nan]])
+    assert ds.x.tobytes() == want.tobytes()
+
+
+def _holdout_large_shape():
+    """A 400-session feature matrix of 11 columns (5% absent) and the label
+    file of its 7,200 labels: the ``holdout-large`` benchmark's shape."""
+    rng = np.random.default_rng(3)
+    sessions = [str(2_000_000_000 + 7919 * s) for s in range(400)]
+    rows = [
+        FeatureRow(sid, group, tuple(None if v < 0.05 else float(v) for v in rng.random(11)))
+        for sid in sessions for group in LEVEL_GROUPS
+    ]
+    text = "session_id,question,correct\n" + "".join(
+        f"{sid},{q},{(q + s) % 2}\n" for s, sid in enumerate(sessions) for q in range(1, 19))
+    return FeatureMatrix(tuple(f"f{j}" for j in range(11)), rows), io.StringIO(text)
+
+
+def test_read_labels_and_join_memory_on_the_holdout_large_shape():
+    # Traced peaks: read_labels shares one str per session and keeps one int
+    # of question bits per session; join gathers from one float64 table. They
+    # were 1.85 and 2.71 MiB with a str per cell, a set of (session, question)
+    # tuples and a tuple of floats per label.
+    matrix, source = _holdout_large_shape()
+    tracemalloc.start()
+    try:
+        labels = read_labels(source)
+        labels_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        ds, dropped = join(matrix, labels)
+        join_peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert (len(ds), dropped) == (7200, 0)
+    assert labels_peak < 1.0 * 2**20
+    assert join_peak < 2.4 * 2**20
 
 
 def names(x):

@@ -169,6 +169,25 @@ def test_unknown_extra_columns_ignored_with_warning():
     assert rep.unknown_columns == ("mystery",)
 
 
+def test_row_with_more_fields_than_the_header_is_skipped_under_row():
+    rep = IngestReport()
+    header = ",".join(EVENT_COLUMNS)
+    row = "s,0,1,e,n,2,,,,,,,,,,,0,0,0,0-4,extra,cells"
+    assert list(read_events(io.StringIO(header + "\n" + row + "\n"), report=rep)) == []
+    assert rep.rows_skipped == 1
+    assert rep.errors_by_column == {"row": 1}
+    assert [(e.row, e.column, e.value) for e in rep.cell_errors] == [(2, "row", row)]
+
+
+def test_row_with_extra_fields_that_breaks_a_rule_keeps_that_rule():
+    rep = IngestReport()
+    header = ",".join(EVENT_COLUMNS + ("mystery",))
+    rows = ["s,0,1,e,n,2,,,,,,,,,,,0,0,0,0-4",  # one field short: only `mystery` is missing
+            "s,0,1,e,n,2,,,,,,,,,,,0,0,7,0-4,m,extra"]
+    assert list(read_events(io.StringIO("\n".join([header, *rows]) + "\n"), report=rep)) == []
+    assert rep.errors_by_column == {"row": 1, "music": 1}
+
+
 optional_float = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False, width=32))
 optional_int = st.one_of(st.none(), st.integers(0, 10**6))
 opt_text = st.one_of(st.none(), st.text(alphabet="abcdefg._", min_size=1, max_size=12))
@@ -213,6 +232,26 @@ def test_labels_empty_body():
 def test_labels_duplicate_rejected():
     with pytest.raises(DuplicateLabelError):
         read_labels(labels_csv(["s1,3,1", "s1,3,0"]))
+
+
+def test_labels_duplicate_far_from_its_first_row_in_interleaved_sessions():
+    # Sessions interleave question by question, so the first (s7, 3) is
+    # hundreds of rows before its duplicate.
+    rows = [f"s{s},{q},{(s * q) % 2}" for q in range(1, 19) for s in range(40)]
+    records = read_labels(labels_csv(rows))
+    assert len(records) == 720
+    with pytest.raises(DuplicateLabelError) as caught:
+        read_labels(labels_csv(rows[:500] + ["s7,3,1"] + rows[500:]))
+    assert (caught.value.session_id, caught.value.question) == ("s7", 3)
+    assert str(caught.value) == "duplicate label for session 's7' question 3"
+
+
+def test_labels_of_one_session_share_one_session_id_string():
+    rows = [f"s{s},{q},1" for q in range(1, 19) for s in range(3)]
+    records = read_labels(labels_csv(rows))
+    for sid in ("s0", "s1", "s2"):
+        ids = {id(r.session_id) for r in records if r.session_id == sid}
+        assert len(ids) == 1
 
 
 def test_labels_synthetic_counts():

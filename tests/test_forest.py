@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gametrace.errors import (
     ConfigError,
+    DataError,
     DimensionMismatchError,
     EmptySetError,
 )
@@ -13,6 +16,7 @@ from gametrace.forest import (
     TreeConfig,
     best_split,
     entropy,
+    flatten_trees,
     forest_fit,
     forest_predict,
     gini,
@@ -149,6 +153,50 @@ def test_tree_invariant_under_row_permutation_with_duplicates():
     order = rng.permutation(len(y))
     t2 = tree_fit(x[order], y[order], TreeConfig())
     assert t1 == t2  # frozen dataclasses compare structurally
+
+
+@st.composite
+def _training_rows(draw):
+    """Small-integer features (ties everywhere) and row indices with repeats."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 5))
+    cells = st.integers(0, 3).map(float)
+    x = np.array(draw(st.lists(cells, min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    rows = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    return x, y, rows
+
+
+@given(
+    data=_training_rows(),
+    criterion=st.sampled_from(["gini", "entropy"]),
+    max_depth=st.one_of(st.none(), st.integers(1, 4)),
+    subsample=st.sampled_from(["all", "sqrt"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_tree_grown_from_row_indices_equals_tree_of_those_rows(data, criterion, max_depth, subsample, seed):
+    x, y, rows = data
+    cfg = TreeConfig(criterion=criterion, max_depth=max_depth, feature_subsample=subsample)
+    by_index = tree_fit(x, y, cfg, rng=np.random.default_rng(seed), rows=rows)
+    copied = tree_fit(x[rows], y[rows], cfg, rng=np.random.default_rng(seed))
+    assert by_index == copied
+    got, want = flatten_trees([by_index]), flatten_trees([copied])
+    assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+
+
+@pytest.mark.parametrize("rows", [[], [0, 4], [-1], [[0, 1]]])
+def test_tree_fit_rejects_rows_that_are_not_row_indices(rows):
+    x = np.arange(8.0).reshape(4, 2)
+    with pytest.raises(DataError, match="row indices"):
+        tree_fit(x, np.array([0, 1, 0, 1]), rows=np.array(rows, dtype=np.int64))
+
+
+def test_tree_nodes_have_no_instance_dict():
+    leaf = Leaf(1, (0, 2))
+    node = Internal(0, 0.5, 0.1, leaf, leaf)
+    assert not hasattr(leaf, "__dict__") and not hasattr(node, "__dict__")
+    assert node == Internal(0, 0.5, 0.1, Leaf(1, (0, 2)), Leaf(1, (0, 2)))
 
 
 def test_min_samples_split_stops_growth():

@@ -8,6 +8,7 @@ from gametrace.mlp import (
     AdamState,
     MlpConfig,
     MlpModel,
+    _forward_activations,
     adam_step,
     cross_entropy,
     init_params,
@@ -256,3 +257,18 @@ def test_train_rejects_nan_inputs_and_bad_labels():
         mlp_train(cfg, x, np.array([0]), 42)
     with pytest.raises(ConfigError):
         mlp_train(cfg, np.array([[1.0, 2.0]]), np.array([5]), 42)
+
+
+@pytest.mark.parametrize("activation", ["logistic", "relu"])
+@pytest.mark.parametrize("hidden", [(16,), (8, 5)])
+def test_forward_is_bit_equal_to_the_training_pass(activation, hidden):
+    # Prediction keeps only the current layer; training keeps every layer,
+    # and the last one is the same array, bit for bit.
+    x, y = _blobs(seed=5, n=120)
+    cfg = MlpConfig(hidden_sizes=hidden, epochs=3, batch_size=32, hidden_activation=activation)
+    model = mlp_train(cfg, x, y, 7)
+    queries = np.vstack([x * 3.0, np.zeros((1, x.shape[1])), np.full((1, x.shape[1]), -40.0)])
+    acts = _forward_activations(model, queries)
+    assert len(acts) == len(hidden) + 2 and acts[0] is queries
+    assert mlp_forward(model, queries).tobytes() == acts[-1].tobytes()
+    assert np.array_equal(model.predict(queries), np.argmax(acts[-1], axis=1))
