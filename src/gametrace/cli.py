@@ -28,7 +28,6 @@ from .dataset import (
     export_fold_assignments,
     fit_preprocessor,
     join,
-    kfold_indices,
     split_train_test,
 )
 from .errors import ConfigError, DataError, FingerprintMismatchError, GametraceError, InternalError
@@ -266,17 +265,15 @@ def cmd_cv(cfg: RunConfig, kind: str) -> int:
     ds, _ = _load_joined(cfg)
     classifier = getattr(cfg, kind)
     started = time.perf_counter()
-    folds = kfold_indices(ds, cfg.split, classifier.folds, cfg.seed)
     report = cross_validate(
-        classifier, ds, cfg.split, cfg.seed, model_name=kind, config_fingerprint=cfg.fingerprint(),
-        validation=folds,
+        classifier, ds, cfg.split, cfg.seed, model_name=kind, config_fingerprint=cfg.fingerprint()
     )
     payload = report.to_dict()
     payload["seed"] = cfg.seed
     _write_json(wd / f"cv_{kind}.json", payload)
     _write_run_metadata(wd / f"cv_{kind}.run.json", cfg, time.perf_counter() - started)
     with open(wd / f"folds_{kind}.tsv", "w") as sink:
-        export_fold_assignments(ds, folds, sink)
+        export_fold_assignments(ds, report.test_rows, sink)
     for fr in report.folds:
         print(f"fold {fr.fold}: f1={fr.f1:.4f} accuracy={fr.accuracy:.4f}")
     print(f"{kind} {report.protocol}: mean f1={report.mean_f1:.4f} accuracy={report.mean_accuracy:.4f}")

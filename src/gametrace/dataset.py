@@ -315,16 +315,10 @@ def kfold_index_pairs(
     d: LabeledDataset, plan: SplitPlan, folds: int, seed: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(train, validation) row indices of each fold; validations partition the rows."""
-    return fold_pairs(len(d), kfold_indices(d, plan, folds, seed))
-
-
-def fold_pairs(n: int, validation: Iterable[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(train, validation) row indices of each of ``n`` rows' validation sets:
-    the train side is every row not in the validation side."""
-    all_idx = np.arange(n)
+    all_idx = np.arange(len(d))
     pairs = []
-    for val in validation:
-        mask = np.ones(n, dtype=bool)
+    for val in kfold_indices(d, plan, folds, seed):
+        mask = np.ones(len(d), dtype=bool)
         mask[val] = False
         pairs.append((all_idx[mask], val))
     return pairs

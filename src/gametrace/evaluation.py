@@ -21,9 +21,8 @@ from .dataset import (
     SplitPlan,
     check_folds,
     fit_preprocessor,
-    fold_pairs,
     holdout_indices,
-    kfold_indices,
+    kfold_index_pairs,
 )
 from .errors import ConfigError, ContainerFormatError, LengthMismatchError, TooFewRowsError
 from .forest import (
@@ -274,6 +273,9 @@ class EvalReport:
     mean_accuracy: float
     confusion_total: ConfusionCounts
     config_fingerprint: str = ""
+    # Each fold's test row indices, in fold order: what the folds were
+    # planned as. Not part of the payload.
+    test_rows: list[np.ndarray] = field(default_factory=list, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         """Deterministic payload: reruns with the same seeds serialize
@@ -302,11 +304,9 @@ class _Job:
 
 
 def _plan(classifier: Classifier, dataset: LabeledDataset, plan: SplitPlan, seed: int,
-          model_name: str, protocol: str, validation: Optional[Sequence[np.ndarray]] = None) -> _Job:
+          model_name: str, protocol: str) -> _Job:
     if protocol == "cv":
-        if validation is None:
-            validation = kfold_indices(dataset, plan, classifier.folds, seed)
-        folds = fold_pairs(len(dataset), validation)
+        folds = kfold_index_pairs(dataset, plan, classifier.folds, seed)
         protocol = f"cv-{classifier.folds}"
     else:
         folds, protocol = [holdout_indices(dataset, plan, seed)], f"holdout-{plan.test_fraction:g}"
@@ -408,6 +408,7 @@ def _run(jobs: list[_Job], config_fingerprint: str) -> list[EvalReport]:
             mean_accuracy=float(np.mean([fr.accuracy for fr in folds])),
             confusion_total=sum((fr.confusion for fr in folds[1:]), folds[0].confusion),
             config_fingerprint=config_fingerprint,
+            test_rows=[test for _, test in job.folds],
         )
         for job, folds in zip(jobs, by_job)
     ]
@@ -420,16 +421,9 @@ def cross_validate(
     seed: int,
     model_name: str = "model",
     config_fingerprint: str = "",
-    validation: Optional[Sequence[np.ndarray]] = None,
 ) -> EvalReport:
-    """Evaluation on the classifier's ``folds`` folds, preprocessing re-fit in each.
-
-    ``validation`` is ``kfold_indices(dataset, plan, classifier.folds, seed)``
-    when the caller has already planned the folds; by default they are
-    planned here.
-    """
-    job = _plan(classifier, dataset, plan, seed, model_name, "cv", validation)
-    return _run([job], config_fingerprint)[0]
+    """Evaluation on the classifier's ``folds`` folds, preprocessing re-fit in each."""
+    return _run([_plan(classifier, dataset, plan, seed, model_name, "cv")], config_fingerprint)[0]
 
 
 @dataclass

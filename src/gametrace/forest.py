@@ -104,43 +104,40 @@ def best_split(
     ties broken by lower feature index then lower threshold.
     """
     x, y = _training_arrays(x, y, "best_split")
-    found = _scan_split(x, y, config, candidate_features)
+    features = range(x.shape[1]) if candidate_features is None else candidate_features
+    found = _scan_split(x.T[features], y, config, features)
     if found is None or found[2] <= 0.0:
         return None
     return found
 
 
 def _scan_split(
-    x: np.ndarray,
+    cols: np.ndarray,
     y: np.ndarray,
     config: TreeConfig,
-    candidate_features: Optional[Sequence[int]] = None,
+    features: Sequence[int],
 ) -> Optional[tuple[int, float, float]]:
     """Best (feature, threshold, gain) over all midpoints, zero gain allowed.
+
+    ``cols`` is the (c, n) block of the candidate features' values, row i
+    holding feature ``features[i]`` of the node's n rows.
 
     None only when the node is pure or no candidate feature has two
     distinct values. Tree growth uses this directly: impurity criteria are
     concave, so gain is never negative, and splitting through a zero-gain
     plateau (the XOR pattern) is required to reach the pure leaves below.
     """
-    n = x.shape[0]
+    n = cols.shape[1]
     n1 = int(y.sum())
     n0 = n - n1
     if n0 == 0 or n1 == 0:
         return None
     parent = _impurity((n0, n1), config.criterion)
-    if candidate_features is None:
-        features = range(x.shape[1])
-        cols = x.T  # a view: tree growth passes the transpose of a (c, n) gather
-    else:
-        features = candidate_features
-        cols = x.T[features]
-    # All candidate features at once: row i of the (c, n) array is feature
-    # features[i]. A cut at flat position p of the (c, n - 1) neighbour
-    # comparison splits feature p // (n - 1) after sorted position
-    # p % (n - 1); the first maximum in this feature-major order is the
-    # lower feature, then the lower threshold. Each gain takes the same
-    # float operations as in a per-feature scan.
+    # All candidate features at once. A cut at flat position p of the
+    # (c, n - 1) neighbour comparison splits feature p // (n - 1) after
+    # sorted position p % (n - 1); the first maximum in this feature-major
+    # order is the lower feature, then the lower threshold. Each gain takes
+    # the same float operations as in a per-feature scan.
     #
     # The sort need not be stable: the counts at a cut do not depend on the
     # order within a run of equal values, and those values differ at most in
@@ -212,8 +209,14 @@ def tree_fit(
     if rows is None:
         rows = np.arange(x.shape[0])
     else:
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 1 or rows.shape[0] == 0 or rows.min() < 0 or rows.max() >= x.shape[0]:
+        rows = np.asarray(rows)
+        if (
+            not np.issubdtype(rows.dtype, np.integer)
+            or rows.ndim != 1
+            or rows.shape[0] == 0
+            or rows.min() < 0
+            or rows.max() >= x.shape[0]
+        ):
             raise DataError("tree_fit rows must be a nonempty vector of row indices")
     d = x.shape[1]
     if config.feature_subsample == "sqrt":
@@ -251,13 +254,13 @@ def tree_fit(
         else:
             candidates = np.arange(d)
         block = x.T[candidates[:, None], node_rows]  # (c, n): one row per candidate
-        found = _scan_split(block.T, ys, config)
+        found = _scan_split(block, ys, config, candidates)
         if found is None:
             done.append(Leaf(_majority(n0, n1), (n0, n1)))
             continue
-        j, thr, gain = found
-        mask = block[j] <= thr
-        tasks.append(("combine", int(candidates[j]), thr, gain))
+        f, thr, gain = found
+        mask = x[node_rows, f] <= thr
+        tasks.append(("combine", f, thr, gain))
         tasks.append(("expand", node_rows[~mask], depth + 1))
         tasks.append(("expand", node_rows[mask], depth + 1))
     return done[0]

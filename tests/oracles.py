@@ -273,9 +273,10 @@ def _reference_plog2(p):
     return out
 
 
-def reference_scan_split(x, y, config, candidate_features=None):
-    """One stable argsort and one cumsum per candidate feature."""
-    n = x.shape[0]
+def reference_scan_split(cols, y, config, features):
+    """One stable argsort and one cumsum per candidate feature: row i of the
+    (c, n) block ``cols`` holds feature ``features[i]`` of the n rows."""
+    n = cols.shape[1]
     n1 = int(y.sum())
     n0 = n - n1
     if n0 == 0 or n1 == 0:
@@ -284,11 +285,9 @@ def reference_scan_split(x, y, config, candidate_features=None):
         parent = 1.0 - ((n0 / n) ** 2 + (n1 / n) ** 2)
     else:
         parent = entropy_formula((n0, n1))
-    features = range(x.shape[1]) if candidate_features is None else candidate_features
 
     best = None
-    for f in features:
-        col = x[:, f]
+    for col, f in zip(cols, features):
         order = np.argsort(col, kind="stable")
         sv = col[order]
         cuts = np.nonzero(sv[1:] != sv[:-1])[0]  # split after position i

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gametrace import evaluation
-from gametrace.dataset import LabeledDataset, SplitPlan
+from gametrace.dataset import LabeledDataset, SplitPlan, kfold_indices
 from gametrace.errors import ConfigError, LengthMismatchError
 from gametrace.evaluation import (
     REFERENCE_ROWS,
@@ -134,6 +134,18 @@ def test_mean_metrics_equal_fold_average():
         np.mean([fr.accuracy for fr in report.folds]), abs=1e-12
     )
     assert report.confusion_total.total == len(ds)
+
+
+def test_cross_validate_reports_the_test_rows_it_scored():
+    ds = balanced_dataset(60, seed=3)
+    plan = SplitPlan(grouping="by_row")
+    report = cross_validate(KnnClassifier(k=3, folds=4), ds, plan, 2, model_name="knn")
+    planned = kfold_indices(ds, plan, 4, 2)
+    assert len(report.test_rows) == len(report.folds) == 4
+    for rows, expected, fold in zip(report.test_rows, planned, report.folds):
+        np.testing.assert_array_equal(rows, expected)
+        assert fold.confusion.total == len(rows)
+    assert "test_rows" not in report.to_dict()
 
 
 def test_cross_validate_knn_on_separable_data():

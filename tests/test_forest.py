@@ -185,11 +185,21 @@ def test_tree_grown_from_row_indices_equals_tree_of_those_rows(data, criterion, 
     assert all(got[name].tobytes() == want[name].tobytes() for name in want)
 
 
-@pytest.mark.parametrize("rows", [[], [0, 4], [-1], [[0, 1]]])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.array([], dtype=np.int64),
+        np.array([0, 4]),
+        np.array([-1]),
+        np.array([[0, 1]]),
+        np.array([True, False, True, True]),  # a mask, not indices
+        np.array([0.7, 1.0, 2.0]),
+    ],
+)
 def test_tree_fit_rejects_rows_that_are_not_row_indices(rows):
     x = np.arange(8.0).reshape(4, 2)
     with pytest.raises(DataError, match="row indices"):
-        tree_fit(x, np.array([0, 1, 0, 1]), rows=np.array(rows, dtype=np.int64))
+        tree_fit(x, np.array([0, 1, 0, 1]), rows=rows)
 
 
 def test_tree_nodes_have_no_instance_dict():

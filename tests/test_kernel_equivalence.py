@@ -66,9 +66,10 @@ def test_scan_split_matches_reference_per_node(criterion):
             x[:, 0] = 1.0  # a constant column
         y = rng.integers(0, 2, size=n).astype(np.int64)
         candidates = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
-        for cand in (None, candidates):
-            assert _split_bytes(forest._scan_split(x, y, config, cand)) == _split_bytes(
-                reference_scan_split(x, y, config, cand)
+        for cand in (np.arange(d), candidates):
+            cols = x.T[cand]
+            assert _split_bytes(forest._scan_split(cols, y, config, cand)) == _split_bytes(
+                reference_scan_split(cols, y, config, cand)
             )
 
 
