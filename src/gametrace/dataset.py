@@ -9,6 +9,7 @@ assignment a deterministic function of (data, seed).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Optional, Sequence
 
@@ -45,12 +46,15 @@ class LabeledDataset:
     categorical_names: tuple[str, ...] = ()
 
     def __post_init__(self):
+        self._seal()
+        if len(set(self.row_keys)) != len(self.row_keys):
+            raise ConfigError("row_keys must be unique")
+
+    def _seal(self) -> None:
         self.x = np.asarray(self.x, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.int64)
         if self.x.shape[0] != self.y.shape[0] or self.x.shape[0] != len(self.row_keys):
             raise ConfigError("x, y, and row_keys must have equal row counts")
-        if len(set(self.row_keys)) != len(self.row_keys):
-            raise ConfigError("row_keys must be unique")
         self.x.setflags(write=False)
         self.y.setflags(write=False)
 
@@ -59,13 +63,16 @@ class LabeledDataset:
 
     def subset(self, indices: Sequence[int]) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(  # fancy indexing already copies
-            feature_names=self.feature_names,
-            x=self.x[idx],
-            y=self.y[idx],
-            row_keys=[self.row_keys[i] for i in idx.tolist()],
-            categorical_names=self.categorical_names,
-        )
+        sub = copy.copy(self)  # no __post_init__: the key set is not rebuilt
+        sub.x, sub.y = self.x[idx], self.y[idx]  # fancy indexing already copies
+        # Distinct rows of unique keys have unique keys.
+        chosen = np.zeros(len(self), dtype=bool)
+        chosen[idx] = True
+        if np.count_nonzero(chosen) != idx.size:
+            raise ConfigError("row_keys must be unique")
+        sub.row_keys = [self.row_keys[i] for i in idx.tolist()]
+        sub._seal()
+        return sub
 
 
 def join(

@@ -10,8 +10,8 @@ depend on the worker count or the evaluation order.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -36,6 +36,7 @@ from .forest import (
 )
 from .knn import KnnModel, check_knn_params, knn_fit, knn_predict
 from .mlp import MlpConfig, MlpModel, mlp_train
+from .pool import fork_map
 from .schema import build, check
 
 # Published literature baseline reported alongside computed results; never
@@ -324,78 +325,27 @@ def _fit_fold(job: _Job, i: int) -> FoldResult:
     return FoldResult.of(i, classifier.apply(model, pre.transform(test.x)), test.y)
 
 
-# A pool worker's jobs. Workers are forked, so ``_start_worker`` receives
-# the parent's job list without pickling it: each worker inherits the
-# datasets, classifiers and fold indices, a task names only (job, fold), and
-# only FoldResults travel back.
-_worker_jobs: list[_Job] = []
-
-
-def _start_worker(jobs: list[_Job]) -> None:
-    global _worker_jobs
-    _worker_jobs = jobs
-
-
-def _pool_task(task: tuple[int, int]) -> Optional[FoldResult]:
-    # A failure comes back as None, not as the exception, which may not
-    # survive pickling; the parent then re-runs every task to raise it.
+def _fold_task(jobs: list[_Job], task: tuple[int, int]) -> FoldResult:
+    """Task (j, i): fold ``i`` of job ``j``; its error keeps its class, with
+    ``fold i: `` prefixed to its message."""
+    j, i = task
     try:
-        return _fit_fold(_worker_jobs[task[0]], task[1])
-    except Exception:
-        return None
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_pool(jobs: list[_Job], tasks: list[tuple[int, int]]) -> Optional[list[FoldResult]]:
-    """Every task's result in task order, or None when the pool cannot run
-    them or any task failed."""
-    workers = min(_usable_cpus(), len(tasks))
-    if workers < 2:
-        return None
-    # Imported here, so that a command that runs no pool does not pay for it.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    # fork, not spawn: a spawned worker would import the package again and
-    # unpickle the dataset. The pool forks its workers before it starts its
-    # own thread, and this process starts none.
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    context = multiprocessing.get_context("fork")
-    try:
-        with ProcessPoolExecutor(
-            workers, mp_context=context, initializer=_start_worker, initargs=(jobs,)
-        ) as pool:
-            results = list(pool.map(_pool_task, tasks))
-    except (BrokenProcessPool, OSError):  # a worker died, or could not be forked
-        return None
-    return None if any(r is None for r in results) else results
+        return _fit_fold(jobs[j], i)
+    except Exception as exc:
+        exc.args = (f"fold {i}: {exc}",)
+        raise
 
 
 def _run(jobs: list[_Job], config_fingerprint: str) -> list[EvalReport]:
     """One EvalReport per job, its folds in fold order.
 
-    The tasks run in the pool when it can be used. Otherwise, or when a task
-    failed or the pool broke, every task runs here, in order, so the first
-    failing fold raises its own exception, its class kept and ``fold i: ``
-    prefixed to its message.
+    The tasks run in one fork pool (``pool.fork_map``), each worker a fork of
+    this process, so it inherits the datasets, classifiers and fold indices
+    and only FoldResults travel back. A fold that fails raises here as in a
+    serial run: the first failing fold's own exception.
     """
     tasks = [(j, i) for j, job in enumerate(jobs) for i in range(len(job.folds))]
-    results = _in_pool(jobs, tasks)
-    if results is None:
-        results = []
-        for j, i in tasks:
-            try:
-                results.append(_fit_fold(jobs[j], i))
-            except Exception as exc:
-                exc.args = (f"fold {i}: {exc}",)
-                raise
+    results = list(fork_map(partial(_fold_task, jobs), tasks))
     by_job: list[list[FoldResult]] = [[] for _ in jobs]
     for (j, _), result in zip(tasks, results):
         by_job[j].append(result)

@@ -71,7 +71,10 @@ def _distance_block(queries: np.ndarray, stored: np.ndarray, metric: str) -> np.
     ns = np.sqrt((stored * stored).sum(axis=1))
     if (nq == 0.0).any() or (ns == 0.0).any():
         raise ZeroVectorError()
-    return 1.0 - (queries @ stored.T) / np.outer(nq, ns)
+    # In place: one (queries, stored rows) array besides the outer product.
+    d = queries @ stored.T
+    np.divide(d, np.outer(nq, ns), out=d)
+    return np.subtract(1.0, d, out=d)
 
 
 # A block of queries is sized so that its largest temporary stays near this
@@ -118,6 +121,15 @@ def _neighbors(dists: np.ndarray, k: int) -> np.ndarray:
     flat = np.flatnonzero(~(dists > kth))
     rows, cols = np.divmod(flat, dists.shape[1])
     return cols[_first_k(rows, dists.ravel()[flat], k)]
+
+
+def _scanned_neighbors(queries: np.ndarray, stored: np.ndarray, metric: str, k: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Manhattan or cosine: ``_neighbors`` of the full distance block, and
+    their distances. The block is freed on return, before the next one."""
+    dists = _distance_block(queries, stored, metric)
+    nbr = _neighbors(dists, k)
+    return nbr, np.take_along_axis(dists, nbr, axis=1)
 
 
 def _pair_distances(queries: np.ndarray, rows: np.ndarray, stored: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -221,9 +233,7 @@ def knn_predict(model: KnnModel, queries: np.ndarray) -> np.ndarray:
         if model.metric == "euclidean":
             nbr, nd = _euclidean_neighbors(block, model.x, stored_sq, model.k)
         else:
-            dists = _distance_block(block, model.x, model.metric)
-            nbr = _neighbors(dists, model.k)
-            nd = np.take_along_axis(dists, nbr, axis=1)
+            nbr, nd = _scanned_neighbors(block, model.x, model.metric, model.k)
         rows = nbr.shape[0]
         # votes[r, c]: how many of row r's neighbours carry label classes[c]
         cells = codes[nbr] + classes.size * np.arange(rows)[:, None]

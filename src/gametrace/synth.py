@@ -10,17 +10,22 @@ check the pipeline against. Statistical shape only, no behavioral realism.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .dataset import DEFAULT_QUESTION_GROUPS
 from .errors import ConfigError
-from .events import LEVEL_GROUPS, RawEvent, level_group_for, write_events, write_labels, LabelRecord
+from .events import LEVEL_GROUPS, LabelRecord, level_group_for, write_events, write_labels
+from .pool import fork_map
 from .rng import derive_seed
 
 FEATURE_NAMES = (
@@ -107,11 +112,24 @@ class SynthResult:
     positive_labels: int
 
 
-def _maybe(rng: np.random.Generator, rate: float, value):
-    return None if rate > 0.0 and rng.random() < rate else value
+# Columns whose absent cells the manifest counts, in ``null_draws`` order.
+_NULL_COLUMNS = tuple(DEFAULT_NULL_RATES)
+# Each level group's levels. The groups are consecutive ranges, so walking
+# them in order walks the levels 0 to 22 in order.
+_GROUP_LEVELS = {g: [lvl for lvl in range(23) if level_group_for(lvl) == g] for g in LEVEL_GROUPS}
 
 
-def _session_events(sid: str, rng: np.random.Generator, cfg: SynthConfig) -> list[RawEvent]:
+def _session_rows(sid: str, rng: np.random.Generator, cfg: SynthConfig,
+                  truth: dict[str, list[Optional[float]]], absent: list[int]) -> list[tuple]:
+    """One session's event rows, as tuples in ``EVENT_COLUMNS`` order.
+
+    Adds the session's three ``truth`` entries (the 11 planted aggregates of
+    each (session, level_group) slice, accumulated from the drawn values
+    themselves, independent of the streaming aggregator, so they can serve
+    as its oracle) and counts absent cells into ``absent``, one entry per
+    ``_NULL_COLUMNS`` name. An optional cell draws its value, then, when its
+    null rate is not 0, one ``random()`` that makes it absent below the rate.
+    """
     rates = {**DEFAULT_NULL_RATES, **cfg.null_rates}
     mean = cfg.events_per_session
     n = max(46, int(rng.normal(mean, 0.1 * mean)))
@@ -136,78 +154,146 @@ def _session_events(sid: str, rng: np.random.Generator, cfg: SynthConfig) -> lis
     # per-session pace decouples total elapsed time from the event count
     pace = float(rng.uniform(0.4, 2.5))
 
-    events: list[RawEvent] = []
+    integers, normal, random = rng.integers, rng.normal, rng.random
+    (r_page, r_rx, r_ry, r_sx, r_sy, r_hover, r_text, r_fqid, r_room, r_tfqid) = (
+        rates[col] for col in _NULL_COLUMNS
+    )
+    rows: list[tuple] = []
     elapsed = 0
     index = 0
-    for level in range(23):
-        rooms = [f"tunic.level{level}.room{j}" for j in range(int(rng.integers(1, 4)))]
-        group = level_group_for(level)
-        for _ in range(int(counts[level])):
-            elapsed += 1 + int(pace * float(rng.integers(30, 1500)))
-            events.append(
-                RawEvent(
-                    session_id=sid,
-                    index=index,
-                    elapsed_time=elapsed,
-                    event_name=_EVENT_VOCAB[int(rng.integers(0, n_eventnames))],
-                    name=_NAME_VOCAB[int(rng.integers(0, n_names))],
-                    level=level,
-                    page=_maybe(rng, rates["page"], int(rng.integers(0, 7))),
-                    room_coor_x=_maybe(rng, rates["room_coor_x"], float(rng.normal(room_cx, 100.0))),
-                    room_coor_y=_maybe(rng, rates["room_coor_y"], float(rng.normal(room_cy, 100.0))),
-                    screen_coor_x=_maybe(rng, rates["screen_coor_x"], float(rng.normal(screen_cx, 90.0))),
-                    screen_coor_y=_maybe(rng, rates["screen_coor_y"], float(rng.normal(screen_cy, 60.0))),
-                    hover_duration=_maybe(rng, rates["hover_duration"], int(rng.integers(0, 3000))),
-                    text=_maybe(rng, rates["text"], _TEXT_VOCAB[int(rng.integers(0, len(_TEXT_VOCAB)))]),
-                    fqid=_maybe(rng, rates["fqid"], _FQID_VOCAB[int(rng.integers(0, len(_FQID_VOCAB)))]),
-                    room_fqid=_maybe(rng, rates["room_fqid"], rooms[int(rng.integers(0, len(rooms)))]),
-                    text_fqid=_maybe(
-                        rng, rates["text_fqid"], _TEXT_FQID_VOCAB[int(rng.integers(0, len(_TEXT_FQID_VOCAB)))]
-                    ),
-                    fullscreen=fullscreen,
-                    hq=hq,
-                    music=music,
-                    level_group=group,
-                )
-            )
-            index += 1
-    return events
+    for group, levels in _GROUP_LEVELS.items():
+        rx: list[float] = []
+        ry: list[float] = []
+        sx: list[float] = []
+        sy: list[float] = []
+        names: set[str] = set()
+        room_ids: set[str] = set()
+        event_names: set[str] = set()
+        first = len(rows)
+        elapsed_sum = level_sum = fqid_count = 0
+        for level in levels:
+            rooms = [f"tunic.level{level}.room{j}" for j in range(int(integers(1, 4)))]
+            for _ in range(int(counts[level])):
+                elapsed += 1 + int(pace * float(integers(30, 1500)))
+                event_name = _EVENT_VOCAB[int(integers(0, n_eventnames))]
+                name = _NAME_VOCAB[int(integers(0, n_names))]
+                page = int(integers(0, 7))
+                if r_page and random() < r_page:
+                    page = None
+                    absent[0] += 1
+                room_x = float(normal(room_cx, 100.0))
+                if r_rx and random() < r_rx:
+                    room_x = None
+                    absent[1] += 1
+                else:
+                    rx.append(room_x)
+                room_y = float(normal(room_cy, 100.0))
+                if r_ry and random() < r_ry:
+                    room_y = None
+                    absent[2] += 1
+                else:
+                    ry.append(room_y)
+                screen_x = float(normal(screen_cx, 90.0))
+                if r_sx and random() < r_sx:
+                    screen_x = None
+                    absent[3] += 1
+                else:
+                    sx.append(screen_x)
+                screen_y = float(normal(screen_cy, 60.0))
+                if r_sy and random() < r_sy:
+                    screen_y = None
+                    absent[4] += 1
+                else:
+                    sy.append(screen_y)
+                hover = int(integers(0, 3000))
+                if r_hover and random() < r_hover:
+                    hover = None
+                    absent[5] += 1
+                text = _TEXT_VOCAB[int(integers(0, len(_TEXT_VOCAB)))]
+                if r_text and random() < r_text:
+                    text = None
+                    absent[6] += 1
+                fqid = _FQID_VOCAB[int(integers(0, len(_FQID_VOCAB)))]
+                if r_fqid and random() < r_fqid:
+                    fqid = None
+                    absent[7] += 1
+                else:
+                    fqid_count += 1
+                room = rooms[int(integers(0, len(rooms)))]
+                if r_room and random() < r_room:
+                    room = None
+                    absent[8] += 1
+                else:
+                    room_ids.add(room)
+                text_fqid = _TEXT_FQID_VOCAB[int(integers(0, len(_TEXT_FQID_VOCAB)))]
+                if r_tfqid and random() < r_tfqid:
+                    text_fqid = None
+                    absent[9] += 1
+                rows.append((
+                    sid, index, elapsed, event_name, name, level, page, room_x, room_y,
+                    screen_x, screen_y, hover, text, fqid, room, text_fqid, fullscreen, hq,
+                    music, group,
+                ))
+                names.add(name)
+                event_names.add(event_name)
+                elapsed_sum += elapsed
+                level_sum += level
+                index += 1
+        events = len(rows) - first
+        truth[f"{sid}|{group}"] = [
+            _mean(rx),
+            _mean(ry),
+            _mean(sx),
+            _mean(sy),
+            float(elapsed_sum),
+            level_sum / events,
+            float(music),
+            float(len(names)),
+            float(len(room_ids)),
+            float(len(event_names)),
+            float(fqid_count),
+        ]
+    return rows
 
 
-def _group_truth(events: Sequence[RawEvent]) -> list[Optional[float]]:
-    """The 11 planted aggregates for one (session, level_group) slice.
+def _mean(values: list[float]) -> Optional[float]:
+    return math.fsum(values) / len(values) if values else None
 
-    Computed directly from the event list, independent of the streaming
-    aggregator, so it can serve as an oracle for it.
-    """
 
-    def mean_of(attr: str) -> Optional[float]:
-        vals = [getattr(e, attr) for e in events if getattr(e, attr) is not None]
-        return math.fsum(vals) / len(vals) if vals else None
+# Sessions per pool task. Each task's text is formatted by its own
+# csv.writer, which writes a row the same way wherever it runs.
+_BLOCK = 8
 
-    elapsed_sum = sum(e.elapsed_time for e in events)
-    levels = [e.level for e in events]
-    return [
-        mean_of("room_coor_x"),
-        mean_of("room_coor_y"),
-        mean_of("screen_coor_x"),
-        mean_of("screen_coor_y"),
-        float(elapsed_sum),
-        sum(levels) / len(levels),
-        float(max(e.music for e in events)),
-        float(len({e.name for e in events})),
-        float(len({e.room_fqid for e in events if e.room_fqid is not None})),
-        float(len({e.event_name for e in events})),
-        float(sum(1 for e in events if e.fqid is not None)),
-    ]
+
+def _session_id(i: int) -> str:
+    return str(1_000_000_000 + i)
+
+
+def _session_block(config: SynthConfig, seed: int, start: int) -> tuple[str, dict, list[int], int]:
+    """Sessions ``start`` up to ``start + _BLOCK``: their CSV rows as text,
+    their truth entries, their absent-cell counts and their event count."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    truth: dict[str, list[Optional[float]]] = {}
+    absent = [0] * len(_NULL_COLUMNS)
+    events = 0
+    for i in range(start, min(start + _BLOCK, config.sessions)):
+        rows = _session_rows(_session_id(i), np.random.default_rng(derive_seed(seed, i)), config, truth, absent)
+        writer.writerows(rows)
+        events += len(rows)
+    return text.getvalue(), truth, absent, events
 
 
 def generate(config: SynthConfig, outdir: Path, seed: int) -> SynthResult:
     """Write events.csv, labels.csv, and manifest.json under outdir.
 
-    Byte-identical for a fixed config and seed; sessions are generated from
-    seeds derived by session index, so output does not depend on iteration
-    order.
+    Byte-identical for a fixed config and seed: each session draws from its
+    own rng, seeded by its index (``derive_seed(seed, i)``), so a session's
+    rows do not depend on where or in which order it is generated. Blocks of
+    ``_BLOCK`` sessions run in a fork pool with one worker per usable CPU
+    (``pool.fork_map``; no setting), and their text is written in session
+    order as it arrives. Labels, standardization and the manifest are
+    computed here from the blocks' truth entries.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -215,30 +301,18 @@ def generate(config: SynthConfig, outdir: Path, seed: int) -> SynthResult:
     labels_path = outdir / "labels.csv"
     manifest_path = outdir / "manifest.json"
 
-    sids = [str(1_000_000_000 + i) for i in range(config.sessions)]
+    sids = [_session_id(i) for i in range(config.sessions)]
     truth: dict[str, list[Optional[float]]] = {}
-    null_draws = {col: [0, 0] for col in DEFAULT_NULL_RATES}  # [absent, total]
+    absent = [0] * len(_NULL_COLUMNS)
     events_written = 0
-
-    with open(events_path, "w", newline="") as sink:
-        def stream():
-            nonlocal events_written
-            for i, sid in enumerate(sids):
-                rng = np.random.default_rng(derive_seed(seed, i))
-                session = _session_events(sid, rng, config)
-                by_group: dict[str, list[RawEvent]] = {g: [] for g in LEVEL_GROUPS}
-                for ev in session:
-                    by_group[ev.level_group].append(ev)
-                    for col in null_draws:
-                        null_draws[col][1] += 1
-                        if getattr(ev, col) is None:
-                            null_draws[col][0] += 1
-                for g in LEVEL_GROUPS:
-                    truth[f"{sid}|{g}"] = _group_truth(by_group[g])
-                events_written += len(session)
-                yield from session
-
-        write_events(sink, stream())
+    blocks = fork_map(partial(_session_block, config, seed), range(0, config.sessions, _BLOCK))
+    with closing(blocks), open(events_path, "w", newline="") as sink:
+        write_events(sink, ())
+        for text, block_truth, block_absent, events in blocks:
+            sink.write(text)
+            truth.update(block_truth)
+            absent = [a + b for a, b in zip(absent, block_absent)]
+            events_written += events
 
     # Standardize the true aggregates so the planted weights act on
     # comparable scales; absent cells contribute 0 (the column mean).
@@ -298,7 +372,7 @@ def generate(config: SynthConfig, outdir: Path, seed: int) -> SynthResult:
         "standardization": {"mean": col_mean.tolist(), "std": col_std.tolist()},
         "true_aggregates": truth,
         "label_draws": draws,
-        "null_draws": {col: {"absent": a, "total": t} for col, (a, t) in null_draws.items()},
+        "null_draws": {col: {"absent": a, "total": events_written} for col, a in zip(_NULL_COLUMNS, absent)},
         "events_written": events_written,
         "sessions_written": config.sessions,
         "class_balance": {"positive": positives, "negative": len(labels) - positives},

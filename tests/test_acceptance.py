@@ -5,6 +5,7 @@ The heavy corpus criteria build real files on disk and run the actual CLI
 pipeline; everything is seeded, so results are stable across runs.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -47,6 +48,19 @@ def big_corpus(tmp_path_factory):
     result = generate(cfg, outdir, seed=42)
     assert result.events_written >= 1_000_000
     return result
+
+
+# sha256 of the 1M-event corpus files (1000 sessions x 1000 events, seed 42).
+BIG_CORPUS_SHA256 = {
+    "events.csv": "e4ce8bf1b6bd69b889c892643473d16f508e2da31341c0a8bcd79a4e561f7e0a",
+    "labels.csv": "8335f1d7977c982d28758ab806a3659de36d3a49b99b4ca2750cf446f4822879",
+    "manifest.json": "9918e679802ddfcd612a459d5e6bad77e7f88e22da23a97d9feedc8ff6fd0769",
+}
+
+
+def test_big_corpus_bytes_are_pinned(big_corpus):
+    paths = (big_corpus.events_path, big_corpus.labels_path, big_corpus.manifest_path)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} == BIG_CORPUS_SHA256
 
 
 @pytest.fixture(scope="module")

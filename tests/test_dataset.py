@@ -58,6 +58,17 @@ def test_join_drops_labels_without_feature_rows():
     assert dropped == 1
 
 
+def test_subset_keeps_rows_and_keys_and_rejects_a_row_taken_twice():
+    ds, _ = join(full_matrix(), labels_for())
+    sub = ds.subset([5, 0, -1])
+    assert sub.row_keys == [ds.row_keys[5], ds.row_keys[0], ds.row_keys[-1]]
+    assert np.array_equal(sub.x, ds.x[[5, 0, -1]]) and np.array_equal(sub.y, ds.y[[5, 0, -1]])
+    assert not sub.x.flags.writeable and not sub.y.flags.writeable
+    for twice in ([3, 4, 3], [17, -1]):
+        with pytest.raises(ConfigError, match="^row_keys must be unique$"):
+            ds.subset(twice)
+
+
 def test_join_empty_raises():
     with pytest.raises(EmptyJoinError):
         join(full_matrix(), [LabelRecord("ghost", 1, True)])

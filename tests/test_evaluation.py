@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gametrace import evaluation
+from gametrace import pool
 from gametrace.dataset import LabeledDataset, SplitPlan, kfold_indices
 from gametrace.errors import ConfigError, LengthMismatchError
 from gametrace.evaluation import (
@@ -292,7 +292,7 @@ needs_fork = pytest.mark.skipif(
 
 
 def _with_workers(monkeypatch, n, run):
-    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: n)
+    monkeypatch.setattr(pool, "usable_cpus", lambda: n)
     return run()
 
 
@@ -430,6 +430,6 @@ def test_failing_fold_comes_before_a_later_models_planning_error(monkeypatch):
     ds = indexed_dataset()
     bad = ExplodesOnHeldOutRow(lambda: ValueError("boom"), row=0, folds=3)
     models = {"bad": bad, "knn": KnnClassifier(k=1, folds=50)}  # 50 folds > 24 rows
-    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
     with pytest.raises(ValueError, match=r"^fold \d: boom$"):
         benchmark(models, ds, SplitPlan(grouping="by_row"), 1)

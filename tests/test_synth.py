@@ -1,7 +1,11 @@
+import hashlib
 import json
+import multiprocessing
+import os
 
 import pytest
 
+from gametrace import pool, synth
 from gametrace.aggregation import DEFAULT_SPECS, aggregate
 from gametrace.dataset import join, split_train_test, SplitPlan, fit_preprocessor
 from gametrace.errors import ConfigError
@@ -172,3 +176,91 @@ def test_class_balance_near_seventy_thirty(small_corpus):
     _, labels, _, _ = read_corpus(result)
     pos = sum(1 for lab in labels if lab.correct) / len(labels)
     assert 0.6 <= pos <= 0.8
+
+
+# sha256 of the small_corpus files (12 sessions x 120 events, seed 7). Any
+# change to them is a corpus change, to be named as one.
+SMALL_CORPUS_SHA256 = {
+    "events.csv": "b51fa494a98feedc43d8e503b99f06f77fbf29c80d2e2ec98564db1b04c7f688",
+    "labels.csv": "b3c773623c10f321707e7712e011c303b1d7505d11f2a92a2ada13c4ae429057",
+    "manifest.json": "1019fce783019811682dc29aa7d458e2601dcebec9580e95e9a59081bb1cd078",
+}
+
+
+def corpus_sha256(result) -> dict:
+    paths = (result.events_path, result.labels_path, result.manifest_path)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
+def test_small_corpus_bytes_are_pinned(small_corpus):
+    _, result = small_corpus
+    assert corpus_sha256(result) == SMALL_CORPUS_SHA256
+
+
+# The pool needs the fork start method. The tests force the worker count,
+# so the pool runs even on a one-CPU machine.
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+
+
+def corpus_bytes(result) -> tuple[bytes, bytes, bytes]:
+    return tuple(p.read_bytes() for p in (result.events_path, result.labels_path, result.manifest_path))
+
+
+def generate_with(monkeypatch, cpus, cfg, outdir, seed):
+    monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
+    return generate(cfg, outdir, seed=seed)
+
+
+POOL_CASES = {
+    "one session": SynthConfig(sessions=1, events_per_session=60),
+    "partial last block": SynthConfig(sessions=2 * synth._BLOCK + 3, events_per_session=50),
+    "no absent cells": SynthConfig(sessions=synth._BLOCK + 1, events_per_session=50,
+                                   null_rates={col: 0.0 for col in synth.DEFAULT_NULL_RATES}),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("case", list(POOL_CASES))
+def test_pool_writes_the_same_bytes_as_one_cpu(monkeypatch, tmp_path, case):
+    cfg = POOL_CASES[case]
+    pooled = generate_with(monkeypatch, 3, cfg, tmp_path / "pool", 21)
+    serial = generate_with(monkeypatch, 1, cfg, tmp_path / "serial", 21)
+    assert corpus_bytes(pooled) == corpus_bytes(serial)
+    assert pooled.events_written == serial.events_written
+
+
+TEST_PROCESS = os.getpid()
+
+
+def failing_sessions(only_in_workers):
+    real = synth._session_rows
+
+    def session_rows(*args):
+        if not only_in_workers or os.getpid() != TEST_PROCESS:
+            raise ValueError("session draw failed")
+        return real(*args)
+
+    return session_rows
+
+
+@needs_fork
+def test_blocks_failing_in_workers_are_generated_by_the_parent(monkeypatch, tmp_path):
+    cfg = SynthConfig(sessions=2 * synth._BLOCK + 1, events_per_session=50)
+    serial = generate_with(monkeypatch, 1, cfg, tmp_path / "serial", 4)
+    monkeypatch.setattr(synth, "_session_rows", failing_sessions(only_in_workers=True))
+    pooled = generate_with(monkeypatch, 2, cfg, tmp_path / "pool", 4)
+    assert corpus_bytes(pooled) == corpus_bytes(serial)
+
+
+@needs_fork
+def test_a_failure_everywhere_raises_as_in_a_serial_run(monkeypatch, tmp_path):
+    cfg = SynthConfig(sessions=2 * synth._BLOCK, events_per_session=50)
+    monkeypatch.setattr(synth, "_session_rows", failing_sessions(only_in_workers=False))
+    failures = []
+    for cpus in (2, 1):
+        with pytest.raises(Exception) as info:
+            generate_with(monkeypatch, cpus, cfg, tmp_path / str(cpus), 4)
+        failures.append((type(info.value), str(info.value)))
+    assert failures[0] == failures[1] == (ValueError, "session draw failed")
