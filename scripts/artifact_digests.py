@@ -44,7 +44,7 @@ import sys
 from pathlib import Path
 
 from gametrace.cli import main as cli
-from gametrace.evaluation import MODELS
+from gametrace.settings import MODELS
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = {

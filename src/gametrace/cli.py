@@ -6,6 +6,10 @@ flags override config values, which override defaults. All output files
 embed the config fingerprint, and reruns with identical inputs and seeds
 produce identical bytes (runtimes live in separate .run.json sidecars).
 
+Each command runs only the stages it calls: the stage modules are lazy
+handles, run at a command's first use of them, so ``aggregate`` and
+``verify`` start without numpy or the model code. There is no setting for it.
+
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal error.
 """
 
@@ -20,22 +24,18 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional
 
-from . import __version__
+from . import __version__, lazy_module
 from .aggregation import StreamingAggregator, load_feature_matrix, save_feature_matrix
 from .config import RunConfig, load_config
-from .dataset import (
-    LabeledDataset,
-    export_fold_assignments,
-    fit_preprocessor,
-    join,
-    split_train_test,
-)
 from .errors import ConfigError, DataError, FingerprintMismatchError, GametraceError, InternalError
-from .evaluation import MODELS, PROTOCOLS, FoldResult, benchmark, cross_validate, majority_baseline_f1
 from .events import IngestReport, read_events, read_labels
-from .model_io import load_container, load_model, save_model
-from .selection import save_selection_report, select
-from .synth import generate
+from .settings import MODELS, PROTOCOLS
+
+dataset = lazy_module("dataset")
+evaluation = lazy_module("evaluation")
+model_io = lazy_module("model_io")
+selection = lazy_module("selection")
+synth = lazy_module("synth")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -153,7 +153,7 @@ def _write_run_metadata(path: Path, cfg: RunConfig, runtime: float) -> None:
 
 def cmd_gen_synthetic(cfg: RunConfig) -> int:
     wd = _workdir(cfg)
-    result = generate(cfg.synth, wd, cfg.seed)
+    result = synth.generate(cfg.synth, wd, cfg.seed)
     print(
         f"generated {result.events_written} events across {cfg.synth.sessions} sessions; "
         f"{result.labels_written} labels ({result.positive_labels} positive)"
@@ -206,7 +206,7 @@ def cmd_aggregate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_joined(cfg: RunConfig) -> tuple[LabeledDataset, int]:
+def _load_joined(cfg: RunConfig) -> tuple[dataset.LabeledDataset, int]:
     wd = _workdir(cfg)
     aggregated = "feature matrix (run `gametrace aggregate` first)"
     matrix = load_feature_matrix(
@@ -215,20 +215,18 @@ def _load_joined(cfg: RunConfig) -> tuple[LabeledDataset, int]:
     labels_path = _input_file(Path(cfg.labels_path or wd / "labels.csv"), "label file")
     with open(labels_path, newline="") as source:
         labels = read_labels(source)
-    return join(matrix, labels, cfg.question_groups)
+    return dataset.join(matrix, labels, cfg.question_groups)
 
 
 def cmd_select(cfg: RunConfig) -> int:
-    from .dataset import impute_mean
-
     wd = _workdir(cfg)
     ds, dropped = _load_joined(cfg)
-    x, _ = impute_mean(ds.x, feature_names=ds.feature_names)
+    x, _ = dataset.impute_mean(ds.x, feature_names=ds.feature_names)
     policy = replace(cfg.selection, k=min(cfg.selection.k, len(ds.feature_names)))
-    report = select(x, ds.feature_names, ds.y, policy, categorical_names=ds.categorical_names)
+    report = selection.select(x, ds.feature_names, ds.y, policy, categorical_names=ds.categorical_names)
     out = wd / "selection_report.tsv"
     with open(out, "w") as sink:
-        save_selection_report(report, sink, config_fingerprint=cfg.fingerprint(), seed=cfg.seed)
+        selection.save_selection_report(report, sink, config_fingerprint=cfg.fingerprint(), seed=cfg.seed)
     print(f"selected {len(report.selected)} feature(s): {', '.join(report.selected)}")
     if dropped:
         print(f"dropped {dropped} label(s) without feature rows", file=sys.stderr)
@@ -240,14 +238,16 @@ def cmd_train(cfg: RunConfig, kind: str) -> int:
     wd = _workdir(cfg)
     ds, _ = _load_joined(cfg)
     classifier = getattr(cfg, kind)
-    train = split_train_test(ds, cfg.split, cfg.seed)[0]
+    train = dataset.split_train_test(ds, cfg.split, cfg.seed)[0]
     del ds  # from here on, only the train side
-    pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names, scale=classifier.scale)
+    pre = dataset.fit_preprocessor(
+        train.x, train.feature_names, train.categorical_names, scale=classifier.scale
+    )
     x, y, rows = pre.transform(train.x), train.y, len(train)
     del train  # the fit holds only its input matrix and labels
     model = classifier.fit(x, y, cfg.seed)
     out = wd / f"model_{kind}.bin"
-    save_model(
+    model_io.save_model(
         out,
         kind,
         model,
@@ -265,7 +265,7 @@ def cmd_cv(cfg: RunConfig, kind: str) -> int:
     ds, _ = _load_joined(cfg)
     classifier = getattr(cfg, kind)
     started = time.perf_counter()
-    report = cross_validate(
+    report = evaluation.cross_validate(
         classifier, ds, cfg.split, cfg.seed, model_name=kind, config_fingerprint=cfg.fingerprint()
     )
     payload = report.to_dict()
@@ -273,7 +273,7 @@ def cmd_cv(cfg: RunConfig, kind: str) -> int:
     _write_json(wd / f"cv_{kind}.json", payload)
     _write_run_metadata(wd / f"cv_{kind}.run.json", cfg, time.perf_counter() - started)
     with open(wd / f"folds_{kind}.tsv", "w") as sink:
-        export_fold_assignments(ds, report.test_rows, sink)
+        dataset.export_fold_assignments(ds, report.test_rows, sink)
     for fr in report.folds:
         print(f"fold {fr.fold}: f1={fr.f1:.4f} accuracy={fr.accuracy:.4f}")
     print(f"{kind} {report.protocol}: mean f1={report.mean_f1:.4f} accuracy={report.mean_accuracy:.4f}")
@@ -283,7 +283,7 @@ def cmd_cv(cfg: RunConfig, kind: str) -> int:
 def cmd_evaluate(cfg: RunConfig, kind: str, model_file: Optional[Path]) -> int:
     wd = _workdir(cfg)
     path = _input_file(model_file or wd / f"model_{kind}.bin", "model container")
-    loaded = load_model(path)
+    loaded = model_io.load_model(path)
     if loaded.kind != kind:
         raise DataError(f"container holds a {loaded.kind} model, not {kind}")
     if loaded.header.get("config_fingerprint") not in ("", cfg.fingerprint()):
@@ -291,10 +291,10 @@ def cmd_evaluate(cfg: RunConfig, kind: str, model_file: Optional[Path]) -> int:
     ds, _ = _load_joined(cfg)
     if loaded.preprocessor.input_names != ds.feature_names:
         raise DataError(f"container was trained on other features than {wd / 'features.csv'}")
-    test = split_train_test(ds, cfg.split, cfg.seed)[1]
+    test = dataset.split_train_test(ds, cfg.split, cfg.seed)[1]
     del ds  # the predictions need only the test side
     started = time.perf_counter()
-    result = FoldResult.of(0, loaded.predict(test.x), test.y)
+    result = evaluation.FoldResult.of(0, loaded.predict(test.x), test.y)
     payload = {
         "model": kind,
         "protocol": f"holdout-{cfg.split.test_fraction:g}",
@@ -315,7 +315,7 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     wd = _workdir(cfg)
     ds, _ = _load_joined(cfg)
     started = time.perf_counter()
-    result = benchmark(
+    result = evaluation.benchmark(
         {kind: getattr(cfg, kind) for kind in MODELS},
         ds,
         cfg.split,
@@ -326,7 +326,7 @@ def cmd_benchmark(cfg: RunConfig) -> int:
     payload = result.to_dict()
     payload["seed"] = cfg.seed
     payload["config"] = cfg.fingerprint_payload()
-    payload["majority_baseline_f1"] = majority_baseline_f1(ds.y)
+    payload["majority_baseline_f1"] = evaluation.majority_baseline_f1(ds.y)
     _write_json(wd / "benchmark_report.json", payload)
     _write_run_metadata(wd / "benchmark_run.json", cfg, time.perf_counter() - started)
     print(result.render())
@@ -336,7 +336,7 @@ def cmd_benchmark(cfg: RunConfig) -> int:
 
 def _recorded_fingerprint(path: Path) -> str:
     if path.suffix == ".bin":
-        header, _ = load_container(path)
+        header, _ = model_io.load_container(path)
     else:
         try:
             text = path.read_text()

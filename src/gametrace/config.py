@@ -3,7 +3,8 @@
 Defaults are the production protocol: KNN k=5 on 10 folds, forest of 100
 trees at seed 42 and MLP (one hidden layer of 128, 100 epochs, Adam at
 0.001) on 5 folds each, 80-20 holdout split. Each section is the dataclass
-its stage consumes, and the fields are the schema: ``load_config`` checks
+its stage consumes, declared in ``settings`` so that loading a config runs
+no stage, and the fields are the schema: ``load_config`` checks
 every value against its field's annotation and each section's own range
 checks, all before any input is read. The fingerprint is a SHA-256 over
 the canonical JSON of every field except the filesystem paths, so reruns
@@ -19,12 +20,18 @@ from pathlib import Path
 from typing import Optional
 
 from .aggregation import DEFAULT_SPECS, AggregatorSpec, validate_specs
-from .dataset import DEFAULT_QUESTION_GROUPS, SplitPlan
 from .errors import ConfigError
-from .evaluation import ForestClassifier, KnnClassifier, MlpClassifier, check_protocol
 from .schema import build
-from .selection import SelectionPolicy
-from .synth import SynthConfig
+from .settings import (
+    DEFAULT_QUESTION_GROUPS,
+    ForestClassifier,
+    KnnClassifier,
+    MlpClassifier,
+    SelectionPolicy,
+    SplitPlan,
+    SynthConfig,
+    check_protocol,
+)
 
 _PATH = {"path": True}  # field metadata: resolved at run time, never fingerprinted
 
@@ -41,7 +48,7 @@ class RunConfig:
     aggregator_specs: tuple[AggregatorSpec, ...] = DEFAULT_SPECS
     split: SplitPlan = field(default_factory=SplitPlan)
     selection: SelectionPolicy = field(default_factory=SelectionPolicy)
-    # one section per kind in evaluation.MODELS, named by the kind
+    # one section per kind in settings.MODELS, named by the kind
     knn: KnnClassifier = field(default_factory=KnnClassifier)
     mlp: MlpClassifier = field(default_factory=MlpClassifier)
     forest: ForestClassifier = field(default_factory=ForestClassifier)

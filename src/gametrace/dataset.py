@@ -25,15 +25,7 @@ from .errors import (
 )
 from .events import LEVEL_GROUPS, LabelRecord
 from .rng import Xoshiro256StarStar
-
-# Question -> level_group convention used by the label join; overridable in
-# the run config because the upstream export does not carry the mapping.
-DEFAULT_QUESTION_GROUPS: dict[int, str] = {
-    **{q: "0-4" for q in range(1, 4)},
-    **{q: "5-12" for q in range(4, 14)},
-    **{q: "13-22" for q in range(14, 19)},
-}
-
+from .settings import DEFAULT_QUESTION_GROUPS, SplitPlan, check_folds
 
 @dataclass
 class LabeledDataset:
@@ -215,26 +207,6 @@ def fit_preprocessor(
         x = np.where(np.isnan(x), means, x)
         scaler_mean, scaler_std = x.mean(axis=0), x.std(axis=0)  # divide-by-n convention
     return Preprocessor(names, output_names, columns, tuple(categories), means, scaler_mean, scaler_std)
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    """How rows are split: the holdout's test share and whether a session's
-    rows stay together. The seed and the fold count are call arguments."""
-
-    test_fraction: float = 0.2
-    grouping: str = "by_session"  # or "by_row"
-
-    def __post_init__(self):
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("test_fraction must be in (0, 1)")
-        if self.grouping not in ("by_row", "by_session"):
-            raise ConfigError(f"unknown grouping {self.grouping!r}")
-
-
-def check_folds(folds: int) -> None:
-    if folds < 2:
-        raise ConfigError("folds must be >= 2")
 
 
 def _shuffled(items: list, seed: int) -> list:

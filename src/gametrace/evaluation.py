@@ -10,34 +10,20 @@ depend on the worker count or the evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dataset import (
-    LabeledDataset,
-    SplitPlan,
-    check_folds,
-    fit_preprocessor,
-    holdout_indices,
-    kfold_index_pairs,
-)
-from .errors import ConfigError, ContainerFormatError, LengthMismatchError, TooFewRowsError
-from .forest import (
-    ForestModel,
-    TreeConfig,
-    check_tree_count,
-    flatten_trees,
-    forest_fit,
-    forest_predict,
-    unflatten_trees,
-)
-from .knn import KnnModel, check_knn_params, knn_fit, knn_predict
-from .mlp import MlpConfig, MlpModel, mlp_train
+from .dataset import LabeledDataset, fit_preprocessor, holdout_indices, kfold_index_pairs
+from .errors import ConfigError, LengthMismatchError, TooFewRowsError
 from .pool import fork_map
-from .schema import build, check
+from .settings import MODELS, Classifier, SplitPlan, check_protocol
+
+# The model sections are declared in ``settings``, which runs no numpy;
+# perfbench/traced_cli.py wraps their ``fit`` under these names.
+KnnClassifier, MlpClassifier, ForestClassifier = MODELS.values()
 
 # Published literature baseline reported alongside computed results; never
 # computed by this pipeline.
@@ -107,150 +93,6 @@ def majority_baseline_f1(y: Sequence[int]) -> float:
         return 0.0  # majority predictor emits 0: no true positives
     p = n1 / yv.shape[0]
     return 2.0 * p / (1.0 + p)
-
-
-class Classifier:
-    """One model kind, listed in ``MODELS``; each is a dataclass whose fields
-    are its config section, range-checked when it is built. ``fit(x, y,
-    seed)`` returns a fitted model, ``apply`` predicts with one, and
-    ``to_container``/``from_container`` map one to its container header
-    section and arrays. Its ``folds`` and ``scale`` fields set how it is
-    evaluated."""
-
-
-@dataclass(frozen=True)
-class KnnClassifier(Classifier):
-    k: int = 5
-    metric: str = "euclidean"
-    folds: int = 10
-    scale: bool = True
-
-    def __post_init__(self):
-        check_knn_params(self.k, self.metric)
-        check_folds(self.folds)
-
-    def fit(self, x, y, seed: int) -> KnnModel:
-        return knn_fit(x, y, k=self.k, metric=self.metric)
-
-    @staticmethod
-    def apply(model: KnnModel, x):
-        return knn_predict(model, x)
-
-    @staticmethod
-    def to_container(model: KnnModel) -> tuple[dict, dict]:
-        return {"k": model.k, "metric": model.metric}, {"knn_x": model.x, "knn_y": model.y}
-
-    @staticmethod
-    def from_container(section: dict, arrays: dict) -> KnnModel:
-        knn = build(KnnClassifier, {"k": section["k"], "metric": section["metric"]}, "knn")
-        return knn_fit(arrays["knn_x"], arrays["knn_y"], k=knn.k, metric=knn.metric)
-
-
-@dataclass(frozen=True)
-class MlpClassifier(MlpConfig, Classifier):
-    """The MLP settings, plus how the MLP is evaluated."""
-
-    folds: int = 5
-    scale: bool = True
-
-    def __post_init__(self):
-        super().__post_init__()
-        check_folds(self.folds)
-
-    def fit(self, x, y, seed: int) -> MlpModel:
-        return mlp_train(self, x, y, seed)
-
-    @staticmethod
-    def apply(model: MlpModel, x):
-        return model.predict(x)
-
-    @staticmethod
-    def to_container(model: MlpModel) -> tuple[dict, dict]:
-        arrays = {"mlp_loss_history": np.asarray(model.loss_history, dtype=np.float64)}
-        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-            arrays[f"mlp_w{i}"] = w
-            arrays[f"mlp_b{i}"] = b
-        section = {f.name: getattr(model.config, f.name) for f in fields(MlpConfig)}
-        section.update(input_dim=model.input_dim, seed=model.seed, layers=len(model.weights))
-        return section, arrays
-
-    @staticmethod
-    def from_container(section: dict, arrays: dict) -> MlpModel:
-        config = build(MlpConfig, {f.name: section[f.name] for f in fields(MlpConfig)}, "mlp")
-        names = ("input_dim", "seed", "layers")
-        input_dim, seed, layers = (check(section[n], int, f"mlp.{n}") for n in names)
-        weights = [arrays[f"mlp_w{i}"] for i in range(layers)]
-        biases = [arrays[f"mlp_b{i}"] for i in range(layers)]
-        dims = config.layer_dims(input_dim)
-        if len(weights) != len(dims) - 1 or any(
-            w.shape != dims[i : i + 2] or b.shape != dims[i + 1 : i + 2]
-            for i, (w, b) in enumerate(zip(weights, biases))
-        ):
-            raise ContainerFormatError(f"mlp weights do not match the layer sizes {dims}")
-        history = arrays["mlp_loss_history"]
-        if history.shape != (config.epochs,):
-            raise ContainerFormatError(f"mlp loss history has shape {history.shape}, not ({config.epochs},)")
-        return MlpModel(weights, biases, config, seed, list(history))
-
-
-@dataclass(frozen=True)
-class ForestClassifier(TreeConfig, Classifier):
-    """The tree settings, plus the forest's size and how it is evaluated."""
-
-    feature_subsample: str = "sqrt"  # a forest's default; a lone tree's is "all"
-    trees: int = 100
-    folds: int = 5
-    scale: bool = False
-
-    def __post_init__(self):
-        super().__post_init__()
-        check_tree_count(self.trees)
-        check_folds(self.folds)
-
-    def fit(self, x, y, seed: int) -> ForestModel:
-        return forest_fit(x, y, tree_count=self.trees, config=self, seed=seed)
-
-    @staticmethod
-    def apply(model: ForestModel, x):
-        return forest_predict(model, x)
-
-    @staticmethod
-    def to_container(model: ForestModel) -> tuple[dict, dict]:
-        section = {f.name: getattr(model.config, f.name) for f in fields(TreeConfig)}
-        section.update(seed=model.seed, tree_count=model.tree_count, bootstrap=model.bootstrap,
-                       n_features=model.n_features)
-        arrays = {**flatten_trees(model.trees), "tree_seeds": np.array(model.tree_seeds, dtype=np.uint64)}
-        return section, arrays
-
-    @staticmethod
-    def from_container(section: dict, arrays: dict) -> ForestModel:
-        config = build(TreeConfig, {f.name: section[f.name] for f in fields(TreeConfig)}, "forest")
-        names = ("seed", "tree_count", "n_features")
-        seed, tree_count, n_features = (check(section[n], int, f"forest.{n}") for n in names)
-        bootstrap = check(section["bootstrap"], bool, "forest.bootstrap")
-        check_tree_count(tree_count)
-        trees = unflatten_trees(arrays, n_features)
-        if len(trees) != tree_count:
-            raise ContainerFormatError(f"forest holds {len(trees)} trees, header says {tree_count}")
-        seeds = arrays["tree_seeds"]
-        if seeds.shape != (tree_count,):
-            raise ContainerFormatError(f"forest tree_seeds has shape {seeds.shape}, not ({tree_count},)")
-        return ForestModel(
-            trees=trees,
-            config=config,
-            seed=seed,
-            bootstrap=bootstrap,
-            tree_seeds=tuple(int(s) for s in seeds),
-            n_features=n_features,
-        )
-
-
-# The registry: the only list of model kinds, in benchmark order.
-MODELS: dict[str, type[Classifier]] = {
-    "knn": KnnClassifier,
-    "mlp": MlpClassifier,
-    "forest": ForestClassifier,
-}
 
 
 @dataclass(frozen=True)
@@ -406,14 +248,6 @@ class BenchmarkResult:
             "reports": [rep.to_dict() for rep in self.reports],
             "config_fingerprint": self.config_fingerprint,
         }
-
-
-PROTOCOLS = ("cv", "holdout")
-
-
-def check_protocol(protocol: str) -> None:
-    if protocol not in PROTOCOLS:
-        raise ConfigError(f"unknown protocol {protocol!r}")
 
 
 def benchmark(

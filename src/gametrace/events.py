@@ -107,6 +107,10 @@ def level_group_for(level: int) -> str:
     return "13-22"
 
 
+# ``level_group_for`` of each level, indexed by level (MIN_LEVEL is 0).
+_GROUP_OF_LEVEL = tuple(level_group_for(level) for level in range(MAX_LEVEL + 1))
+
+
 @dataclass
 class CellError:
     row: int  # 1-based physical line where the record starts (header is row 1)
@@ -197,6 +201,9 @@ def read_events(source: IO[str], report: IngestReport | None = None) -> Iterator
     """
     rep = report if report is not None else IngestReport()
     reader = csv.reader(source)
+    # Counted in locals, and added to ``rep`` when the loop ends, raises or
+    # is closed.
+    rows = emitted = inconsistent = 0
     try:
         header, pos = _positions(reader, EVENT_COLUMNS)
         extras = tuple(c for c in header if c not in EVENT_COLUMNS)
@@ -210,9 +217,10 @@ def read_events(source: IO[str], report: IngestReport | None = None) -> Iterator
         cells = itemgetter(*(pos[c] for c in EVENT_COLUMNS))
         groups = LEVEL_GROUPS
         width = len(header)
+        new = tuple.__new__
 
         for row in reader:
-            rep.rows_read += 1
+            rows += 1
             try:
                 (sid, index, elapsed, event_name, name, level, page, rx, ry, sx, sy,
                  hover, text, fqid, room_fqid, text_fqid, fullscreen, hq, music, group) = cells(row)
@@ -261,15 +269,19 @@ def read_events(source: IO[str], report: IngestReport | None = None) -> Iterator
                 rep.record_error(_record_start(reader, row), column, value)
                 continue
 
-            if group != level_group_for(level):
-                rep.consistency_violations += 1
-            rep.events_emitted += 1
-            yield RawEvent(
+            if group != _GROUP_OF_LEVEL[level]:
+                inconsistent += 1
+            emitted += 1
+            yield new(RawEvent, (
                 sid, index, elapsed, event_name, name, level, page, rx, ry, sx, sy,
                 hover, text, fqid, room_fqid, text_fqid, fullscreen, hq, music, group,
-            )
+            ))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise _unreadable(source, reader, exc) from None
+    finally:
+        rep.rows_read += rows
+        rep.events_emitted += emitted
+        rep.consistency_violations += inconsistent
 
 
 def write_events(sink: IO[str], events: Iterable[RawEvent]) -> None:

@@ -23,6 +23,7 @@ from .errors import (
     EmptySetError,
 )
 from .rng import derive_seed
+from .settings import TreeConfig, check_tree_count
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,24 +42,6 @@ class Internal:
 
 
 TreeNode = Union[Leaf, Internal]
-
-
-@dataclass(frozen=True)
-class TreeConfig:
-    criterion: str = "gini"
-    max_depth: Optional[int] = None
-    min_samples_split: int = 2
-    feature_subsample: str = "all"  # "sqrt" for classical forests
-
-    def __post_init__(self):
-        if self.criterion not in ("entropy", "gini"):
-            raise ConfigError(f"unknown criterion {self.criterion!r}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ConfigError("max_depth must be >= 1 when set")
-        if self.min_samples_split < 2:
-            raise ConfigError("min_samples_split must be >= 2")
-        if self.feature_subsample not in ("all", "sqrt"):
-            raise ConfigError(f"unknown feature_subsample {self.feature_subsample!r}")
 
 
 def entropy(class_counts: Sequence[int]) -> float:
@@ -283,11 +266,6 @@ def tree_predict(node: TreeNode, queries: np.ndarray) -> np.ndarray:
         stack.append((nd.left, idx[go_left]))
         stack.append((nd.right, idx[~go_left]))
     return out
-
-
-def check_tree_count(tree_count: int) -> None:
-    if tree_count < 1:
-        raise ConfigError("tree_count must be >= 1")
 
 
 @dataclass

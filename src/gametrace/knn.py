@@ -23,9 +23,7 @@ from .errors import (
     ShapeMismatchError,
     ZeroVectorError,
 )
-
-METRICS = ("euclidean", "manhattan", "cosine")
-
+from .settings import check_knn_params
 
 @dataclass(frozen=True)
 class KnnModel:
@@ -35,13 +33,6 @@ class KnnModel:
     y: np.ndarray
     k: int
     metric: str
-
-
-def check_knn_params(k: int, metric: str) -> None:
-    if metric not in METRICS:
-        raise ConfigError(f"unknown metric {metric!r}")
-    if k < 1:
-        raise ConfigError("k must be >= 1")
 
 
 def knn_fit(x: np.ndarray, y: Sequence[int], k: int = 5, metric: str = "euclidean") -> KnnModel:
@@ -117,7 +108,8 @@ def _neighbors(dists: np.ndarray, k: int) -> np.ndarray:
     with an absent value), no entry is above it, so the whole row is
     sorted, and NaNs sort last in index order as in argsort.
     """
-    kth = np.partition(dists, k - 1, axis=1)[:, k - 1 : k]
+    # A copy of the (rows, 1) slice, so the partitioned block is freed at once.
+    kth = np.partition(dists, k - 1, axis=1)[:, k - 1 : k].copy()
     flat = np.flatnonzero(~(dists > kth))
     rows, cols = np.divmod(flat, dists.shape[1])
     return cols[_first_k(rows, dists.ravel()[flat], k)]

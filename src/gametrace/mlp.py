@@ -15,38 +15,9 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ShapeMismatchError
-
-ACTIVATIONS = ("logistic", "relu")
+from .settings import MlpConfig
 
 LOG_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class MlpConfig:
-    hidden_sizes: tuple[int, ...] = (128,)
-    output_dim: int = 2
-    epochs: int = 100
-    learning_rate: float = 0.001
-    batch_size: int = 256
-    hidden_activation: str = "logistic"
-
-    def __post_init__(self):
-        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
-        if self.output_dim < 1 or any(h < 1 for h in self.hidden_sizes):
-            raise ConfigError("all layer dimensions must be >= 1")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.hidden_activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.hidden_activation!r}")
-
-    def layer_dims(self, input_dim: int) -> tuple[int, ...]:
-        if input_dim < 1:
-            raise ConfigError("the input width must be >= 1")
-        return (input_dim, *self.hidden_sizes, self.output_dim)
 
 
 @dataclass

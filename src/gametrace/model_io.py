@@ -6,7 +6,7 @@ content-determined, so saving the same model twice yields identical bytes
 and load-then-save round-trips exactly. Unknown versions are rejected,
 and a container that does not decode, or whose values fail the same checks
 a trained model passes, raises ContainerFormatError. Each kind's header
-section and arrays come from its entry in ``evaluation.MODELS``.
+section and arrays come from its entry in ``settings.MODELS``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 
 from .dataset import Preprocessor
 from .errors import ConfigError, ContainerFormatError, DataError, UnsupportedVersionError
-from .evaluation import MODELS
 from .schema import build, check
+from .settings import MODELS
 
 MAGIC = b"GTMODEL\x00"
 FORMAT_VERSION = 1

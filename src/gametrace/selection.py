@@ -14,10 +14,8 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, LengthMismatchError, PolicyUnsatisfiableError
-
-DEFAULT_MANDATORY_DROPS = ("page", "hover_duration", "text_fqid", "text")
-
+from .errors import DataError, LengthMismatchError, PolicyUnsatisfiableError
+from .settings import SelectionPolicy, check_mi_params
 
 def pearson(xcol: np.ndarray, ycol: np.ndarray) -> float:
     """Sample Pearson correlation; NaN when either column is constant."""
@@ -34,13 +32,6 @@ def pearson(xcol: np.ndarray, ycol: np.ndarray) -> float:
         return float("nan")
     r = float((xc * yc).sum()) / den
     return min(1.0, max(-1.0, r))
-
-
-def check_mi_params(bins: int, unit: str) -> None:
-    if bins < 2:
-        raise ConfigError("mi_bins must be >= 2")
-    if unit not in ("nats", "bits"):
-        raise ConfigError(f"unknown mi_unit {unit!r}")
 
 
 def mutual_information(
@@ -90,22 +81,6 @@ def mutual_information(
     if unit == "bits":
         mi /= math.log(2.0)
     return mi
-
-
-@dataclass(frozen=True)
-class SelectionPolicy:
-    k: int = 11  # features kept, at most
-    redundancy_threshold: float = 0.9
-    mandatory_drops: tuple[str, ...] = DEFAULT_MANDATORY_DROPS
-    mi_bins: int = 10
-    mi_unit: str = "nats"
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if not 0.0 < self.redundancy_threshold <= 1.0:
-            raise ConfigError("redundancy_threshold must be in (0, 1]")
-        check_mi_params(self.mi_bins, self.mi_unit)
 
 
 @dataclass

@@ -15,51 +15,17 @@ import io
 import json
 import math
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .dataset import DEFAULT_QUESTION_GROUPS
-from .errors import ConfigError
 from .events import LEVEL_GROUPS, LabelRecord, level_group_for, write_events, write_labels
 from .pool import fork_map
 from .rng import derive_seed
-
-FEATURE_NAMES = (
-    "room_coor_x_mean",
-    "room_coor_y_mean",
-    "screen_coor_x_mean",
-    "screen_coor_y_mean",
-    "elapsed_time_sum",
-    "level_mean",
-    "music_max",
-    "name_nunique",
-    "room_fqid_nunique",
-    "event_name_nunique",
-    "fqid_count",
-)
-
-# Weights act on corpus-standardized aggregates; tuned so the default corpus
-# lands near a 70/30 class split with a clearly learnable boundary.
-DEFAULT_WEIGHTS = (1.17, 0.91, 0.78, 0.65, 1.3, 0.91, 0.78, 1.17, 0.91, 0.78, 1.56)
-DEFAULT_BIAS = 2.4
-DEFAULT_NOISE = 0.4
-
-DEFAULT_NULL_RATES: dict[str, float] = {
-    "page": 0.85,
-    "room_coor_x": 0.05,
-    "room_coor_y": 0.05,
-    "screen_coor_x": 0.05,
-    "screen_coor_y": 0.05,
-    "hover_duration": 0.9,
-    "text": 0.4,
-    "fqid": 0.15,
-    "room_fqid": 0.02,
-    "text_fqid": 0.7,
-}
+from .settings import DEFAULT_NULL_RATES, DEFAULT_QUESTION_GROUPS, FEATURE_NAMES, SynthConfig
 
 _EVENT_VOCAB = (
     "navigate_click",
@@ -75,31 +41,6 @@ _NAME_VOCAB = ("basic", "undefined", "open", "close", "prev", "next")
 _TEXT_VOCAB = tuple(f"line_{i:02d}" for i in range(24))
 _FQID_VOCAB = tuple(f"obj.item_{i:02d}" for i in range(30))
 _TEXT_FQID_VOCAB = tuple(f"dialog.node_{i:02d}" for i in range(20))
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    sessions: int = 120
-    events_per_session: int = 1000
-    null_rates: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_NULL_RATES))
-    weights: tuple[float, ...] = DEFAULT_WEIGHTS
-    bias: float = DEFAULT_BIAS
-    noise: float = DEFAULT_NOISE
-
-    def __post_init__(self):
-        if self.sessions < 1:
-            raise ConfigError("sessions must be >= 1")
-        if self.events_per_session < 46:
-            raise ConfigError("events_per_session must be >= 46 (2 per level)")
-        if self.noise < 0:
-            raise ConfigError("noise must be >= 0")
-        if len(self.weights) != len(FEATURE_NAMES):
-            raise ConfigError(f"weights must have {len(FEATURE_NAMES)} entries")
-        for col, rate in self.null_rates.items():
-            if col not in DEFAULT_NULL_RATES:
-                raise ConfigError(f"unknown optional column in null_rates: {col!r}")
-            if not 0.0 <= rate < 1.0:
-                raise ConfigError(f"null rate for {col!r} must be in [0, 1)")
 
 
 @dataclass

@@ -88,7 +88,8 @@ def random_events(rng: np.random.Generator, n: int, sessions=("s1", "s2"), null_
 @pytest.fixture(scope="session")
 def small_corpus(tmp_path_factory):
     """One shared small synthetic corpus for cross-module tests."""
-    from gametrace.synth import SynthConfig, generate
+    from gametrace.settings import SynthConfig
+    from gametrace.synth import generate
 
     outdir = tmp_path_factory.mktemp("corpus")
     cfg = SynthConfig(sessions=12, events_per_session=120)

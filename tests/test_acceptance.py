@@ -18,7 +18,6 @@ from gametrace.cli import main as cli_main
 from gametrace.dataset import impute_mean, join
 from gametrace.events import read_events, read_labels
 from gametrace.forest import (
-    TreeConfig,
     best_split,
     entropy,
     forest_fit,
@@ -28,9 +27,10 @@ from gametrace.forest import (
     tree_predict,
 )
 from gametrace.knn import knn_fit, knn_predict
-from gametrace.mlp import MlpConfig, MlpModel, cross_entropy, init_params, mlp_backward, mlp_forward
-from gametrace.selection import SelectionPolicy, mutual_information, pearson, select
-from gametrace.synth import FEATURE_NAMES, SynthConfig, generate
+from gametrace.mlp import MlpModel, cross_entropy, init_params, mlp_backward, mlp_forward
+from gametrace.selection import mutual_information, pearson, select
+from gametrace.settings import FEATURE_NAMES, MlpConfig, SelectionPolicy, SynthConfig, TreeConfig
+from gametrace.synth import generate
 
 from oracles import best_split_oracle, brute_force_aggregate, knn_oracle
 

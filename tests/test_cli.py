@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 from typing import get_type_hints
 
@@ -11,12 +14,9 @@ from hypothesis import strategies as st
 from conftest import events_csv
 from gametrace.cli import _build_parser, main
 from gametrace.config import RunConfig, load_config
-from gametrace.dataset import SplitPlan
 from gametrace.errors import ConfigError
-from gametrace.evaluation import MODELS
 from gametrace.model_io import MAGIC, load_container, load_model, save_container
-from gametrace.selection import SelectionPolicy
-from gametrace.synth import SynthConfig
+from gametrace.settings import MODELS, SelectionPolicy, SplitPlan, SynthConfig
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -648,6 +648,42 @@ def test_verify_detects_fingerprint_mismatch(pipeline_dir):
 
 def test_verify_empty_workdir_exits_2(tmp_path):
     assert run("verify", "--workdir", str(tmp_path)) == 2
+
+
+# Runs one command in a fresh interpreter and prints, as JSON, its exit code
+# and which of numpy and the gametrace modules it ran: a stage module the
+# CLI has not used yet is still a lazy handle, not a plain module.
+_RAN_MODULES = """
+import json, sys, types
+from gametrace.cli import main
+code = main(sys.argv[1:])
+ran = [n for n, m in sys.modules.items() if type(m) is types.ModuleType]
+print(json.dumps([code, sorted(n for n in ran if n == "numpy" or n.startswith("gametrace."))]))
+"""
+NUMPY_SIDE = {"numpy"} | {
+    f"gametrace.{m}"
+    for m in ("dataset", "evaluation", "selection", "synth", "knn", "mlp", "forest", "model_io")
+}
+
+
+def ran_modules(*argv) -> tuple[int, set[str]]:
+    src = str(REPO / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RAN_MODULES, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    code, ran = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(ran)
+
+
+def test_aggregate_and_verify_run_no_numpy_and_no_model_stage(small_corpus, tmp_path):
+    _, corpus = small_corpus
+    code, ran = ran_modules("aggregate", "--workdir", str(tmp_path), "--events", str(corpus.events_path))
+    assert code == 0 and "gametrace.aggregation" in ran
+    assert ran & NUMPY_SIDE == set()
+    code, ran = ran_modules("verify", "--workdir", str(tmp_path))  # no model containers here
+    assert code == 0
+    assert ran & NUMPY_SIDE == set()
 
 
 def test_workdir_env_var_override(pipeline_dir, monkeypatch, capsys):

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from gametrace.aggregation import AggregatorSpec, FeatureMatrix, FeatureRow, aggregate
 from gametrace.dataset import (
-    DEFAULT_QUESTION_GROUPS,
     LabeledDataset,
-    SplitPlan,
     export_fold_assignments,
     fit_preprocessor,
     impute_mean,
@@ -26,6 +24,7 @@ from gametrace.errors import (
     TooFewRowsError,
 )
 from gametrace.events import LEVEL_GROUPS, LabelRecord, read_labels
+from gametrace.settings import DEFAULT_QUESTION_GROUPS, SplitPlan
 from conftest import make_event, random_events
 
 from oracles import naive_impute, naive_standardize, nested_loop_join

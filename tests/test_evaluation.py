@@ -9,14 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gametrace import pool
-from gametrace.dataset import LabeledDataset, SplitPlan, kfold_indices
+from gametrace.dataset import LabeledDataset, kfold_indices
 from gametrace.errors import ConfigError, LengthMismatchError
 from gametrace.evaluation import (
     REFERENCE_ROWS,
     ConfusionCounts,
-    ForestClassifier,
-    KnnClassifier,
-    MlpClassifier,
     accuracy,
     benchmark,
     confusion_counts,
@@ -24,6 +21,7 @@ from gametrace.evaluation import (
     f1,
     majority_baseline_f1,
 )
+from gametrace.settings import ForestClassifier, KnnClassifier, MlpClassifier, SplitPlan
 
 
 def test_accuracy_all_correct():

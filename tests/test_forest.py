@@ -13,7 +13,6 @@ from gametrace.forest import (
     ForestModel,
     Internal,
     Leaf,
-    TreeConfig,
     best_split,
     entropy,
     flatten_trees,
@@ -23,6 +22,7 @@ from gametrace.forest import (
     tree_fit,
     tree_predict,
 )
+from gametrace.settings import TreeConfig
 
 from oracles import best_split_oracle
 

@@ -10,9 +10,10 @@ import pytest
 import gametrace.forest as forest
 import gametrace.knn as knn
 from gametrace.errors import ConfigError
-from gametrace.forest import TreeConfig, flatten_trees, forest_fit
-from gametrace.knn import METRICS, knn_fit, knn_predict
+from gametrace.forest import flatten_trees, forest_fit
+from gametrace.knn import knn_fit, knn_predict
 from gametrace.mlp import _logistic
+from gametrace.settings import METRICS, TreeConfig
 
 from oracles import reference_knn_predict, reference_logistic, reference_scan_split
 

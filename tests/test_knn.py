@@ -13,7 +13,8 @@ from gametrace.errors import (
     LengthMismatchError,
     ZeroVectorError,
 )
-from gametrace.knn import METRICS, knn_fit, knn_predict
+from gametrace.knn import knn_fit, knn_predict
+from gametrace.settings import METRICS
 
 from oracles import _reference_distance_block, knn_oracle, reference_knn_predict
 
@@ -277,3 +278,19 @@ def test_euclidean_predict_memory_stays_under_4_mib():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def test_cosine_predict_memory_stays_near_two_distance_blocks():
+    # one cosine block of 256 queries against the holdout-large shape's 5,760
+    # stored rows: the distances and one temporary of their size, not a third
+    rng = np.random.default_rng(0)
+    model = knn_fit(rng.normal(size=(5760, 11)), rng.integers(0, 2, size=5760), k=5, metric="cosine")
+    queries = rng.normal(size=(256, 11))
+    block = queries.shape[0] * 5760 * 8
+    tracemalloc.start()
+    try:
+        knn_predict(model, queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.01 * block

@@ -6,7 +6,6 @@ import pytest
 from gametrace.errors import ConfigError, ShapeMismatchError
 from gametrace.mlp import (
     AdamState,
-    MlpConfig,
     MlpModel,
     _forward_activations,
     adam_step,
@@ -16,6 +15,7 @@ from gametrace.mlp import (
     mlp_forward,
     mlp_train,
 )
+from gametrace.settings import MlpConfig
 
 from oracles import adam_scalar_reference
 

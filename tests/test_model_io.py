@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 
 from gametrace.dataset import fit_preprocessor
 from gametrace.errors import ConfigError, ContainerFormatError, DataError, UnsupportedVersionError
-from gametrace.evaluation import MODELS
 from gametrace.forest import (
     Internal,
     Leaf,
-    TreeConfig,
     flatten_trees,
     forest_fit,
     unflatten_trees,
 )
-from gametrace.mlp import MlpConfig, mlp_train
+from gametrace.mlp import mlp_train
 from gametrace.model_io import (
     FORMAT_VERSION,
     MAGIC,
@@ -26,6 +24,7 @@ from gametrace.model_io import (
     save_container,
     save_model,
 )
+from gametrace.settings import MODELS, MlpConfig, TreeConfig
 
 
 def training_data(seed=0, n=80, d=4):

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from gametrace.errors import DataError, LengthMismatchError, PolicyUnsatisfiableError
 from gametrace.selection import (
-    SelectionPolicy,
     mutual_information,
     pearson,
     save_selection_report,
     select,
 )
+from gametrace.settings import SelectionPolicy
 
 from oracles import mi_from_counts, pearson_formula
 

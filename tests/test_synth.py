@@ -5,13 +5,14 @@ import os
 
 import pytest
 
-from gametrace import pool, synth
+from gametrace import pool, settings, synth
 from gametrace.aggregation import DEFAULT_SPECS, aggregate
-from gametrace.dataset import join, split_train_test, SplitPlan, fit_preprocessor
+from gametrace.dataset import join, split_train_test, fit_preprocessor
 from gametrace.errors import ConfigError
 from gametrace.events import IngestReport, read_events, read_labels
 from gametrace.forest import forest_fit, forest_predict
-from gametrace.synth import FEATURE_NAMES, SynthConfig, generate
+from gametrace.settings import FEATURE_NAMES, SplitPlan, SynthConfig
+from gametrace.synth import generate
 
 
 def read_corpus(result):
@@ -217,7 +218,7 @@ POOL_CASES = {
     "one session": SynthConfig(sessions=1, events_per_session=60),
     "partial last block": SynthConfig(sessions=2 * synth._BLOCK + 3, events_per_session=50),
     "no absent cells": SynthConfig(sessions=synth._BLOCK + 1, events_per_session=50,
-                                   null_rates={col: 0.0 for col in synth.DEFAULT_NULL_RATES}),
+                                   null_rates={col: 0.0 for col in settings.DEFAULT_NULL_RATES}),
 }
 
 

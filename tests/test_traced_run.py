@@ -7,9 +7,14 @@ reads the list from the file's source without importing the script.
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACED_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
+REPO = Path(__file__).resolve().parent.parent
+TRACED_CLI = REPO / "perfbench" / "traced_cli.py"
 
 
 def traced_entries():
@@ -31,6 +36,39 @@ def test_every_traced_name_resolves():
             assert hasattr(target, part), f"gametrace.{module_name}.{attr}"
             target = getattr(target, part)
         assert callable(target), f"gametrace.{module_name}.{attr}"
+
+
+# What ``install()`` relies on, in a fresh interpreter: right after
+# ``import gametrace.cli`` every traced module is in ``sys.modules``, though
+# a stage the CLI has not used yet is a lazy handle, and each traced
+# attribute resolves through it.
+_AFTER_CLI_IMPORT = """
+import json, sys
+import gametrace.cli
+
+entries = json.loads(sys.argv[1])
+missing = [m for m, _ in entries if f"gametrace.{m}" not in sys.modules]
+unresolved = []
+for module_name, attr in entries:
+    target = sys.modules.get(f"gametrace.{module_name}")
+    for part in attr.split("."):
+        target = getattr(target, part, None)
+    if not callable(target):
+        unresolved.append(f"{module_name}.{attr}")
+print(json.dumps([missing, unresolved]))
+"""
+
+
+def test_cli_import_registers_every_traced_module():
+    src = str(REPO / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _AFTER_CLI_IMPORT, json.dumps(traced_entries())],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    missing, unresolved = json.loads(proc.stdout.splitlines()[-1])
+    assert missing == []
+    assert unresolved == []
 
 
 def test_tree_counters_find_their_types():
