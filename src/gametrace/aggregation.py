@@ -93,26 +93,13 @@ DEFAULT_SPECS = validate_specs(
 )
 
 
+@dataclass(slots=True)
 class FeatureRow:
     """One aggregated row; values align with the owning matrix's columns."""
 
-    __slots__ = ("session_id", "level_group", "values")
-
-    def __init__(self, session_id: str, level_group: str, values: tuple):
-        self.session_id = session_id
-        self.level_group = level_group
-        self.values = values
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FeatureRow)
-            and self.session_id == other.session_id
-            and self.level_group == other.level_group
-            and self.values == other.values
-        )
-
-    def __repr__(self):
-        return f"FeatureRow({self.session_id!r}, {self.level_group!r}, {self.values!r})"
+    session_id: str
+    level_group: str
+    values: tuple
 
 
 @dataclass

@@ -164,7 +164,7 @@ def _fit_fold(job: _Job, i: int) -> FoldResult:
     classifier = job.classifier
     pre = fit_preprocessor(train.x, train.feature_names, train.categorical_names, scale=classifier.scale)
     model = classifier.fit(pre.transform(train.x), train.y, job.seed)
-    return FoldResult.of(i, classifier.apply(model, pre.transform(test.x)), test.y)
+    return FoldResult.of(i, model.predict(pre.transform(test.x)), test.y)
 
 
 def _fold_task(jobs: list[_Job], task: tuple[int, int]) -> FoldResult:

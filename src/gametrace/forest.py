@@ -277,10 +277,6 @@ class ForestModel:
     tree_seeds: tuple[int, ...] = ()
     n_features: int = 0
 
-    @property
-    def tree_count(self) -> int:
-        return len(self.trees)
-
     def predict(self, queries: np.ndarray) -> np.ndarray:
         return forest_predict(self, queries)
 

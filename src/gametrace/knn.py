@@ -34,6 +34,9 @@ class KnnModel:
     k: int
     metric: str
 
+    def predict(self, queries: np.ndarray) -> np.ndarray:
+        return knn_predict(self, queries)
+
 
 def knn_fit(x: np.ndarray, y: Sequence[int], k: int = 5, metric: str = "euclidean") -> KnnModel:
     x = np.array(x, dtype=np.float64)  # private copy, caller mutations invisible
@@ -99,29 +102,24 @@ def _first_k(rows: np.ndarray, dists: np.ndarray, k: int) -> np.ndarray:
     return order[starts[:, None] + np.arange(k)]
 
 
-def _neighbors(dists: np.ndarray, k: int) -> np.ndarray:
-    """Per row, the indices of the k smallest distances, ties to the lower index.
+def _nearest(screen: np.ndarray, slack, k: int, exact) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the indices and exact distances of the k nearest stored rows:
+    the first k of a stable argsort of the exact distances.
 
-    The same indices, in the same order, as the first k of a stable argsort
-    of the row: only entries not above the k-th smallest value can be among
-    them, so only those are sorted. When the k-th value is NaN (a query
-    with an absent value), no entry is above it, so the whole row is
-    sorted, and NaNs sort last in index order as in argsort.
+    ``slack`` (a scalar, or one per row) bounds the screen's error: an entry
+    screened above the k-th smallest by more than twice it is strictly
+    farther than k others. Only the other entries get an exact distance,
+    ``exact(flat, rows, cols)`` at flat positions ``flat`` of ``screen``,
+    and only they are sorted. A NaN or infinite bound (an absent or huge
+    query value) keeps the whole row; NaNs sort last in index order, as in
+    argsort.
     """
-    # A copy of the (rows, 1) slice, so the partitioned block is freed at once.
-    kth = np.partition(dists, k - 1, axis=1)[:, k - 1 : k].copy()
-    flat = np.flatnonzero(~(dists > kth))
-    rows, cols = np.divmod(flat, dists.shape[1])
-    return cols[_first_k(rows, dists.ravel()[flat], k)]
-
-
-def _scanned_neighbors(queries: np.ndarray, stored: np.ndarray, metric: str, k: int
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Manhattan or cosine: ``_neighbors`` of the full distance block, and
-    their distances. The block is freed on return, before the next one."""
-    dists = _distance_block(queries, stored, metric)
-    nbr = _neighbors(dists, k)
-    return nbr, np.take_along_axis(dists, nbr, axis=1)
+    bound = np.partition(screen, k - 1, axis=1)[:, k - 1] + 2.0 * slack
+    flat = np.flatnonzero(~(screen > bound[:, None]))  # 2-D nonzero is ~10x slower
+    rows, cols = np.divmod(flat, screen.shape[1])
+    dists = exact(flat, rows, cols)
+    pick = _first_k(rows, dists, k)
+    return cols[pick], dists[pick]
 
 
 def _pair_distances(queries: np.ndarray, rows: np.ndarray, stored: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -152,7 +150,7 @@ def _euclidean_neighbors(
     queries: np.ndarray, stored: np.ndarray, stored_sq: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per query row, the indices and distances of the k nearest stored rows:
-    what ``_neighbors`` gives on the full exact block, without building it.
+    what ``_nearest`` gives on the full exact block, without building it.
 
     Screen: one matrix product gives S = |q|^2 + |s|^2 - 2 q.s for every
     stored row (``stored_sq`` holds the |s|^2). Let A = |q|^2 + max |s|^2,
@@ -165,16 +163,14 @@ def _euclidean_neighbors(
     the factor 1 + 5u, a margin of at most 15 u A < 8 g A. So a row whose S
     exceeds another's by more than 20 g A is strictly farther. ``slack`` is
     16 g A, and the 12 g A the doubled slack has to spare covers the
-    roundings of ``reach``, ``slack`` and ``bound``; d 2^-1070 covers
-    products that underflow. A stored row with S above the k-th smallest S
-    plus twice ``slack`` is thus strictly farther than each of the k rows
-    with the smallest S, and cannot be a neighbour, whatever its index.
+    roundings of ``reach``, ``slack`` and the bound; d 2^-1070 covers
+    products that underflow.
 
-    Re-rank: every other row (the candidates) gets its exact distance from
-    ``_pair_distances``, and the candidates, in stored order, are ranked as
-    ``_neighbors`` ranks a full row. A row whose 4 A is not finite (a NaN
-    or an infinite query, or magnitudes near the float64 range) keeps every
-    stored row as a candidate: the full exact computation.
+    Re-rank: ``_nearest`` gives every candidate its exact distance from
+    ``_pair_distances``. A row whose 4 A is not finite (a NaN or an
+    infinite query, or magnitudes near the float64 range) gets an infinite
+    slack, so it keeps every stored row as a candidate: the full exact
+    computation.
     """
     d = stored.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # such rows keep every candidate
@@ -185,13 +181,9 @@ def _euclidean_neighbors(
         screen += stored_sq
         reach = q_sq + stored_sq.max()
         slack = 16.0 * _gamma(d + 2) * reach + d * 2.0**-1070
-        bound = np.partition(screen, k - 1, axis=1)[:, k - 1] + 2.0 * slack
-        keep = screen <= bound[:, None]
-        keep[~np.isfinite(4.0 * reach)] = True
-    rows, cols = np.divmod(np.flatnonzero(keep), stored.shape[0])  # 2-D nonzero is ~10x slower
-    dists = _pair_distances(queries, rows, stored, cols)
-    pick = _first_k(rows, dists, k)
-    return cols[pick], dists[pick]
+        slack[~np.isfinite(4.0 * reach)] = np.inf
+        return _nearest(screen, slack, k,
+                        lambda flat, rows, cols: _pair_distances(queries, rows, stored, cols))
 
 
 def _break_tie(labs: np.ndarray, nd: np.ndarray) -> int:
@@ -225,7 +217,9 @@ def knn_predict(model: KnnModel, queries: np.ndarray) -> np.ndarray:
         if model.metric == "euclidean":
             nbr, nd = _euclidean_neighbors(block, model.x, stored_sq, model.k)
         else:
-            nbr, nd = _scanned_neighbors(block, model.x, model.metric, model.k)
+            dists = _distance_block(block, model.x, model.metric)
+            nbr, nd = _nearest(dists, 0.0, model.k, lambda flat, rows, cols: dists.ravel()[flat])
+            del dists  # freed before the next block is built
         rows = nbr.shape[0]
         # votes[r, c]: how many of row r's neighbours carry label classes[c]
         cells = codes[nbr] + classes.size * np.arange(rows)[:, None]

@@ -169,28 +169,26 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[list[np.ndarray], AdamState]:
-    """One Adam update with bias correction; t is the 1-based step index."""
+) -> tuple[Sequence[np.ndarray], AdamState]:
+    """One Adam update with bias correction, written over ``params`` and
+    ``state``; t is the 1-based step index. Nothing changes when the
+    arguments are rejected."""
     if t < 1:
         raise ConfigError("adam step index t must be >= 1")
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatchError("params, grads, and state must align")
-    new_params: list[np.ndarray] = []
-    new_m: list[np.ndarray] = []
-    new_v: list[np.ndarray] = []
+    for p, g in zip(params, grads):
+        if p.shape != g.shape:
+            raise ShapeMismatchError(f"gradient {g.shape} vs parameter {p.shape}")
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ShapeMismatchError(f"gradient {g.shape} vs parameter {p.shape}")
-        m2 = beta1 * m + (1.0 - beta1) * g
-        v2 = beta2 * v + (1.0 - beta2) * (g * g)
-        m_hat = m2 / c1
-        v_hat = v2 / c2
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m2)
-        new_v.append(v2)
-    return new_params, AdamState(m=new_m, v=new_v)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    return params, state
 
 
 def init_params(
@@ -221,8 +219,8 @@ def mlp_train(config: MlpConfig, x: np.ndarray, y: np.ndarray, seed: int) -> Mlp
 
     weights, biases, rng = init_params(config, x.shape[1], seed)
     model = MlpModel(weights=weights, biases=biases, config=config, seed=seed)
-    n_params = len(weights)
-    state = AdamState.zeros_like(weights + biases)
+    params = weights + biases  # the model's own arrays: Adam updates them in place
+    state = AdamState.zeros_like(params)
     n = x.shape[0]
     t = 0
     for _ in range(config.epochs):
@@ -235,15 +233,11 @@ def mlp_train(config: MlpConfig, x: np.ndarray, y: np.ndarray, seed: int) -> Mlp
             loss_sum += cross_entropy(acts[-1], yb) * idx.shape[0]
             gw, gb = _gradients_from_activations(model, acts, yb)
             t += 1
-            updated, state = adam_step(
-                model.weights + model.biases, gw + gb, state, t, config.learning_rate
-            )
-            model.weights = updated[:n_params]
-            model.biases = updated[n_params:]
+            adam_step(params, gw + gb, state, t, config.learning_rate)
         model.loss_history.append(loss_sum / n)
-        for p in model.weights + model.biases:
+        for p in params:
             if not np.isfinite(p).all():
                 raise NumericalError("non-finite parameter during training")
-    for p in model.weights + model.biases:
+    for p in params:
         p.setflags(write=False)  # trained model is immutable and shareable
     return model

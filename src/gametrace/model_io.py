@@ -108,7 +108,7 @@ class LoadedModel:
     header: dict
 
     def predict(self, raw_x: np.ndarray) -> np.ndarray:
-        return MODELS[self.kind].apply(self.model, self.preprocessor.transform(raw_x))
+        return self.model.predict(self.preprocessor.transform(raw_x))
 
 
 def save_model(

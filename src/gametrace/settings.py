@@ -209,10 +209,10 @@ def check_tree_count(tree_count: int) -> None:
 class Classifier:
     """One model kind, listed in ``MODELS``; each is a dataclass whose fields
     are its config section, range-checked when it is built. ``fit(x, y,
-    seed)`` returns a fitted model, ``apply`` predicts with one, and
-    ``to_container``/``from_container`` map one to its container header
-    section and arrays. Its ``folds`` and ``scale`` fields set how it is
-    evaluated."""
+    seed)`` returns a fitted model, whose own ``predict(x)`` gives its
+    labels, and ``to_container``/``from_container`` map one to its
+    container header section and arrays. Its ``folds`` and ``scale`` fields
+    set how it is evaluated."""
 
 
 @dataclass(frozen=True)
@@ -228,10 +228,6 @@ class KnnClassifier(Classifier):
 
     def fit(self, x, y, seed: int) -> knn.KnnModel:
         return knn.knn_fit(x, y, k=self.k, metric=self.metric)
-
-    @staticmethod
-    def apply(model: knn.KnnModel, x):
-        return knn.knn_predict(model, x)
 
     @staticmethod
     def to_container(model: knn.KnnModel) -> tuple[dict, dict]:
@@ -256,10 +252,6 @@ class MlpClassifier(MlpConfig, Classifier):
 
     def fit(self, x, y, seed: int) -> mlp.MlpModel:
         return mlp.mlp_train(self, x, y, seed)
-
-    @staticmethod
-    def apply(model: mlp.MlpModel, x):
-        return model.predict(x)
 
     @staticmethod
     def to_container(model: mlp.MlpModel) -> tuple[dict, dict]:
@@ -310,15 +302,11 @@ class ForestClassifier(TreeConfig, Classifier):
         return forest.forest_fit(x, y, tree_count=self.trees, config=self, seed=seed)
 
     @staticmethod
-    def apply(model: forest.ForestModel, x):
-        return forest.forest_predict(model, x)
-
-    @staticmethod
     def to_container(model: forest.ForestModel) -> tuple[dict, dict]:
         import numpy as np  # loaded with the model's module
 
         section = {f.name: getattr(model.config, f.name) for f in fields(TreeConfig)}
-        section.update(seed=model.seed, tree_count=model.tree_count, bootstrap=model.bootstrap,
+        section.update(seed=model.seed, tree_count=len(model.trees), bootstrap=model.bootstrap,
                        n_features=model.n_features)
         arrays = {**forest.flatten_trees(model.trees), "tree_seeds": np.array(model.tree_seeds, dtype=np.uint64)}
         return section, arrays

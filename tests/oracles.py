@@ -250,6 +250,27 @@ def adam_scalar_reference(theta, grads_per_step, lr, beta1=0.9, beta2=0.999, eps
     return history
 
 
+def reference_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam update into fresh arrays: (new params, new m, new v).
+
+    The functional step the training loop once used, kept with its float
+    operations in their order, so an update written over its arguments can
+    be checked for byte-equal parameters.
+    """
+    new_params, new_m, new_v = [], [], []
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    for p, g, m_prev, v_prev in zip(params, grads, m, v):
+        m2 = beta1 * m_prev + (1.0 - beta1) * g
+        v2 = beta2 * v_prev + (1.0 - beta2) * (g * g)
+        m_hat = m2 / c1
+        v_hat = v2 / c2
+        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        new_m.append(m2)
+        new_v.append(v2)
+    return new_params, new_m, new_v
+
+
 # --- bitwise references for the vectorized model kernels --------------------
 # Earlier straightforward versions of three hot kernels, kept verbatim
 # (apart from local names) so the rewritten kernels can be checked for

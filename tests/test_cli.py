@@ -201,7 +201,7 @@ def test_train_then_load_matches_in_memory_predictions(pipeline_dir):
     rng = np.random.default_rng(0)
     probes = ds.x[rng.integers(0, len(ds), size=100)]
     filled = np.where(np.isnan(probes), 0.0, probes)
-    assert np.array_equal(loaded.predict(filled), cfg.forest.apply(model, pre.transform(filled)))
+    assert np.array_equal(loaded.predict(filled), model.predict(pre.transform(filled)))
 
 
 def test_evaluate_uses_holdout_test_side(pipeline_dir):

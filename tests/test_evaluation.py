@@ -91,6 +91,16 @@ def test_majority_baseline_f1_analytic():
     assert majority_baseline_f1(np.array([0] * 60 + [1] * 40)) == 0.0
 
 
+class ConstantLabels:
+    """A fitted fake model: one label for every row."""
+
+    def __init__(self, label):
+        self.label = label
+
+    def predict(self, x):
+        return np.full(x.shape[0], self.label, dtype=np.int64)
+
+
 class ConstantModel:
     scale = False
     folds = 5
@@ -99,11 +109,7 @@ class ConstantModel:
         self.label = label
 
     def fit(self, x, y, seed):
-        return self.label
-
-    @staticmethod
-    def apply(label, x):
-        return np.full(x.shape[0], label, dtype=np.int64)
+        return ConstantLabels(self.label)
 
 
 def balanced_dataset(n=100, seed=0):
@@ -162,10 +168,6 @@ def test_cross_validate_annotates_fold_errors():
 
         def fit(self, x, y, seed):
             raise ValueError("boom")
-
-        @staticmethod
-        def apply(model, x):
-            return np.zeros(x.shape[0])
 
     plan = SplitPlan(grouping="by_row")
     with pytest.raises(ValueError, match="fold 0"):
@@ -344,11 +346,7 @@ class PidModel:
     folds = 4
 
     def fit(self, x, y, seed):
-        return os.getpid()
-
-    @staticmethod
-    def apply(pid, x):
-        return np.full(x.shape[0], int(pid != TEST_PROCESS), dtype=np.int64)
+        return ConstantLabels(int(os.getpid() != TEST_PROCESS))
 
 
 @needs_fork
@@ -382,11 +380,7 @@ class ExplodesOnHeldOutRow:
     def fit(self, x, y, seed):
         if self.row not in x[:, 0]:
             raise self.error()
-        return 1
-
-    @staticmethod
-    def apply(model, x):
-        return np.full(x.shape[0], model, dtype=np.int64)
+        return ConstantLabels(1)
 
 
 def indexed_dataset(n=24):

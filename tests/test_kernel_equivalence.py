@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gametrace.forest as forest
 import gametrace.knn as knn
@@ -125,7 +127,42 @@ def test_neighbors_match_stable_argsort(k):
     dists[4, ::2] = np.inf
     dists[5, 1::2] = -0.0
     expected = np.argsort(dists, axis=1, kind="stable")[:, :k]
-    assert knn._neighbors(dists, k).tolist() == expected.tolist()
+    nbr, nd = knn._nearest(dists, 0.0, k, lambda flat, rows, cols: dists.ravel()[flat])
+    assert nbr.tolist() == expected.tolist()
+    assert nd.tobytes() == np.take_along_axis(dists, expected, axis=1).tobytes()
+
+
+_SPECIAL = st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf])
+_ENTRY = st.one_of(_SPECIAL, st.integers(0, 3).map(float), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def screened_blocks(draw):
+    """An exact distance block rich in ties, NaN, signed zeros and
+    infinities; per row a slack of 0, a finite value or infinity; and a
+    screen within the slack of the exact block (equal to it where the exact
+    value is not finite; arbitrary where the slack is infinite)."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    k = draw(st.integers(1, cols))
+    cells = st.lists(_ENTRY, min_size=rows * cols, max_size=rows * cols)
+    exact = np.array(draw(cells)).reshape(rows, cols)
+    slack = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, np.inf]), min_size=rows, max_size=rows)))
+    noise = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=rows * cols, max_size=rows * cols)))
+    noise = noise.reshape(rows, cols)
+    unbounded = np.isinf(slack)
+    screen = np.where(np.isfinite(exact), exact + noise * np.where(unbounded, 0.0, slack)[:, None], exact)
+    screen[unbounded] = 1e6 * noise[unbounded]
+    return exact, screen, slack, k
+
+
+@given(screened_blocks())
+@settings(max_examples=300, deadline=None)
+def test_nearest_is_the_stable_argsort_of_the_exact_block(case):
+    exact, screen, slack, k = case
+    nbr, nd = knn._nearest(screen, slack, k, lambda flat, rows, cols: exact[rows, cols])
+    expected = np.argsort(exact, axis=1, kind="stable")[:, :k]
+    assert nbr.tolist() == expected.tolist()
+    assert nd.tobytes() == np.take_along_axis(exact, expected, axis=1).tobytes()
 
 
 def test_knn_predict_takes_no_block_size():

@@ -8,6 +8,7 @@ from gametrace.mlp import (
     AdamState,
     MlpModel,
     _forward_activations,
+    _gradients_from_activations,
     adam_step,
     cross_entropy,
     init_params,
@@ -17,7 +18,7 @@ from gametrace.mlp import (
 )
 from gametrace.settings import MlpConfig
 
-from oracles import adam_scalar_reference
+from oracles import adam_scalar_reference, reference_adam_step
 
 
 def zero_model(input_dim=3, hidden=(4,), output_dim=2, activation="logistic"):
@@ -165,9 +166,10 @@ def test_backward_empty_batch_rejected():
 def test_adam_zero_gradient_keeps_parameters():
     params = [np.array([[1.0, -2.0]]), np.array([0.5])]
     grads = [np.zeros_like(p) for p in params]
+    before = [p.copy() for p in params]  # the step writes over params
     state = AdamState.zeros_like(params)
     new_params, _ = adam_step(params, grads, state, t=1, lr=0.001)
-    for p, q in zip(params, new_params):
+    for p, q in zip(before, new_params):
         assert np.array_equal(p, q)
 
 
@@ -202,6 +204,46 @@ def test_adam_rejects_bad_t_and_shapes():
         adam_step(params, [np.zeros(2)], state, t=0, lr=0.1)
     with pytest.raises(ShapeMismatchError):
         adam_step(params, [np.zeros(3)], state, t=1, lr=0.1)
+
+
+def test_rejected_adam_step_changes_nothing():
+    params = [np.ones(2), np.ones(3)]
+    state = AdamState.zeros_like(params)
+    with pytest.raises(ShapeMismatchError):  # the second gradient is the wrong shape
+        adam_step(params, [np.ones(2), np.ones(2)], state, t=1, lr=0.1)
+    assert [p.tolist() for p in params] == [[1.0] * 2, [1.0] * 3]
+    assert not any(m.any() for m in state.m + state.v)
+
+
+@pytest.mark.parametrize("activation", ["logistic", "relu"])
+def test_training_matches_the_functional_adam_reference(activation):
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(50, 4))
+    y = (x[:, 0] + x[:, 1] > 0).astype(np.int64)
+    cfg = MlpConfig(hidden_sizes=(6, 5), hidden_activation=activation, epochs=4,
+                    batch_size=16, learning_rate=0.05)  # 16 does not divide 50
+    got = mlp_train(cfg, x, y, 11)
+
+    weights, biases, order = init_params(cfg, x.shape[1], 11)
+    model = MlpModel(weights=weights, biases=biases, config=cfg, seed=11)
+    m = [np.zeros_like(p) for p in weights + biases]
+    v = [np.zeros_like(p) for p in weights + biases]
+    t, losses = 0, []
+    for _ in range(cfg.epochs):
+        perm = order.permutation(len(x))
+        loss_sum = 0.0
+        for start in range(0, len(x), cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            acts = _forward_activations(model, x[idx])
+            loss_sum += cross_entropy(acts[-1], y[idx]) * idx.shape[0]
+            gw, gb = _gradients_from_activations(model, acts, y[idx])
+            t += 1
+            params, m, v = reference_adam_step(model.weights + model.biases, gw + gb, m, v, t, cfg.learning_rate)
+            model.weights, model.biases = params[: len(weights)], params[len(weights) :]
+        losses.append(loss_sum / len(x))
+    for a, b in zip(got.weights + got.biases, model.weights + model.biases):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got.loss_history, losses)
 
 
 def test_config_rejects_zero_epochs():

@@ -174,7 +174,7 @@ def test_model_round_trip_predictions(tmp_path, kind):
 
     rng = np.random.default_rng(9)
     probes = rng.normal(size=(100, 4))
-    want = classifier.apply(model, pre.transform(probes))
+    want = model.predict(pre.transform(probes))
     got = loaded.predict(probes)
     assert np.array_equal(got, want)
 
@@ -206,7 +206,7 @@ def test_model_round_trip_with_one_hot_columns(tmp_path, kind):
     absent = probes[:10].copy()
     absent[:, 1] = np.nan
     assert np.array_equal(pre.transform(probes[:10]), pre.transform(absent))  # all-zero indicators
-    assert np.array_equal(loaded.predict(probes), classifier.apply(model, pre.transform(probes)))
+    assert np.array_equal(loaded.predict(probes), model.predict(pre.transform(probes)))
 
     first = path.read_bytes()
     save_model(path, kind, loaded.model, loaded.preprocessor, names, config_fingerprint="fp", seed=7)
