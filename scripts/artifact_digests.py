@@ -27,21 +27,17 @@ all with that subdirectory as --workdir, the config and --seed:
 
 Prints ``config/name sha256`` for every artifact, sorted by name within
 each config, except the run sidecars, which hold timings. Two checkouts
-produced the same artifacts when their listings are equal. Save one
-checkout's listing, then check the other against it:
+produced the same artifacts when their outputs are equal:
 
     PYTHONPATH=src python3 scripts/artifact_digests.py --workdir a > a.txt
-    PYTHONPATH=src python3 scripts/artifact_digests.py --workdir b --against a.txt
+    diff a.txt b.txt
 
-With ``--against FILE`` the listing is not printed: a unified diff from
-FILE to it is, and the exit code is 1 when they differ, 0 when they are
-equal. The CLI's own output goes to stderr. Exits with the first failing
-step's exit code.
+The CLI's own output goes to stderr. Exits with the first failing step's
+exit code.
 """
 
 import argparse
 import contextlib
-import difflib
 import hashlib
 import shutil
 import sys
@@ -81,11 +77,8 @@ def run(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--sessions", type=int, default=60)
     parser.add_argument("--events-per-session", type=int, default=600)
-    parser.add_argument("--against", type=Path, metavar="FILE",
-                        help="compare the listing with a saved one: print a unified diff, exit 1 if they differ")
     args = parser.parse_args(argv)
 
-    listing = []
     for name, config in CONFIGS.items():
         workdir = args.workdir / name
         common = ["--workdir", str(workdir), "--seed", str(args.seed)]
@@ -101,15 +94,8 @@ def run(argv=None) -> int:
                 shutil.copy(workdir / "benchmark_report.json", workdir / "benchmark_report.holdout.json")
         for path in sorted(workdir.iterdir()):
             if path.is_file() and not path.name.endswith("run.json"):
-                listing.append(f"{name}/{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}\n")
-    if args.against is None:
-        sys.stdout.writelines(listing)
-        return 0
-    saved = args.against.read_text().splitlines(keepends=True)
-    diff = list(difflib.unified_diff(saved, listing, str(args.against), "this checkout"))
-    sys.stdout.writelines(diff)
-    print(f"listing {'differs from' if diff else 'matches'} {args.against}", file=sys.stderr)
-    return 1 if diff else 0
+                print(f"{name}/{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
+    return 0
 
 
 if __name__ == "__main__":

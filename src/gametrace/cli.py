@@ -283,7 +283,7 @@ def cmd_cv(cfg: RunConfig, kind: str) -> int:
 def cmd_evaluate(cfg: RunConfig, kind: str, model_file: Optional[Path]) -> int:
     wd = _workdir(cfg)
     path = _input_file(model_file or wd / f"model_{kind}.bin", "model container")
-    vars(lazy_module(kind))  # run the model's code before the arrays are read: a lower peak
+    vars(MODELS[kind].module)  # run the model's code before the arrays are read: a lower peak
     loaded = model_io.load_model(path)
     if loaded.kind != kind:
         raise DataError(f"container holds a {loaded.kind} model, not {kind}")

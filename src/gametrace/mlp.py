@@ -71,8 +71,8 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def _layer_outputs(model: MlpModel, x: np.ndarray) -> Iterator[np.ndarray]:
     """Each layer's activation in turn; the last one is the softmax output.
 
-    One loop for both paths: training keeps every activation for the
-    backward pass, prediction only the current one.
+    One loop for both paths: training keeps the input and every activation
+    for the backward pass, prediction only the current one.
     """
     a = x
     last = len(model.weights) - 1
@@ -81,11 +81,6 @@ def _layer_outputs(model: MlpModel, x: np.ndarray) -> Iterator[np.ndarray]:
         z += b
         a = _softmax(z) if layer == last else _activate_in_place(z, model.config.hidden_activation)
         yield a
-
-
-def _forward_activations(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
-    """The input, then every layer activation; last entry is the softmax output."""
-    return [x, *_layer_outputs(model, x)]
 
 
 def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -147,7 +142,7 @@ def mlp_backward(
         raise ShapeMismatchError("empty batch")
     if x.shape[0] != yv.shape[0]:
         raise ShapeMismatchError(f"batch {x.shape[0]} vs labels {yv.shape[0]}")
-    return _gradients_from_activations(model, _forward_activations(model, x), yv)
+    return _gradients_from_activations(model, [x, *_layer_outputs(model, x)], yv)
 
 
 @dataclass
@@ -169,17 +164,20 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[Sequence[np.ndarray], AdamState]:
+) -> None:
     """One Adam update with bias correction, written over ``params`` and
-    ``state``; t is the 1-based step index. Nothing changes when the
-    arguments are rejected."""
+    ``state``; t is the 1-based step index. Nothing is written when the
+    step is rejected: t below 1, params, grads and moments that differ in
+    count or shape, or a read-only parameter or moment."""
     if t < 1:
         raise ConfigError("adam step index t must be >= 1")
-    if len(params) != len(grads) or len(params) != len(state.m):
+    if len({len(params), len(grads), len(state.m), len(state.v)}) != 1:
         raise ShapeMismatchError("params, grads, and state must align")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeMismatchError(f"gradient {g.shape} vs parameter {p.shape}")
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        if not p.shape == g.shape == m.shape == v.shape:
+            raise ShapeMismatchError(f"gradient {g.shape}, moments {m.shape} {v.shape} vs parameter {p.shape}")
+    if not all(a.flags.writeable for a in (*params, *state.m, *state.v)):
+        raise ConfigError("adam_step writes over params and state, and one of them is read-only")
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -188,7 +186,6 @@ def adam_step(
         v *= beta2
         v += (1.0 - beta2) * (g * g)
         p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-    return params, state
 
 
 def init_params(
@@ -229,7 +226,7 @@ def mlp_train(config: MlpConfig, x: np.ndarray, y: np.ndarray, seed: int) -> Mlp
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             xb, yb = x[idx], y[idx]
-            acts = _forward_activations(model, xb)
+            acts = [xb, *_layer_outputs(model, xb)]
             loss_sum += cross_entropy(acts[-1], yb) * idx.shape[0]
             gw, gb = _gradients_from_activations(model, acts, yb)
             t += 1

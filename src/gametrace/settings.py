@@ -208,11 +208,11 @@ def check_tree_count(tree_count: int) -> None:
 
 class Classifier:
     """One model kind, listed in ``MODELS``; each is a dataclass whose fields
-    are its config section, range-checked when it is built. ``fit(x, y,
-    seed)`` returns a fitted model, whose own ``predict(x)`` gives its
-    labels, and ``to_container``/``from_container`` map one to its
-    container header section and arrays. Its ``folds`` and ``scale`` fields
-    set how it is evaluated."""
+    are its config section, range-checked when it is built, and ``module``
+    its model's lazy module. ``fit(x, y, seed)`` returns a fitted model,
+    whose own ``predict(x)`` gives its labels, and ``to_container`` and
+    ``from_container`` map one to its container header section and arrays.
+    Its ``folds`` and ``scale`` fields set how it is evaluated."""
 
 
 @dataclass(frozen=True)
@@ -340,3 +340,6 @@ MODELS: dict[str, type[Classifier]] = {
     "mlp": MlpClassifier,
     "forest": ForestClassifier,
 }
+# Set here, not in the class bodies: @dataclass looks at every class
+# attribute, and that would run a lazy module as its class is built.
+KnnClassifier.module, MlpClassifier.module, ForestClassifier.module = knn, mlp, forest

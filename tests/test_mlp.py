@@ -7,8 +7,8 @@ from gametrace.errors import ConfigError, ShapeMismatchError
 from gametrace.mlp import (
     AdamState,
     MlpModel,
-    _forward_activations,
     _gradients_from_activations,
+    _layer_outputs,
     adam_step,
     cross_entropy,
     init_params,
@@ -168,8 +168,8 @@ def test_adam_zero_gradient_keeps_parameters():
     grads = [np.zeros_like(p) for p in params]
     before = [p.copy() for p in params]  # the step writes over params
     state = AdamState.zeros_like(params)
-    new_params, _ = adam_step(params, grads, state, t=1, lr=0.001)
-    for p, q in zip(before, new_params):
+    adam_step(params, grads, state, t=1, lr=0.001)
+    for p, q in zip(before, params):
         assert np.array_equal(p, q)
 
 
@@ -177,10 +177,10 @@ def test_adam_first_step_magnitude():
     params = [np.zeros((2, 2))]
     grads = [np.ones((2, 2))]
     state = AdamState.zeros_like(params)
-    new_params, _ = adam_step(params, grads, state, t=1, lr=0.001)
+    adam_step(params, grads, state, t=1, lr=0.001)
     # bias-corrected m_hat = v_hat = 1, so the update is -lr / (1 + eps)
     expected = -0.001 / (1.0 + 1e-8)
-    assert np.allclose(new_params[0], expected, atol=1e-15)
+    assert np.allclose(params[0], expected, atol=1e-15)
 
 
 def test_adam_trajectory_matches_scalar_reference():
@@ -192,7 +192,7 @@ def test_adam_trajectory_matches_scalar_reference():
     state = AdamState.zeros_like(params)
     got = []
     for t, g in enumerate(grads_seq, start=1):
-        params, state = adam_step(params, [np.array([g])], state, t=t, lr=0.01)
+        adam_step(params, [np.array([g])], state, t=t, lr=0.01)
         got.append(float(params[0][0]))
     assert got == pytest.approx(want, abs=1e-14)
 
@@ -206,11 +206,28 @@ def test_adam_rejects_bad_t_and_shapes():
         adam_step(params, [np.zeros(3)], state, t=1, lr=0.1)
 
 
-def test_rejected_adam_step_changes_nothing():
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@pytest.mark.parametrize("case", ["gradient shape", "moment shape", "moment count", "read-only parameter"])
+def test_rejected_adam_step_changes_nothing(case):
+    # The last parameter is the one at fault, so a step that wrote as it
+    # went would already have changed the first one and its moments.
     params = [np.ones(2), np.ones(3)]
     state = AdamState.zeros_like(params)
-    with pytest.raises(ShapeMismatchError):  # the second gradient is the wrong shape
-        adam_step(params, [np.ones(2), np.ones(2)], state, t=1, lr=0.1)
+    grads = [np.ones(2), np.ones(3)]
+    if case == "gradient shape":
+        grads[1] = np.ones(2)
+    elif case == "moment shape":
+        state.v[1] = np.zeros(2)
+    elif case == "moment count":
+        state.m.pop()
+    else:
+        params[1] = _read_only(np.ones(3))
+    with pytest.raises(ConfigError if case == "read-only parameter" else ShapeMismatchError):
+        adam_step(params, grads, state, t=1, lr=0.1)
     assert [p.tolist() for p in params] == [[1.0] * 2, [1.0] * 3]
     assert not any(m.any() for m in state.m + state.v)
 
@@ -234,7 +251,7 @@ def test_training_matches_the_functional_adam_reference(activation):
         loss_sum = 0.0
         for start in range(0, len(x), cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            acts = _forward_activations(model, x[idx])
+            acts = [x[idx], *_layer_outputs(model, x[idx])]
             loss_sum += cross_entropy(acts[-1], y[idx]) * idx.shape[0]
             gw, gb = _gradients_from_activations(model, acts, y[idx])
             t += 1
@@ -310,7 +327,7 @@ def test_forward_is_bit_equal_to_the_training_pass(activation, hidden):
     cfg = MlpConfig(hidden_sizes=hidden, epochs=3, batch_size=32, hidden_activation=activation)
     model = mlp_train(cfg, x, y, 7)
     queries = np.vstack([x * 3.0, np.zeros((1, x.shape[1])), np.full((1, x.shape[1]), -40.0)])
-    acts = _forward_activations(model, queries)
+    acts = [queries, *_layer_outputs(model, queries)]
     assert len(acts) == len(hidden) + 2 and acts[0] is queries
     assert mlp_forward(model, queries).tobytes() == acts[-1].tobytes()
     assert np.array_equal(model.predict(queries), np.argmax(acts[-1], axis=1))
