@@ -327,15 +327,6 @@ class StreamingAggregator:
                 elif b is not None and (a is None or (b < a if kind == "first" else b > a)):
                     mine[i] = b
 
-    def compression_report(self, input_bytes: int, output_bytes: int) -> "CompressionReport":
-        """Size accounting for the finished run; call after the stream ends."""
-        return CompressionReport(
-            input_bytes=input_bytes,
-            output_bytes=output_bytes,
-            rows_in=self.events_in,
-            rows_out=len(self._groups),
-        )
-
     def finalize(self) -> FeatureMatrix:
         """Emit one row per group, sorted by (session_id, level_group rank)."""
         keys = sorted(self._groups, key=lambda k: (k[0], _GROUP_RANK[k[1]]))
@@ -375,32 +366,6 @@ def aggregate(
     agg = StreamingAggregator(specs)
     agg.update_all(events)
     return agg.finalize()
-
-
-@dataclass(frozen=True)
-class CompressionReport:
-    """Size accounting for one aggregation run."""
-
-    input_bytes: int
-    output_bytes: int
-    rows_in: int
-    rows_out: int
-
-    @property
-    def byte_ratio(self) -> Optional[float]:
-        if self.input_bytes <= 0:
-            return None
-        return self.output_bytes / self.input_bytes
-
-    def describe(self) -> str:
-        if self.byte_ratio is None:
-            ratio = "n/a (no input)"
-        else:
-            ratio = f"{100.0 * self.byte_ratio:.2f}%"
-        return (
-            f"rows {self.rows_in} -> {self.rows_out}; "
-            f"bytes {self.input_bytes} -> {self.output_bytes} ({ratio})"
-        )
 
 
 def _format_cell(v: Optional[float]) -> str:

@@ -2,9 +2,14 @@
 
 Subcommands: gen-synthetic, aggregate, select, train, cv, evaluate,
 benchmark, verify. Every knob lives in one JSON config file; command-line
-flags override config values, which override defaults. All output files
-embed the config fingerprint, and reruns with identical inputs and seeds
-produce identical bytes (runtimes live in separate .run.json sidecars).
+flags override config values, which override defaults. Each subcommand
+takes ``--config``, ``--workdir`` and ``--seed`` and only the other flags
+it reads; any other flag is a usage error.
+
+The stage modules return results; this module alone turns them into
+report payloads, stamps each with the config fingerprint and seed, and
+prints them. Reruns with identical inputs and seeds produce identical
+bytes (runtimes live in separate .run.json sidecars).
 
 Each command runs only the stages it calls: the stage modules are lazy
 handles, run at a command's first use of them, so ``aggregate`` and
@@ -55,48 +60,44 @@ class SystemExit_Usage(Exception):
     pass
 
 
+# Every flag but the three each command takes, declared once.
+_FLAGS = {
+    "--events": dict(type=Path, help="event CSV path"),
+    "--labels": dict(type=Path, help="label CSV path"),
+    "--sessions": dict(type=int),
+    "--events-per-session": dict(type=int),
+    "--model": dict(choices=tuple(MODELS), required=True),
+    "--model-file": dict(type=Path),
+    "--protocol": dict(choices=PROTOCOLS),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gametrace", description="Gameplay event-log learning pipeline")
     parser.add_argument("--version", action="version", version=f"gametrace {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", type=Path, default=None, help="JSON run config")
-        p.add_argument("--workdir", type=Path, default=None, help="artifact directory")
-        p.add_argument("--events", type=Path, default=None, help="event CSV path")
-        p.add_argument("--labels", type=Path, default=None, help="label CSV path")
-        p.add_argument("--seed", type=int, default=None)
+    def command(name, run, help, *flags):
+        # No abbreviations: ``gen-synthetic --events`` would be read as
+        # ``--events-per-session`` instead of being refused.
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(run=run)
+        p.add_argument("--config", type=Path, help="JSON run config")
+        p.add_argument("--workdir", type=Path, help="artifact directory")
+        p.add_argument("--seed", type=int)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
 
-    p = sub.add_parser("gen-synthetic", help="generate a seeded synthetic corpus")
-    common(p)
-    p.add_argument("--sessions", type=int, default=None)
-    p.add_argument("--events-per-session", type=int, default=None)
-
-    p = sub.add_parser("aggregate", help="aggregate events into per-group features")
-    common(p)
-
-    p = sub.add_parser("select", help="score and select features")
-    common(p)
-
-    p = sub.add_parser("train", help="train one model on the holdout train side")
-    common(p)
-    p.add_argument("--model", choices=tuple(MODELS), required=True)
-
-    p = sub.add_parser("cv", help="cross-validate one model")
-    common(p)
-    p.add_argument("--model", choices=tuple(MODELS), required=True)
-
-    p = sub.add_parser("evaluate", help="evaluate a trained container on the holdout test side")
-    common(p)
-    p.add_argument("--model", choices=tuple(MODELS), required=True)
-    p.add_argument("--model-file", type=Path, default=None)
-
-    p = sub.add_parser("benchmark", help="run every model under its protocol")
-    common(p)
-    p.add_argument("--protocol", choices=PROTOCOLS, default=None)
-
-    p = sub.add_parser("verify", help="check fingerprint consistency of artifacts")
-    common(p)
+    command("gen-synthetic", cmd_gen_synthetic, "generate a seeded synthetic corpus",
+            "--sessions", "--events-per-session")
+    command("aggregate", cmd_aggregate, "aggregate events into per-group features", "--events")
+    command("select", cmd_select, "score and select features", "--labels")
+    command("train", cmd_train, "train one model on the holdout train side", "--labels", "--model")
+    command("cv", cmd_cv, "cross-validate one model", "--labels", "--model")
+    command("evaluate", cmd_evaluate, "evaluate a trained container on the holdout test side",
+            "--labels", "--model", "--model-file")
+    command("benchmark", cmd_benchmark, "run every model under its protocol", "--labels", "--protocol")
+    command("verify", cmd_verify, "check fingerprint consistency of artifacts")
     return parser
 
 
@@ -109,8 +110,8 @@ def _resolve_config(args) -> RunConfig:
     opt = vars(args).get  # flags only some subcommands have
     overrides = given(
         workdir=args.workdir or os.environ.get("GAMETRACE_WORKDIR"),
-        events_path=args.events,
-        labels_path=args.labels,
+        events_path=opt("events"),
+        labels_path=opt("labels"),
         seed=args.seed,
         protocol=opt("protocol"),
         synth=given(sessions=opt("sessions"), events_per_session=opt("events_per_session")) or None,
@@ -138,20 +139,17 @@ def _write_json(path: Path, payload: dict) -> None:
         sink.write("\n")
 
 
+def _write_stamped(path: Path, cfg: RunConfig, payload: dict) -> None:
+    """``payload`` with the config fingerprint and seed that produced it."""
+    _write_json(path, {**payload, "config_fingerprint": cfg.fingerprint(), "seed": cfg.seed})
+
+
 def _write_run_metadata(path: Path, cfg: RunConfig, runtime: float) -> None:
     # Non-deterministic facts live here, never in the comparable reports.
-    _write_json(
-        path,
-        {
-            "config_fingerprint": cfg.fingerprint(),
-            "seed": cfg.seed,
-            "runtime_seconds": runtime,
-            "unix_time": time.time(),
-        },
-    )
+    _write_stamped(path, cfg, {"runtime_seconds": runtime, "unix_time": time.time()})
 
 
-def cmd_gen_synthetic(cfg: RunConfig) -> int:
+def cmd_gen_synthetic(cfg: RunConfig, args) -> int:
     wd = _workdir(cfg)
     result = synth.generate(cfg.synth, wd, cfg.seed)
     print(
@@ -164,7 +162,7 @@ def cmd_gen_synthetic(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_aggregate(cfg: RunConfig) -> int:
+def cmd_aggregate(cfg: RunConfig, args) -> int:
     wd = _workdir(cfg)
     events_path = _input_file(Path(cfg.events_path or wd / "events.csv"), "event file")
     report = IngestReport()
@@ -180,25 +178,27 @@ def cmd_aggregate(cfg: RunConfig) -> int:
             matrix, csv_sink, meta_sink, config_fingerprint=cfg.fingerprint(), seed=cfg.seed
         )
 
-    out_bytes = features_csv.stat().st_size + features_meta.stat().st_size
-    compression = agg.compression_report(
-        input_bytes=events_path.stat().st_size, output_bytes=out_bytes
-    )
-    _write_json(
+    # read_events rejects an empty file, so input_bytes > 0
+    input_bytes = events_path.stat().st_size
+    output_bytes = features_csv.stat().st_size + features_meta.stat().st_size
+    byte_ratio = output_bytes / input_bytes
+    _write_stamped(
         wd / "aggregate_report.json",
+        cfg,
         {
-            "config_fingerprint": cfg.fingerprint(),
-            "seed": cfg.seed,
-            "input_bytes": compression.input_bytes,
-            "output_bytes": compression.output_bytes,
-            "rows_in": compression.rows_in,
-            "rows_out": compression.rows_out,
-            "byte_ratio": compression.byte_ratio,
+            "input_bytes": input_bytes,
+            "output_bytes": output_bytes,
+            "rows_in": agg.events_in,
+            "rows_out": len(matrix.rows),
+            "byte_ratio": byte_ratio,
             "rows_skipped": report.rows_skipped,
             "consistency_violations": report.consistency_violations,
         },
     )
-    print(f"aggregated: {compression.describe()}")
+    print(
+        f"aggregated: rows {agg.events_in} -> {len(matrix.rows)}; "
+        f"bytes {input_bytes} -> {output_bytes} ({100.0 * byte_ratio:.2f}%)"
+    )
     if report.rows_skipped:
         by_column = ", ".join(f"{c} {n}" for c, n in sorted(report.errors_by_column.items()))
         print(f"skipped {report.rows_skipped} malformed row(s): {by_column}", file=sys.stderr)
@@ -218,7 +218,7 @@ def _load_joined(cfg: RunConfig) -> tuple[dataset.LabeledDataset, int]:
     return dataset.join(matrix, labels, cfg.question_groups)
 
 
-def cmd_select(cfg: RunConfig) -> int:
+def cmd_select(cfg: RunConfig, args) -> int:
     wd = _workdir(cfg)
     ds, dropped = _load_joined(cfg)
     x, _ = dataset.impute_mean(ds.x, feature_names=ds.feature_names)
@@ -234,7 +234,8 @@ def cmd_select(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_train(cfg: RunConfig, kind: str) -> int:
+def cmd_train(cfg: RunConfig, args) -> int:
+    kind = args.model
     wd = _workdir(cfg)
     ds, _ = _load_joined(cfg)
     classifier = getattr(cfg, kind)
@@ -260,17 +261,14 @@ def cmd_train(cfg: RunConfig, kind: str) -> int:
     return EXIT_OK
 
 
-def cmd_cv(cfg: RunConfig, kind: str) -> int:
+def cmd_cv(cfg: RunConfig, args) -> int:
+    kind = args.model
     wd = _workdir(cfg)
     ds, _ = _load_joined(cfg)
     classifier = getattr(cfg, kind)
     started = time.perf_counter()
-    report = evaluation.cross_validate(
-        classifier, ds, cfg.split, cfg.seed, model_name=kind, config_fingerprint=cfg.fingerprint()
-    )
-    payload = report.to_dict()
-    payload["seed"] = cfg.seed
-    _write_json(wd / f"cv_{kind}.json", payload)
+    report = evaluation.cross_validate(classifier, ds, cfg.split, cfg.seed, model_name=kind)
+    _write_stamped(wd / f"cv_{kind}.json", cfg, report.to_dict())
     _write_run_metadata(wd / f"cv_{kind}.run.json", cfg, time.perf_counter() - started)
     with open(wd / f"folds_{kind}.tsv", "w") as sink:
         dataset.export_fold_assignments(ds, report.test_rows, sink)
@@ -280,9 +278,10 @@ def cmd_cv(cfg: RunConfig, kind: str) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(cfg: RunConfig, kind: str, model_file: Optional[Path]) -> int:
+def cmd_evaluate(cfg: RunConfig, args) -> int:
+    kind = args.model
     wd = _workdir(cfg)
-    path = _input_file(model_file or wd / f"model_{kind}.bin", "model container")
+    path = _input_file(args.model_file or wd / f"model_{kind}.bin", "model container")
     vars(MODELS[kind].module)  # run the model's code before the arrays are read: a lower peak
     loaded = model_io.load_model(path)
     if loaded.kind != kind:
@@ -299,38 +298,54 @@ def cmd_evaluate(cfg: RunConfig, kind: str, model_file: Optional[Path]) -> int:
     payload = {
         "model": kind,
         "protocol": f"holdout-{cfg.split.test_fraction:g}",
-        "seed": cfg.seed,
         "f1": result.f1,
         "accuracy": result.accuracy,
         "confusion": asdict(result.confusion),
-        "config_fingerprint": cfg.fingerprint(),
         "model_fingerprint": loaded.header.get("config_fingerprint", ""),
     }
-    _write_json(wd / f"eval_{kind}.json", payload)
+    _write_stamped(wd / f"eval_{kind}.json", cfg, payload)
     _write_run_metadata(wd / f"eval_{kind}.run.json", cfg, time.perf_counter() - started)
     print(f"{kind} holdout: f1={result.f1:.4f} accuracy={result.accuracy:.4f} on {len(test)} rows")
     return EXIT_OK
 
 
-def cmd_benchmark(cfg: RunConfig) -> int:
+# The published literature baseline, shown beside the computed rows and
+# never computed by this pipeline.
+REFERENCE_ROW = {"model": "french_touch", "f1": 0.72, "accuracy": None, "source": "literature",
+                 "protocol": "reported"}
+
+
+def _table(rows: list[dict]) -> str:
+    header = f"{'model':<16}{'f1':>8}{'accuracy':>10}  {'protocol':<14}{'source'}"
+    lines = [header, "-" * len(header)]
+    for r in rows:
+        f1, acc = ("n/a" if v is None else f"{v:.4f}" for v in (r["f1"], r["accuracy"]))
+        lines.append(f"{r['model']:<16}{f1:>8}{acc:>10}  {r['protocol']:<14}{r['source']}")
+    return "\n".join(lines)
+
+
+def cmd_benchmark(cfg: RunConfig, args) -> int:
     wd = _workdir(cfg)
     ds, _ = _load_joined(cfg)
     started = time.perf_counter()
-    result = evaluation.benchmark(
-        {kind: getattr(cfg, kind) for kind in MODELS},
-        ds,
-        cfg.split,
-        cfg.seed,
-        protocol=cfg.protocol,
-        config_fingerprint=cfg.fingerprint(),
+    reports = evaluation.benchmark(
+        {kind: getattr(cfg, kind) for kind in MODELS}, ds, cfg.split, cfg.seed, protocol=cfg.protocol
     )
-    payload = result.to_dict()
-    payload["seed"] = cfg.seed
-    payload["config"] = cfg.fingerprint_payload()
-    payload["majority_baseline_f1"] = evaluation.majority_baseline_f1(ds.y)
-    _write_json(wd / "benchmark_report.json", payload)
+    rows = [
+        {"model": r.model_name, "f1": r.mean_f1, "accuracy": r.mean_accuracy, "source": "computed",
+         "protocol": r.protocol}
+        for r in reports
+    ]
+    rows.append(REFERENCE_ROW)
+    payload = {
+        "rows": rows,
+        "reports": [{**r.to_dict(), "config_fingerprint": cfg.fingerprint()} for r in reports],
+        "config": cfg.fingerprint_payload(),
+        "majority_baseline_f1": evaluation.majority_baseline_f1(ds.y),
+    }
+    _write_stamped(wd / "benchmark_report.json", cfg, payload)
     _write_run_metadata(wd / "benchmark_run.json", cfg, time.perf_counter() - started)
-    print(result.render())
+    print(_table(rows))
     print(f"report: {wd / 'benchmark_report.json'}")
     return EXIT_OK
 
@@ -361,7 +376,7 @@ def _artifact_fingerprints(wd: Path) -> dict[str, str]:
     }
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig, args) -> int:
     wd = _workdir(cfg)
     expected = cfg.fingerprint()
     found = _artifact_fingerprints(wd)
@@ -386,24 +401,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        cfg = _resolve_config(args)
-        if args.command == "gen-synthetic":
-            return cmd_gen_synthetic(cfg)
-        if args.command == "aggregate":
-            return cmd_aggregate(cfg)
-        if args.command == "select":
-            return cmd_select(cfg)
-        if args.command == "train":
-            return cmd_train(cfg, args.model)
-        if args.command == "cv":
-            return cmd_cv(cfg, args.model)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.model, args.model_file)
-        if args.command == "benchmark":
-            return cmd_benchmark(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(_resolve_config(args), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,4 +1,4 @@
-"""Classification metrics, cross-validation, and the model comparison table.
+"""Classification metrics, cross-validation and the model benchmark.
 
 The positive class is "answered correctly" (label 1). Preprocessing (mean
 imputation, optional standardization, one-hot) is re-fit inside every
@@ -6,13 +6,17 @@ training fold so no validation statistic leaks into a fit. Every fold fit of
 one call runs as a task in one fork process pool sized from the CPUs this
 process may use; results are assembled by task index, so reports do not
 depend on the worker count or the evaluation order.
+
+``cross_validate`` and ``benchmark`` return ``EvalReport`` objects; the CLI
+turns them into report files, stamps each with the config fingerprint and
+seed, and renders the benchmark table.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,10 +28,6 @@ from .settings import MODELS, Classifier, SplitPlan, check_protocol
 # The model sections are declared in ``settings``, which runs no numpy;
 # perfbench/traced_cli.py wraps their ``fit`` under these names.
 KnnClassifier, MlpClassifier, ForestClassifier = MODELS.values()
-
-# Published literature baseline reported alongside computed results; never
-# computed by this pipeline.
-REFERENCE_ROWS = (("french_touch", 0.72, None),)
 
 
 @dataclass(frozen=True)
@@ -41,24 +41,32 @@ class ConfusionCounts:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
+    @property
+    def accuracy(self) -> float:
+        return (self.tp + self.tn) / self.total
+
+    @property
+    def f1(self) -> float:
+        """Positive-class F1; an undefined precision or recall counts as 0."""
+        precision = self.tp / (self.tp + self.fp) if self.tp + self.fp > 0 else 0.0
+        recall = self.tp / (self.tp + self.fn) if self.tp + self.fn > 0 else 0.0
+        if precision + recall == 0.0:
+            return 0.0
+        return 2.0 * precision * recall / (precision + recall)
+
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
         return ConfusionCounts(
             self.tp + other.tp, self.fp + other.fp, self.tn + other.tn, self.fn + other.fn
         )
 
 
-def _check_lengths(pred, truth) -> tuple[np.ndarray, np.ndarray]:
+def confusion_counts(pred, truth) -> ConfusionCounts:
     p = np.asarray(pred, dtype=np.int64)
     t = np.asarray(truth, dtype=np.int64)
     if p.shape != t.shape or p.ndim != 1:
         raise LengthMismatchError(p.shape[0] if p.ndim == 1 else -1, t.shape[0] if t.ndim == 1 else -1)
     if p.shape[0] == 0:
         raise LengthMismatchError(0, 0)
-    return p, t
-
-
-def confusion_counts(pred, truth) -> ConfusionCounts:
-    p, t = _check_lengths(pred, truth)
     pos_p = p == 1
     pos_t = t == 1
     return ConfusionCounts(
@@ -67,21 +75,6 @@ def confusion_counts(pred, truth) -> ConfusionCounts:
         tn=int((~pos_p & ~pos_t).sum()),
         fn=int((~pos_p & pos_t).sum()),
     )
-
-
-def accuracy(pred, truth) -> float:
-    p, t = _check_lengths(pred, truth)
-    return float((p == t).mean())
-
-
-def f1(pred, truth) -> float:
-    """Positive-class F1; an undefined precision or recall counts as 0."""
-    c = confusion_counts(pred, truth)
-    precision = c.tp / (c.tp + c.fp) if c.tp + c.fp > 0 else 0.0
-    recall = c.tp / (c.tp + c.fn) if c.tp + c.fn > 0 else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
 
 
 def majority_baseline_f1(y: Sequence[int]) -> float:
@@ -104,7 +97,8 @@ class FoldResult:
 
     @classmethod
     def of(cls, fold: int, pred, truth) -> "FoldResult":
-        return cls(fold, f1(pred, truth), accuracy(pred, truth), confusion_counts(pred, truth))
+        confusion = confusion_counts(pred, truth)
+        return cls(fold, confusion.f1, confusion.accuracy, confusion)
 
 
 @dataclass
@@ -115,7 +109,6 @@ class EvalReport:
     mean_f1: float
     mean_accuracy: float
     confusion_total: ConfusionCounts
-    config_fingerprint: str = ""
     # Each fold's test row indices, in fold order: what the folds were
     # planned as. Not part of the payload.
     test_rows: list[np.ndarray] = field(default_factory=list, compare=False, repr=False)
@@ -130,7 +123,6 @@ class EvalReport:
             "mean_f1": self.mean_f1,
             "mean_accuracy": self.mean_accuracy,
             "confusion_total": asdict(self.confusion_total),
-            "config_fingerprint": self.config_fingerprint,
         }
 
 
@@ -178,7 +170,7 @@ def _fold_task(jobs: list[_Job], task: tuple[int, int]) -> FoldResult:
         raise
 
 
-def _run(jobs: list[_Job], config_fingerprint: str) -> list[EvalReport]:
+def _run(jobs: list[_Job]) -> list[EvalReport]:
     """One EvalReport per job, its folds in fold order.
 
     The tasks run in one fork pool (``pool.fork_map``), each worker a fork of
@@ -199,7 +191,6 @@ def _run(jobs: list[_Job], config_fingerprint: str) -> list[EvalReport]:
             mean_f1=float(np.mean([fr.f1 for fr in folds])),
             mean_accuracy=float(np.mean([fr.accuracy for fr in folds])),
             confusion_total=sum((fr.confusion for fr in folds[1:]), folds[0].confusion),
-            config_fingerprint=config_fingerprint,
             test_rows=[test for _, test in job.folds],
         )
         for job, folds in zip(jobs, by_job)
@@ -212,42 +203,9 @@ def cross_validate(
     plan: SplitPlan,
     seed: int,
     model_name: str = "model",
-    config_fingerprint: str = "",
 ) -> EvalReport:
     """Evaluation on the classifier's ``folds`` folds, preprocessing re-fit in each."""
-    return _run([_plan(classifier, dataset, plan, seed, model_name, "cv")], config_fingerprint)[0]
-
-
-@dataclass
-class BenchmarkRow:
-    model: str
-    f1: Optional[float]
-    accuracy: Optional[float]
-    source: str  # "computed" or "literature"
-    protocol: str
-
-
-@dataclass
-class BenchmarkResult:
-    rows: list[BenchmarkRow]
-    reports: list[EvalReport] = field(default_factory=list)
-    config_fingerprint: str = ""
-
-    def render(self) -> str:
-        header = f"{'model':<16}{'f1':>8}{'accuracy':>10}  {'protocol':<14}{'source'}"
-        lines = [header, "-" * len(header)]
-        for r in self.rows:
-            f1s = f"{r.f1:.4f}" if r.f1 is not None else "n/a"
-            acc = f"{r.accuracy:.4f}" if r.accuracy is not None else "n/a"
-            lines.append(f"{r.model:<16}{f1s:>8}{acc:>10}  {r.protocol:<14}{r.source}")
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [asdict(r) for r in self.rows],
-            "reports": [rep.to_dict() for rep in self.reports],
-            "config_fingerprint": self.config_fingerprint,
-        }
+    return _run([_plan(classifier, dataset, plan, seed, model_name, "cv")])[0]
 
 
 def benchmark(
@@ -256,9 +214,9 @@ def benchmark(
     plan: SplitPlan,
     seed: int,
     protocol: str = "cv",
-    config_fingerprint: str = "",
-) -> BenchmarkResult:
-    """Evaluate every model under its own fold count, plus the reference row.
+) -> list[EvalReport]:
+    """One EvalReport per model, in ``models`` order, each under the model's
+    own fold count.
 
     ``models`` maps a kind in ``MODELS`` to that kind's classifier. The folds
     of every model are planned first, then all run as the tasks of one pool.
@@ -273,12 +231,6 @@ def benchmark(
         except TooFewRowsError:
             # Run model by model, the folds of the models before this one
             # would fit first, so a failing fold among them is the error.
-            _run(jobs, config_fingerprint)
+            _run(jobs)
             raise
-    reports = _run(jobs, config_fingerprint)
-    rows = [
-        BenchmarkRow(r.model_name, r.mean_f1, r.mean_accuracy, "computed", r.protocol) for r in reports
-    ]
-    for name, ref_f1, ref_acc in REFERENCE_ROWS:
-        rows.append(BenchmarkRow(name, ref_f1, ref_acc, "literature", "reported"))
-    return BenchmarkResult(rows=rows, reports=reports, config_fingerprint=config_fingerprint)
+    return _run(jobs)

@@ -332,11 +332,8 @@ def read_labels(source: IO[str]) -> list[LabelRecord]:
     return records
 
 
-def write_labels(sink: IO[str], labels: Iterable[LabelRecord]) -> int:
+def write_labels(sink: IO[str], labels: Iterable[LabelRecord]) -> None:
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(LABEL_COLUMNS)
-    n = 0
     for rec in labels:
         writer.writerow([rec.session_id, rec.question, int(rec.correct)])
-        n += 1
-    return n

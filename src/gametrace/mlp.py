@@ -18,6 +18,9 @@ from .errors import ConfigError, NumericalError, ShapeMismatchError
 from .settings import MlpConfig
 
 LOG_FLOOR = 1e-12
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -161,9 +164,6 @@ def adam_step(
     state: AdamState,
     t: int,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """One Adam update with bias correction, written over ``params`` and
     ``state``; t is the 1-based step index. Nothing is written when the
@@ -178,14 +178,14 @@ def adam_step(
             raise ShapeMismatchError(f"gradient {g.shape}, moments {m.shape} {v.shape} vs parameter {p.shape}")
     if not all(a.flags.writeable for a in (*params, *state.m, *state.v)):
         raise ConfigError("adam_step writes over params and state, and one of them is read-only")
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def init_params(

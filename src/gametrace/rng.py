@@ -57,10 +57,6 @@ class Xoshiro256StarStar:
         self._s = [s0, s1, s2, s3]
         return result
 
-    def random(self) -> float:
-        # 53-bit mantissa convention: uniform on [0, 1)
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
-
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection (no modulo bias)."""
         if n <= 0:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from gametrace.aggregation import (
     DEFAULT_SPECS,
     AggregatorSpec,
-    CompressionReport,
     StreamingAggregator,
     _BUFFER,
     aggregate,
@@ -290,17 +289,6 @@ def test_music_max_means_music_ever_on():
     evs = [make_event(index=0, music=0), make_event(index=1, music=1)]
     m = aggregate(evs, [AggregatorSpec("music", "max")])
     assert m.rows[0].values == (1.0,)
-
-
-def test_compression_report_empty_is_not_applicable():
-    report = CompressionReport(input_bytes=0, output_bytes=0, rows_in=0, rows_out=0)
-    assert report.byte_ratio is None
-    assert "n/a" in report.describe()
-
-
-def test_compression_report_ratio():
-    report = CompressionReport(input_bytes=1000, output_bytes=40, rows_in=100, rows_out=6)
-    assert report.byte_ratio == pytest.approx(0.04)
 
 
 def test_default_specs_are_the_selected_eleven():

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import events_csv
+from gametrace import cli
 from gametrace.cli import _build_parser, main
 from gametrace.config import RunConfig, load_config
 from gametrace.errors import ConfigError
@@ -126,6 +127,37 @@ def test_k_above_training_rows_exits_1_in_train_and_cv(pipeline_dir, tmp_path, c
     assert "fold 0: k=100000 exceeds" in capsys.readouterr().err
 
 
+# command -> a value for each flag it reads besides --config, --workdir and --seed
+COMMAND_FLAGS = {
+    "gen-synthetic": {"--sessions": "3", "--events-per-session": "50"},
+    "aggregate": {"--events": "events.csv"},
+    "select": {"--labels": "labels.csv"},
+    "train": {"--labels": "labels.csv", "--model": "knn"},
+    "cv": {"--labels": "labels.csv", "--model": "knn"},
+    "evaluate": {"--labels": "labels.csv", "--model": "knn", "--model-file": "model.bin"},
+    "benchmark": {"--labels": "labels.csv", "--protocol": "holdout"},
+    "verify": {},
+}
+ALL_FLAGS = {flag: value for flags in COMMAND_FLAGS.values() for flag, value in flags.items()}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_each_command_takes_only_the_flags_it_reads(command, tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text("{}")
+    flags = {"--config": str(tmp_path / "cfg.json"), "--workdir": str(tmp_path), "--seed": "7",
+             **COMMAND_FLAGS[command]}
+    argv = [command, *(part for item in flags.items() for part in item)]
+    args = _build_parser().parse_args(argv)
+    assert args.run is getattr(cli, "cmd_" + command.replace("-", "_"))
+    for flag, value in flags.items():
+        assert str(getattr(args, flag[2:].replace("-", "_"))) == value
+    for flag in ALL_FLAGS.keys() - flags.keys():
+        capsys.readouterr()
+        assert run(*argv, flag, ALL_FLAGS[flag]) == 1, flag
+        assert f"unrecognized arguments: {flag} {ALL_FLAGS[flag]}" in capsys.readouterr().err
+    assert not (tmp_path / "events.csv").exists()  # no command ran
+
+
 @pytest.mark.parametrize("command", ["train", "cv", "evaluate"])
 def test_model_choices_are_the_registry(command):
     parser = _build_parser()
@@ -146,12 +178,20 @@ def test_aggregate_row_count_matches_manifest(pipeline_dir):
     assert report["rows_out"] == len(manifest["true_aggregates"])
     assert report["rows_in"] == manifest["events_written"]
     assert report["rows_skipped"] == 0
+    assert report["input_bytes"] == (pipeline_dir / "events.csv").stat().st_size
+    assert report["byte_ratio"] == report["output_bytes"] / report["input_bytes"]
 
 
-def test_aggregate_rerun_is_byte_identical(pipeline_dir):
+def test_aggregate_rerun_is_byte_identical(pipeline_dir, capsys):
     features = (pipeline_dir / "features.csv").read_bytes()
     meta = (pipeline_dir / "features.meta.json").read_bytes()
+    capsys.readouterr()
     assert run("aggregate", "--workdir", str(pipeline_dir)) == 0
+    r = json.loads((pipeline_dir / "aggregate_report.json").read_text())
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"aggregated: rows {r['rows_in']} -> {r['rows_out']}; "
+        f"bytes {r['input_bytes']} -> {r['output_bytes']} ({100.0 * r['byte_ratio']:.2f}%)"
+    )
     assert (pipeline_dir / "features.csv").read_bytes() == features
     assert (pipeline_dir / "features.meta.json").read_bytes() == meta
 
@@ -616,18 +656,29 @@ def test_cv_plans_its_folds_once(pipeline_dir, monkeypatch):
     assert sorted({line.split("\t")[0] for line in folds}) == [str(f) for f in range(5)]
 
 
-def test_benchmark_emits_three_computed_plus_reference(pipeline_dir):
+def test_benchmark_emits_three_computed_plus_reference(pipeline_dir, capsys):
+    capsys.readouterr()
     assert run("benchmark", "--workdir", str(pipeline_dir)) == 0
     payload = json.loads((pipeline_dir / "benchmark_report.json").read_text())
     rows = payload["rows"]
     assert len(rows) == 4
-    computed = [r for r in rows if r["source"] == "computed"]
-    assert {r["model"] for r in computed} == {"knn", "mlp", "forest"}
-    ref = [r for r in rows if r["source"] == "literature"]
-    assert ref == [{"model": "french_touch", "f1": 0.72, "accuracy": None,
-                    "source": "literature", "protocol": "reported"}]
+    computed = rows[:3]
+    assert [r["model"] for r in computed] == list(MODELS)
+    assert {r["source"] for r in computed} == {"computed"}
+    assert rows[3] == {"model": "french_touch", "f1": 0.72, "accuracy": None,
+                       "source": "literature", "protocol": "reported"}
     protocols = {r["model"]: r["protocol"] for r in computed}
     assert protocols == {"knn": "cv-10", "mlp": "cv-5", "forest": "cv-5"}
+    fingerprint = RunConfig().fingerprint()
+    assert payload["config_fingerprint"] == fingerprint and payload["seed"] == 42
+    for row, report in zip(computed, payload["reports"], strict=True):
+        assert report["config_fingerprint"] == fingerprint
+        assert (report["model"], report["mean_f1"], report["protocol"]) == (row["model"], row["f1"], row["protocol"])
+    table = capsys.readouterr().out.splitlines()
+    assert table[0] == "model                 f1  accuracy  protocol      source"
+    assert table[1] == "-" * len(table[0])
+    assert table[2].startswith(f"knn             {rows[0]['f1']:8.4f}{rows[0]['accuracy']:10.4f}  cv-10 ")
+    assert table[5] == "french_touch      0.7200       n/a  reported      literature"
     config = payload["config"]
     assert config["knn"]["k"] == 5
     assert config["forest"]["trees"] == 100

@@ -12,50 +12,57 @@ from gametrace import pool
 from gametrace.dataset import LabeledDataset, kfold_indices
 from gametrace.errors import ConfigError, LengthMismatchError
 from gametrace.evaluation import (
-    REFERENCE_ROWS,
     ConfusionCounts,
-    accuracy,
     benchmark,
     confusion_counts,
     cross_validate,
-    f1,
     majority_baseline_f1,
 )
 from gametrace.settings import ForestClassifier, KnnClassifier, MlpClassifier, SplitPlan
 
 
 def test_accuracy_all_correct():
-    assert accuracy([1, 0, 1], [1, 0, 1]) == 1.0
+    assert confusion_counts([1, 0, 1], [1, 0, 1]).accuracy == 1.0
 
 
 def test_accuracy_all_wrong():
-    assert accuracy([1, 1, 1], [0, 0, 0]) == 0.0
+    assert confusion_counts([1, 1, 1], [0, 0, 0]).accuracy == 0.0
 
 
 def test_accuracy_three_of_four():
-    assert accuracy([1, 1, 0, 0], [1, 1, 1, 0]) == 0.75
+    assert confusion_counts([1, 1, 0, 0], [1, 1, 1, 0]).accuracy == 0.75
 
 
 def test_accuracy_length_mismatch():
     with pytest.raises(LengthMismatchError):
-        accuracy([1], [1, 0])
+        confusion_counts([1], [1, 0])
     with pytest.raises(LengthMismatchError):
-        accuracy([], [])
+        confusion_counts([], [])
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=300))
+@settings(max_examples=300, deadline=None)
+def test_accuracy_is_bit_equal_to_the_mean_of_matches(pairs):
+    # The mean of the match vector, as the accuracy was computed before it
+    # was read off the confusion counts, is the oracle.
+    pred, truth = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+    oracle = float((pred == truth).mean())
+    assert confusion_counts(pred, truth).accuracy.hex() == oracle.hex()
 
 
 def test_f1_perfect():
-    assert f1([1, 0, 1], [1, 0, 1]) == 1.0
+    assert confusion_counts([1, 0, 1], [1, 0, 1]).f1 == 1.0
 
 
 def test_f1_no_positive_predictions_is_zero():
-    assert f1([0, 0, 0], [1, 1, 0]) == 0.0
+    assert confusion_counts([0, 0, 0], [1, 1, 0]).f1 == 0.0
 
 
 def test_f1_formula_case():
     # tp=3, fp=1, fn=2: precision 0.75, recall 0.6
     pred = [1, 1, 1, 1, 0, 0, 0]
     truth = [1, 1, 1, 0, 1, 1, 0]
-    assert f1(pred, truth) == pytest.approx(0.6667, abs=1e-4)
+    assert confusion_counts(pred, truth).f1 == pytest.approx(0.6667, abs=1e-4)
 
 
 def test_confusion_counts_sum_to_total():
@@ -70,7 +77,8 @@ def test_accuracy_complement_property():
     rng = np.random.default_rng(0)
     pred = rng.integers(0, 2, size=50)
     truth = rng.integers(0, 2, size=50)
-    assert accuracy(pred, truth) == pytest.approx(1.0 - accuracy(1 - pred, truth))
+    accuracy = confusion_counts(pred, truth).accuracy
+    assert accuracy == pytest.approx(1.0 - confusion_counts(1 - pred, truth).accuracy)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -81,7 +89,7 @@ def test_f1_permutation_invariance(seed):
     pred = rng.integers(0, 2, size=n)
     truth = rng.integers(0, 2, size=n)
     order = rng.permutation(n)
-    assert f1(pred, truth) == f1(pred[order], truth[order])
+    assert confusion_counts(pred, truth).f1 == confusion_counts(pred[order], truth[order]).f1
 
 
 def test_majority_baseline_f1_analytic():
@@ -176,11 +184,10 @@ def test_cross_validate_annotates_fold_errors():
 
 def test_holdout_evaluate_reports_single_fold():
     ds = balanced_dataset(100, seed=5)
-    result = benchmark(
+    (report,) = benchmark(
         {"knn": KnnClassifier(k=3, folds=5)}, ds, SplitPlan(test_fraction=0.2, grouping="by_row"), 4,
         protocol="holdout",
     )
-    (report,) = result.reports
     assert report.protocol == "holdout-0.2"
     assert len(report.folds) == 1
     assert report.confusion_total.total == 20
@@ -192,19 +199,6 @@ def test_benchmark_empty_model_list_rejected():
         benchmark([], ds, SplitPlan(), 42)
 
 
-def test_benchmark_table_has_reference_row():
-    ds = balanced_dataset(80, seed=6)
-    specs = {"knn": KnnClassifier(k=3, folds=5), "forest": ForestClassifier(trees=5)}
-    result = benchmark(specs, ds, SplitPlan(grouping="by_row"), 1)
-    assert len(result.rows) == len(specs) + 1
-    ref = result.rows[-1]
-    assert ref.model == "french_touch"
-    assert ref.f1 == 0.72
-    assert ref.accuracy is None
-    assert ref.source == "literature"
-    assert REFERENCE_ROWS[0][1] == 0.72
-
-
 def test_benchmark_models_learn_signal_above_baseline():
     ds = balanced_dataset(160, seed=7)
     specs = {
@@ -212,40 +206,28 @@ def test_benchmark_models_learn_signal_above_baseline():
         "mlp": MlpClassifier(hidden_sizes=(16,), epochs=30, batch_size=32),
         "forest": ForestClassifier(trees=20),
     }
-    result = benchmark(specs, ds, SplitPlan(grouping="by_row"), 2)
+    reports = benchmark(specs, ds, SplitPlan(grouping="by_row"), 2)
+    assert [r.model_name for r in reports] == list(specs)
     base = majority_baseline_f1(ds.y)
-    for row in result.rows[:-1]:
-        assert row.f1 > base + 0.05
+    for report in reports:
+        assert report.mean_f1 > base + 0.05
 
 
 def test_benchmark_respects_per_model_protocols():
     ds = balanced_dataset(100, seed=8)
     specs = {"knn": KnnClassifier(k=3, folds=10), "forest": ForestClassifier(trees=3)}
-    result = benchmark(specs, ds, SplitPlan(grouping="by_row"), 3)
-    assert result.rows[0].protocol == "cv-10"
-    assert result.rows[1].protocol == "cv-5"
-    assert len(result.reports[0].folds) == 10
-    assert len(result.reports[1].folds) == 5
+    knn, forest = benchmark(specs, ds, SplitPlan(grouping="by_row"), 3)
+    assert knn.protocol == "cv-10"
+    assert forest.protocol == "cv-5"
+    assert len(knn.folds) == 10
+    assert len(forest.folds) == 5
 
 
 def test_benchmark_holdout_protocol():
     ds = balanced_dataset(100, seed=9)
     specs = {"knn": KnnClassifier(k=3, folds=5)}
-    result = benchmark(specs, ds, SplitPlan(grouping="by_row"), 4, protocol="holdout")
-    assert result.rows[0].protocol == "holdout-0.2"
-
-
-def test_benchmark_render_and_dict():
-    ds = balanced_dataset(50, seed=10)
-    specs = {"knn": KnnClassifier(k=3, folds=5)}
-    result = benchmark(specs, ds, SplitPlan(grouping="by_row"), 5, config_fingerprint="fp")
-    text = result.render()
-    assert "french_touch" in text and "knn" in text
-    payload = result.to_dict()
-    assert payload["config_fingerprint"] == "fp"
-    assert len(payload["rows"]) == 2
-    assert payload["reports"][0]["model"] == "knn"
-    assert "runtime" not in str(payload["reports"][0].keys())
+    (report,) = benchmark(specs, ds, SplitPlan(grouping="by_row"), 4, protocol="holdout")
+    assert report.protocol == "holdout-0.2"
 
 
 def test_eval_report_runtime_excluded_from_payload():
@@ -313,8 +295,8 @@ def test_benchmark_from_the_pool_equals_the_serial_report(monkeypatch, protocol)
     ds = balanced_dataset(90, seed=13)
 
     def run():
-        return benchmark(POOL_MODELS, ds, SplitPlan(grouping="by_row"), 6, protocol=protocol,
-                         config_fingerprint="fp").to_dict()
+        reports = benchmark(POOL_MODELS, ds, SplitPlan(grouping="by_row"), 6, protocol=protocol)
+        return [report.to_dict() for report in reports]
 
     pooled = _with_workers(monkeypatch, 4, run)
     serial = _with_workers(monkeypatch, 1, run)

@@ -1,10 +1,13 @@
 """Every public function, class and method in the package is used by the
 package, and every name a module imports is used in that module.
 
-A public top-level function or class, or a public method, counts as used
-when an ``ast.Name`` or ``ast.Attribute`` with its name appears somewhere in
-``src/gametrace/`` outside its own definition and outside ``__init__.py``
-(the re-exports there are not a use). Code nothing runs is deleted, or kept
+A public top-level function or class counts as used when an ``ast.Name``
+or ``ast.Attribute`` with its name appears somewhere in ``src/gametrace/``
+outside its own definition and outside ``__init__.py`` (the re-exports there
+are not a use). A public method counts as used only through an
+``ast.Attribute``, so a local variable of the same name, such as ``total``,
+does not hide it; an attribute of the same name on another object, such as
+numpy's ``rng.random(...)``, still can. Code nothing runs is deleted, or kept
 with its reason in ``KEPT``.
 """
 
@@ -49,25 +52,26 @@ def _definitions():
 
 
 def _uses():
-    """Module and line of every Name and Attribute, by the name they carry."""
-    found: dict[str, list[tuple[str, int]]] = {}
+    """Module and line of every Name and of every Attribute, by the name they carry."""
+    names: dict[str, list[tuple[str, int]]] = {}
+    attributes: dict[str, list[tuple[str, int]]] = {}
     for module, tree in _modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                found.setdefault(node.id, []).append((module, node.lineno))
+                names.setdefault(node.id, []).append((module, node.lineno))
             elif isinstance(node, ast.Attribute):
-                found.setdefault(node.attr, []).append((module, node.lineno))
-    return found
+                attributes.setdefault(node.attr, []).append((module, node.lineno))
+    return names, attributes
 
 
 def unused_public_names() -> list[str]:
-    uses = _uses()
+    names, attributes = _uses()
     unused = []
     for module, qualified, name, (first, last) in _definitions():
-        outside = [
-            (m, line) for m, line in uses.get(name, ())
-            if m != module or not first <= line <= last
-        ]
+        uses = attributes.get(name, [])
+        if qualified == name:  # a top-level name, not a method
+            uses = uses + names.get(name, [])
+        outside = [(m, line) for m, line in uses if m != module or not first <= line <= last]
         if not outside:
             unused.append(qualified)
     return unused

@@ -27,13 +27,6 @@ def test_outputs_are_64_bit():
         assert 0 <= v < 1 << 64
 
 
-def test_random_unit_interval():
-    rng = Xoshiro256StarStar(5)
-    vals = [rng.random() for _ in range(5000)]
-    assert all(0.0 <= v < 1.0 for v in vals)
-    assert abs(sum(vals) / len(vals) - 0.5) < 0.02
-
-
 def test_randbelow_bounds_and_rough_uniformity():
     rng = Xoshiro256StarStar(11)
     counts = Counter(rng.randbelow(5) for _ in range(20000))
