@@ -315,6 +315,16 @@ REFERENCE_ROW = {"model": "french_touch", "f1": 0.72, "accuracy": None, "source"
                  "protocol": "reported"}
 
 
+def _benchmark_rows(reports: list[evaluation.EvalReport]) -> list[dict]:
+    """One row per computed report, in model order, then the literature row."""
+    rows = [
+        {"model": r.model_name, "f1": r.mean_f1, "accuracy": r.mean_accuracy, "source": "computed",
+         "protocol": r.protocol}
+        for r in reports
+    ]
+    return [*rows, REFERENCE_ROW]
+
+
 def _table(rows: list[dict]) -> str:
     header = f"{'model':<16}{'f1':>8}{'accuracy':>10}  {'protocol':<14}{'source'}"
     lines = [header, "-" * len(header)]
@@ -331,12 +341,7 @@ def cmd_benchmark(cfg: RunConfig, args) -> int:
     reports = evaluation.benchmark(
         {kind: getattr(cfg, kind) for kind in MODELS}, ds, cfg.split, cfg.seed, protocol=cfg.protocol
     )
-    rows = [
-        {"model": r.model_name, "f1": r.mean_f1, "accuracy": r.mean_accuracy, "source": "computed",
-         "protocol": r.protocol}
-        for r in reports
-    ]
-    rows.append(REFERENCE_ROW)
+    rows = _benchmark_rows(reports)
     payload = {
         "rows": rows,
         "reports": [{**r.to_dict(), "config_fingerprint": cfg.fingerprint()} for r in reports],

@@ -291,6 +291,21 @@ def test_music_max_means_music_ever_on():
     assert m.rows[0].values == (1.0,)
 
 
+def test_compression_report_ratio(tmp_path):
+    from gametrace.cli import main
+
+    wd = str(tmp_path)
+    assert main(["gen-synthetic", "--workdir", wd, "--sessions", "3", "--events-per-session", "100"]) == 0
+    assert main(["aggregate", "--workdir", wd]) == 0
+    report = json.loads((tmp_path / "aggregate_report.json").read_text())
+    assert report["input_bytes"] == (tmp_path / "events.csv").stat().st_size
+    assert report["output_bytes"] == sum(
+        (tmp_path / name).stat().st_size for name in ("features.csv", "features.meta.json")
+    )
+    assert report["byte_ratio"] == pytest.approx(report["output_bytes"] / report["input_bytes"])
+    assert 0.0 < report["byte_ratio"] < 1.0
+
+
 def test_default_specs_are_the_selected_eleven():
     assert [s.output_name for s in DEFAULT_SPECS] == [
         "room_coor_x_mean", "room_coor_y_mean", "screen_coor_x_mean",

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gametrace import pool
+from gametrace.cli import REFERENCE_ROW, _benchmark_rows, _table
 from gametrace.dataset import LabeledDataset, kfold_indices
 from gametrace.errors import ConfigError, LengthMismatchError
 from gametrace.evaluation import (
@@ -199,6 +200,20 @@ def test_benchmark_empty_model_list_rejected():
         benchmark([], ds, SplitPlan(), 42)
 
 
+def test_benchmark_table_has_reference_row():
+    ds = balanced_dataset(80, seed=6)
+    specs = {"knn": KnnClassifier(k=3, folds=5), "forest": ForestClassifier(trees=5)}
+    rows = _benchmark_rows(benchmark(specs, ds, SplitPlan(grouping="by_row"), 1))
+    assert len(rows) == len(specs) + 1
+    assert [r["model"] for r in rows[:-1]] == list(specs)
+    ref = rows[-1]
+    assert ref is REFERENCE_ROW
+    assert ref["model"] == "french_touch"
+    assert ref["f1"] == 0.72
+    assert ref["accuracy"] is None
+    assert ref["source"] == "literature"
+
+
 def test_benchmark_models_learn_signal_above_baseline():
     ds = balanced_dataset(160, seed=7)
     specs = {
@@ -228,6 +243,20 @@ def test_benchmark_holdout_protocol():
     specs = {"knn": KnnClassifier(k=3, folds=5)}
     (report,) = benchmark(specs, ds, SplitPlan(grouping="by_row"), 4, protocol="holdout")
     assert report.protocol == "holdout-0.2"
+
+
+def test_benchmark_render_and_dict():
+    ds = balanced_dataset(50, seed=10)
+    specs = {"knn": KnnClassifier(k=3, folds=5)}
+    reports = benchmark(specs, ds, SplitPlan(grouping="by_row"), 5)
+    rows = _benchmark_rows(reports)
+    text = _table(rows)
+    assert "french_touch" in text and "knn" in text
+    assert len(rows) == 2
+    assert len(text.splitlines()) == 2 + len(rows)
+    payload = reports[0].to_dict()
+    assert payload["model"] == "knn"
+    assert "runtime" not in str(payload.keys())
 
 
 def test_eval_report_runtime_excluded_from_payload():
