@@ -3,7 +3,8 @@
 
 The configs are the defaults, ``perfbench/config.json``,
 ``scripts/onehot_config.json``, ``scripts/allkinds_config.json``,
-``scripts/manhattan_config.json`` and ``scripts/cosine_config.json``. The onehot one adds a ``first`` and a
+``scripts/manhattan_config.json``, ``scripts/cosine_config.json`` and
+``scripts/entropy_config.json``. The onehot one adds a ``first`` and a
 ``last`` spec to the default specs, so selection and every model see
 dictionary-coded columns and go through one-hot expansion, which the first
 two do not reach. The allkinds one takes mean, sum, min and max of a real,
@@ -12,9 +13,10 @@ nunique of an optional categorical column, so aggregation's min/max,
 real-sum and absent-value paths run too; it drops no column by name, so the
 optional ones reach the models. The manhattan and cosine ones keep the
 default specs and set KNN's metric to manhattan and to cosine; the others
-all use euclidean. Each config runs in its own subdirectory of
-``--workdir`` (``default``, ``perfbench``, ``onehot``, ``allkinds``,
-``manhattan``, ``cosine``), with these steps,
+all use euclidean. The entropy one sets the forest's split criterion to
+entropy; the others all use gini. Each config runs in its own subdirectory
+of ``--workdir`` (``default``, ``perfbench``, ``onehot``, ``allkinds``,
+``manhattan``, ``cosine``, ``entropy``), with these steps,
 all with that subdirectory as --workdir, the config and --seed:
 
     gametrace gen-synthetic --sessions N --events-per-session M
@@ -54,6 +56,7 @@ CONFIGS = {
     "allkinds": REPO / "scripts" / "allkinds_config.json",
     "manhattan": REPO / "scripts" / "manhattan_config.json",
     "cosine": REPO / "scripts" / "cosine_config.json",
+    "entropy": REPO / "scripts" / "entropy_config.json",
 }
 
 

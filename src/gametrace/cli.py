@@ -248,15 +248,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     del train  # the fit holds only its input matrix and labels
     model = classifier.fit(x, y, cfg.seed)
     out = wd / f"model_{kind}.bin"
-    model_io.save_model(
-        out,
-        kind,
-        model,
-        pre,
-        pre.input_names,
-        config_fingerprint=cfg.fingerprint(),
-        seed=cfg.seed,
-    )
+    model_io.save_model(out, kind, model, pre, config_fingerprint=cfg.fingerprint(), seed=cfg.seed)
     print(f"trained {kind} on {rows} rows; container: {out}")
     return EXIT_OK
 
@@ -267,7 +259,7 @@ def cmd_cv(cfg: RunConfig, args) -> int:
     ds, _ = _load_joined(cfg)
     classifier = getattr(cfg, kind)
     started = time.perf_counter()
-    report = evaluation.cross_validate(classifier, ds, cfg.split, cfg.seed, model_name=kind)
+    report = evaluation.cross_validate(classifier, ds, cfg.seed, model_name=kind)
     _write_stamped(wd / f"cv_{kind}.json", cfg, report.to_dict())
     _write_run_metadata(wd / f"cv_{kind}.run.json", cfg, time.perf_counter() - started)
     with open(wd / f"folds_{kind}.tsv", "w") as sink:

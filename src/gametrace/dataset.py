@@ -3,8 +3,9 @@
 All transformations are pure: fitted parameters (imputation means, scaler
 stats, one-hot categories) are computed from training rows only and reused
 verbatim on held-out data, so no test statistic ever leaks into a fit.
-Splits and folds are driven by the portable xoshiro shuffle, making fold
-assignment a deterministic function of (data, seed).
+Splits and folds keep each session's rows on one side, so no session is
+both fitted and scored; the portable xoshiro shuffle orders the sessions,
+making fold assignment a deterministic function of (data, seed).
 """
 
 from __future__ import annotations
@@ -209,48 +210,30 @@ def fit_preprocessor(
     return Preprocessor(names, output_names, columns, tuple(categories), means, scaler_mean, scaler_std)
 
 
-def _shuffled(items: list, seed: int) -> list:
-    out = list(items)
-    Xoshiro256StarStar(seed).shuffle(out)
-    return out
-
-
-def _session_rows(d: LabeledDataset) -> dict[str, list[int]]:
+def _session_order(d: LabeledDataset, seed: int) -> tuple[list[str], dict[str, list[int]]]:
+    """The session ids in seeded shuffled order, and each session's row indices."""
     rows: dict[str, list[int]] = {}
     for i, (sid, _) in enumerate(d.row_keys):
         rows.setdefault(sid, []).append(i)
-    return rows
+    order = sorted(rows)
+    Xoshiro256StarStar(seed).shuffle(order)
+    return order, rows
 
 
 def holdout_indices(d: LabeledDataset, plan: SplitPlan, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(train, test) row indices of a disjoint, exhaustive split; by_session
-    keeps a session on one side."""
-    n = len(d)
-    if n < 2:
-        raise TooFewRowsError("need at least 2 rows to split")
-    target = n * plan.test_fraction
-    if plan.grouping == "by_row":
-        order = _shuffled(list(range(n)), seed)
-        n_test = min(max(int(round(target)), 1), n - 1)
-        test_idx = sorted(order[:n_test])
-        train_idx = sorted(order[n_test:])
-    else:
-        rows = _session_rows(d)
-        if len(rows) < 2:
-            raise TooFewRowsError("by_session split needs at least 2 sessions")
-        order = _shuffled(sorted(rows), seed)
-        test_sessions: list[str] = []
-        n_test = 0
-        for sid in order:
-            if n_test >= target or len(test_sessions) == len(order) - 1:
-                break
-            test_sessions.append(sid)
-            n_test += len(rows[sid])
-        chosen = set(test_sessions)
-        test_idx = sorted(i for sid in chosen for i in rows[sid])
-        train_idx = sorted(i for sid, idxs in rows.items() if sid not in chosen for i in idxs)
-    if not test_idx or not train_idx:
-        raise TooFewRowsError("split left one side empty")
+    """(train, test) row indices of a disjoint, exhaustive split that keeps
+    each session on one side: sessions join the test side in shuffled order
+    until it holds ``test_fraction`` of the rows or one session is left."""
+    order, rows = _session_order(d, seed)
+    if len(order) < 2:
+        raise TooFewRowsError("a split needs at least 2 sessions")
+    target = len(d) * plan.test_fraction
+    cut = n_test = 0
+    while cut < len(order) - 1 and n_test < target:
+        n_test += len(rows[order[cut]])
+        cut += 1
+    test_idx = sorted(i for sid in order[:cut] for i in rows[sid])
+    train_idx = sorted(i for sid in order[cut:] for i in rows[sid])
     return np.array(train_idx, dtype=np.int64), np.array(test_idx, dtype=np.int64)
 
 
@@ -260,26 +243,13 @@ def split_train_test(d: LabeledDataset, plan: SplitPlan, seed: int) -> tuple[Lab
     return d.subset(train), d.subset(test)
 
 
-def kfold_indices(d: LabeledDataset, plan: SplitPlan, folds: int, seed: int) -> list[np.ndarray]:
-    """Validation index arrays for each of ``folds`` folds; folds partition all rows."""
+def kfold_indices(d: LabeledDataset, folds: int, seed: int) -> list[np.ndarray]:
+    """Validation index arrays for each of ``folds`` folds; folds partition
+    all rows and keep each session in one fold."""
     check_folds(folds)
-    n = len(d)
-    if folds > n:
-        raise TooFewRowsError(f"{folds} folds exceed {n} rows")
-    if plan.grouping == "by_row":
-        order = _shuffled(list(range(n)), seed)
-        base, extra = divmod(n, folds)
-        out = []
-        start = 0
-        for f in range(folds):
-            size = base + (1 if f < extra else 0)
-            out.append(np.array(sorted(order[start : start + size]), dtype=np.int64))
-            start += size
-        return out
-    rows = _session_rows(d)
-    if folds > len(rows):
-        raise TooFewRowsError(f"{folds} folds exceed {len(rows)} sessions")
-    order = _shuffled(sorted(rows), seed)
+    order, rows = _session_order(d, seed)
+    if folds > len(order):
+        raise TooFewRowsError(f"{folds} folds exceed {len(order)} sessions")
     fold_rows: list[list[int]] = [[] for _ in range(folds)]
     sizes = [0] * folds
     for sid in order:
@@ -290,24 +260,20 @@ def kfold_indices(d: LabeledDataset, plan: SplitPlan, folds: int, seed: int) -> 
     return [np.array(sorted(fr), dtype=np.int64) for fr in fold_rows]
 
 
-def kfold_index_pairs(
-    d: LabeledDataset, plan: SplitPlan, folds: int, seed: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def kfold_index_pairs(d: LabeledDataset, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(train, validation) row indices of each fold; validations partition the rows."""
     all_idx = np.arange(len(d))
     pairs = []
-    for val in kfold_indices(d, plan, folds, seed):
+    for val in kfold_indices(d, folds, seed):
         mask = np.ones(len(d), dtype=bool)
         mask[val] = False
         pairs.append((all_idx[mask], val))
     return pairs
 
 
-def kfold(
-    d: LabeledDataset, plan: SplitPlan, folds: int, seed: int
-) -> list[tuple[LabeledDataset, LabeledDataset]]:
+def kfold(d: LabeledDataset, folds: int, seed: int) -> list[tuple[LabeledDataset, LabeledDataset]]:
     """(train, validation) dataset pairs of ``kfold_index_pairs``."""
-    return [(d.subset(train), d.subset(val)) for train, val in kfold_index_pairs(d, plan, folds, seed)]
+    return [(d.subset(train), d.subset(val)) for train, val in kfold_index_pairs(d, folds, seed)]
 
 
 def export_fold_assignments(

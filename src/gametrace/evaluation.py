@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -138,13 +138,13 @@ class _Job:
     folds: list[tuple[np.ndarray, np.ndarray]]  # (train, test) row indices
 
 
-def _plan(classifier: Classifier, dataset: LabeledDataset, plan: SplitPlan, seed: int,
-          model_name: str, protocol: str) -> _Job:
-    if protocol == "cv":
-        folds = kfold_index_pairs(dataset, plan, classifier.folds, seed)
-        protocol = f"cv-{classifier.folds}"
+def _plan(classifier: Classifier, dataset: LabeledDataset, seed: int, model_name: str,
+          holdout: Optional[SplitPlan] = None) -> _Job:
+    """The job over the classifier's ``folds`` folds, or over ``holdout``'s split."""
+    if holdout is None:
+        folds, protocol = kfold_index_pairs(dataset, classifier.folds, seed), f"cv-{classifier.folds}"
     else:
-        folds, protocol = [holdout_indices(dataset, plan, seed)], f"holdout-{plan.test_fraction:g}"
+        folds, protocol = [holdout_indices(dataset, holdout, seed)], f"holdout-{holdout.test_fraction:g}"
     return _Job(classifier, dataset, seed, model_name, protocol, folds)
 
 
@@ -200,12 +200,11 @@ def _run(jobs: list[_Job]) -> list[EvalReport]:
 def cross_validate(
     classifier: Classifier,
     dataset: LabeledDataset,
-    plan: SplitPlan,
     seed: int,
     model_name: str = "model",
 ) -> EvalReport:
     """Evaluation on the classifier's ``folds`` folds, preprocessing re-fit in each."""
-    return _run([_plan(classifier, dataset, plan, seed, model_name, "cv")])[0]
+    return _run([_plan(classifier, dataset, seed, model_name)])[0]
 
 
 def benchmark(
@@ -227,7 +226,7 @@ def benchmark(
     jobs: list[_Job] = []
     for name, classifier in models.items():
         try:
-            jobs.append(_plan(classifier, dataset, plan, seed, name, protocol))
+            jobs.append(_plan(classifier, dataset, seed, name, plan if protocol == "holdout" else None))
         except TooFewRowsError:
             # Run model by model, the folds of the models before this one
             # would fit first, so a failing fold among them is the error.

@@ -387,6 +387,9 @@ def unflatten_trees(arrays: dict[str, np.ndarray], n_features: int) -> list[Tree
         arrays[name].shape != kinds.shape for name in _NODE_ARRAYS
     ):
         raise ContainerFormatError("tree arrays differ in shape")
+    # An infinite threshold is legal: the midpoint of two huge values can overflow.
+    if np.isnan(arrays["tree_thresholds"]).any() or np.isnan(arrays["tree_gains"]).any():
+        raise ContainerFormatError("tree thresholds and gains must not be NaN")
     kinds, features, thresholds, gains, labels, c0, c1 = (arrays[a].tolist() for a in _NODE_ARRAYS)
     starts = arrays["tree_offsets"].tolist()
     trees: list[TreeNode] = []

@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ShapeMismatchError
+from .errors import ConfigError, DataError, NumericalError, ShapeMismatchError
 from .settings import MlpConfig
 
 LOG_FLOOR = 1e-12
@@ -36,7 +36,11 @@ class MlpModel:
         return self.weights[0].shape[0]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(mlp_forward(self, x), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = mlp_forward(self, x)
+        if np.isnan(probs).any():
+            raise DataError("mlp outputs overflow: the class probabilities are not finite")
+        return np.argmax(probs, axis=1)
 
 
 def _logistic(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -116,7 +116,6 @@ def save_model(
     kind: str,
     model,
     preprocessor: Preprocessor,
-    feature_names: tuple[str, ...],
     config_fingerprint: str = "",
     seed: Optional[int] = None,
 ) -> None:
@@ -128,7 +127,7 @@ def save_model(
     arrays = {f"pre_{name}": v for name in _PRE_ARRAYS if (v := pre.pop(name)) is not None}
     header: dict = {
         "kind": kind,
-        "feature_names": list(feature_names),
+        "feature_names": list(preprocessor.input_names),
         "config_fingerprint": config_fingerprint,
         "preprocessor": {**pre, "scaled": preprocessor.scaler_std is not None},
         # deterministic creation metadata: identical inputs => identical bytes

@@ -39,9 +39,8 @@ def mutual_information(
     label: np.ndarray,
     bins: int = 10,
     categorical: bool = False,
-    unit: str = "nats",
 ) -> float:
-    """Plug-in mutual information from the joint histogram.
+    """Plug-in mutual information from the joint histogram, in nats.
 
     Continuous features are discretized by equal-width binning over the
     observed range; integer-coded categorical features use their codes
@@ -54,7 +53,7 @@ def mutual_information(
     n = f.shape[0]
     if n == 0:
         raise DataError("mutual information requires at least 1 observation")
-    check_mi_params(bins, unit)
+    check_mi_params(bins)
 
     if categorical:
         _, fx = np.unique(f, return_inverse=True)
@@ -77,10 +76,7 @@ def mutual_information(
     py = p.sum(axis=0)
     mask = p > 0.0
     ratio = p[mask] / np.outer(px, py)[mask]
-    mi = float((p[mask] * np.log(ratio)).sum())
-    if unit == "bits":
-        mi /= math.log(2.0)
-    return mi
+    return float((p[mask] * np.log(ratio)).sum())
 
 
 @dataclass
@@ -127,9 +123,7 @@ def select(
     mi_score: dict[str, float] = {}
     for n in names:
         r_label[n] = pearson(col[n], label)
-        mi_score[n] = mutual_information(
-            col[n], label, bins=policy.mi_bins, categorical=n in cat, unit=policy.mi_unit
-        )
+        mi_score[n] = mutual_information(col[n], label, bins=policy.mi_bins, categorical=n in cat)
 
     dropped = [n for n in names if _is_dropped(n, policy.mandatory_drops)]
     candidates = [n for n in names if n not in dropped]

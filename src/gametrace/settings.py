@@ -39,17 +39,15 @@ DEFAULT_QUESTION_GROUPS: dict[int, str] = {
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """How rows are split: the holdout's test share and whether a session's
-    rows stay together. The seed and the fold count are call arguments."""
+    """How the holdout splits rows: its test share. Every split keeps each
+    session's rows on one side; the seed and the fold count are call
+    arguments."""
 
     test_fraction: float = 0.2
-    grouping: str = "by_session"  # or "by_row"
 
     def __post_init__(self):
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must be in (0, 1)")
-        if self.grouping not in ("by_row", "by_session"):
-            raise ConfigError(f"unknown grouping {self.grouping!r}")
 
 
 def check_folds(folds: int) -> None:
@@ -60,11 +58,9 @@ def check_folds(folds: int) -> None:
 DEFAULT_MANDATORY_DROPS = ("page", "hover_duration", "text_fqid", "text")
 
 
-def check_mi_params(bins: int, unit: str) -> None:
+def check_mi_params(bins: int) -> None:
     if bins < 2:
         raise ConfigError("mi_bins must be >= 2")
-    if unit not in ("nats", "bits"):
-        raise ConfigError(f"unknown mi_unit {unit!r}")
 
 
 @dataclass(frozen=True)
@@ -72,15 +68,14 @@ class SelectionPolicy:
     k: int = 11  # features kept, at most
     redundancy_threshold: float = 0.9
     mandatory_drops: tuple[str, ...] = DEFAULT_MANDATORY_DROPS
-    mi_bins: int = 10
-    mi_unit: str = "nats"
+    mi_bins: int = 10  # mutual information is in nats
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError("k must be >= 1")
         if not 0.0 < self.redundancy_threshold <= 1.0:
             raise ConfigError("redundancy_threshold must be in (0, 1]")
-        check_mi_params(self.mi_bins, self.mi_unit)
+        check_mi_params(self.mi_bins)
 
 
 FEATURE_NAMES = (
@@ -267,6 +262,8 @@ class MlpClassifier(MlpConfig, Classifier):
 
     @staticmethod
     def from_container(section: dict, arrays: dict) -> mlp.MlpModel:
+        import numpy as np  # loaded with the model's module
+
         config = build(MlpConfig, {f.name: section[f.name] for f in fields(MlpConfig)}, "mlp")
         names = ("input_dim", "seed", "layers")
         input_dim, seed, layers = (check(section[n], int, f"mlp.{n}") for n in names)
@@ -281,6 +278,8 @@ class MlpClassifier(MlpConfig, Classifier):
         history = arrays["mlp_loss_history"]
         if history.shape != (config.epochs,):
             raise ContainerFormatError(f"mlp loss history has shape {history.shape}, not ({config.epochs},)")
+        if not all(np.isfinite(a).all() for a in (*weights, *biases, history)):
+            raise ContainerFormatError("mlp weights, biases and loss history must be finite")
         return mlp.MlpModel(weights, biases, config, seed, list(history))
 
 

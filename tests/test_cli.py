@@ -63,6 +63,20 @@ def test_unknown_config_key_exits_1(tmp_path):
     assert run("aggregate", "--workdir", str(tmp_path), "--config", str(cfg)) == 1
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("split", "grouping", "by_session"),
+    ("selection", "mi_unit", "nats"),
+])
+def test_removed_setting_exits_1_as_an_unknown_key(tmp_path, capsys, section, key, value):
+    # Every split keeps a session on one side and mutual information is in
+    # nats; neither is a setting, not even at its former default.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    capsys.readouterr()
+    assert run("aggregate", "--workdir", str(tmp_path), "--config", str(cfg)) == 1
+    assert f"unknown key {key!r} in config.{section}" in capsys.readouterr().err
+
+
 MALFORMED_CONFIGS = [
     {"knn": {"k": "5"}},
     {"knn": {"k": True}},
@@ -345,6 +359,46 @@ MALFORMED_CONTAINERS = {
 @pytest.mark.parametrize("case", list(MALFORMED_CONTAINERS))
 def test_malformed_container_exits_2(evaluate_dir, tmp_path, capsys, case):
     kind, edit, message = MALFORMED_CONTAINERS[case]
+    header, arrays = load_container(evaluate_dir / f"model_{kind}.bin")
+    bad = tmp_path / "bad.bin"
+    save_container(bad, *edit(header, arrays))
+    capsys.readouterr()
+    assert evaluate(evaluate_dir, kind, bad) == 2
+    assert message in capsys.readouterr().err
+
+
+def _first_entry(value):
+    def edit(v):
+        v = v.copy()
+        v.flat[0] = value  # for the tree arrays: tree 0's root, a split
+        return v
+
+    return edit
+
+
+def _first_column(value):
+    def edit(v):
+        v = v.copy()
+        v[:, 0] = value
+        return v
+
+    return edit
+
+
+# case -> (kind, edit of (header, arrays), expected message)
+NONFINITE_CONTAINERS = {
+    "mlp_w0 NaN": ("mlp", _array("mlp_w0", _first_entry(np.nan)), "must be finite"),
+    "mlp_b0 NaN": ("mlp", _array("mlp_b0", _first_entry(np.nan)), "must be finite"),
+    "mlp_loss_history NaN": ("mlp", _array("mlp_loss_history", _first_entry(np.nan)), "must be finite"),
+    "tree_thresholds NaN": ("forest", _array("tree_thresholds", _first_entry(np.nan)), "must not be NaN"),
+    "mlp_w1 column of 1e308": ("mlp", _array("mlp_w1", _first_column(1e308)), "mlp outputs overflow"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", list(NONFINITE_CONTAINERS))
+def test_container_without_finite_outputs_exits_2(evaluate_dir, tmp_path, capsys, case):
+    kind, edit, message = NONFINITE_CONTAINERS[case]
     header, arrays = load_container(evaluate_dir / f"model_{kind}.bin")
     bad = tmp_path / "bad.bin"
     save_container(bad, *edit(header, arrays))
@@ -645,7 +699,7 @@ def test_cv_plans_its_folds_once(pipeline_dir, monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[2:])
+        calls.append(args[1:])
         return real(*args, **kwargs)
 
     for module in (gametrace.cli, gametrace.dataset, gametrace.evaluation):
@@ -769,18 +823,21 @@ def test_config_fingerprint_stability_and_sensitivity():
 
 
 def test_config_fingerprints_are_pinned():
-    # Values from before the schema was derived from the dataclasses; any
-    # change here changes every artifact's fingerprint.
+    # Values since the split grouping and the mutual-information unit left
+    # the payload; any change here changes every artifact's fingerprint.
     assert RunConfig().fingerprint() == (
-        "77d17931ec91754e6825dd19824cf3d1c321b00640de1e694df73fdf04010402"
+        "eb3b63c3dbea6989a47f18a0710f0c67907dcf353309d28ba398993d3fb45e22"
     )
     assert load_config(REPO / "perfbench" / "config.json").fingerprint() == (
-        "2d71f9e676991f9a2210a8ec0bc4194b0a049b1811fb3373ac833d36ede72c38"
+        "5fa6041184749971ebb82742183db739d599b69fa59da2abf9122adfa767d3db"
     )
     groups = {"question_groups": {"1": "0-4", "2": "0-4", "10": "5-12"}}
     assert load_config(None, overrides=groups).fingerprint() == (
-        "81236025be7c5561dfa71189b1e3612f74e069b8284b020394abfca01e8887c1"
+        "76fbb593d81c331e5e397ece9767aad6d5c3fb150142972dc64c121f308a66b2"
     )
+    payload = RunConfig().fingerprint_payload()
+    assert payload["split"] == {"test_fraction": 0.2}
+    assert "mi_unit" not in payload["selection"]
 
 
 def test_config_int_for_float_is_kept_as_given():

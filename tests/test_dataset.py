@@ -260,9 +260,9 @@ def make_dataset(n_rows=10, n_sessions=None, seed=0):
     )
 
 
-def test_split_by_row_80_20():
+def test_split_one_row_sessions_80_20():
     ds = make_dataset(10)
-    train, test = split_train_test(ds, SplitPlan(grouping="by_row"), 1)
+    train, test = split_train_test(ds, SplitPlan(), 1)
     assert len(train) == 8 and len(test) == 2
     assert set(train.row_keys) | set(test.row_keys) == set(ds.row_keys)
     assert not set(train.row_keys) & set(test.row_keys)
@@ -270,15 +270,15 @@ def test_split_by_row_80_20():
 
 def test_split_deterministic_same_seed():
     ds = make_dataset(40)
-    a = split_train_test(ds, SplitPlan(grouping="by_row"), 9)
-    b = split_train_test(ds, SplitPlan(grouping="by_row"), 9)
+    a = split_train_test(ds, SplitPlan(), 9)
+    b = split_train_test(ds, SplitPlan(), 9)
     assert a[0].row_keys == b[0].row_keys
     assert a[1].row_keys == b[1].row_keys
 
 
-def test_split_by_session_keeps_sessions_whole():
+def test_split_keeps_sessions_whole():
     ds = make_dataset(n_rows=90, n_sessions=5)
-    train, test = split_train_test(ds, SplitPlan(grouping="by_session"), 4)
+    train, test = split_train_test(ds, SplitPlan(), 4)
     train_sessions = {sid for sid, _ in train.row_keys}
     test_sessions = {sid for sid, _ in test.row_keys}
     assert not train_sessions & test_sessions
@@ -288,12 +288,12 @@ def test_split_by_session_keeps_sessions_whole():
 def test_split_too_few_rows():
     ds = make_dataset(1)
     with pytest.raises(TooFewRowsError):
-        split_train_test(ds, SplitPlan(grouping="by_row"), 1)
+        split_train_test(ds, SplitPlan(), 1)
 
 
 def test_kfold_sizes_10_rows_k5():
     ds = make_dataset(10)
-    folds = kfold(ds, SplitPlan(grouping="by_row"), 5, 2)
+    folds = kfold(ds, 5, 2)
     assert [len(val) for _, val in folds] == [2, 2, 2, 2, 2]
     for train, val in folds:
         assert len(train) == 8
@@ -301,22 +301,22 @@ def test_kfold_sizes_10_rows_k5():
 
 def test_kfold_sizes_3_rows_k2():
     ds = make_dataset(3)
-    folds = kfold_indices(ds, SplitPlan(grouping="by_row"), 2, 2)
+    folds = kfold_indices(ds, 2, 2)
     assert sorted(len(f) for f in folds) == [1, 2]
 
 
 def test_kfold_partitions_rows_exactly_once():
     ds = make_dataset(47)
-    folds = kfold_indices(ds, SplitPlan(grouping="by_row"), 5, 3)
+    folds = kfold_indices(ds, 5, 3)
     seen = np.concatenate(folds)
     assert sorted(seen.tolist()) == list(range(47))
     sizes = [len(f) for f in folds]
     assert max(sizes) - min(sizes) <= 1
 
 
-def test_kfold_by_session_keeps_sessions_whole():
+def test_kfold_keeps_sessions_whole():
     ds = make_dataset(n_rows=90, n_sessions=6)
-    folds = kfold_indices(ds, SplitPlan(grouping="by_session"), 3, 3)
+    folds = kfold_indices(ds, 3, 3)
     for f in folds:
         sessions = {ds.row_keys[i][0] for i in f.tolist()}
         for other in folds:
@@ -328,16 +328,15 @@ def test_kfold_by_session_keeps_sessions_whole():
 def test_kfold_too_few_rows():
     ds = make_dataset(3)
     with pytest.raises(TooFewRowsError):
-        kfold(ds, SplitPlan(grouping="by_row"), 4, 1)
+        kfold(ds, 4, 1)
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_kfold_determinism_property(seed):
     ds = make_dataset(23)
-    plan = SplitPlan(grouping="by_row")
-    a = kfold_indices(ds, plan, 4, seed)
-    b = kfold_indices(ds, plan, 4, seed)
+    a = kfold_indices(ds, 4, seed)
+    b = kfold_indices(ds, 4, seed)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert sorted(np.concatenate(a).tolist()) == list(range(23))
 
@@ -381,8 +380,7 @@ def test_preprocessor_never_uses_test_statistics():
 
 def test_fold_isolation_no_leakage():
     ds = make_dataset(30, seed=5)
-    plan = SplitPlan(grouping="by_row")
-    folds = kfold(ds, plan, 5, 6)
+    folds = kfold(ds, 5, 6)
     params = [
         fit_preprocessor(tr.x, tr.feature_names, tr.categorical_names, scale=True)
         for tr, _ in folds
@@ -402,7 +400,7 @@ def test_fold_isolation_no_leakage():
 
 def test_export_fold_assignments():
     ds = make_dataset(6)
-    folds = kfold_indices(ds, SplitPlan(grouping="by_row"), 3, 1)
+    folds = kfold_indices(ds, 3, 1)
     sink = io.StringIO()
     export_fold_assignments(ds, folds, sink)
     lines = sink.getvalue().strip().splitlines()

@@ -131,8 +131,7 @@ def balanced_dataset(n=100, seed=0):
 
 def test_cross_validate_constant_model_on_balanced_data():
     ds = balanced_dataset(100)
-    plan = SplitPlan(grouping="by_row")
-    report = cross_validate(ConstantModel(1), ds, plan, 1, model_name="const")
+    report = cross_validate(ConstantModel(1), ds, 1, model_name="const")
     assert report.mean_accuracy == pytest.approx(0.5, abs=0.1)
     assert report.protocol == "cv-5"
     assert len(report.folds) == 5
@@ -140,8 +139,7 @@ def test_cross_validate_constant_model_on_balanced_data():
 
 def test_mean_metrics_equal_fold_average():
     ds = balanced_dataset(60, seed=3)
-    plan = SplitPlan(grouping="by_row")
-    report = cross_validate(KnnClassifier(k=3, folds=5), ds, plan, 2, model_name="knn")
+    report = cross_validate(KnnClassifier(k=3, folds=5), ds, 2, model_name="knn")
     assert report.mean_f1 == pytest.approx(np.mean([fr.f1 for fr in report.folds]), abs=1e-12)
     assert report.mean_accuracy == pytest.approx(
         np.mean([fr.accuracy for fr in report.folds]), abs=1e-12
@@ -151,9 +149,8 @@ def test_mean_metrics_equal_fold_average():
 
 def test_cross_validate_reports_the_test_rows_it_scored():
     ds = balanced_dataset(60, seed=3)
-    plan = SplitPlan(grouping="by_row")
-    report = cross_validate(KnnClassifier(k=3, folds=4), ds, plan, 2, model_name="knn")
-    planned = kfold_indices(ds, plan, 4, 2)
+    report = cross_validate(KnnClassifier(k=3, folds=4), ds, 2, model_name="knn")
+    planned = kfold_indices(ds, 4, 2)
     assert len(report.test_rows) == len(report.folds) == 4
     for rows, expected, fold in zip(report.test_rows, planned, report.folds):
         np.testing.assert_array_equal(rows, expected)
@@ -163,8 +160,7 @@ def test_cross_validate_reports_the_test_rows_it_scored():
 
 def test_cross_validate_knn_on_separable_data():
     ds = balanced_dataset(120, seed=4)  # class-shifted blobs, duplicate-free
-    plan = SplitPlan(grouping="by_row")
-    report = cross_validate(KnnClassifier(k=1, folds=5), ds, plan, 3, model_name="knn")
+    report = cross_validate(KnnClassifier(k=1, folds=5), ds, 3, model_name="knn")
     assert report.mean_accuracy >= 0.9
 
 
@@ -178,15 +174,14 @@ def test_cross_validate_annotates_fold_errors():
         def fit(self, x, y, seed):
             raise ValueError("boom")
 
-    plan = SplitPlan(grouping="by_row")
     with pytest.raises(ValueError, match="fold 0"):
-        cross_validate(Exploding(), ds, plan, 1)
+        cross_validate(Exploding(), ds, 1)
 
 
 def test_holdout_evaluate_reports_single_fold():
     ds = balanced_dataset(100, seed=5)
     (report,) = benchmark(
-        {"knn": KnnClassifier(k=3, folds=5)}, ds, SplitPlan(test_fraction=0.2, grouping="by_row"), 4,
+        {"knn": KnnClassifier(k=3, folds=5)}, ds, SplitPlan(test_fraction=0.2), 4,
         protocol="holdout",
     )
     assert report.protocol == "holdout-0.2"
@@ -203,7 +198,7 @@ def test_benchmark_empty_model_list_rejected():
 def test_benchmark_table_has_reference_row():
     ds = balanced_dataset(80, seed=6)
     specs = {"knn": KnnClassifier(k=3, folds=5), "forest": ForestClassifier(trees=5)}
-    rows = _benchmark_rows(benchmark(specs, ds, SplitPlan(grouping="by_row"), 1))
+    rows = _benchmark_rows(benchmark(specs, ds, SplitPlan(), 1))
     assert len(rows) == len(specs) + 1
     assert [r["model"] for r in rows[:-1]] == list(specs)
     ref = rows[-1]
@@ -221,7 +216,7 @@ def test_benchmark_models_learn_signal_above_baseline():
         "mlp": MlpClassifier(hidden_sizes=(16,), epochs=30, batch_size=32),
         "forest": ForestClassifier(trees=20),
     }
-    reports = benchmark(specs, ds, SplitPlan(grouping="by_row"), 2)
+    reports = benchmark(specs, ds, SplitPlan(), 2)
     assert [r.model_name for r in reports] == list(specs)
     base = majority_baseline_f1(ds.y)
     for report in reports:
@@ -231,7 +226,7 @@ def test_benchmark_models_learn_signal_above_baseline():
 def test_benchmark_respects_per_model_protocols():
     ds = balanced_dataset(100, seed=8)
     specs = {"knn": KnnClassifier(k=3, folds=10), "forest": ForestClassifier(trees=3)}
-    knn, forest = benchmark(specs, ds, SplitPlan(grouping="by_row"), 3)
+    knn, forest = benchmark(specs, ds, SplitPlan(), 3)
     assert knn.protocol == "cv-10"
     assert forest.protocol == "cv-5"
     assert len(knn.folds) == 10
@@ -241,14 +236,14 @@ def test_benchmark_respects_per_model_protocols():
 def test_benchmark_holdout_protocol():
     ds = balanced_dataset(100, seed=9)
     specs = {"knn": KnnClassifier(k=3, folds=5)}
-    (report,) = benchmark(specs, ds, SplitPlan(grouping="by_row"), 4, protocol="holdout")
+    (report,) = benchmark(specs, ds, SplitPlan(), 4, protocol="holdout")
     assert report.protocol == "holdout-0.2"
 
 
 def test_benchmark_render_and_dict():
     ds = balanced_dataset(50, seed=10)
     specs = {"knn": KnnClassifier(k=3, folds=5)}
-    reports = benchmark(specs, ds, SplitPlan(grouping="by_row"), 5)
+    reports = benchmark(specs, ds, SplitPlan(), 5)
     rows = _benchmark_rows(reports)
     text = _table(rows)
     assert "french_touch" in text and "knn" in text
@@ -261,9 +256,8 @@ def test_benchmark_render_and_dict():
 
 def test_eval_report_runtime_excluded_from_payload():
     ds = balanced_dataset(40, seed=11)
-    plan = SplitPlan(grouping="by_row")
-    report = cross_validate(KnnClassifier(k=1, folds=4), ds, plan, 1, model_name="knn")
-    again = cross_validate(KnnClassifier(k=1, folds=4), ds, plan, 1, model_name="knn")
+    report = cross_validate(KnnClassifier(k=1, folds=4), ds, 1, model_name="knn")
+    again = cross_validate(KnnClassifier(k=1, folds=4), ds, 1, model_name="knn")
     assert "runtime" not in str(report.to_dict())
     assert report.to_dict() == again.to_dict()
 
@@ -289,8 +283,7 @@ def test_cross_validate_one_hot_encodes_code_columns():
         row_keys=[(f"s{i}", 1 + i % 18) for i in range(90)],
         categorical_names=("kind_first",),
     )
-    plan = SplitPlan(grouping="by_row")
-    report = cross_validate(KnnClassifier(k=3, folds=5), ds, plan, 2, model_name="knn")
+    report = cross_validate(KnnClassifier(k=3, folds=5), ds, 2, model_name="knn")
     assert report.mean_accuracy >= 0.9
 
 
@@ -324,7 +317,7 @@ def test_benchmark_from_the_pool_equals_the_serial_report(monkeypatch, protocol)
     ds = balanced_dataset(90, seed=13)
 
     def run():
-        reports = benchmark(POOL_MODELS, ds, SplitPlan(grouping="by_row"), 6, protocol=protocol)
+        reports = benchmark(POOL_MODELS, ds, SplitPlan(), 6, protocol=protocol)
         return [report.to_dict() for report in reports]
 
     pooled = _with_workers(monkeypatch, 4, run)
@@ -336,10 +329,9 @@ def test_benchmark_from_the_pool_equals_the_serial_report(monkeypatch, protocol)
 @needs_fork
 def test_cross_validate_from_the_pool_equals_the_serial_report(monkeypatch):
     ds = balanced_dataset(60, seed=14)
-    plan = SplitPlan(grouping="by_row")
 
     def run():
-        return cross_validate(ForestClassifier(trees=3), ds, plan, 3, model_name="forest").to_dict()
+        return cross_validate(ForestClassifier(trees=3), ds, 3, model_name="forest").to_dict()
 
     pooled = _with_workers(monkeypatch, 2, run)
     serial = _with_workers(monkeypatch, 1, run)
@@ -364,9 +356,8 @@ class PidModel:
 def test_folds_are_fitted_in_worker_processes(monkeypatch):
     ds = balanced_dataset(40, seed=15)
     ds_ones = LabeledDataset(ds.feature_names, ds.x, np.ones(len(ds), dtype=np.int64), ds.row_keys)
-    plan = SplitPlan(grouping="by_row")
-    pooled = _with_workers(monkeypatch, 2, lambda: cross_validate(PidModel(), ds_ones, plan, 1))
-    serial = _with_workers(monkeypatch, 1, lambda: cross_validate(PidModel(), ds_ones, plan, 1))
+    pooled = _with_workers(monkeypatch, 2, lambda: cross_validate(PidModel(), ds_ones, 1))
+    serial = _with_workers(monkeypatch, 1, lambda: cross_validate(PidModel(), ds_ones, 1))
     assert pooled.mean_accuracy == 1.0
     assert serial.mean_accuracy == 0.0
 
@@ -419,7 +410,7 @@ def test_failing_fold_raises_the_same_error_from_the_pool(monkeypatch, case):
     models = {"knn": KnnClassifier(k=1, folds=3), "bad": ExplodesOnHeldOutRow(error, row=7, folds=4)}
 
     def run():
-        return benchmark(models, ds, SplitPlan(grouping="by_row"), 1)
+        return benchmark(models, ds, SplitPlan(), 1)
 
     pooled = _failure(lambda: _with_workers(monkeypatch, 2, run))
     serial = _failure(lambda: _with_workers(monkeypatch, 1, run))
@@ -435,4 +426,4 @@ def test_failing_fold_comes_before_a_later_models_planning_error(monkeypatch):
     models = {"bad": bad, "knn": KnnClassifier(k=1, folds=50)}  # 50 folds > 24 rows
     monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
     with pytest.raises(ValueError, match=r"^fold \d: boom$"):
-        benchmark(models, ds, SplitPlan(grouping="by_row"), 1)
+        benchmark(models, ds, SplitPlan(), 1)

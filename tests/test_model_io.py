@@ -165,8 +165,7 @@ def test_model_round_trip_predictions(tmp_path, kind):
     model = classifier.fit(pre.transform(x), y, seed=4)
 
     path = tmp_path / f"{kind}.bin"
-    save_model(path, kind, model, pre, ("a", "b", "c", "d"),
-               config_fingerprint="fp42", seed=7)
+    save_model(path, kind, model, pre, config_fingerprint="fp42", seed=7)
     loaded = load_model(path)
     assert loaded.kind == kind
     assert loaded.header["config_fingerprint"] == "fp42"
@@ -180,8 +179,7 @@ def test_model_round_trip_predictions(tmp_path, kind):
 
     # load -> save is byte-identical
     first = path.read_bytes()
-    save_model(path, kind, loaded.model, loaded.preprocessor, ("a", "b", "c", "d"),
-               config_fingerprint="fp42", seed=7)
+    save_model(path, kind, loaded.model, loaded.preprocessor, config_fingerprint="fp42", seed=7)
     assert path.read_bytes() == first
 
 
@@ -197,7 +195,7 @@ def test_model_round_trip_with_one_hot_columns(tmp_path, kind):
     assert pre.onehot_categories == ((0.0, 1.0, 2.0, 3.0),)
     model = classifier.fit(pre.transform(x), y, seed=4)
     path = tmp_path / f"{kind}.bin"
-    save_model(path, kind, model, pre, names, config_fingerprint="fp", seed=7)
+    save_model(path, kind, model, pre, config_fingerprint="fp", seed=7)
     loaded = load_model(path)
 
     probes = rng.normal(size=(100, 4))
@@ -209,7 +207,7 @@ def test_model_round_trip_with_one_hot_columns(tmp_path, kind):
     assert np.array_equal(loaded.predict(probes), model.predict(pre.transform(probes)))
 
     first = path.read_bytes()
-    save_model(path, kind, loaded.model, loaded.preprocessor, names, config_fingerprint="fp", seed=7)
+    save_model(path, kind, loaded.model, loaded.preprocessor, config_fingerprint="fp", seed=7)
     assert path.read_bytes() == first
 
 
@@ -220,7 +218,7 @@ def test_mlp_container_preserves_config_and_history(tmp_path):
                     batch_size=16, hidden_activation="relu")
     model = mlp_train(cfg, pre.transform(x), y, 11)
     path = tmp_path / "m.bin"
-    save_model(path, "mlp", model, pre, ("a", "b", "c", "d"))
+    save_model(path, "mlp", model, pre)
     loaded = load_model(path)
     assert loaded.model.config == cfg
     assert loaded.model.loss_history == pytest.approx(model.loss_history)
@@ -233,7 +231,7 @@ def test_forest_container_preserves_structure(tmp_path):
                        config=TreeConfig(criterion="entropy", max_depth=4,
                                          feature_subsample="sqrt"), seed=13)
     path = tmp_path / "f.bin"
-    save_model(path, "forest", model, pre, ("a", "b", "c", "d"))
+    save_model(path, "forest", model, pre)
     loaded = load_model(path)
     assert loaded.model.trees == model.trees
     assert loaded.model.config == model.config
@@ -244,7 +242,7 @@ def test_unknown_kind_rejected(tmp_path):
     x, y = training_data()
     pre = fit_preprocessor(x, ("a", "b", "c", "d"))
     with pytest.raises(ContainerFormatError):
-        save_model(tmp_path / "x.bin", "svm", None, pre, ("a",))
+        save_model(tmp_path / "x.bin", "svm", None, pre)
 
 
 # A small fit per kind whose settings differ from the defaults.
@@ -264,7 +262,7 @@ def small_container(tmp_path, kind):
     pre = fit_preprocessor(x, ("a", "b", "c"), scale=classifier.scale)
     model = classifier.fit(pre.transform(x), y, 11)
     path = tmp_path / f"{kind}.bin"
-    save_model(path, kind, model, pre, ("a", "b", "c"), config_fingerprint="fp", seed=11)
+    save_model(path, kind, model, pre, config_fingerprint="fp", seed=11)
     return path, x
 
 

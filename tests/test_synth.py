@@ -150,7 +150,7 @@ def test_noise_zero_extreme_weights_gives_learnable_labels(tmp_path):
 
     matrix = aggregate(events, DEFAULT_SPECS)
     ds, _ = join(matrix, labels)
-    train, test = split_train_test(ds, SplitPlan(grouping="by_session"), 1)
+    train, test = split_train_test(ds, SplitPlan(), 1)
     pre = fit_preprocessor(train.x, train.feature_names, scale=False)
     model = forest_fit(pre.transform(train.x), train.y, tree_count=50, seed=42)
     acc = float((forest_predict(model, pre.transform(test.x)) == test.y).mean())
