@@ -34,6 +34,14 @@ produced the same artifacts when their outputs are equal:
     PYTHONPATH=src python3 scripts/artifact_digests.py --workdir a > a.txt
     diff a.txt b.txt
 
+``--one-cpu`` first pins this process to the first CPU it may use, so every
+fork pool (``gen-synthetic``'s, the folds' and ``aggregate``'s) runs its
+tasks in this process. A pinned run and an unpinned one print the same
+lines when no artifact depends on the CPU count:
+
+    PYTHONPATH=src python3 scripts/artifact_digests.py --workdir c --one-cpu > c.txt
+    diff a.txt c.txt
+
 The CLI's own output goes to stderr. Exits with the first failing step's
 exit code.
 """
@@ -41,6 +49,7 @@ exit code.
 import argparse
 import contextlib
 import hashlib
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -80,7 +89,10 @@ def run(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--sessions", type=int, default=60)
     parser.add_argument("--events-per-session", type=int, default=600)
+    parser.add_argument("--one-cpu", action="store_true", help="pin this process to one CPU")
     args = parser.parse_args(argv)
+    if args.one_cpu:
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
     for name, config in CONFIGS.items():
         workdir = args.workdir / name

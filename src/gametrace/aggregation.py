@@ -4,8 +4,14 @@ One pass, per-group accumulators only, holding just the statistics the specs
 read: counts, exact sums, min/max, hash sets for nunique and index-tracked
 first/last. A real-column sum buffers at most ``_BUFFER`` values per group
 before math.fsum compacts them exactly, so state is bounded by the number of
-groups, not events. Accumulators merge associatively, which allows sharding
-by session and combining shard results.
+groups, not events.
+
+``aggregate_file`` shards a file by session owner: each pool task reads the
+whole file but accumulates only the sessions it owns, and reduces its own
+groups, so no two tasks share a group and nothing is merged; the calling
+process sorts the reduced groups and codes first/last cells. Accumulators
+still merge associatively (``StreamingAggregator.merge``, library API), so
+shards of a stream split any other way can be combined too.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import csv
 import json
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import IO, Iterable, Optional
 
@@ -25,8 +32,12 @@ from .events import (
     LEVEL_GROUPS,
     NUMERIC_COLUMNS,
     REAL_COLUMNS,
+    IngestReport,
     RawEvent,
+    check_event_header,
+    read_events,
 )
+from .pool import fork_map, fork_workers
 from .schema import check
 
 NUMERIC_KINDS = ("mean", "sum", "min", "max")
@@ -204,9 +215,12 @@ class StreamingAggregator:
     an (index, value) pair per first/last. An event touches only the slots
     some spec reads.
 
-    Instances may be built on disjoint shards of the stream (grouped by
-    session) and merged; merge is associative and commutative, so the
-    finalized output is independent of sharding and arrival order.
+    ``aggregate_file`` builds one instance per session owner and reduces
+    each on its own (``_reduced``); ``finalize`` is that reduction plus the
+    assembly those share. Instances built on any split of a stream can also
+    be merged (library API, unused by the CLI); merge is associative and
+    commutative, so the finalized output is independent of sharding and
+    arrival order.
     """
 
     def __init__(self, specs: Iterable[AggregatorSpec] = DEFAULT_SPECS):
@@ -329,34 +343,56 @@ class StreamingAggregator:
 
     def finalize(self) -> FeatureMatrix:
         """Emit one row per group, sorted by (session_id, level_group rank)."""
-        keys = sorted(self._groups, key=lambda k: (k[0], _GROUP_RANK[k[1]]))
-        code_tables: dict[str, dict[str, int]] = {
-            s.column: {} for s in self.specs if s.is_categorical_code
-        }
-        rows: list[FeatureRow] = []
-        for key in keys:
-            group = self._groups[key]
-            values: list[Optional[float]] = []
-            for spec, count, i in self._cells:
-                stat = group[i]
-                if count is not None:
-                    values.append(_reduce(spec, group[count], stat, key) if group[count] else None)
-                elif spec.kind == "count":
-                    values.append(float(stat))
-                elif spec.kind == "nunique":
-                    values.append(float(len(stat)))
-                elif stat is None:
-                    values.append(None)
-                else:
-                    table = code_tables[spec.column]
-                    values.append(float(table.setdefault(stat[1], len(table))))
-            rows.append(FeatureRow(key[0], key[1], tuple(values)))
-        return FeatureMatrix(
-            column_names=tuple(s.output_name for s in self.specs),
-            rows=rows,
-            code_tables=code_tables,
-            specs=self.specs,
-        )
+        return _assemble(self.specs, self._reduced())
+
+    def _reduced(self) -> list[tuple[tuple[str, str], list | DataError]]:
+        """Each group's key with its values in spec order, a first/last cell
+        still its (index, value) pair; or, for a group with a reduction that
+        is not a finite float, the DataError of its first such spec."""
+        out = []
+        for key, group in self._groups.items():
+            values: list = []
+            try:
+                for spec, count, i in self._cells:
+                    stat = group[i]
+                    if count is not None:
+                        values.append(_reduce(spec, group[count], stat, key) if group[count] else None)
+                    elif spec.kind == "count":
+                        values.append(float(stat))
+                    elif spec.kind == "nunique":
+                        values.append(float(len(stat)))
+                    else:
+                        values.append(stat)
+            except DataError as exc:
+                values = exc
+            out.append((key, values))
+        return out
+
+
+def _assemble(
+    specs: tuple[AggregatorSpec, ...], reduced: list[tuple[tuple[str, str], list | DataError]]
+) -> FeatureMatrix:
+    """The matrix of reduced groups (``StreamingAggregator._reduced``; one
+    list, or disjoint lists joined): rows sorted by (session_id, level_group
+    rank), the first failed group's error raised, and first/last cells coded
+    in that row order."""
+    reduced.sort(key=lambda item: (item[0][0], _GROUP_RANK[item[0][1]]))
+    code_tables: dict[str, dict[str, int]] = {s.column: {} for s in specs if s.is_categorical_code}
+    coded = [(j, code_tables[s.column]) for j, s in enumerate(specs) if s.is_categorical_code]
+    rows: list[FeatureRow] = []
+    for (session_id, level_group), values in reduced:
+        if isinstance(values, DataError):
+            raise values
+        for j, table in coded:
+            if values[j] is not None:
+                values[j] = float(table.setdefault(values[j][1], len(table)))
+        rows.append(FeatureRow(session_id, level_group, tuple(values)))
+    return FeatureMatrix(
+        column_names=tuple(s.output_name for s in specs),
+        rows=rows,
+        code_tables=code_tables,
+        specs=specs,
+    )
 
 
 def aggregate(
@@ -366,6 +402,47 @@ def aggregate(
     agg = StreamingAggregator(specs)
     agg.update_all(events)
     return agg.finalize()
+
+
+# Event files smaller than this aggregate in this process: below it, the
+# pool's start costs more than the other CPUs save.
+_SHARD_FLOOR = 2_000_000
+
+
+def _aggregate_part(path: Path, specs: tuple[AggregatorSpec, ...], parts: int, k: int):
+    """Task ``k`` of ``parts``: the reduced groups of the sessions it owns
+    (see ``read_events``), its ingest report and its event count."""
+    report = IngestReport()
+    agg = StreamingAggregator(specs)
+    with open(path, newline="") as source:
+        agg.update_all(read_events(source, report=report, part=(k, parts)))
+    return agg._reduced(), report, agg.events_in
+
+
+def aggregate_file(
+    path: Path, specs: Iterable[AggregatorSpec] = DEFAULT_SPECS
+) -> tuple[FeatureMatrix, IngestReport, int]:
+    """Aggregate an event CSV file: the matrix, the ingest report and the
+    number of events aggregated.
+
+    A file of at least ``_SHARD_FLOOR`` bytes is aggregated by one task per
+    pool worker (``pool.fork_map``); each reads the whole file but keeps
+    only the sessions it owns, so no two tasks share a group and the output
+    does not depend on the number of tasks. A smaller file, or a machine
+    with one worker, runs the one task here.
+    """
+    specs = validate_specs(specs)
+    with open(path, newline="") as source:
+        report = IngestReport(unknown_columns=check_event_header(source))
+    parts = fork_workers() if Path(path).stat().st_size >= _SHARD_FLOOR else 1
+    task = partial(_aggregate_part, path, specs, parts)
+    reduced: list = []
+    events_in = 0
+    for groups, part_report, part_events in fork_map(task, range(parts)) if parts > 1 else [task(0)]:
+        reduced += groups
+        report.add(part_report)
+        events_in += part_events
+    return _assemble(specs, reduced), report, events_in
 
 
 def _format_cell(v: Optional[float]) -> str:

@@ -30,10 +30,10 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__, lazy_module
-from .aggregation import StreamingAggregator, load_feature_matrix, save_feature_matrix
+from .aggregation import aggregate_file, load_feature_matrix, save_feature_matrix
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, FingerprintMismatchError, GametraceError, InternalError
-from .events import IngestReport, read_events, read_labels
+from .events import read_labels
 from .settings import MODELS, PROTOCOLS
 
 dataset = lazy_module("dataset")
@@ -165,11 +165,7 @@ def cmd_gen_synthetic(cfg: RunConfig, args) -> int:
 def cmd_aggregate(cfg: RunConfig, args) -> int:
     wd = _workdir(cfg)
     events_path = _input_file(Path(cfg.events_path or wd / "events.csv"), "event file")
-    report = IngestReport()
-    agg = StreamingAggregator(cfg.aggregator_specs)
-    with open(events_path, newline="") as source:
-        agg.update_all(read_events(source, report=report))
-    matrix = agg.finalize()
+    matrix, report, events_in = aggregate_file(events_path, cfg.aggregator_specs)
 
     features_csv = wd / "features.csv"
     features_meta = wd / "features.meta.json"
@@ -178,7 +174,7 @@ def cmd_aggregate(cfg: RunConfig, args) -> int:
             matrix, csv_sink, meta_sink, config_fingerprint=cfg.fingerprint(), seed=cfg.seed
         )
 
-    # read_events rejects an empty file, so input_bytes > 0
+    # the header check rejects an empty file, so input_bytes > 0
     input_bytes = events_path.stat().st_size
     output_bytes = features_csv.stat().st_size + features_meta.stat().st_size
     byte_ratio = output_bytes / input_bytes
@@ -188,7 +184,7 @@ def cmd_aggregate(cfg: RunConfig, args) -> int:
         {
             "input_bytes": input_bytes,
             "output_bytes": output_bytes,
-            "rows_in": agg.events_in,
+            "rows_in": events_in,
             "rows_out": len(matrix.rows),
             "byte_ratio": byte_ratio,
             "rows_skipped": report.rows_skipped,
@@ -196,7 +192,7 @@ def cmd_aggregate(cfg: RunConfig, args) -> int:
         },
     )
     print(
-        f"aggregated: rows {agg.events_in} -> {len(matrix.rows)}; "
+        f"aggregated: rows {events_in} -> {len(matrix.rows)}; "
         f"bytes {input_bytes} -> {output_bytes} ({100.0 * byte_ratio:.2f}%)"
     )
     if report.rows_skipped:

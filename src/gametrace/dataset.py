@@ -171,6 +171,10 @@ class Preprocessor:
             value = getattr(self, name)
             if value is not None and np.shape(value) != (width,):
                 raise DataError(f"preprocessor {name} has shape {np.shape(value)}, not ({width},)")
+            if value is not None and not np.isfinite(value).all():
+                raise DataError(f"preprocessor {name} must be finite")
+        if self.scaler_std is not None and (self.scaler_std < 0.0).any():
+            raise DataError("preprocessor scaler_std must not be negative")
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

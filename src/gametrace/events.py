@@ -145,6 +145,20 @@ class IngestReport:
         if len(self.cell_errors) < MAX_CELL_ERRORS:
             self.cell_errors.append(CellError(row, column, value))
 
+    def add(self, other: "IngestReport") -> None:
+        """Count the rows of ``other``, a report on rows disjoint from this
+        one's (another part of the same text; see ``read_events``). Each
+        keeps its first ``MAX_CELL_ERRORS`` skipped rows, so the first of
+        both, by row, are exactly those of one report on all the rows."""
+        self.rows_read += other.rows_read
+        self.events_emitted += other.events_emitted
+        self.rows_skipped += other.rows_skipped
+        self.consistency_violations += other.consistency_violations
+        for column, n in other.errors_by_column.items():
+            self.errors_by_column[column] = self.errors_by_column.get(column, 0) + n
+        kept = sorted(self.cell_errors + other.cell_errors, key=lambda e: e.row)
+        self.cell_errors = kept[:MAX_CELL_ERRORS]
+
 
 def _diagnose_row(row: Sequence[str], pos: dict[str, int]) -> str:
     """Slow path: name the first column of a rejected row that fails its rule."""
@@ -188,7 +202,29 @@ def _unreadable(source: IO[str], reader, exc: Exception) -> DataError:
     return DataError(f"{where}: line {reader.line_num}: {exc}")
 
 
-def read_events(source: IO[str], report: IngestReport | None = None) -> Iterator[RawEvent]:
+def _event_header(reader, warn: bool) -> tuple[list[str], dict[str, int], tuple[str, ...]]:
+    """The header, the position of each event column in it, and its unknown
+    columns, logged when ``warn``. MissingColumnError if it lacks a column."""
+    header, pos = _positions(reader, EVENT_COLUMNS)
+    extras = tuple(c for c in header if c not in EVENT_COLUMNS)
+    if extras and warn:
+        logger.warning("ignoring %d unknown column(s): %s", len(extras), ", ".join(extras))
+    return header, pos, extras
+
+
+def check_event_header(source: IO[str]) -> tuple[str, ...]:
+    """Read only the header of an event file: its unknown columns, logged
+    once. Raises as ``read_events`` does on a missing column or bad text."""
+    reader = csv.reader(source)
+    try:
+        return _event_header(reader, warn=True)[2]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise _unreadable(source, reader, exc) from None
+
+
+def read_events(
+    source: IO[str], report: IngestReport | None = None, part: tuple[int, int] | None = None
+) -> Iterator[RawEvent]:
     """Stream RawEvents from a CSV text source.
 
     Malformed rows are skipped and recorded in ``report`` with their line
@@ -198,18 +234,24 @@ def read_events(source: IO[str], report: IngestReport | None = None) -> Iterator
     lacks one of ``EVENT_COLUMNS``, and DataError, naming the line, on text
     that is not UTF-8 or that the csv module cannot split (such as a field
     over its size limit).
+
+    ``part = (k, parts)`` reads the whole text the same way but parses,
+    emits and counts only the rows task ``k`` of ``parts`` owns: those whose
+    ``session_id`` cell hashes to ``k`` modulo ``parts`` (a row too short to
+    have one belongs to task 0). The parts of one text are disjoint, cover
+    it, and keep each session whole. With ``part`` given, the caller has
+    read the header (``check_event_header``), so no warning is logged.
     """
     rep = report if report is not None else IngestReport()
     reader = csv.reader(source)
+    k, parts = part or (0, 1)
     # Counted in locals, and added to ``rep`` when the loop ends, raises or
     # is closed.
     rows = emitted = inconsistent = 0
     try:
-        header, pos = _positions(reader, EVENT_COLUMNS)
-        extras = tuple(c for c in header if c not in EVENT_COLUMNS)
+        header, pos, extras = _event_header(reader, warn=part is None)
         if extras:
             rep.unknown_columns = extras
-            logger.warning("ignoring %d unknown column(s): %s", len(extras), ", ".join(extras))
 
         # Hot loop: one itemgetter unpacks a row, conversions and checks are
         # inline (a second statement of _RULES, kept for speed), one
@@ -218,8 +260,12 @@ def read_events(source: IO[str], report: IngestReport | None = None) -> Iterator
         groups = LEVEL_GROUPS
         width = len(header)
         new = tuple.__new__
+        at = pos["session_id"]
+        shard = parts > 1
 
         for row in reader:
+            if shard and (hash(row[at]) % parts if len(row) > at else 0) != k:
+                continue
             rows += 1
             try:
                 (sid, index, elapsed, event_name, name, level, page, rx, ry, sx, sy,

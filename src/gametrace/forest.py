@@ -390,6 +390,11 @@ def unflatten_trees(arrays: dict[str, np.ndarray], n_features: int) -> list[Tree
     # An infinite threshold is legal: the midpoint of two huge values can overflow.
     if np.isnan(arrays["tree_thresholds"]).any() or np.isnan(arrays["tree_gains"]).any():
         raise ContainerFormatError("tree thresholds and gains must not be NaN")
+    leaves = kinds != _KIND_INTERNAL
+    if not np.isin(arrays["tree_labels"][leaves], (0, 1)).all():
+        raise ContainerFormatError("tree leaf labels must be 0 or 1")
+    if (arrays["tree_count0"] < 0).any() or (arrays["tree_count1"] < 0).any():
+        raise ContainerFormatError("tree class counts must not be negative")
     kinds, features, thresholds, gains, labels, c0, c1 = (arrays[a].tolist() for a in _NODE_ARRAYS)
     starts = arrays["tree_offsets"].tolist()
     trees: list[TreeNode] = []

@@ -42,23 +42,32 @@ def _worker_task(task):
         return False, None
 
 
-def fork_map(fn: Callable[[T], R], tasks: Sequence[T]) -> Iterator[R]:
-    """``fn(task)`` for each task, yielded in task order.
-
-    Tasks run in forked workers when there are at least two usable CPUs and
-    two tasks; otherwise each runs here as it is consumed. At most two tasks
-    per worker are in flight ahead of the consumer, so a caller that writes
-    each result as it comes holds only a few of them. Closing the iterator
-    early shuts the pool down.
-    """
-    workers = min(usable_cpus(), len(tasks))
-    if workers < 2:
-        return (fn(task) for task in tasks)
+def fork_workers() -> int:
+    """The workers ``fork_map`` runs on, given as many tasks: the usable
+    CPUs, or 1 (no pool) where there is one or no ``fork`` start method."""
+    cpus = usable_cpus()
+    if cpus < 2:
+        return 1
     # Imported here, so that a command that runs no pool does not pay for it.
     import multiprocessing
 
-    if "fork" not in multiprocessing.get_all_start_methods():
+    return cpus if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
+def fork_map(fn: Callable[[T], R], tasks: Sequence[T]) -> Iterator[R]:
+    """``fn(task)`` for each task, yielded in task order.
+
+    Tasks run in forked workers when ``fork_workers()`` and the number of
+    tasks are both at least two; otherwise each runs here as it is consumed.
+    At most two tasks per worker are in flight ahead of the consumer, so a
+    caller that writes each result as it comes holds only a few of them.
+    Closing the iterator early shuts the pool down.
+    """
+    workers = min(fork_workers(), len(tasks)) if len(tasks) > 1 else 1
+    if workers < 2:
         return (fn(task) for task in tasks)
+    import multiprocessing
+
     return _in_pool(fn, tasks, workers, multiprocessing.get_context("fork"))
 
 

@@ -231,7 +231,10 @@ class KnnClassifier(Classifier):
     @staticmethod
     def from_container(section: dict, arrays: dict) -> knn.KnnModel:
         params = build(KnnClassifier, {"k": section["k"], "metric": section["metric"]}, "knn")
-        return knn.knn_fit(arrays["knn_x"], arrays["knn_y"], k=params.k, metric=params.metric)
+        model = knn.knn_fit(arrays["knn_x"], arrays["knn_y"], k=params.k, metric=params.metric)
+        if not ((model.y == 0) | (model.y == 1)).all():
+            raise ContainerFormatError("knn labels must be 0 or 1")
+        return model
 
 
 @dataclass(frozen=True)

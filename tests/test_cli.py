@@ -306,6 +306,17 @@ def _first_split_on(feature):
     return edit
 
 
+def _leaves(name, value):
+    """Every leaf's entry of the tree array ``name`` set to ``value``."""
+
+    def edit(h, a):
+        v = a[name].copy()
+        v[a["tree_kinds"] == 0] = value
+        return h, {**a, name: v}
+
+    return edit
+
+
 def _no_trees(h, a):
     empty = {name: v[:0] for name, v in a.items() if name.startswith("tree_")}
     return {**h, "forest": {**h["forest"], "tree_count": 3}}, {**a, **empty}
@@ -353,6 +364,14 @@ MALFORMED_CONTAINERS = {
         "mlp", _array("mlp_loss_history", lambda v: v[:, None]),
         "mlp loss history has shape (100, 1), not (100,)",
     ),
+    "leaf labels 5": ("forest", _leaves("tree_labels", 5), "tree leaf labels must be 0 or 1"),
+    "leaf labels -3": ("forest", _leaves("tree_labels", -3), "tree leaf labels must be 0 or 1"),
+    "tree_count0 negative": ("forest", _leaves("tree_count0", -1), "tree class counts must not be negative"),
+    "tree_count1 negative": ("forest", _leaves("tree_count1", -1), "tree class counts must not be negative"),
+    "knn_y all 7": ("knn", _array("knn_y", lambda v: np.full_like(v, 7)), "knn labels must be 0 or 1"),
+    "pre_scaler_std negative": (
+        "knn", _array("pre_scaler_std", lambda v: -1.0 - v), "preprocessor scaler_std must not be negative"
+    ),
 }
 
 
@@ -392,6 +411,13 @@ NONFINITE_CONTAINERS = {
     "mlp_loss_history NaN": ("mlp", _array("mlp_loss_history", _first_entry(np.nan)), "must be finite"),
     "tree_thresholds NaN": ("forest", _array("tree_thresholds", _first_entry(np.nan)), "must not be NaN"),
     "mlp_w1 column of 1e308": ("mlp", _array("mlp_w1", _first_column(1e308)), "mlp outputs overflow"),
+    **{
+        f"pre_{name} {value}": (
+            "knn", _array(f"pre_{name}", _first_entry(value)), f"preprocessor {name} must be finite"
+        )
+        for name in ("means", "scaler_mean", "scaler_std")
+        for value in (np.nan, np.inf)
+    },
 }
 
 
