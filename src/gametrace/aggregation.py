@@ -9,9 +9,7 @@ groups, not events.
 ``aggregate_file`` shards a file by session owner: each pool task reads the
 whole file but accumulates only the sessions it owns, and reduces its own
 groups, so no two tasks share a group and nothing is merged; the calling
-process sorts the reduced groups and codes first/last cells. Accumulators
-still merge associatively (``StreamingAggregator.merge``, library API), so
-shards of a stream split any other way can be combined too.
+process sorts the reduced groups and codes first/last cells.
 """
 
 from __future__ import annotations
@@ -217,10 +215,8 @@ class StreamingAggregator:
 
     ``aggregate_file`` builds one instance per session owner and reduces
     each on its own (``_reduced``); ``finalize`` is that reduction plus the
-    assembly those share. Instances built on any split of a stream can also
-    be merged (library API, unused by the CLI); merge is associative and
-    commutative, so the finalized output is independent of sharding and
-    arrival order.
+    assembly those share, so the output does not depend on arrival order or
+    on the number of owners.
     """
 
     def __init__(self, specs: Iterable[AggregatorSpec] = DEFAULT_SPECS):
@@ -233,113 +229,74 @@ class StreamingAggregator:
                 count = slots.setdefault((s.column, "count"), len(slots))
             stat = slots.setdefault((s.column, _STATISTIC.get(s.kind, s.kind)), len(slots))
             self._cells.append((s, count, stat))
-        self._kinds = [
-            "real" if stat == "sum" and column in REAL_COLUMNS else stat for column, stat in slots
-        ]
+        kinds = ["real" if stat == "sum" and column in REAL_COLUMNS else stat for column, stat in slots]
         plans: dict[str, list[tuple]] = {kind: [] for kind in _PLANS}
         for (column, stat), i in slots.items():
-            kind, pos = self._kinds[i], _FIELD_INDEX[column]
+            kind, pos = kinds[i], _FIELD_INDEX[column]
             if kind in ("sum", "real"):
                 plans[kind].append((pos, slots[(column, "count")], i))
             elif stat != "count" or (column, "sum") not in slots:  # a sum plan counts too
                 plans[kind].append((pos, i))
         self._plans = tuple(plans.values())
-        self._template = [_INITIAL.get(kind) for kind in self._kinds]
-        self._fresh = [(i, _FRESH[kind]) for i, kind in enumerate(self._kinds) if kind in _FRESH]
+        self._template = [_INITIAL.get(kind) for kind in kinds]
+        self._fresh = [(i, _FRESH[kind]) for i, kind in enumerate(kinds) if kind in _FRESH]
         self._groups: dict[tuple[str, str], list] = {}
-        self.events_in = 0
-
-    def _new_group(self) -> list:
-        group = self._template.copy()
-        for i, make in self._fresh:
-            group[i] = make()
-        return group
 
     def update_all(self, events: Iterable[RawEvent]) -> None:
-        groups = self._groups
+        groups, template, fresh = self._groups, self._template, self._fresh
         counts, sums, reals, mins, maxs, sets, firsts, lasts = self._plans
         sid_at, group_at, index_at = (_FIELD_INDEX[c] for c in ("session_id", "level_group", "index"))
-        n = 0
-        try:
-            for ev in events:
-                n += 1
-                key = (ev[sid_at], ev[group_at])
-                g = groups.get(key)
-                if g is None:
-                    g = groups[key] = self._new_group()
-                for pos, c, i in reals:
-                    v = ev[pos]
-                    if v is not None:
-                        g[c] += 1
-                        buf = g[i]
-                        buf.append(v)
-                        if len(buf) >= _BUFFER:
-                            g[i] = _compact(buf)
-                for pos, c, i in sums:
-                    v = ev[pos]
-                    if v is not None:
-                        g[c] += 1
-                        g[i] += v
-                for pos, i in counts:
-                    if ev[pos] is not None:
-                        g[i] += 1
-                for pos, i in mins:
-                    v = ev[pos]
-                    if v is not None:
-                        m = g[i]
-                        if v < m or (v == m and not v and copysign(1.0, v) < 0):  # -0.0 wins
-                            g[i] = v
-                for pos, i in maxs:
-                    v = ev[pos]
-                    if v is not None:
-                        m = g[i]
-                        if v > m or (v == m and not v and copysign(1.0, m) < 0):  # 0.0 wins
-                            g[i] = v
-                for pos, i in sets:
-                    v = ev[pos]
-                    if v is not None:
-                        g[i].add(v)
-                for pos, i in firsts:
-                    v = ev[pos]
-                    if v is not None:
-                        end = (ev[index_at], v)
-                        if g[i] is None or end < g[i]:
-                            g[i] = end
-                for pos, i in lasts:
-                    v = ev[pos]
-                    if v is not None:
-                        end = (ev[index_at], v)
-                        if g[i] is None or end > g[i]:
-                            g[i] = end
-        finally:
-            self.events_in += n
-
-    def merge(self, other: "StreamingAggregator") -> None:
-        """Fold another aggregator (same specs) into this one. Its state is
-        copied, never shared: later changes to either side stay there."""
-        if other.specs != self.specs:
-            raise ConfigError("cannot merge aggregators with different specs")
-        self.events_in += other.events_in
-        for key, theirs in other._groups.items():
-            mine = self._groups.get(key)
-            if mine is None:
-                mine = self._groups[key] = self._new_group()
-            for i, (kind, a, b) in enumerate(zip(self._kinds, mine, theirs)):
-                if kind in ("count", "sum"):
-                    mine[i] = a + b
-                elif kind == "real":
-                    buf = a + b if type(a) is type(b) is array else list(a) + list(b)
-                    mine[i] = _compact(buf) if len(buf) >= _BUFFER else buf
-                elif kind == "set":
-                    mine[i] = a | b
-                elif kind == "min":
-                    if b < a or (b == a and not b and copysign(1.0, b) < 0):
-                        mine[i] = b
-                elif kind == "max":
-                    if b > a or (b == a and not b and copysign(1.0, a) < 0):
-                        mine[i] = b
-                elif b is not None and (a is None or (b < a if kind == "first" else b > a)):
-                    mine[i] = b
+        for ev in events:
+            key = (ev[sid_at], ev[group_at])
+            g = groups.get(key)
+            if g is None:
+                g = groups[key] = template.copy()
+                for i, make in fresh:
+                    g[i] = make()
+            for pos, c, i in reals:
+                v = ev[pos]
+                if v is not None:
+                    g[c] += 1
+                    buf = g[i]
+                    buf.append(v)
+                    if len(buf) >= _BUFFER:
+                        g[i] = _compact(buf)
+            for pos, c, i in sums:
+                v = ev[pos]
+                if v is not None:
+                    g[c] += 1
+                    g[i] += v
+            for pos, i in counts:
+                if ev[pos] is not None:
+                    g[i] += 1
+            for pos, i in mins:
+                v = ev[pos]
+                if v is not None:
+                    m = g[i]
+                    if v < m or (v == m and not v and copysign(1.0, v) < 0):  # -0.0 wins
+                        g[i] = v
+            for pos, i in maxs:
+                v = ev[pos]
+                if v is not None:
+                    m = g[i]
+                    if v > m or (v == m and not v and copysign(1.0, m) < 0):  # 0.0 wins
+                        g[i] = v
+            for pos, i in sets:
+                v = ev[pos]
+                if v is not None:
+                    g[i].add(v)
+            for pos, i in firsts:
+                v = ev[pos]
+                if v is not None:
+                    end = (ev[index_at], v)
+                    if g[i] is None or end < g[i]:
+                        g[i] = end
+            for pos, i in lasts:
+                v = ev[pos]
+                if v is not None:
+                    end = (ev[index_at], v)
+                    if g[i] is None or end > g[i]:
+                        g[i] = end
 
     def finalize(self) -> FeatureMatrix:
         """Emit one row per group, sorted by (session_id, level_group rank)."""
@@ -411,19 +368,19 @@ _SHARD_FLOOR = 2_000_000
 
 def _aggregate_part(path: Path, specs: tuple[AggregatorSpec, ...], parts: int, k: int):
     """Task ``k`` of ``parts``: the reduced groups of the sessions it owns
-    (see ``read_events``), its ingest report and its event count."""
+    (see ``read_events``) and its ingest report."""
     report = IngestReport()
     agg = StreamingAggregator(specs)
     with open(path, newline="") as source:
         agg.update_all(read_events(source, report=report, part=(k, parts)))
-    return agg._reduced(), report, agg.events_in
+    return agg._reduced(), report
 
 
 def aggregate_file(
     path: Path, specs: Iterable[AggregatorSpec] = DEFAULT_SPECS
-) -> tuple[FeatureMatrix, IngestReport, int]:
-    """Aggregate an event CSV file: the matrix, the ingest report and the
-    number of events aggregated.
+) -> tuple[FeatureMatrix, IngestReport]:
+    """Aggregate an event CSV file: the matrix and the ingest report, whose
+    ``events_emitted`` counts the events aggregated.
 
     A file of at least ``_SHARD_FLOOR`` bytes is aggregated by one task per
     pool worker (``pool.fork_map``); each reads the whole file but keeps
@@ -437,12 +394,10 @@ def aggregate_file(
     parts = fork_workers() if Path(path).stat().st_size >= _SHARD_FLOOR else 1
     task = partial(_aggregate_part, path, specs, parts)
     reduced: list = []
-    events_in = 0
-    for groups, part_report, part_events in fork_map(task, range(parts)) if parts > 1 else [task(0)]:
+    for groups, part_report in fork_map(task, range(parts)) if parts > 1 else [task(0)]:
         reduced += groups
         report.add(part_report)
-        events_in += part_events
-    return _assemble(specs, reduced), report, events_in
+    return _assemble(specs, reduced), report
 
 
 def _format_cell(v: Optional[float]) -> str:

@@ -165,7 +165,7 @@ def cmd_gen_synthetic(cfg: RunConfig, args) -> int:
 def cmd_aggregate(cfg: RunConfig, args) -> int:
     wd = _workdir(cfg)
     events_path = _input_file(Path(cfg.events_path or wd / "events.csv"), "event file")
-    matrix, report, events_in = aggregate_file(events_path, cfg.aggregator_specs)
+    matrix, report = aggregate_file(events_path, cfg.aggregator_specs)
 
     features_csv = wd / "features.csv"
     features_meta = wd / "features.meta.json"
@@ -184,7 +184,7 @@ def cmd_aggregate(cfg: RunConfig, args) -> int:
         {
             "input_bytes": input_bytes,
             "output_bytes": output_bytes,
-            "rows_in": events_in,
+            "rows_in": report.events_emitted,
             "rows_out": len(matrix.rows),
             "byte_ratio": byte_ratio,
             "rows_skipped": report.rows_skipped,
@@ -192,7 +192,7 @@ def cmd_aggregate(cfg: RunConfig, args) -> int:
         },
     )
     print(
-        f"aggregated: rows {events_in} -> {len(matrix.rows)}; "
+        f"aggregated: rows {report.events_emitted} -> {len(matrix.rows)}; "
         f"bytes {input_bytes} -> {output_bytes} ({100.0 * byte_ratio:.2f}%)"
     )
     if report.rows_skipped:

@@ -146,7 +146,8 @@ class Preprocessor:
     The fields are the model container's ``preprocessor`` header keys and
     its ``pre_*`` arrays. Absent cells and codes unseen at fit time expand
     to an all-zero indicator block; a scaler std of 0.0 flags a constant
-    column, which maps to 0.
+    column, which maps to 0. A transformed cell that is not finite (an
+    infinite input cell, or an overflow past a tiny std) is a DataError.
     """
 
     input_names: tuple[str, ...]
@@ -182,9 +183,14 @@ class Preprocessor:
         x = np.where(np.isnan(x), self.means, x)  # a new array: scaled in place
         if self.scaler_std is not None:
             constant = self.scaler_std == 0.0
-            x -= self.scaler_mean
-            x /= np.where(constant, 1.0, self.scaler_std)
+            with np.errstate(over="ignore", invalid="ignore"):  # the check below names the column
+                x -= self.scaler_mean
+                x /= np.where(constant, 1.0, self.scaler_std)
             x[:, constant] = 0.0
+        finite = np.isfinite(x).all(axis=0)
+        if not finite.all():
+            name = self.output_names[int(np.argmin(finite))]
+            raise DataError(f"feature {name!r} is not finite after preprocessing")
         return x
 
 

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .dataset import LabeledDataset, fit_preprocessor, holdout_indices, kfold_index_pairs
-from .errors import ConfigError, LengthMismatchError, TooFewRowsError
+from .errors import ConfigError, LengthMismatchError
 from .pool import fork_map
 from .settings import MODELS, Classifier, SplitPlan, check_protocol
 
@@ -218,18 +218,11 @@ def benchmark(
     own fold count.
 
     ``models`` maps a kind in ``MODELS`` to that kind's classifier. The folds
-    of every model are planned first, then all run as the tasks of one pool.
+    of every model are planned first, so a model whose folds outnumber the
+    sessions raises before any fit; then all run as the tasks of one pool.
     """
     if not models:
         raise ConfigError("benchmark requires at least one model spec")
     check_protocol(protocol)
-    jobs: list[_Job] = []
-    for name, classifier in models.items():
-        try:
-            jobs.append(_plan(classifier, dataset, seed, name, plan if protocol == "holdout" else None))
-        except TooFewRowsError:
-            # Run model by model, the folds of the models before this one
-            # would fit first, so a failing fold among them is the error.
-            _run(jobs)
-            raise
-    return _run(jobs)
+    holdout = plan if protocol == "holdout" else None
+    return _run([_plan(classifier, dataset, seed, name, holdout) for name, classifier in models.items()])

@@ -1,5 +1,5 @@
-"""``aggregate_file`` gives the same matrix, count and report from any number
-of tasks: each task reads the whole file but keeps only the sessions it
+"""``aggregate_file`` gives the same matrix and report from any number of
+tasks: each task reads the whole file but keeps only the sessions it
 owns, so the parts are disjoint and nothing is merged.
 
 The tests set the size floor to 0 and force the worker count, so the pool
@@ -89,11 +89,11 @@ def test_two_parts_equal_one_part_on_interleaved_rows_with_every_malformed_kind(
 
     owners = {_owner(row.split(",", 1)[0]) for row in bad}
     assert owners == {0, 1}
-    (matrix2, report2, n2), (matrix1, report1, n1) = (_run(monkeypatch, path, c) for c in (2, 1))
+    (matrix2, report2), (matrix1, report1) = (_run(monkeypatch, path, c) for c in (2, 1))
     assert report1.rows_skipped == len(bad) > 2 * MAX_CELL_ERRORS
     assert len(report1.cell_errors) == MAX_CELL_ERRORS
     assert matrix2 == matrix1
-    assert n2 == n1 == len(events) + 1
+    assert report2.events_emitted == report1.events_emitted == len(events) + 1
     assert report2 == report1
     assert [(e.row, e.column, e.value) for e in report2.cell_errors] == [
         (e.row, e.column, e.value) for e in report1.cell_errors
@@ -177,8 +177,8 @@ def test_a_row_too_short_to_have_a_session_id_is_counted_once(monkeypatch, tmp_p
     path = tmp_path / "events.csv"
     path.write_text("\n".join([",".join(header), *good[:2], "0-4,0", *good[2:]]) + "\n")
     for cpus in (2, 1):
-        _, report, n = _run(monkeypatch, path, cpus)
-        assert (report.rows_read, report.rows_skipped, n) == (5, 1, 4)
+        _, report = _run(monkeypatch, path, cpus)
+        assert (report.rows_read, report.rows_skipped, report.events_emitted) == (5, 1, 4)
         assert report.errors_by_column == {"row": 1}
         assert [(e.row, e.value) for e in report.cell_errors] == [(4, "0-4,0")]
 
@@ -193,5 +193,5 @@ def test_one_cpu_or_a_file_below_the_floor_starts_no_pool(monkeypatch, tmp_path,
     monkeypatch.setattr(aggregation, "fork_map", no_pool)
     monkeypatch.setattr(aggregation, "_SHARD_FLOOR", floor)
     monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
-    matrix, report, n = aggregate_file(path)
-    assert (len(matrix.rows), report.rows_read, n) == (1, 1, 1)
+    matrix, report = aggregate_file(path)
+    assert (len(matrix.rows), report.rows_read, report.events_emitted) == (1, 1, 1)

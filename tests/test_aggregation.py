@@ -12,6 +12,7 @@ from gametrace.aggregation import (
     AggregatorSpec,
     StreamingAggregator,
     _BUFFER,
+    _assemble,
     aggregate,
     load_feature_matrix,
     save_feature_matrix,
@@ -131,21 +132,29 @@ def test_permutation_invariance_full_output():
     assert m1.code_tables == m2.code_tables
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
-@settings(max_examples=20, deadline=None)
-def test_partition_independence_merge(seed, shards):
-    rng = np.random.default_rng(seed)
-    evs = random_events(rng, 60, sessions=("a", "b", "c"))
-    single = StreamingAggregator(FULL_SPECS)
-    single.update_all(evs)
-
+def owner_shards(evs, shards):
+    """The matrix ``aggregate_file`` builds from ``shards`` session owners:
+    each event goes to its session's owner, and the owners' reduced groups
+    are assembled together."""
     parts = [StreamingAggregator(FULL_SPECS) for _ in range(shards)]
     for ev in evs:
         parts[hash(ev.session_id) % shards].update_all([ev])
-    merged = parts[0]
-    for p in parts[1:]:
-        merged.merge(p)
-    assert merged.finalize().rows == single.finalize().rows
+    return _assemble(FULL_SPECS, [group for part in parts for group in part._reduced()])
+
+
+def cells(m):
+    return [(r.session_id, r.level_group, [repr(v) for v in r.values]) for r in m.rows]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+@settings(max_examples=20, deadline=None)
+def test_partition_independence_owner_shards(seed, shards):
+    rng = np.random.default_rng(seed)
+    evs = random_events(rng, 60, sessions=("a", "b", "c"))
+    single = aggregate(evs, FULL_SPECS)
+    sharded = owner_shards(evs, shards)
+    assert cells(sharded) == cells(single)
+    assert sharded.code_tables == single.code_tables
 
 
 REALS = st.one_of(
@@ -180,10 +189,6 @@ def exact_streams(draw):
     return draw(long) + draw(rest)
 
 
-def cells(m):
-    return [(r.session_id, r.level_group, [repr(v) for v in r.values]) for r in m.rows]
-
-
 @given(exact_streams(), st.randoms(use_true_random=False), st.integers(2, 4))
 @settings(max_examples=30, deadline=None)
 def test_every_reduction_is_exact_and_order_independent(evs, rnd, shards):
@@ -193,12 +198,7 @@ def test_every_reduction_is_exact_and_order_independent(evs, rnd, shards):
     assert m.code_tables == codes
     shuffled = rnd.sample(evs, len(evs))
     assert cells(aggregate(shuffled, FULL_SPECS)) == cells(m)
-    parts = [StreamingAggregator(FULL_SPECS) for _ in range(shards)]
-    for ev in shuffled:  # any split, so shards share groups
-        parts[rnd.randrange(shards)].update_all([ev])
-    for part in parts[1:]:
-        parts[0].merge(part)
-    assert cells(parts[0].finalize()) == cells(m)
+    assert cells(owner_shards(shuffled, shards)) == cells(m)
 
 
 def test_real_sum_past_the_float_range_stays_exact():
@@ -207,11 +207,6 @@ def test_real_sum_past_the_float_range_stays_exact():
     for order in (values, values[::-1], values[::2] + values[1::2]):
         evs = [make_event(index=i, room_coor_x=v) for i, v in enumerate(order)]
         assert aggregate(evs, specs).rows[0].values == (0.5, 0.5 / 201)
-        a, b = StreamingAggregator(specs), StreamingAggregator(specs)
-        a.update_all(evs[:150])
-        b.update_all(evs[150:])
-        b.merge(a)
-        assert b.finalize().rows[0].values == (0.5, 0.5 / 201)
 
 
 @pytest.mark.parametrize("bad", [[nan], [inf], [inf, -inf], [-inf, 1e308, 1e308]], ids=repr)
@@ -221,33 +216,6 @@ def test_non_finite_real_sum_ends_in_data_error(bad):
     agg.update_all(evs)  # compacts non-finite buffers without looping
     with pytest.raises(DataError, match="room_coor_x_sum of session 's1', level group '0-4'"):
         agg.finalize()
-
-
-def test_merge_copies_the_other_shard():
-    rng = np.random.default_rng(7)
-    evs = random_events(rng, 60, sessions=("a", "b", "c"))
-    a = StreamingAggregator(FULL_SPECS)
-    b = StreamingAggregator(FULL_SPECS)
-    a.update_all(evs[:20])
-    b.update_all(evs[20:40])
-    a.merge(b)
-    before = a.finalize()
-    b.update_all(evs[40:])  # b keeps streaming after the merge
-    after = a.finalize()
-    assert after.rows == before.rows
-    assert after.code_tables == before.code_tables
-    a.update_all(evs[40:])  # and a's later updates leave b alone
-    merged_twice = StreamingAggregator(FULL_SPECS)
-    merged_twice.update_all(evs[20:40])
-    merged_twice.update_all(evs[40:])
-    assert b.finalize().rows == merged_twice.finalize().rows
-
-
-def test_merge_requires_same_specs():
-    a = StreamingAggregator([AggregatorSpec("level", "mean")])
-    b = StreamingAggregator([AggregatorSpec("level", "max")])
-    with pytest.raises(ConfigError):
-        a.merge(b)
 
 
 def test_mean_count_sum_consistency_and_bounds():

@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 
 from conftest import events_csv
 from gametrace import cli
+from gametrace.aggregation import load_feature_matrix
 from gametrace.cli import _build_parser, main
 from gametrace.config import RunConfig, load_config
+from gametrace.dataset import join, split_train_test
 from gametrace.errors import ConfigError
+from gametrace.events import read_labels
 from gametrace.model_io import MAGIC, load_container, load_model, save_container
 from gametrace.settings import MODELS, SelectionPolicy, SplitPlan, SynthConfig
 
@@ -139,6 +142,16 @@ def test_k_above_training_rows_exits_1_in_train_and_cv(pipeline_dir, tmp_path, c
     assert run("train", *common) == 1
     assert run("cv", *common) == 1
     assert "fold 0: k=100000 exceeds" in capsys.readouterr().err
+
+
+def test_benchmark_plans_every_model_before_it_fits_any(pipeline_dir, tmp_path, capsys):
+    # knn's k fails in its first fit (exit 1), but mlp's 21 folds exceed the
+    # 20 sessions, which planning finds before any fold is fitted.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"knn": {"k": 100000}, "mlp": {"folds": 21}}))
+    capsys.readouterr()
+    assert run("benchmark", "--workdir", str(pipeline_dir), "--config", str(cfg)) == 2
+    assert "21 folds exceed 20 sessions" in capsys.readouterr().err
 
 
 # command -> a value for each flag it reads besides --config, --workdir and --seed
@@ -411,6 +424,9 @@ NONFINITE_CONTAINERS = {
     "mlp_loss_history NaN": ("mlp", _array("mlp_loss_history", _first_entry(np.nan)), "must be finite"),
     "tree_thresholds NaN": ("forest", _array("tree_thresholds", _first_entry(np.nan)), "must not be NaN"),
     "mlp_w1 column of 1e308": ("mlp", _array("mlp_w1", _first_column(1e308)), "mlp outputs overflow"),
+    "pre_scaler_std 1e-310": (
+        "knn", _array("pre_scaler_std", _first_entry(1e-310)), "is not finite after preprocessing"
+    ),
     **{
         f"pre_{name} {value}": (
             "knn", _array(f"pre_{name}", _first_entry(value)), f"preprocessor {name} must be finite"
@@ -431,6 +447,26 @@ def test_container_without_finite_outputs_exits_2(evaluate_dir, tmp_path, capsys
     capsys.readouterr()
     assert evaluate(evaluate_dir, kind, bad) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", list(MODELS))
+def test_an_infinite_feature_cell_on_the_test_side_exits_2(evaluate_dir, tmp_path, capsys, kind):
+    with open(evaluate_dir / "labels.csv", newline="") as source:
+        labels = read_labels(source)
+    matrix = load_feature_matrix(evaluate_dir / "features.csv", evaluate_dir / "features.meta.json")
+    cfg = RunConfig()
+    session = split_train_test(join(matrix, labels)[0], cfg.split, cfg.seed)[1].row_keys[0][0]
+    lines = (evaluate_dir / "features.csv").read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith(f"{session},"))
+    cells = lines[row].split(",")
+    cells[2] = "inf"  # the first feature column
+    lines[row] = ",".join(cells)
+    (tmp_path / "features.csv").write_text("\n".join(lines) + "\n")
+    for name in ("features.meta.json", "labels.csv"):
+        shutil.copy(evaluate_dir / name, tmp_path / name)
+    capsys.readouterr()
+    assert evaluate(tmp_path, kind, evaluate_dir / f"model_{kind}.bin") == 2
+    assert f"feature {matrix.column_names[0]!r} is not finite after preprocessing" in capsys.readouterr().err
 
 
 def test_container_header_not_json_exits_2_in_evaluate_and_verify(evaluate_dir, tmp_path):

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gametrace import pool
+from gametrace import evaluation, pool
 from gametrace.cli import REFERENCE_ROW, _benchmark_rows, _table
 from gametrace.dataset import LabeledDataset, kfold_indices
-from gametrace.errors import ConfigError, LengthMismatchError
+from gametrace.errors import ConfigError, LengthMismatchError, TooFewRowsError
 from gametrace.evaluation import (
     ConfusionCounts,
     benchmark,
@@ -419,11 +419,13 @@ def test_failing_fold_raises_the_same_error_from_the_pool(monkeypatch, case):
     assert re.fullmatch(rf"fold [0-3]: {message}", pooled[1])
 
 
-@needs_fork
-def test_failing_fold_comes_before_a_later_models_planning_error(monkeypatch):
+def test_a_later_models_planning_error_comes_before_any_fold(monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("fork_map entered")
+
+    monkeypatch.setattr(evaluation, "fork_map", no_pool)
     ds = indexed_dataset()
     bad = ExplodesOnHeldOutRow(lambda: ValueError("boom"), row=0, folds=3)
     models = {"bad": bad, "knn": KnnClassifier(k=1, folds=50)}  # 50 folds > 24 rows
-    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
-    with pytest.raises(ValueError, match=r"^fold \d: boom$"):
+    with pytest.raises(TooFewRowsError, match="50 folds exceed 24 sessions"):
         benchmark(models, ds, SplitPlan(), 1)

@@ -20,8 +20,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gametrace"
 KEPT = {
     "best_split": "acceptance criterion 5 checks the split scan through it",
     "mlp_backward": "acceptance criterion 3 checks the gradients through it",
-    "aggregate": "the README's sharding property: one-shot aggregation of a whole stream",
-    "StreamingAggregator.merge": "the README's sharding property: shards merge into one result",
+    "aggregate": "the in-memory entry the tests and acceptance criteria 1 and 6 use",
     "kfold": "perfbench/traced_cli.py's TRACED list wraps it; the CLI plans folds as indices",
 }
 
