@@ -394,7 +394,7 @@ def aggregate_file(
     parts = fork_workers() if Path(path).stat().st_size >= _SHARD_FLOOR else 1
     task = partial(_aggregate_part, path, specs, parts)
     reduced: list = []
-    for groups, part_report in fork_map(task, range(parts)) if parts > 1 else [task(0)]:
+    for groups, part_report in fork_map(task, range(parts)):
         reduced += groups
         report.add(part_report)
     return _assemble(specs, reduced), report
@@ -461,6 +461,17 @@ def _read_sidecar(meta_path: Path) -> tuple[tuple[AggregatorSpec, ...], dict[str
     return tuple(specs), code_tables
 
 
+def _parse_cell(text: str) -> Optional[float]:
+    """``_format_cell`` inverted: an empty cell is absent; any other must be
+    a finite float, as ``_reduce`` writes only finite values."""
+    if not text:
+        return None
+    value = float(text)
+    if not isfinite(value):
+        raise ValueError(f"feature value {text!r} is not finite")
+    return value
+
+
 def load_feature_matrix(csv_path: Path, meta_path: Path) -> FeatureMatrix:
     specs, code_tables = _read_sidecar(meta_path)
     rows: list[FeatureRow] = []
@@ -476,7 +487,7 @@ def load_feature_matrix(csv_path: Path, meta_path: Path) -> FeatureMatrix:
             for row in reader:
                 if len(row) != len(expected):
                     raise ValueError(f"{len(row)} fields, the header has {len(expected)}")
-                values = tuple(float(v) if v else None for v in row[2:])
+                values = tuple(_parse_cell(v) for v in row[2:])
                 rows.append(FeatureRow(row[0], row[1], values))
         except (ValueError, csv.Error) as exc:  # also text that is not UTF-8
             raise DataError(f"{csv_path}: line {reader.line_num}: {exc}") from None

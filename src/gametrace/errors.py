@@ -29,7 +29,6 @@ class InternalError(GametraceError):
 class MissingColumnError(DataError):
     def __init__(self, name: str):
         super().__init__(f"required column missing from header: {name!r}")
-        self.name = name
 
 
 class DuplicateLabelError(DataError):
@@ -42,7 +41,6 @@ class DuplicateLabelError(DataError):
 class QuestionOutOfRangeError(DataError):
     def __init__(self, question: int):
         super().__init__(f"question number {question} outside [1, 18]")
-        self.question = question
 
 
 # aggregation ------------------------------------------------------------
@@ -50,8 +48,6 @@ class QuestionOutOfRangeError(DataError):
 class SpecTypeMismatchError(ConfigError):
     def __init__(self, column: str, kind: str):
         super().__init__(f"aggregator kind {kind!r} does not match type class of column {column!r}")
-        self.column = column
-        self.kind = kind
 
 
 # dataset ----------------------------------------------------------------
@@ -64,7 +60,6 @@ class EmptyJoinError(DataError):
 class AllMissingColumnError(DataError):
     def __init__(self, name: str):
         super().__init__(f"column {name!r} has no present values; mean undefined")
-        self.name = name
 
 
 class TooFewRowsError(DataError):
@@ -82,8 +77,6 @@ class LengthMismatchError(DataError):
 class PolicyUnsatisfiableError(ConfigError):
     def __init__(self, kept: int, wanted: int):
         super().__init__(f"only {kept} features survive the policy, {wanted} requested")
-        self.kept = kept
-        self.wanted = wanted
 
 
 # models -----------------------------------------------------------------
@@ -126,7 +119,6 @@ class ContainerFormatError(DataError):
 class UnsupportedVersionError(DataError):
     def __init__(self, version: int, supported: int):
         super().__init__(f"model container version {version} not supported (expected {supported})")
-        self.version = version
 
 
 class FingerprintMismatchError(DataError):

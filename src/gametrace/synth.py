@@ -1,11 +1,13 @@
 """Seeded synthetic event-log generator with planted feature-label signal.
 
-Each session's events cover all 23 levels (hence all three level groups);
-correctness of each question is drawn from a logistic model over the
-session/group's true aggregate features, computed here independently of the
-aggregation module and recorded in a manifest together with every
-probability draw. The manifest is the ground truth that desk-scale tests
-check the pipeline against. Statistical shape only, no behavioral realism.
+Each session's events cover all 23 levels (hence all three level groups).
+The generator draws the rows first, then summarizes them: the 11 true
+aggregate features of each session/group and the absent-cell counts are
+computed from the drawn rows, independently of the aggregation module.
+Correctness of each question is drawn from a logistic model over those
+aggregates, and a manifest records them together with every probability
+draw. The manifest is the ground truth that desk-scale tests check the
+pipeline against. Statistical shape only, no behavioral realism.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ import math
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .events import LEVEL_GROUPS, LabelRecord, level_group_for, write_events, write_labels
+from .events import EVENT_COLUMNS, LEVEL_GROUPS, LabelRecord, level_group_for, write_events, write_labels
 from .pool import fork_map
 from .rng import derive_seed
 from .settings import DEFAULT_NULL_RATES, DEFAULT_QUESTION_GROUPS, FEATURE_NAMES, SynthConfig
@@ -58,18 +62,16 @@ _NULL_COLUMNS = tuple(DEFAULT_NULL_RATES)
 # Each level group's levels. The groups are consecutive ranges, so walking
 # them in order walks the levels 0 to 22 in order.
 _GROUP_LEVELS = {g: [lvl for lvl in range(23) if level_group_for(lvl) == g] for g in LEVEL_GROUPS}
+_LEVEL_GROUP_AT = EVENT_COLUMNS.index("level_group")
 
 
-def _session_rows(sid: str, rng: np.random.Generator, cfg: SynthConfig,
-                  truth: dict[str, list[Optional[float]]], absent: list[int]) -> list[tuple]:
+def _session_rows(sid: str, rng: np.random.Generator, cfg: SynthConfig) -> list[tuple]:
     """One session's event rows, as tuples in ``EVENT_COLUMNS`` order.
 
-    Adds the session's three ``truth`` entries (the 11 planted aggregates of
-    each (session, level_group) slice, accumulated from the drawn values
-    themselves, independent of the streaming aggregator, so they can serve
-    as its oracle) and counts absent cells into ``absent``, one entry per
-    ``_NULL_COLUMNS`` name. An optional cell draws its value, then, when its
-    null rate is not 0, one ``random()`` that makes it absent below the rate.
+    Only draws: the truth and the absent-cell counts are computed from the
+    rows afterwards (``_truth``, ``_session_block``). An optional cell draws
+    its value, then, when its null rate is not 0, one ``random()`` that
+    makes it absent below the rate.
     """
     rates = {**DEFAULT_NULL_RATES, **cfg.null_rates}
     mean = cfg.events_per_session
@@ -101,17 +103,7 @@ def _session_rows(sid: str, rng: np.random.Generator, cfg: SynthConfig,
     )
     rows: list[tuple] = []
     elapsed = 0
-    index = 0
     for group, levels in _GROUP_LEVELS.items():
-        rx: list[float] = []
-        ry: list[float] = []
-        sx: list[float] = []
-        sy: list[float] = []
-        names: set[str] = set()
-        room_ids: set[str] = set()
-        event_names: set[str] = set()
-        first = len(rows)
-        elapsed_sum = level_sum = fqid_count = 0
         for level in levels:
             rooms = [f"tunic.level{level}.room{j}" for j in range(int(integers(1, 4)))]
             for _ in range(int(counts[level])):
@@ -121,80 +113,61 @@ def _session_rows(sid: str, rng: np.random.Generator, cfg: SynthConfig,
                 page = int(integers(0, 7))
                 if r_page and random() < r_page:
                     page = None
-                    absent[0] += 1
                 room_x = float(normal(room_cx, 100.0))
                 if r_rx and random() < r_rx:
                     room_x = None
-                    absent[1] += 1
-                else:
-                    rx.append(room_x)
                 room_y = float(normal(room_cy, 100.0))
                 if r_ry and random() < r_ry:
                     room_y = None
-                    absent[2] += 1
-                else:
-                    ry.append(room_y)
                 screen_x = float(normal(screen_cx, 90.0))
                 if r_sx and random() < r_sx:
                     screen_x = None
-                    absent[3] += 1
-                else:
-                    sx.append(screen_x)
                 screen_y = float(normal(screen_cy, 60.0))
                 if r_sy and random() < r_sy:
                     screen_y = None
-                    absent[4] += 1
-                else:
-                    sy.append(screen_y)
                 hover = int(integers(0, 3000))
                 if r_hover and random() < r_hover:
                     hover = None
-                    absent[5] += 1
                 text = _TEXT_VOCAB[int(integers(0, len(_TEXT_VOCAB)))]
                 if r_text and random() < r_text:
                     text = None
-                    absent[6] += 1
                 fqid = _FQID_VOCAB[int(integers(0, len(_FQID_VOCAB)))]
                 if r_fqid and random() < r_fqid:
                     fqid = None
-                    absent[7] += 1
-                else:
-                    fqid_count += 1
                 room = rooms[int(integers(0, len(rooms)))]
                 if r_room and random() < r_room:
                     room = None
-                    absent[8] += 1
-                else:
-                    room_ids.add(room)
                 text_fqid = _TEXT_FQID_VOCAB[int(integers(0, len(_TEXT_FQID_VOCAB)))]
                 if r_tfqid and random() < r_tfqid:
                     text_fqid = None
-                    absent[9] += 1
                 rows.append((
-                    sid, index, elapsed, event_name, name, level, page, room_x, room_y,
+                    sid, len(rows), elapsed, event_name, name, level, page, room_x, room_y,
                     screen_x, screen_y, hover, text, fqid, room, text_fqid, fullscreen, hq,
                     music, group,
                 ))
-                names.add(name)
-                event_names.add(event_name)
-                elapsed_sum += elapsed
-                level_sum += level
-                index += 1
-        events = len(rows) - first
-        truth[f"{sid}|{group}"] = [
-            _mean(rx),
-            _mean(ry),
-            _mean(sx),
-            _mean(sy),
-            float(elapsed_sum),
-            level_sum / events,
-            float(music),
-            float(len(names)),
-            float(len(room_ids)),
-            float(len(event_names)),
-            float(fqid_count),
-        ]
     return rows
+
+
+def _truth(cells: dict[str, tuple]) -> list[Optional[float]]:
+    """The 11 planted aggregates (``FEATURE_NAMES``) of one (session,
+    level_group) slice, from its drawn cells by column. Computed here,
+    independent of the aggregation module, so they can serve as its oracle."""
+    def present(col: str) -> list:
+        return [v for v in cells[col] if v is not None]
+
+    return [
+        _mean(present("room_coor_x")),
+        _mean(present("room_coor_y")),
+        _mean(present("screen_coor_x")),
+        _mean(present("screen_coor_y")),
+        float(sum(cells["elapsed_time"])),
+        sum(cells["level"]) / len(cells["level"]),
+        float(max(cells["music"])),
+        float(len(set(cells["name"]))),
+        float(len(set(present("room_fqid")))),
+        float(len(set(cells["event_name"]))),
+        float(len(present("fqid"))),
+    ]
 
 
 def _mean(values: list[float]) -> Optional[float]:
@@ -212,16 +185,22 @@ def _session_id(i: int) -> str:
 
 def _session_block(config: SynthConfig, seed: int, start: int) -> tuple[str, dict, list[int], int]:
     """Sessions ``start`` up to ``start + _BLOCK``: their CSV rows as text,
-    their truth entries, their absent-cell counts and their event count."""
+    their truth entries, their absent-cell counts and their event count,
+    all summarized from the drawn rows."""
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     truth: dict[str, list[Optional[float]]] = {}
     absent = [0] * len(_NULL_COLUMNS)
     events = 0
     for i in range(start, min(start + _BLOCK, config.sessions)):
-        rows = _session_rows(_session_id(i), np.random.default_rng(derive_seed(seed, i)), config, truth, absent)
+        sid = _session_id(i)
+        rows = _session_rows(sid, np.random.default_rng(derive_seed(seed, i)), config)
         writer.writerows(rows)
         events += len(rows)
+        for group, group_rows in groupby(rows, key=itemgetter(_LEVEL_GROUP_AT)):
+            cells = dict(zip(EVENT_COLUMNS, zip(*group_rows)))
+            truth[f"{sid}|{group}"] = _truth(cells)
+            absent = [a + cells[col].count(None) for a, col in zip(absent, _NULL_COLUMNS)]
     return text.getvalue(), truth, absent, events
 
 
@@ -257,20 +236,14 @@ def generate(config: SynthConfig, outdir: Path, seed: int) -> SynthResult:
 
     # Standardize the true aggregates so the planted weights act on
     # comparable scales; absent cells contribute 0 (the column mean).
-    z = np.array(
-        [
-            [np.nan if v is None else v for v in truth[f"{sid}|{g}"]]
-            for sid in sids
-            for g in LEVEL_GROUPS
-        ],
-        dtype=np.float64,
-    )
+    # ``truth`` holds the slices in session order, each session's level
+    # groups in ``LEVEL_GROUPS`` order, so ``zs[i, j]`` is session i's group j.
+    z = np.array([[np.nan if v is None else v for v in t] for t in truth.values()], dtype=np.float64)
     col_mean = np.nanmean(z, axis=0)
     col_std = np.nanstd(z, axis=0)
     safe_std = np.where(col_std == 0.0, 1.0, col_std)
     zs = (z - col_mean) / safe_std
-    zs = np.nan_to_num(zs, nan=0.0)
-    row_of = {f"{sid}|{g}": i for i, (sid, g) in enumerate((s, g) for s in sids for g in LEVEL_GROUPS)}
+    zs = np.nan_to_num(zs, nan=0.0).reshape(config.sessions, len(LEVEL_GROUPS), -1)
 
     weights = np.asarray(config.weights, dtype=np.float64)
     labels: list[LabelRecord] = []
@@ -279,8 +252,7 @@ def generate(config: SynthConfig, outdir: Path, seed: int) -> SynthResult:
     for i, sid in enumerate(sids):
         rng = np.random.default_rng(derive_seed(seed, config.sessions + i))
         for q in range(1, 19):
-            g = DEFAULT_QUESTION_GROUPS[q]
-            zrow = zs[row_of[f"{sid}|{g}"]]
+            zrow = zs[i, LEVEL_GROUPS.index(DEFAULT_QUESTION_GROUPS[q])]
             logit = float(weights @ zrow + config.bias)
             if config.noise > 0.0:
                 logit += config.noise * float(rng.normal())

@@ -186,11 +186,11 @@ def test_a_row_too_short_to_have_a_session_id_is_counted_once(monkeypatch, tmp_p
 @pytest.mark.parametrize("cpus, floor", [(1, 0), (2, 10**12)])
 def test_one_cpu_or_a_file_below_the_floor_starts_no_pool(monkeypatch, tmp_path, cpus, floor):
     def no_pool(*args):
-        raise AssertionError("fork_map entered")
+        raise AssertionError("pool started")
 
     path = tmp_path / "events.csv"
     path.write_text(events_csv([GOOD]).getvalue())
-    monkeypatch.setattr(aggregation, "fork_map", no_pool)
+    monkeypatch.setattr(pool, "_in_pool", no_pool)
     monkeypatch.setattr(aggregation, "_SHARD_FLOOR", floor)
     monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
     matrix, report = aggregate_file(path)

@@ -466,7 +466,7 @@ def test_an_infinite_feature_cell_on_the_test_side_exits_2(evaluate_dir, tmp_pat
         shutil.copy(evaluate_dir / name, tmp_path / name)
     capsys.readouterr()
     assert evaluate(tmp_path, kind, evaluate_dir / f"model_{kind}.bin") == 2
-    assert f"feature {matrix.column_names[0]!r} is not finite after preprocessing" in capsys.readouterr().err
+    assert f"features.csv: line {row + 1}: feature value 'inf' is not finite" in capsys.readouterr().err
 
 
 def test_container_header_not_json_exits_2_in_evaluate_and_verify(evaluate_dir, tmp_path):
@@ -516,6 +516,13 @@ UNREADABLE_INPUTS = {
     "features.csv cell not a number": (
         "features.csv", 5, _last_field(b",abc"), "select", "features.csv: line 5: could not convert",
     ),
+    **{
+        f"features.csv cell {cell}": (
+            "features.csv", 5, _last_field(b"," + cell.encode()), "select",
+            f"features.csv: line 5: feature value '{cell}' is not finite",
+        )
+        for cell in ("inf", "nan")
+    },
     "features.meta.json not JSON": (
         "features.meta.json", 1, lambda line: b"!" + line, "select", "features.meta.json: Expecting value",
     ),

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import multiprocessing
@@ -114,16 +115,20 @@ def test_manifest_records_draws_and_balance(small_corpus):
     assert balance["positive"] == sum(1 for lab in labels if lab.correct)
 
 
-def test_null_rates_match_manifest_draws_and_config(tmp_path):
-    cfg = SynthConfig(sessions=1, events_per_session=500)
+# One session, and two blocks' sessions, whose counts the manifest sums.
+@pytest.mark.parametrize("sessions", [1, synth._BLOCK + 1])
+def test_null_rates_match_manifest_draws_and_config(tmp_path, sessions):
+    cfg = SynthConfig(sessions=sessions, events_per_session=500)
     result = generate(cfg, tmp_path, seed=3)
     events, _, manifest, _ = read_corpus(result)
+    with open(result.events_path, newline="") as fh:
+        data_rows = sum(1 for _ in csv.reader(fh)) - 1
+    assert manifest["events_written"] == result.events_written == data_rows == len(events)
     configured = manifest["config"]["null_rates"]
     for col, stats in manifest["null_draws"].items():
-        realized = stats["absent"] / stats["total"]
-        missing = sum(getattr(ev, col) is None for ev in events) / len(events)
-        assert missing == pytest.approx(realized, abs=1e-12)
-        assert abs(realized - configured[col]) <= 0.02, col
+        assert stats["absent"] == sum(getattr(ev, col) is None for ev in events), col
+        assert stats["total"] == len(events)
+        assert abs(stats["absent"] / stats["total"] - configured[col]) <= 0.02, col
 
 
 def test_null_rate_zero_means_no_absent_cells(tmp_path):
