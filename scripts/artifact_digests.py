@@ -3,8 +3,8 @@
 
 The configs are the defaults, ``perfbench/config.json``,
 ``scripts/onehot_config.json``, ``scripts/allkinds_config.json``,
-``scripts/manhattan_config.json``, ``scripts/cosine_config.json`` and
-``scripts/entropy_config.json``. The onehot one adds a ``first`` and a
+``scripts/manhattan_config.json``, ``scripts/cosine_config.json``,
+``scripts/entropy_config.json`` and ``scripts/variants_config.json``. The onehot one adds a ``first`` and a
 ``last`` spec to the default specs, so selection and every model see
 dictionary-coded columns and go through one-hot expansion, which the first
 two do not reach. The allkinds one takes mean, sum, min and max of a real,
@@ -14,9 +14,12 @@ real-sum and absent-value paths run too; it drops no column by name, so the
 optional ones reach the models. The manhattan and cosine ones keep the
 default specs and set KNN's metric to manhattan and to cosine; the others
 all use euclidean. The entropy one sets the forest's split criterion to
-entropy; the others all use gini. Each config runs in its own subdirectory
-of ``--workdir`` (``default``, ``perfbench``, ``onehot``, ``allkinds``,
-``manhattan``, ``cosine``, ``entropy``), with these steps,
+entropy; the others all use gini. The variants one runs the other model
+settings that choose code: an MLP of two relu hidden layers, and a forest of
+20 trees that tries every feature at each node, with a depth limit and a
+larger minimum split size. Each config runs in its own subdirectory of
+``--workdir`` (``default``, ``perfbench``, ``onehot``, ``allkinds``,
+``manhattan``, ``cosine``, ``entropy``, ``variants``), with these steps,
 all with that subdirectory as --workdir, the config and --seed:
 
     gametrace gen-synthetic --sessions N --events-per-session M
@@ -66,6 +69,7 @@ CONFIGS = {
     "manhattan": REPO / "scripts" / "manhattan_config.json",
     "cosine": REPO / "scripts" / "cosine_config.json",
     "entropy": REPO / "scripts" / "entropy_config.json",
+    "variants": REPO / "scripts" / "variants_config.json",
 }
 
 

@@ -1,10 +1,11 @@
 """Decision trees with entropy/Gini splits and a bagged forest ensemble.
 
 Split thresholds sit at midpoints between consecutive distinct sorted
-values, so trees are exact and deterministic; ties prefer the lower feature
-index, then the lower threshold. The forest draws one bootstrap resample
-per tree from a per-tree seed derived from the master seed by tree index,
-making the ensemble independent of training order.
+values a < b, or at a where the midpoint is not below b, so every split
+separates its rows and trees are exact and deterministic; ties prefer the
+lower feature index, then the lower threshold. The forest draws one
+bootstrap resample per tree from a per-tree seed derived from the master
+seed by tree index, making the ensemble independent of training order.
 """
 
 from __future__ import annotations
@@ -146,7 +147,10 @@ def _scan_split(
     gains = parent - (weighted[0] + weighted[1])
     j = int(gains.argmax())
     lo = flat[j] + feat[j]  # sorted value just left of the cut, in sv.ravel()
-    thr = (float(sv.flat[lo]) + float(sv.flat[lo + 1])) / 2.0
+    a, b = float(sv.flat[lo]), float(sv.flat[lo + 1])
+    thr = (a + b) / 2.0
+    if not a <= thr < b:  # adjacent doubles round up to b; huge ones overflow
+        thr = a
     return int(features[feat[j]]), thr, float(gains[j])
 
 
@@ -270,11 +274,9 @@ def tree_predict(node: TreeNode, queries: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    trees: list[TreeNode]  # tree t grew from derive_seed(seed, t)
     config: TreeConfig
     seed: int
-    bootstrap: bool
-    tree_seeds: tuple[int, ...] = ()
     n_features: int = 0
 
     def predict(self, queries: np.ndarray) -> np.ndarray:
@@ -287,28 +289,17 @@ def forest_fit(
     tree_count: int = 100,
     config: TreeConfig = TreeConfig(feature_subsample="sqrt"),
     seed: int = 42,
-    bootstrap: bool = True,
 ) -> ForestModel:
     """Bagged ensemble; per-tree seeds derive from (seed, tree index)."""
     check_tree_count(tree_count)
     x, y = _training_arrays(x, y, "forest_fit")
     n = x.shape[0]
     trees: list[TreeNode] = []
-    seeds: list[int] = []
     for t in range(tree_count):
-        tree_seed = derive_seed(seed, t)
-        seeds.append(tree_seed)
-        rng = np.random.default_rng(tree_seed)
-        rows = rng.integers(0, n, size=n) if bootstrap else None
+        rng = np.random.default_rng(derive_seed(seed, t))
+        rows = rng.integers(0, n, size=n)
         trees.append(tree_fit(x, y, config, rng=rng, rows=rows))
-    return ForestModel(
-        trees=trees,
-        config=config,
-        seed=seed,
-        bootstrap=bootstrap,
-        tree_seeds=tuple(seeds),
-        n_features=x.shape[1],
-    )
+    return ForestModel(trees=trees, config=config, seed=seed, n_features=x.shape[1])
 
 
 def forest_predict(model: ForestModel, queries: np.ndarray) -> np.ndarray:
@@ -387,7 +378,7 @@ def unflatten_trees(arrays: dict[str, np.ndarray], n_features: int) -> list[Tree
         arrays[name].shape != kinds.shape for name in _NODE_ARRAYS
     ):
         raise ContainerFormatError("tree arrays differ in shape")
-    # An infinite threshold is legal: the midpoint of two huge values can overflow.
+    # Infinite thresholds are legal: containers from before the [a, b) rule can hold them.
     if np.isnan(arrays["tree_thresholds"]).any() or np.isnan(arrays["tree_gains"]).any():
         raise ContainerFormatError("tree thresholds and gains must not be NaN")
     leaves = kinds != _KIND_INTERNAL

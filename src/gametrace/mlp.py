@@ -1,10 +1,10 @@
 """Feed-forward network trained by minibatch gradient descent with Adam.
 
 Hidden layers apply an affine map followed by the activation; the output
-layer is a 2-way (or wider) softmax trained on mean cross-entropy. All
-randomness (weight init, epoch shuffles) flows from one seeded generator,
-so the seed passed to ``mlp_train`` fixes the whole trajectory. The input
-width is the training matrix's column count.
+layer is a 2-way softmax, one output per label 0 and 1, trained on mean
+cross-entropy. All randomness (weight init, epoch shuffles) flows from one
+seeded generator, so the seed passed to ``mlp_train`` fixes the whole
+trajectory. The input width is the training matrix's column count.
 """
 
 from __future__ import annotations
@@ -215,8 +215,8 @@ def mlp_train(config: MlpConfig, x: np.ndarray, y: np.ndarray, seed: int) -> Mlp
         raise ConfigError("training set is empty")
     if np.isnan(x).any():
         raise ConfigError("training matrix contains absent values; impute first")
-    if y.max(initial=0) >= config.output_dim:
-        raise ConfigError("label outside output_dim classes")
+    if not ((y == 0) | (y == 1)).all():
+        raise ConfigError("labels must be 0 or 1")
 
     weights, biases, rng = init_params(config, x.shape[1], seed)
     model = MlpModel(weights=weights, biases=biases, config=config, seed=seed)

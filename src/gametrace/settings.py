@@ -153,7 +153,6 @@ ACTIVATIONS = ("logistic", "relu")
 @dataclass(frozen=True)
 class MlpConfig:
     hidden_sizes: tuple[int, ...] = (128,)
-    output_dim: int = 2
     epochs: int = 100
     learning_rate: float = 0.001
     batch_size: int = 256
@@ -161,7 +160,7 @@ class MlpConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
-        if self.output_dim < 1 or any(h < 1 for h in self.hidden_sizes):
+        if any(h < 1 for h in self.hidden_sizes):
             raise ConfigError("all layer dimensions must be >= 1")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
@@ -175,7 +174,7 @@ class MlpConfig:
     def layer_dims(self, input_dim: int) -> tuple[int, ...]:
         if input_dim < 1:
             raise ConfigError("the input width must be >= 1")
-        return (input_dim, *self.hidden_sizes, self.output_dim)
+        return (input_dim, *self.hidden_sizes, 2)  # one softmax output per label
 
 
 @dataclass(frozen=True)
@@ -207,7 +206,8 @@ class Classifier:
     its model's lazy module. ``fit(x, y, seed)`` returns a fitted model,
     whose own ``predict(x)`` gives its labels, and ``to_container`` and
     ``from_container`` map one to its container header section and arrays.
-    Its ``folds`` and ``scale`` fields set how it is evaluated."""
+    Its ``folds`` field sets how it is evaluated; its ``scale`` constant, not a
+    setting, whether its inputs are standardized (KNN and the MLP, not the forest)."""
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ class KnnClassifier(Classifier):
     k: int = 5
     metric: str = "euclidean"
     folds: int = 10
-    scale: bool = True
+    scale = True
 
     def __post_init__(self):
         check_knn_params(self.k, self.metric)
@@ -242,7 +242,7 @@ class MlpClassifier(MlpConfig, Classifier):
     """The MLP settings, plus how the MLP is evaluated."""
 
     folds: int = 5
-    scale: bool = True
+    scale = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -293,7 +293,7 @@ class ForestClassifier(TreeConfig, Classifier):
     feature_subsample: str = "sqrt"  # a forest's default; a lone tree's is "all"
     trees: int = 100
     folds: int = 5
-    scale: bool = False
+    scale = False  # a tree does not depend on a monotone rescaling of a column
 
     def __post_init__(self):
         super().__post_init__()
@@ -305,35 +305,20 @@ class ForestClassifier(TreeConfig, Classifier):
 
     @staticmethod
     def to_container(model: forest.ForestModel) -> tuple[dict, dict]:
-        import numpy as np  # loaded with the model's module
-
         section = {f.name: getattr(model.config, f.name) for f in fields(TreeConfig)}
-        section.update(seed=model.seed, tree_count=len(model.trees), bootstrap=model.bootstrap,
-                       n_features=model.n_features)
-        arrays = {**forest.flatten_trees(model.trees), "tree_seeds": np.array(model.tree_seeds, dtype=np.uint64)}
-        return section, arrays
+        section.update(seed=model.seed, tree_count=len(model.trees), n_features=model.n_features)
+        return section, forest.flatten_trees(model.trees)
 
     @staticmethod
     def from_container(section: dict, arrays: dict) -> forest.ForestModel:
         config = build(TreeConfig, {f.name: section[f.name] for f in fields(TreeConfig)}, "forest")
         names = ("seed", "tree_count", "n_features")
         seed, tree_count, n_features = (check(section[n], int, f"forest.{n}") for n in names)
-        bootstrap = check(section["bootstrap"], bool, "forest.bootstrap")
         check_tree_count(tree_count)
         trees = forest.unflatten_trees(arrays, n_features)
         if len(trees) != tree_count:
             raise ContainerFormatError(f"forest holds {len(trees)} trees, header says {tree_count}")
-        seeds = arrays["tree_seeds"]
-        if seeds.shape != (tree_count,):
-            raise ContainerFormatError(f"forest tree_seeds has shape {seeds.shape}, not ({tree_count},)")
-        return forest.ForestModel(
-            trees=trees,
-            config=config,
-            seed=seed,
-            bootstrap=bootstrap,
-            tree_seeds=tuple(int(s) for s in seeds),
-            n_features=n_features,
-        )
+        return forest.ForestModel(trees=trees, config=config, seed=seed, n_features=n_features)
 
 
 # The registry: the only list of model kinds, in benchmark order.

@@ -197,7 +197,8 @@ def gain_formula(parent, children, criterion):
 
 
 def best_split_oracle(x, y, criterion, candidates=None):
-    """Scan every feature and every midpoint threshold exhaustively."""
+    """Scan every feature and every midpoint threshold exhaustively; where
+    the midpoint of lo < hi is not below hi, the threshold is lo."""
     n, d = x.shape
     n1 = int(sum(y))
     n0 = n - n1
@@ -212,6 +213,8 @@ def best_split_oracle(x, y, criterion, candidates=None):
         vals = sorted(set(float(v) for v in x[:, f]))
         for lo, hi in zip(vals, vals[1:]):
             thr = (lo + hi) / 2.0
+            if not lo <= thr < hi:
+                thr = lo
             nl = nl1 = 0
             for i in range(n):
                 if x[i, f] <= thr:
@@ -273,8 +276,9 @@ def reference_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=
 
 # --- bitwise references for the vectorized model kernels --------------------
 # Earlier straightforward versions of three hot kernels, kept verbatim
-# (apart from local names) so the rewritten kernels can be checked for
-# byte-equal results, not only for equal answers.
+# (apart from local names, and the split threshold's rule for a midpoint
+# that is not below its upper value) so the rewritten kernels can be
+# checked for byte-equal results, not only for equal answers.
 
 
 def reference_logistic(z):
@@ -331,8 +335,9 @@ def reference_scan_split(cols, y, config, features):
         j = int(np.argmax(gains))  # first max: lowest threshold wins in-feature
         gain = float(gains[j])
         if best is None or gain > best[2]:
-            thr = (float(sv[cuts[j]]) + float(sv[cuts[j] + 1])) / 2.0
-            best = (int(f), thr, gain)
+            lo, hi = float(sv[cuts[j]]), float(sv[cuts[j] + 1])
+            thr = (lo + hi) / 2.0
+            best = (int(f), thr if lo <= thr < hi else lo, gain)
     return best
 
 

@@ -157,7 +157,7 @@ def test_criterion_2_compression_property(cli_runs):
 
 
 def test_criterion_3_mlp_gradient_check():
-    cfg = MlpConfig(hidden_sizes=(4,), output_dim=2)
+    cfg = MlpConfig(hidden_sizes=(4,))
     weights, biases, _ = init_params(cfg, 3, 42)
     model = MlpModel(weights=weights, biases=biases, config=cfg, seed=42)
     rng = np.random.default_rng(42)

@@ -69,10 +69,16 @@ def test_unknown_config_key_exits_1(tmp_path):
 @pytest.mark.parametrize("section, key, value", [
     ("split", "grouping", "by_session"),
     ("selection", "mi_unit", "nats"),
+    ("mlp", "output_dim", 2),
+    ("knn", "scale", True),
+    ("mlp", "scale", True),
+    ("forest", "scale", False),
 ])
 def test_removed_setting_exits_1_as_an_unknown_key(tmp_path, capsys, section, key, value):
-    # Every split keeps a session on one side and mutual information is in
-    # nats; neither is a setting, not even at its former default.
+    # Every split keeps a session on one side, mutual information is in
+    # nats, the MLP has one output per label, and KNN and the MLP always
+    # scale their inputs while the forest never does; none is a setting,
+    # not even at its former default.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({section: {key: value}}))
     capsys.readouterr()
@@ -366,12 +372,6 @@ MALFORMED_CONTAINERS = {
     "one-hot column not an input name": (
         "forest", _section("preprocessor", onehot_columns=["nope"], onehot_categories=[[]]),
         "preprocessor one-hot column 'nope' is not an input name",
-    ),
-    "tree_seeds 2-D": (
-        "forest", _array("tree_seeds", lambda v: v[None, :]), "forest tree_seeds has shape (1, 100), not (100,)"
-    ),
-    "tree_seeds short": (
-        "forest", _array("tree_seeds", lambda v: v[:-1]), "forest tree_seeds has shape (99,), not (100,)"
     ),
     "mlp_loss_history 2-D": (
         "mlp", _array("mlp_loss_history", lambda v: v[:, None]),
@@ -892,21 +892,24 @@ def test_config_fingerprint_stability_and_sensitivity():
 
 
 def test_config_fingerprints_are_pinned():
-    # Values since the split grouping and the mutual-information unit left
-    # the payload; any change here changes every artifact's fingerprint.
+    # Values since the MLP's output width and the three classifiers' scale
+    # flags left the payload; any change here changes every artifact's
+    # fingerprint.
     assert RunConfig().fingerprint() == (
-        "eb3b63c3dbea6989a47f18a0710f0c67907dcf353309d28ba398993d3fb45e22"
+        "c571cc2dd0edca99c751e78c717468735c4cc4d4eb95b3adb110842dae08bdb7"
     )
     assert load_config(REPO / "perfbench" / "config.json").fingerprint() == (
-        "5fa6041184749971ebb82742183db739d599b69fa59da2abf9122adfa767d3db"
+        "46f9a050d88b8ac04019bb3f755898cd63f22e49142775503b6ec860a88517cc"
     )
     groups = {"question_groups": {"1": "0-4", "2": "0-4", "10": "5-12"}}
     assert load_config(None, overrides=groups).fingerprint() == (
-        "76fbb593d81c331e5e397ece9767aad6d5c3fb150142972dc64c121f308a66b2"
+        "096a87fad1f39c4d0755ca9c9c3989af2c654a0bf2c0652a0f7a1bf95a854f2f"
     )
     payload = RunConfig().fingerprint_payload()
     assert payload["split"] == {"test_fraction": 0.2}
     assert "mi_unit" not in payload["selection"]
+    assert "output_dim" not in payload["mlp"]
+    assert not any("scale" in payload[kind] for kind in ("knn", "mlp", "forest"))
 
 
 def test_config_int_for_float_is_kept_as_given():

@@ -22,6 +22,7 @@ from gametrace.forest import (
     tree_fit,
     tree_predict,
 )
+from gametrace.rng import derive_seed
 from gametrace.settings import TreeConfig
 
 from oracles import best_split_oracle
@@ -216,6 +217,24 @@ def test_min_samples_split_stops_growth():
     assert isinstance(tree, Leaf)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (1.0000000000000002, 1.0000000000000004),  # the midpoint rounds up to b
+        (1.5e308, 1.7e308),  # the midpoint overflows to inf
+        (-1.7e308, -1.5e308),  # the midpoint overflows to -inf
+    ],
+)
+def test_split_of_two_values_separates_them(a, b):
+    # A threshold outside [a, b) sends both rows to one side, and the same
+    # node splits again until the depth limit; unlimited, it never ends.
+    tree = tree_fit(np.array([[a], [b]]), np.array([0, 1]), TreeConfig(max_depth=5))
+    assert isinstance(tree, Internal)
+    assert a <= tree.threshold < b
+    assert tree.left == Leaf(0, (1, 0))
+    assert tree.right == Leaf(1, (0, 1))
+
+
 def _blobs(seed, n, gap=5.0):
     rng = np.random.default_rng(seed)
     half = n // 2
@@ -227,11 +246,13 @@ def _blobs(seed, n, gap=5.0):
     return x[order], y[order]
 
 
-def test_forest_of_one_without_bootstrap_equals_single_tree():
+def test_forest_of_one_equals_single_tree_on_its_bootstrap_rows():
     x, y = _blobs(4, 60)
     cfg = TreeConfig(feature_subsample="all")
-    forest = forest_fit(x, y, tree_count=1, config=cfg, seed=9, bootstrap=False)
-    lone = tree_fit(x, y, cfg, rng=np.random.default_rng(forest.tree_seeds[0]))
+    forest = forest_fit(x, y, tree_count=1, config=cfg, seed=9)
+    rng = np.random.default_rng(derive_seed(9, 0))
+    rows = rng.integers(0, len(x), len(x))
+    lone = tree_fit(x, y, cfg, rng=rng, rows=rows)
     assert forest.trees[0] == lone
     queries = x[:20]
     assert np.array_equal(forest_predict(forest, queries), tree_predict(lone, queries))
@@ -242,7 +263,6 @@ def test_forest_same_seed_identical_structures():
     a = forest_fit(x, y, tree_count=12, seed=42)
     b = forest_fit(x, y, tree_count=12, seed=42)
     assert a.trees == b.trees
-    assert a.tree_seeds == b.tree_seeds
 
 
 def test_forest_different_seed_differs():
@@ -274,14 +294,13 @@ def test_forest_votes_match_per_tree_traversal():
 def test_forest_majority_three_votes():
     t_one = Leaf(1, (0, 1))
     t_zero = Leaf(0, (1, 0))
-    model = ForestModel(trees=[t_one, t_one, t_zero], config=TreeConfig(), seed=0,
-                        bootstrap=True, n_features=2)
+    model = ForestModel(trees=[t_one, t_one, t_zero], config=TreeConfig(), seed=0, n_features=2)
     assert forest_predict(model, np.zeros((1, 2))).tolist() == [1]
 
 
 def test_forest_vote_tie_prefers_zero():
     model = ForestModel(trees=[Leaf(1, (0, 1)), Leaf(0, (1, 0))], config=TreeConfig(),
-                        seed=0, bootstrap=True, n_features=2)
+                        seed=0, n_features=2)
     assert forest_predict(model, np.zeros((1, 2))).tolist() == [0]
 
 

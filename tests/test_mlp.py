@@ -21,8 +21,8 @@ from gametrace.settings import MlpConfig
 from oracles import adam_scalar_reference, reference_adam_step
 
 
-def zero_model(input_dim=3, hidden=(4,), output_dim=2, activation="logistic"):
-    cfg = MlpConfig(hidden_sizes=hidden, output_dim=output_dim, hidden_activation=activation)
+def zero_model(input_dim=3, hidden=(4,), activation="logistic"):
+    cfg = MlpConfig(hidden_sizes=hidden, hidden_activation=activation)
     dims = cfg.layer_dims(input_dim)
     weights = [np.zeros((a, b)) for a, b in zip(dims, dims[1:])]
     biases = [np.zeros(b) for b in dims[1:]]
@@ -129,7 +129,7 @@ def test_duplicating_batch_rows_leaves_gradients_unchanged():
 
 @pytest.mark.parametrize("activation", ["logistic", "relu"])
 def test_gradient_check_central_differences(activation):
-    cfg = MlpConfig(hidden_sizes=(4,), output_dim=2, hidden_activation=activation)
+    cfg = MlpConfig(hidden_sizes=(4,), hidden_activation=activation)
     weights, biases, _ = init_params(cfg, 3, 42)
     model = MlpModel(weights=weights, biases=biases, config=cfg, seed=42)
     rng = np.random.default_rng(7)
@@ -316,6 +316,14 @@ def test_train_rejects_nan_inputs_and_bad_labels():
         mlp_train(cfg, x, np.array([0]), 42)
     with pytest.raises(ConfigError):
         mlp_train(cfg, np.array([[1.0, 2.0]]), np.array([5]), 42)
+
+
+def test_train_rejects_a_negative_label():
+    # numpy reads class index -1 as the last class, so only a label check catches it
+    x, y = _blobs(seed=3, n=20)
+    y[4] = -1
+    with pytest.raises(ConfigError, match="labels must be 0 or 1"):
+        mlp_train(MlpConfig(hidden_sizes=(4,), epochs=1), x, y, 42)
 
 
 @pytest.mark.parametrize("activation", ["logistic", "relu"])

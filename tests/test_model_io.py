@@ -235,7 +235,7 @@ def test_forest_container_preserves_structure(tmp_path):
     loaded = load_model(path)
     assert loaded.model.trees == model.trees
     assert loaded.model.config == model.config
-    assert loaded.model.tree_seeds == model.tree_seeds
+    assert loaded.model.seed == model.seed == 13
 
 
 def test_unknown_kind_rejected(tmp_path):
@@ -270,10 +270,10 @@ PINNED_SECTIONS = {
     "knn": '{"k":3,"metric":"cosine"}',
     "mlp": (
         '{"batch_size":16,"epochs":2,"hidden_activation":"logistic","hidden_sizes":[4,3],'
-        '"input_dim":3,"layers":3,"learning_rate":0.01,"output_dim":2,"seed":11}'
+        '"input_dim":3,"layers":3,"learning_rate":0.01,"seed":11}'
     ),
     "forest": (
-        '{"bootstrap":true,"criterion":"entropy","feature_subsample":"sqrt","max_depth":3,'
+        '{"criterion":"entropy","feature_subsample":"sqrt","max_depth":3,'
         '"min_samples_split":2,"n_features":3,"seed":11,"tree_count":2}'
     ),
 }
@@ -283,6 +283,23 @@ PINNED_SECTIONS = {
 def test_container_header_section_is_pinned(tmp_path, kind):
     header, _ = load_container(small_container(tmp_path, kind)[0])
     assert json.dumps(header[kind], sort_keys=True, separators=(",", ":")) == PINNED_SECTIONS[kind]
+
+
+# Header keys and arrays that earlier containers held and the loader no longer reads.
+FORMER_ENTRIES = {
+    "mlp": ({"output_dim": 2}, {}),
+    "forest": ({"bootstrap": True}, {"tree_seeds": np.array([5, 6], dtype=np.uint64)}),
+}
+
+
+@pytest.mark.parametrize("kind", list(FORMER_ENTRIES))
+def test_container_with_former_entries_still_loads(tmp_path, kind):
+    path, x = small_container(tmp_path, kind)
+    header, arrays = load_container(path)
+    keys, extra = FORMER_ENTRIES[kind]
+    old = tmp_path / "old.bin"
+    save_container(old, {**header, kind: {**header[kind], **keys}}, {**arrays, **extra})
+    assert np.array_equal(load_model(old).predict(x), load_model(path).predict(x))
 
 
 def _meta_spans(raw: bytes) -> list[tuple[int, int]]:

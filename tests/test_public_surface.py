@@ -1,5 +1,6 @@
 """Every public function, class and method in the package is used by the
-package, and every name a module imports is used in that module.
+package, every name a module imports is used in that module, and every
+config setting that chooses code is run by a digest config.
 
 A public top-level function or class counts as used when an ``ast.Name``
 or ``ast.Attribute`` with its name appears somewhere in ``src/gametrace/``
@@ -9,12 +10,22 @@ are not a use). A public method counts as used only through an
 does not hide it; an attribute of the same name on another object, such as
 numpy's ``rng.random(...)``, still can. Code nothing runs is deleted, or kept
 with its reason in ``KEPT``.
+
+A config field counts as run when some config of
+``scripts/artifact_digests.py`` sets it to a value other than its default,
+so that the digest run pins the bytes that value makes. A field that none
+sets is named in ``UNPINNED`` with its reason.
 """
 
 import ast
+import importlib.util
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gametrace"
+from gametrace.config import RunConfig, load_config
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "gametrace"
 
 # Public names no module calls, each kept for a stated reason.
 KEPT = {
@@ -104,3 +115,69 @@ def unused_imports() -> list[str]:
 
 def test_every_imported_name_is_used():
     assert unused_imports() == []
+
+
+# Config fields no digest config sets away from their default, each kept
+# for a stated reason.
+UNPINNED = {
+    "workdir": "a path; the digest run passes --workdir",
+    "events_path": "a path, by default inside the workdir",
+    "labels_path": "a path, by default inside the workdir",
+    "seed": "the digest run passes --seed",
+    "protocol": "the digest run passes benchmark both --protocol values",
+    "question_groups": "data for the label join; every mapping runs the same code",
+    "split.test_fraction": "a number; it selects no code path",
+    "selection.mi_bins": "a number; it selects no code path",
+    "knn.k": "a number; it selects no code path",
+    "knn.folds": "a number; it selects no code path",
+    "mlp.learning_rate": "a number; it selects no code path",
+    "mlp.batch_size": "a number; it selects no code path",
+    "mlp.folds": "a number; it selects no code path",
+    "forest.folds": "a number; it selects no code path",
+    "synth.sessions": "the digest run passes --sessions",
+    "synth.events_per_session": "the digest run passes --events-per-session",
+    "synth.weights": "numbers; they select no code path",
+    "synth.bias": "a number; it selects no code path",
+    "synth.null_rates": (
+        "a rate of 0 skips that column's absent-cell draw; only tier-1's corpus "
+        "tests need such a corpus, and test_synth.py checks its bytes"
+    ),
+    "synth.noise": (
+        "0 skips the label-noise draw; only the noise-free corpora of "
+        "test_synth.py and acceptance criterion 6 use it"
+    ),
+}
+
+
+def _leaves(value, prefix=""):
+    """(dotted name, value) of every field of a config that is not a section."""
+    for f in fields(value):
+        inner = getattr(value, f.name)
+        if is_dataclass(inner):
+            yield from _leaves(inner, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", inner
+
+
+def pinned_fields() -> set[str]:
+    """The fields some digest config sets to a value other than its default;
+    loading every digest config also fails on a key the config no longer has."""
+    spec = importlib.util.spec_from_file_location("artifact_digests", REPO / "scripts" / "artifact_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    defaults = dict(_leaves(RunConfig()))
+    pinned = set()
+    for path in digests.CONFIGS.values():
+        pinned |= {name for name, v in _leaves(load_config(path)) if v != defaults[name]}
+    return pinned
+
+
+def test_every_setting_is_run_by_a_digest_config_or_kept_for_a_reason():
+    known = pinned_fields() | set(UNPINNED)
+    unpinned = [name for name, _ in _leaves(RunConfig()) if name not in known]
+    assert unpinned == [], f"no digest config sets these (add one, delete them, or list them in UNPINNED): {unpinned}"
+
+
+def test_unpinned_names_are_still_unpinned_fields():
+    # An entry whose field is gone, or that a digest config now sets, goes.
+    assert set(UNPINNED) <= {name for name, _ in _leaves(RunConfig())} - pinned_fields()
