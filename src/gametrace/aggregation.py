@@ -24,7 +24,7 @@ from typing import IO, Iterable, Optional
 
 from math import copysign, fsum, inf, isfinite, nan
 
-from .errors import ConfigError, DataError, SpecTypeMismatchError
+from .errors import ConfigError, DataError
 from .events import (
     CATEGORICAL_COLUMNS,
     LEVEL_GROUPS,
@@ -71,13 +71,15 @@ def validate_specs(specs: Iterable[AggregatorSpec]) -> tuple[AggregatorSpec, ...
     seen: set[str] = set()
     for spec in out:
         if spec.column in NUMERIC_COLUMNS:
-            if spec.kind not in NUMERIC_KINDS:
-                raise SpecTypeMismatchError(spec.column, spec.kind)
+            kinds = NUMERIC_KINDS
         elif spec.column in CATEGORICAL_COLUMNS:
-            if spec.kind not in CATEGORICAL_KINDS:
-                raise SpecTypeMismatchError(spec.column, spec.kind)
+            kinds = CATEGORICAL_KINDS
         else:
             raise ConfigError(f"unknown event column in spec: {spec.column!r}")
+        if spec.kind not in kinds:
+            raise ConfigError(
+                f"aggregator kind {spec.kind!r} does not match type class of column {spec.column!r}"
+            )
         if spec.output_name in seen:
             raise ConfigError(f"duplicate output feature name: {spec.output_name!r}")
         seen.add(spec.output_name)

@@ -6,10 +6,13 @@ flags override config values, which override defaults. Each subcommand
 takes ``--config``, ``--workdir`` and ``--seed`` and only the other flags
 it reads; any other flag is a usage error.
 
-The stage modules return results; this module alone turns them into
-report payloads, stamps each with the config fingerprint and seed, and
-prints them. Reruns with identical inputs and seeds produce identical
-bytes (runtimes live in separate .run.json sidecars).
+The stage modules return results; this module turns them into report
+payloads, stamps each with the config fingerprint and seed, and prints
+them. The artifacts a stage writes itself carry the same stamp:
+``save_feature_matrix``, ``save_selection_report`` and ``save_model``
+take both and write them into the feature sidecar, the score table and
+the container header. Reruns with identical inputs and seeds produce
+identical bytes (runtimes live in separate .run.json sidecars).
 
 Each command runs only the stages it calls: the stage modules are lazy
 handles, run at a command's first use of them, so ``aggregate`` and
@@ -32,7 +35,7 @@ from typing import Optional
 from . import __version__, lazy_module
 from .aggregation import aggregate_file, load_feature_matrix, save_feature_matrix
 from .config import RunConfig, load_config
-from .errors import ConfigError, DataError, FingerprintMismatchError, GametraceError, InternalError
+from .errors import ConfigError, DataError, InternalError
 from .events import read_labels
 from .settings import MODELS, PROTOCOLS
 
@@ -381,7 +384,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         print(f"{status:<9} {name}  {fp[:16]}")
     print(f"expected  config fingerprint {expected[:16]}")
     if bad:
-        raise FingerprintMismatchError(f"{len(bad)} artifact(s) do not match the current config")
+        raise DataError(f"config fingerprint mismatch: {len(bad)} artifact(s) do not match the current config")
     print(f"verified {len(found)} artifact(s)")
     return EXIT_OK
 
@@ -403,9 +406,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_DATA
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except GametraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:  # unexpected bug: treat as invariant violation
         print(f"internal error: {exc!r}", file=sys.stderr)

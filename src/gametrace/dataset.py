@@ -17,13 +17,7 @@ from typing import IO, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .aggregation import FeatureMatrix
-from .errors import (
-    AllMissingColumnError,
-    ConfigError,
-    DataError,
-    EmptyJoinError,
-    TooFewRowsError,
-)
+from .errors import ConfigError, DataError
 from .events import LEVEL_GROUPS, LabelRecord
 from .rng import Xoshiro256StarStar
 from .settings import DEFAULT_QUESTION_GROUPS, SplitPlan, check_folds
@@ -76,7 +70,7 @@ def join(
     """One example per label whose (session, q_map[question]) row exists.
 
     Returns the dataset and the count of labels dropped for lack of a
-    feature row. Raises EmptyJoinError when nothing matches.
+    feature row. Raises DataError when nothing matches.
     """
     for q in range(1, 19):
         if q not in q_map:
@@ -97,7 +91,7 @@ def join(
             ys.append(lab.correct)
             keys.append((lab.session_id, lab.question))
     if not idx:
-        raise EmptyJoinError()
+        raise DataError("no label matched any feature row")
     table = np.array([r.values for r in features.rows], dtype=np.float64)
     table = table.reshape(len(features.rows), len(features.column_names))
     ds = LabeledDataset(
@@ -110,13 +104,25 @@ def join(
     return ds, len(labels) - len(idx)
 
 
+def _check_finite(names: Sequence[str], what: str, values: np.ndarray) -> None:
+    """DataError naming the first column whose ``what`` is not finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise DataError(f"column {str(names[int(np.argmin(finite))])!r} has a {what} that is not finite")
+
+
 def _column_means(x: np.ndarray, names: Sequence[str]) -> np.ndarray:
-    """Per-column means of the present values; every column needs one."""
+    """Per-column means of the present values; every column needs one, and
+    each must be finite."""
     present = ~np.isnan(x)
     counts = present.sum(axis=0)
     if np.any(counts == 0):
-        raise AllMissingColumnError(str(names[int(np.argmax(counts == 0))]))
-    return np.where(present, x, 0.0).sum(axis=0) / counts
+        name = str(names[int(np.argmax(counts == 0))])
+        raise DataError(f"column {name!r} has no present values; mean undefined")
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the column
+        means = np.where(present, x, 0.0).sum(axis=0) / counts
+    _check_finite(names, "mean", means)
+    return means
 
 
 def impute_mean(x: np.ndarray, feature_names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +222,10 @@ def fit_preprocessor(
     scaler_mean = scaler_std = None
     if scale:
         x = np.where(np.isnan(x), means, x)
-        scaler_mean, scaler_std = x.mean(axis=0), x.std(axis=0)  # divide-by-n convention
+        with np.errstate(over="ignore", invalid="ignore"):  # the checks below name the column
+            scaler_mean, scaler_std = x.mean(axis=0), x.std(axis=0)  # divide-by-n convention
+        _check_finite(output_names, "mean", scaler_mean)
+        _check_finite(output_names, "standard deviation", scaler_std)
     return Preprocessor(names, output_names, columns, tuple(categories), means, scaler_mean, scaler_std)
 
 
@@ -236,7 +245,7 @@ def holdout_indices(d: LabeledDataset, plan: SplitPlan, seed: int) -> tuple[np.n
     until it holds ``test_fraction`` of the rows or one session is left."""
     order, rows = _session_order(d, seed)
     if len(order) < 2:
-        raise TooFewRowsError("a split needs at least 2 sessions")
+        raise DataError("too few rows: a split needs at least 2 sessions")
     target = len(d) * plan.test_fraction
     cut = n_test = 0
     while cut < len(order) - 1 and n_test < target:
@@ -259,7 +268,7 @@ def kfold_indices(d: LabeledDataset, folds: int, seed: int) -> list[np.ndarray]:
     check_folds(folds)
     order, rows = _session_order(d, seed)
     if folds > len(order):
-        raise TooFewRowsError(f"{folds} folds exceed {len(order)} sessions")
+        raise DataError(f"too few rows: {folds} folds exceed {len(order)} sessions")
     fold_rows: list[list[int]] = [[] for _ in range(folds)]
     sizes = [0] * folds
     for sid in order:

@@ -21,8 +21,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .dataset import LabeledDataset, fit_preprocessor, holdout_indices, kfold_index_pairs
-from .errors import ConfigError, LengthMismatchError
+from .errors import ConfigError, DataError
 from .pool import fork_map
+from .selection import check_paired
 from .settings import MODELS, Classifier, SplitPlan, check_protocol
 
 # The model sections are declared in ``settings``, which runs no numpy;
@@ -63,10 +64,9 @@ class ConfusionCounts:
 def confusion_counts(pred, truth) -> ConfusionCounts:
     p = np.asarray(pred, dtype=np.int64)
     t = np.asarray(truth, dtype=np.int64)
-    if p.shape != t.shape or p.ndim != 1:
-        raise LengthMismatchError(p.shape[0] if p.ndim == 1 else -1, t.shape[0] if t.ndim == 1 else -1)
+    check_paired(p, t)
     if p.shape[0] == 0:
-        raise LengthMismatchError(0, 0)
+        raise DataError("confusion counts need at least one prediction")
     pos_p = p == 1
     pos_t = t == 1
     return ConfusionCounts(

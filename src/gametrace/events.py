@@ -15,12 +15,7 @@ from math import isfinite
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence, get_args, get_type_hints
 
-from .errors import (
-    DataError,
-    DuplicateLabelError,
-    MissingColumnError,
-    QuestionOutOfRangeError,
-)
+from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
@@ -179,7 +174,7 @@ def _positions(reader, columns: Sequence[str]) -> tuple[list[str], dict[str, int
     header = next(reader, [])
     for name in columns:
         if name not in header:
-            raise MissingColumnError(name)
+            raise DataError(f"required column missing from header: {name!r}")
     return header, {name: header.index(name) for name in columns}
 
 
@@ -204,7 +199,7 @@ def _unreadable(source: IO[str], reader, exc: Exception) -> DataError:
 
 def _event_header(reader, warn: bool) -> tuple[list[str], dict[str, int], tuple[str, ...]]:
     """The header, the position of each event column in it, and its unknown
-    columns, logged when ``warn``. MissingColumnError if it lacks a column."""
+    columns, logged when ``warn``. DataError if it lacks a column."""
     header, pos = _positions(reader, EVENT_COLUMNS)
     extras = tuple(c for c in header if c not in EVENT_COLUMNS)
     if extras and warn:
@@ -230,10 +225,10 @@ def read_events(
     Malformed rows are skipped and recorded in ``report`` with their line
     number (a row whose cells all pass but whose field count is not the
     header's under ``row``); level/level_group inconsistencies are counted
-    but the event is still emitted. Raises MissingColumnError if the header
-    lacks one of ``EVENT_COLUMNS``, and DataError, naming the line, on text
-    that is not UTF-8 or that the csv module cannot split (such as a field
-    over its size limit).
+    but the event is still emitted. Raises DataError if the header lacks
+    one of ``EVENT_COLUMNS``, and, naming the line, on text that is not
+    UTF-8 or that the csv module cannot split (such as a field over its
+    size limit).
 
     ``part = (k, parts)`` reads the whole text the same way but parses,
     emits and counts only the rows task ``k`` of ``parts`` owns: those whose
@@ -363,14 +358,14 @@ def read_labels(source: IO[str]) -> list[LabelRecord]:
             if not sid:
                 raise DataError(f"empty session_id in label row at line {_record_start(reader, row)}")
             if question not in QUESTION_RANGE:
-                raise QuestionOutOfRangeError(question)
+                raise DataError(f"question number {question} outside [1, 18]")
             if correct not in ("0", "1"):
                 raise DataError(
                     f"correct must be 0 or 1, got {correct!r} at line {_record_start(reader, row)}"
                 )
             sid, questions = seen.get(sid) or (sid, 0)
             if questions >> question & 1:
-                raise DuplicateLabelError(sid, question)
+                raise DataError(f"duplicate label for session {sid!r} question {question}")
             seen[sid] = (sid, questions | 1 << question)
             records.append(LabelRecord(sid, question, correct == "1"))
     except (UnicodeDecodeError, csv.Error) as exc:

@@ -16,13 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    ContainerFormatError,
-    DataError,
-    DimensionMismatchError,
-    EmptySetError,
-)
+from .errors import ConfigError, ContainerFormatError, DataError, DimensionMismatchError
 from .rng import derive_seed
 from .settings import TreeConfig, check_tree_count
 
@@ -45,14 +39,21 @@ class Internal:
 TreeNode = Union[Leaf, Internal]
 
 
-def entropy(class_counts: Sequence[int]) -> float:
-    """Shannon entropy in bits; 0*log0 taken as 0."""
+def _checked_counts(class_counts: Sequence[int]) -> tuple[list[int], int]:
+    """The counts as ints and their total; none may be negative, and the
+    total must not be 0."""
     counts = [int(c) for c in class_counts]
     if any(c < 0 for c in counts):
         raise DataError("negative class count")
     total = sum(counts)
     if total == 0:
-        raise EmptySetError()
+        raise DataError("impurity undefined for an empty sample set")
+    return counts, total
+
+
+def entropy(class_counts: Sequence[int]) -> float:
+    """Shannon entropy in bits; 0*log0 taken as 0."""
+    counts, total = _checked_counts(class_counts)
     out = 0.0
     for c in counts:
         if c > 0:
@@ -63,12 +64,7 @@ def entropy(class_counts: Sequence[int]) -> float:
 
 def gini(class_counts: Sequence[int]) -> float:
     """Gini impurity: 1 - sum of squared class probabilities."""
-    counts = [int(c) for c in class_counts]
-    if any(c < 0 for c in counts):
-        raise DataError("negative class count")
-    total = sum(counts)
-    if total == 0:
-        raise EmptySetError()
+    counts, total = _checked_counts(class_counts)
     return 1.0 - sum((c / total) ** 2 for c in counts)
 
 

@@ -15,14 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    KTooLargeError,
-    LengthMismatchError,
-    ShapeMismatchError,
-    ZeroVectorError,
-)
+from .errors import ConfigError, DataError, DimensionMismatchError, LengthMismatchError, ShapeMismatchError
 from .settings import check_knn_params
 
 @dataclass(frozen=True)
@@ -47,7 +40,7 @@ def knn_fit(x: np.ndarray, y: Sequence[int], k: int = 5, metric: str = "euclidea
     if x.shape[0] != y.shape[0]:
         raise LengthMismatchError(x.shape[0], y.shape[0], "row and label counts")
     if k > x.shape[0]:
-        raise KTooLargeError(k, x.shape[0])
+        raise ConfigError(f"k={k} exceeds number of stored rows ({x.shape[0]})")
     if np.isnan(x).any():
         raise ConfigError("stored matrix must not contain absent values")
     x.setflags(write=False)
@@ -64,7 +57,7 @@ def _distance_block(queries: np.ndarray, stored: np.ndarray, metric: str) -> np.
     nq = np.sqrt((queries * queries).sum(axis=1))
     ns = np.sqrt((stored * stored).sum(axis=1))
     if (nq == 0.0).any() or (ns == 0.0).any():
-        raise ZeroVectorError()
+        raise DataError("cosine distance undefined for zero-norm vector")
     # In place: one (queries, stored rows) array besides the outer product.
     d = queries @ stored.T
     np.divide(d, np.outer(nq, ns), out=d)

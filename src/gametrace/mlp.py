@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError, ShapeMismatchError
+from .errors import ConfigError, DataError, InternalError, ShapeMismatchError
 from .settings import MlpConfig
 
 LOG_FLOOR = 1e-12
@@ -238,7 +238,7 @@ def mlp_train(config: MlpConfig, x: np.ndarray, y: np.ndarray, seed: int) -> Mlp
         model.loss_history.append(loss_sum / n)
         for p in params:
             if not np.isfinite(p).all():
-                raise NumericalError("non-finite parameter during training")
+                raise InternalError("non-finite parameter during training")
     for p in params:
         p.setflags(write=False)  # trained model is immutable and shareable
     return model

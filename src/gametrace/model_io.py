@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Preprocessor
-from .errors import ConfigError, ContainerFormatError, DataError, UnsupportedVersionError
+from .errors import ConfigError, ContainerFormatError, DataError
 from .schema import build, check
 from .settings import MODELS
 
@@ -72,7 +72,9 @@ def load_container(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise ContainerFormatError(f"not a model container: {path}")
     (version,) = struct.unpack("<I", _read_exact(src, 4))
     if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(version, FORMAT_VERSION)
+        raise ContainerFormatError(
+            f"model container version {version} not supported (expected {FORMAT_VERSION})"
+        )
     try:
         header = json.loads(_read_block(src))
         (count,) = struct.unpack("<I", _read_exact(src, 4))

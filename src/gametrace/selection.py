@@ -14,15 +14,24 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, LengthMismatchError, PolicyUnsatisfiableError
+from .errors import ConfigError, DataError, LengthMismatchError, ShapeMismatchError
 from .settings import SelectionPolicy, check_mi_params
+
+
+def check_paired(a: np.ndarray, b: np.ndarray) -> None:
+    """ShapeMismatchError unless both are 1-D, LengthMismatchError unless
+    they are of one length."""
+    if a.ndim != 1 or b.ndim != 1:
+        raise ShapeMismatchError(f"expected two 1-D vectors, got {a.shape} and {b.shape}")
+    if a.shape != b.shape:
+        raise LengthMismatchError(a.shape[0], b.shape[0])
+
 
 def pearson(xcol: np.ndarray, ycol: np.ndarray) -> float:
     """Sample Pearson correlation; NaN when either column is constant."""
     x = np.asarray(xcol, dtype=np.float64)
     y = np.asarray(ycol, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise LengthMismatchError(x.shape[0] if x.ndim == 1 else -1, y.shape[0] if y.ndim == 1 else -1)
+    check_paired(x, y)
     if x.shape[0] < 2:
         raise DataError("pearson requires at least 2 observations")
     xc = x - x.mean()
@@ -48,8 +57,7 @@ def mutual_information(
     """
     f = np.asarray(feature, dtype=np.float64)
     y = np.asarray(label)
-    if f.shape != y.shape or f.ndim != 1:
-        raise LengthMismatchError(f.shape[0] if f.ndim == 1 else -1, y.shape[0] if y.ndim == 1 else -1)
+    check_paired(f, y)
     n = f.shape[0]
     if n == 0:
         raise DataError("mutual information requires at least 1 observation")
@@ -152,7 +160,7 @@ def select(
             kept.append(n)
             reasons[n] = "kept"
     if len(kept) < policy.k:
-        raise PolicyUnsatisfiableError(len(kept), policy.k)
+        raise ConfigError(f"only {len(kept)} features survive the policy, {policy.k} requested")
 
     scores = [
         FeatureScore(n, r_label[n], mi_score[n], reasons[n] == "kept", reasons[n])

@@ -18,7 +18,7 @@ from gametrace.aggregation import (
     save_feature_matrix,
     validate_specs,
 )
-from gametrace.errors import ConfigError, DataError, SpecTypeMismatchError
+from gametrace.errors import ConfigError, DataError
 from conftest import make_event, random_events
 
 from oracles import brute_force_aggregate
@@ -75,7 +75,8 @@ def test_spec_type_mismatch():
     assert len(validate_specs(AggregatorSpec(c, k) for c, k in accepted)) == len(accepted)
     for column, kind in [("room_coor_x", "count"), ("elapsed_time", "nunique"),
                          ("hover_duration", "first"), ("fqid", "mean")]:
-        with pytest.raises(SpecTypeMismatchError):
+        message = f"^aggregator kind '{kind}' does not match type class of column '{column}'$"
+        with pytest.raises(ConfigError, match=message):
             validate_specs([AggregatorSpec(column, kind)])
     with pytest.raises(ConfigError):
         validate_specs([AggregatorSpec("no_such_column", "mean")])

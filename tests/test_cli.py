@@ -18,7 +18,7 @@ from gametrace.cli import _build_parser, main
 from gametrace.config import RunConfig, load_config
 from gametrace.dataset import join, split_train_test
 from gametrace.errors import ConfigError
-from gametrace.events import read_labels
+from gametrace.events import LEVEL_GROUPS, read_labels
 from gametrace.model_io import MAGIC, load_container, load_model, save_container
 from gametrace.settings import MODELS, SelectionPolicy, SplitPlan, SynthConfig
 
@@ -663,6 +663,73 @@ def test_min_and_max_of_signed_zeros_follow_no_order(tmp_path):
         assert _aggregate_rows(tmp_path / str(n), rows, specs).splitlines()[1] == "s,0-4,-0.0,0.0"
 
 
+def _two_class_workdir(wd, x_of_label_0, x_of_label_1):
+    """A hand-written workdir of 20 sessions with rows in every level group:
+    ``room_coor_x_mean`` is the session's label's value, ``level_mean`` is
+    constant, and every question of a session has that label."""
+    sessions = [(f"s{i:02d}", i % 2) for i in range(20)]
+    x = (x_of_label_0, x_of_label_1)
+    rows = [f"{sid},{group},{x[label]!r},1.0" for sid, label in sessions for group in LEVEL_GROUPS]
+    header = "session_id,level_group,room_coor_x_mean,level_mean"
+    (wd / "features.csv").write_text("\n".join([header, *rows]) + "\n")
+    columns = [{"source": c, "kind": "mean", "name": f"{c}_mean"} for c in ("room_coor_x", "level")]
+    (wd / "features.meta.json").write_text(
+        json.dumps({"format": "gametrace-feature-matrix", "columns": columns, "code_tables": {}})
+    )
+    labels = [f"{sid},{q},{label}" for sid, label in sessions for q in range(1, 19)]
+    (wd / "labels.csv").write_text("\n".join(["session_id,question,correct", *labels]) + "\n")
+
+
+def _child_env(**extra) -> dict:
+    """This process's environment, with the checkout's ``src`` on the path."""
+    src = str(REPO / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def cli_child(*argv, timeout=120) -> subprocess.CompletedProcess:
+    """One CLI command in a fresh interpreter whose warnings reach stderr."""
+    return subprocess.run([sys.executable, "-m", "gametrace.cli", *argv], env=_child_env(PYTHONWARNINGS="default"),
+                          capture_output=True, text=True, timeout=timeout)
+
+
+# command, the two label values of room_coor_x_mean, what overflows
+OVERFLOWING_STATISTICS = [
+    (["select"], (1.5e308, 1.7e308), "mean"),
+    (["train", "--model", "forest"], (1.5e308, 1.7e308), "mean"),
+    (["train", "--model", "knn"], (1.5e308, 1.7e308), "mean"),
+    (["cv", "--model", "knn"], (1.5e308, 1.7e308), "mean"),
+    (["train", "--model", "knn"], (-1e200, 1e200), "standard deviation"),
+]
+
+
+@pytest.mark.parametrize("argv, values, what", OVERFLOWING_STATISTICS,
+                         ids=[f"{' '.join(a)}, {w}" for a, _, w in OVERFLOWING_STATISTICS])
+def test_a_finite_column_whose_mean_or_std_overflows_exits_2_naming_it(tmp_path, argv, values, what):
+    _two_class_workdir(tmp_path, *values)
+    proc = cli_child(*argv, "--workdir", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("data error: ")  # cv names the fold first
+    assert f"column 'room_coor_x_mean' has a {what} that is not finite" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_train_forest_splits_between_adjacent_doubles(tmp_path):
+    """The midpoint of two adjacent doubles rounds to the upper one; the
+    split falls back to the lower, so the tree ends instead of recursing on
+    a split that separates nothing."""
+    _two_class_workdir(tmp_path, 1.0000000000000002, 1.0000000000000004)
+    (tmp_path / "cfg.json").write_text(json.dumps({"forest": {"feature_subsample": "all", "trees": 1}}))
+    proc = cli_child("train", "--model", "forest", "--workdir", str(tmp_path),
+                     "--config", str(tmp_path / "cfg.json"), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "trained forest on 288 rows" in proc.stdout
+    (tree,) = load_model(tmp_path / "model_forest.bin").model.trees
+    assert (tree.feature, tree.threshold) == (0, 1.0000000000000002)
+    assert tree.left.label == 0 and tree.left.counts[1] == 0 and tree.left.counts[0] > 0
+    assert tree.right.label == 1 and tree.right.counts[0] == 0 and tree.right.counts[1] > 0
+
+
 def test_verify_corrupt_report_exits_2(tmp_path):
     (tmp_path / "aggregate_report.json").write_text('{"config_fingerprint": ')
     assert run("verify", "--workdir", str(tmp_path)) == 2
@@ -841,10 +908,8 @@ NUMPY_SIDE = {"numpy"} | {
 
 
 def ran_modules(*argv) -> tuple[int, set[str]]:
-    src = str(REPO / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _RAN_MODULES, *argv], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _RAN_MODULES, *argv], env=_child_env(), capture_output=True, text=True, timeout=120
     )
     code, ran = json.loads(proc.stdout.splitlines()[-1])
     return code, set(ran)

@@ -17,12 +17,7 @@ from gametrace.dataset import (
     kfold_indices,
     split_train_test,
 )
-from gametrace.errors import (
-    AllMissingColumnError,
-    ConfigError,
-    EmptyJoinError,
-    TooFewRowsError,
-)
+from gametrace.errors import ConfigError, DataError
 from gametrace.events import LEVEL_GROUPS, LabelRecord, read_labels
 from gametrace.settings import DEFAULT_QUESTION_GROUPS, SplitPlan
 from conftest import make_event, random_events
@@ -69,7 +64,7 @@ def test_subset_keeps_rows_and_keys_and_rejects_a_row_taken_twice():
 
 
 def test_join_empty_raises():
-    with pytest.raises(EmptyJoinError):
+    with pytest.raises(DataError, match="^no label matched any feature row$"):
         join(full_matrix(), [LabelRecord("ghost", 1, True)])
 
 
@@ -203,9 +198,9 @@ def test_impute_random_matches_oracle():
 
 def test_impute_all_missing_column_raises():
     x = np.array([[np.nan], [np.nan]])
-    with pytest.raises(AllMissingColumnError, match="broken"):
+    with pytest.raises(DataError, match="^column 'broken' has no present values; mean undefined$"):
         fit_preprocessor(x, ["broken"])
-    with pytest.raises(AllMissingColumnError, match="broken"):
+    with pytest.raises(DataError, match="^column 'broken' has no present values; mean undefined$"):
         impute_mean(x, feature_names=["broken"])
 
 
@@ -287,7 +282,7 @@ def test_split_keeps_sessions_whole():
 
 def test_split_too_few_rows():
     ds = make_dataset(1)
-    with pytest.raises(TooFewRowsError):
+    with pytest.raises(DataError, match="^too few rows: a split needs at least 2 sessions$"):
         split_train_test(ds, SplitPlan(), 1)
 
 
@@ -327,7 +322,7 @@ def test_kfold_keeps_sessions_whole():
 
 def test_kfold_too_few_rows():
     ds = make_dataset(3)
-    with pytest.raises(TooFewRowsError):
+    with pytest.raises(DataError, match="^too few rows: 4 folds exceed 3 sessions$"):
         kfold(ds, 4, 1)
 
 

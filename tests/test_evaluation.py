@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gametrace import evaluation, pool
 from gametrace.cli import REFERENCE_ROW, _benchmark_rows, _table
 from gametrace.dataset import LabeledDataset, kfold_indices
-from gametrace.errors import ConfigError, LengthMismatchError, TooFewRowsError
+from gametrace.errors import ConfigError, DataError, LengthMismatchError, ShapeMismatchError
 from gametrace.evaluation import (
     ConfusionCounts,
     benchmark,
@@ -35,9 +35,11 @@ def test_accuracy_three_of_four():
 
 
 def test_accuracy_length_mismatch():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(LengthMismatchError, match="^vector lengths differ: 1 vs 2$"):
         confusion_counts([1], [1, 0])
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(ShapeMismatchError, match=r"^shape mismatch: expected two 1-D vectors, got \(2, 2\) and \(4,\)"):
+        confusion_counts([[1, 0], [0, 1]], [1, 0, 0, 1])
+    with pytest.raises(DataError, match="^confusion counts need at least one prediction$"):
         confusion_counts([], [])
 
 
@@ -427,5 +429,5 @@ def test_a_later_models_planning_error_comes_before_any_fold(monkeypatch):
     ds = indexed_dataset()
     bad = ExplodesOnHeldOutRow(lambda: ValueError("boom"), row=0, folds=3)
     models = {"bad": bad, "knn": KnnClassifier(k=1, folds=50)}  # 50 folds > 24 rows
-    with pytest.raises(TooFewRowsError, match="50 folds exceed 24 sessions"):
+    with pytest.raises(DataError, match="^too few rows: 50 folds exceed 24 sessions$"):
         benchmark(models, ds, SplitPlan(), 1)

@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gametrace.errors import (
-    ConfigError,
-    DataError,
-    DimensionMismatchError,
-    EmptySetError,
-)
+from gametrace.errors import ConfigError, DataError, DimensionMismatchError
 from gametrace.forest import (
     ForestModel,
     Internal,
@@ -48,8 +43,9 @@ def test_entropy_3_1():
 
 
 def test_entropy_empty_raises():
-    with pytest.raises(EmptySetError):
-        entropy((0, 0))
+    for impurity in (entropy, gini):
+        with pytest.raises(DataError, match="^impurity undefined for an empty sample set$"):
+            impurity((0, 0))
 
 
 def test_gini_pure_and_balanced():

@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gametrace.knn as knn
-from gametrace.errors import (
-    ConfigError,
-    DimensionMismatchError,
-    KTooLargeError,
-    LengthMismatchError,
-    ZeroVectorError,
-)
+from gametrace.errors import ConfigError, DataError, DimensionMismatchError, LengthMismatchError
 from gametrace.knn import knn_fit, knn_predict
 from gametrace.settings import METRICS
 
@@ -26,7 +20,7 @@ def test_fit_with_k_equal_rows_is_valid():
 
 
 def test_fit_with_k_above_rows_raises():
-    with pytest.raises(KTooLargeError):
+    with pytest.raises(ConfigError, match=r"^k=4 exceeds number of stored rows \(3\)$"):
         knn_fit(np.eye(3), [0, 1, 0], k=4)
 
 
@@ -81,10 +75,10 @@ def test_cosine_orthogonal_vectors():
 
 def test_cosine_zero_vector_raises():
     model = knn_fit(np.array([[1.0, 1.0], [2.0, 0.5]]), [0, 1], k=1, metric="cosine")
-    with pytest.raises(ZeroVectorError):
+    with pytest.raises(DataError, match="^cosine distance undefined for zero-norm vector$"):
         knn_predict(model, np.array([[0.0, 0.0]]))
     stored_zero = knn_fit(np.array([[0.0, 0.0], [2.0, 0.5]]), [0, 1], k=1, metric="cosine")
-    with pytest.raises(ZeroVectorError):
+    with pytest.raises(DataError, match="^cosine distance undefined for zero-norm vector$"):
         knn_predict(stored_zero, np.array([[1.0, 1.0]]))
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gametrace.dataset import fit_preprocessor
-from gametrace.errors import ConfigError, ContainerFormatError, DataError, UnsupportedVersionError
+from gametrace.errors import ConfigError, ContainerFormatError, DataError
 from gametrace.forest import (
     Internal,
     Leaf,
@@ -54,7 +54,8 @@ def test_container_rejects_unknown_version(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[len(MAGIC) : len(MAGIC) + 4] = struct.pack("<I", FORMAT_VERSION + 1)
     path.write_bytes(bytes(raw))
-    with pytest.raises(UnsupportedVersionError):
+    message = rf"^model container version {FORMAT_VERSION + 1} not supported \(expected {FORMAT_VERSION}\)$"
+    with pytest.raises(ContainerFormatError, match=message):
         load_container(path)
 
 

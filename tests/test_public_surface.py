@@ -15,6 +15,9 @@ A config field counts as run when some config of
 ``scripts/artifact_digests.py`` sets it to a value other than its default,
 so that the digest run pins the bytes that value makes. A field that none
 sets is named in ``UNPINNED`` with its reason.
+
+An exception class in ``errors.py`` is its exit code and its message; it
+exists only when it carries a decision (see ``test_every_error_class_carries_a_decision``).
 """
 
 import ast
@@ -181,3 +184,35 @@ def test_every_setting_is_run_by_a_digest_config_or_kept_for_a_reason():
 def test_unpinned_names_are_still_unpinned_fields():
     # An entry whose field is gone, or that a digest config now sets, goes.
     assert set(UNPINNED) <= {name for name, _ in _leaves(RunConfig())} - pinned_fields()
+
+
+def _called_name(node) -> str | None:
+    """The name an ``except`` type or a raised call carries, bare or dotted."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def error_classes_without_a_decision() -> list[str]:
+    classes = [n for n in ast.parse((PACKAGE / "errors.py").read_text()).body if isinstance(n, ast.ClassDef)]
+    bases = {_called_name(b) for c in classes for b in c.bases}
+    caught: set[str] = set()
+    raised_in: dict[str, set[str]] = {}
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {_called_name(t) for t in types}
+            elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                raised_in.setdefault(_called_name(node.exc.func), set()).add(module)
+    return [c.name for c in classes if c.name not in caught | bases and len(raised_in.get(c.name, ())) < 2]
+
+
+def test_every_error_class_carries_a_decision():
+    """An error class stays only when an ``except`` in the package names it,
+    another error class extends it, or two or more modules raise it with its
+    shared message format. Otherwise a raise site raises its family
+    (ConfigError, DataError or InternalError) with the message text."""
+    assert error_classes_without_a_decision() == []

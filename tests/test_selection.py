@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gametrace.errors import DataError, LengthMismatchError, PolicyUnsatisfiableError
+from gametrace.errors import ConfigError, DataError, LengthMismatchError, ShapeMismatchError
 from gametrace.selection import (
     mutual_information,
     pearson,
@@ -37,8 +37,10 @@ def test_pearson_constant_is_undefined():
 
 
 def test_pearson_length_mismatch():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(LengthMismatchError, match="^vector lengths differ: 2 vs 3$"):
         pearson(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ShapeMismatchError, match=r"^shape mismatch: expected two 1-D vectors, got \(2, 2\) and \(2,\)"):
+        pearson(np.ones((2, 2)), np.ones(2))
     with pytest.raises(DataError):
         pearson(np.array([1.0]), np.array([1.0]))
 
@@ -115,8 +117,10 @@ def test_mi_invariant_under_monotone_code_relabeling():
 
 
 def test_mi_length_mismatch():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(LengthMismatchError, match="^vector lengths differ: 3 vs 4$"):
         mutual_information(np.zeros(3), np.zeros(4))
+    with pytest.raises(ShapeMismatchError, match=r"^shape mismatch: expected two 1-D vectors, got \(2,\) and \(2, 2\)"):
+        mutual_information(np.zeros(2), np.zeros((2, 2)))
 
 
 # select -----------------------------------------------------------------
@@ -193,7 +197,7 @@ def test_select_mandatory_drops_match_source_prefix():
 def test_select_unsatisfiable_policy_raises():
     x, names, y = planted_matrix()
     policy = SelectionPolicy(k=4, redundancy_threshold=0.9)
-    with pytest.raises(PolicyUnsatisfiableError):
+    with pytest.raises(ConfigError, match="^only 3 features survive the policy, 4 requested$"):
         select(x, names, y, policy)  # duplicates leave only 3 keepable
 
 
