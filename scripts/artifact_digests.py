@@ -10,8 +10,8 @@ dictionary-coded columns and go through one-hot expansion, which the first
 two do not reach. The allkinds one takes mean, sum, min and max of a real,
 an integer and an optional-integer column, and first, last, count and
 nunique of an optional categorical column, so aggregation's min/max,
-real-sum and absent-value paths run too; it drops no column by name, so the
-optional ones reach the models. The manhattan and cosine ones keep the
+real-sum and absent-value paths run too, and the optional columns reach
+the models. The manhattan and cosine ones keep the
 default specs and set KNN's metric to manhattan and to cosine; the others
 all use euclidean. The entropy one sets the forest's split criterion to
 entropy; the others all use gini. The variants one runs the other model

@@ -34,6 +34,7 @@ from .events import (
     RawEvent,
     check_event_header,
     read_events,
+    unreadable,
 )
 from .pool import fork_map, fork_workers
 from .schema import check
@@ -51,11 +52,11 @@ class AggregatorSpec:
 
     column: str
     kind: str
-    output_name: str = ""
 
-    def __post_init__(self):
-        if not self.output_name:
-            object.__setattr__(self, "output_name", f"{self.column}_{self.kind}")
+    @property
+    def output_name(self) -> str:
+        """The feature's column name in ``features.csv``."""
+        return f"{self.column}_{self.kind}"
 
     @property
     def is_categorical_code(self) -> bool:
@@ -456,7 +457,9 @@ def _read_sidecar(meta_path: Path) -> tuple[tuple[AggregatorSpec, ...], dict[str
             source, kind, name = (
                 check(entry.get(key), str, f"columns[{i}].{key}") for key in ("source", "kind", "name")
             )
-            specs.append(AggregatorSpec(source, kind, name))
+            specs.append(AggregatorSpec(source, kind))
+            if name != specs[-1].output_name:
+                raise ConfigError(f"columns[{i}].name must be {specs[-1].output_name!r}, got {name!r}")
         code_tables = check(meta.get("code_tables"), dict[str, dict[str, int]], "code_tables")
     except ConfigError as exc:
         raise DataError(f"{meta_path}: {exc}") from None
@@ -491,7 +494,9 @@ def load_feature_matrix(csv_path: Path, meta_path: Path) -> FeatureMatrix:
                     raise ValueError(f"{len(row)} fields, the header has {len(expected)}")
                 values = tuple(_parse_cell(v) for v in row[2:])
                 rows.append(FeatureRow(row[0], row[1], values))
-        except (ValueError, csv.Error) as exc:  # also text that is not UTF-8
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise unreadable(fh, reader, exc) from None
+        except ValueError as exc:
             raise DataError(f"{csv_path}: line {reader.line_num}: {exc}") from None
     return FeatureMatrix(
         column_names=tuple(s.output_name for s in specs),

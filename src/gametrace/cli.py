@@ -214,7 +214,7 @@ def _load_joined(cfg: RunConfig) -> tuple[dataset.LabeledDataset, int]:
     labels_path = _input_file(Path(cfg.labels_path or wd / "labels.csv"), "label file")
     with open(labels_path, newline="") as source:
         labels = read_labels(source)
-    return dataset.join(matrix, labels, cfg.question_groups)
+    return dataset.join(matrix, labels)
 
 
 def cmd_select(cfg: RunConfig, args) -> int:

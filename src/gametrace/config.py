@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -23,7 +23,6 @@ from .aggregation import DEFAULT_SPECS, AggregatorSpec, validate_specs
 from .errors import ConfigError
 from .schema import build
 from .settings import (
-    DEFAULT_QUESTION_GROUPS,
     ForestClassifier,
     KnnClassifier,
     MlpClassifier,
@@ -44,7 +43,6 @@ class RunConfig:
 
     seed: int = 42
     protocol: str = "cv"  # or "holdout"
-    question_groups: dict[int, str] = field(default_factory=lambda: dict(DEFAULT_QUESTION_GROUPS))
     aggregator_specs: tuple[AggregatorSpec, ...] = DEFAULT_SPECS
     split: SplitPlan = field(default_factory=SplitPlan)
     selection: SelectionPolicy = field(default_factory=SelectionPolicy)
@@ -55,25 +53,13 @@ class RunConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
 
     def fingerprint_payload(self) -> dict:
-        """Everything that can change computed results, canonically keyed."""
-        return {
-            f.name: _plain(getattr(self, f.name)) for f in fields(self) if not f.metadata.get("path")
-        }
+        """Everything that can change computed results: every field but the paths."""
+        paths = {f.name for f in fields(self) if f.metadata.get("path")}
+        return {name: value for name, value in asdict(self).items() if name not in paths}
 
     def fingerprint(self) -> str:
         canon = json.dumps(self.fingerprint_payload(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def _plain(value):
-    """JSON-ready copy: dataclasses to dicts, tuples to lists, dict keys to str."""
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    return value
 
 
 def _check_ranges(cfg: RunConfig) -> None:

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Optional, Sequence
+from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .aggregation import FeatureMatrix
 from .errors import ConfigError, DataError
-from .events import LEVEL_GROUPS, LabelRecord
+from .events import DEFAULT_QUESTION_GROUPS, LabelRecord
 from .rng import Xoshiro256StarStar
-from .settings import DEFAULT_QUESTION_GROUPS, SplitPlan, check_folds
+from .settings import SplitPlan, check_folds
 
 @dataclass
 class LabeledDataset:
@@ -62,22 +62,14 @@ class LabeledDataset:
         return sub
 
 
-def join(
-    features: FeatureMatrix,
-    labels: Sequence[LabelRecord],
-    q_map: Mapping[int, str] = DEFAULT_QUESTION_GROUPS,
-) -> tuple[LabeledDataset, int]:
-    """One example per label whose (session, q_map[question]) row exists.
+def join(features: FeatureMatrix, labels: Sequence[LabelRecord]) -> tuple[LabeledDataset, int]:
+    """One example per label whose feature row exists: the row of the
+    label's session and of the level group that the game's fixed map,
+    ``events.DEFAULT_QUESTION_GROUPS``, gives its question.
 
     Returns the dataset and the count of labels dropped for lack of a
     feature row. Raises DataError when nothing matches.
     """
-    for q in range(1, 19):
-        if q not in q_map:
-            raise ConfigError(f"q_map does not cover question {q}")
-        if q_map[q] not in LEVEL_GROUPS:
-            raise ConfigError(f"q_map[{q}] = {q_map[q]!r} is not a level group")
-
     # One float64 row per feature row (None becomes NaN); each label names
     # its row by index, and the examples are one gather from that table.
     at = {(r.session_id, r.level_group): i for i, r in enumerate(features.rows)}
@@ -85,7 +77,7 @@ def join(
     ys: list[bool] = []
     keys: list[tuple[str, int]] = []
     for lab in labels:
-        i = at.get((lab.session_id, q_map[lab.question]))
+        i = at.get((lab.session_id, DEFAULT_QUESTION_GROUPS[lab.question]))
         if i is not None:
             idx.append(i)
             ys.append(lab.correct)

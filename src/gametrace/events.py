@@ -27,6 +27,15 @@ MIN_LEVEL = 0
 MAX_LEVEL = 22
 QUESTION_RANGE = range(1, 19)
 
+# The level group whose feature row a question's label joins: the game asks
+# questions 1-3 after 0-4, 4-13 after 5-12 and 14-18 after 13-22. It is not
+# a setting: the generator draws each label from the row it names.
+DEFAULT_QUESTION_GROUPS: dict[int, str] = {
+    **{q: "0-4" for q in range(1, 4)},
+    **{q: "5-12" for q in range(4, 14)},
+    **{q: "13-22" for q in range(14, 19)},
+}
+
 
 class RawEvent(NamedTuple):
     """One time-stamped user interaction. Immutable and thread-safe.
@@ -186,7 +195,7 @@ def _record_start(reader, row: Sequence[str]) -> int:
     return reader.line_num - (text.count("\n") + text.count("\r") - text.count("\r\n"))
 
 
-def _unreadable(source: IO[str], reader, exc: Exception) -> DataError:
+def unreadable(source: IO[str], reader, exc: Exception) -> DataError:
     """A csv.Error or UnicodeDecodeError as a DataError naming file and line."""
     where = getattr(source, "name", "input")
     if isinstance(exc, UnicodeDecodeError):
@@ -214,7 +223,7 @@ def check_event_header(source: IO[str]) -> tuple[str, ...]:
     try:
         return _event_header(reader, warn=True)[2]
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise _unreadable(source, reader, exc) from None
+        raise unreadable(source, reader, exc) from None
 
 
 def read_events(
@@ -318,7 +327,7 @@ def read_events(
                 hover, text, fqid, room_fqid, text_fqid, fullscreen, hq, music, group,
             ))
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise _unreadable(source, reader, exc) from None
+        raise unreadable(source, reader, exc) from None
     finally:
         rep.rows_read += rows
         rep.events_emitted += emitted
@@ -369,7 +378,7 @@ def read_labels(source: IO[str]) -> list[LabelRecord]:
             seen[sid] = (sid, questions | 1 << question)
             records.append(LabelRecord(sid, question, correct == "1"))
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise _unreadable(source, reader, exc) from None
+        raise unreadable(source, reader, exc) from None
     return records
 
 

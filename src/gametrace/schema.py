@@ -35,7 +35,7 @@ def check(value, tp, where: str):
     if origin is dict and isinstance(value, dict):
         key_tp, value_tp = get_args(tp)
         return {
-            _key(k, key_tp, where): check(v, value_tp, f"{where}.{k}") for k, v in value.items()
+            check(k, key_tp, f"{where} key"): check(v, value_tp, f"{where}.{k}") for k, v in value.items()
         }
     if is_dataclass(tp) and isinstance(value, dict):
         return build(tp, value, where)
@@ -48,15 +48,6 @@ def check(value, tp, where: str):
     if not ok:
         raise ConfigError(f"{where} must be {_type_name(tp)}, got {value!r}")
     return value
-
-
-def _key(key, tp, where: str):
-    if tp is int and isinstance(key, str):  # JSON object keys are strings
-        try:
-            return int(key)
-        except ValueError:
-            pass
-    return check(key, tp, f"{where} key")
 
 
 def build(cls, data: dict, where: str):

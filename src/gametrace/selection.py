@@ -27,19 +27,24 @@ def check_paired(a: np.ndarray, b: np.ndarray) -> None:
         raise LengthMismatchError(a.shape[0], b.shape[0])
 
 
-def pearson(xcol: np.ndarray, ycol: np.ndarray) -> float:
-    """Sample Pearson correlation; NaN when either column is constant."""
+def pearson(xcol: np.ndarray, ycol: np.ndarray, where: str = "pearson") -> float:
+    """Sample Pearson correlation; NaN when either column is constant, and a
+    DataError naming ``where`` when a sum it needs is past the float range."""
     x = np.asarray(xcol, dtype=np.float64)
     y = np.asarray(ycol, dtype=np.float64)
     check_paired(x, y)
     if x.shape[0] < 2:
         raise DataError("pearson requires at least 2 observations")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    den = math.sqrt(float((xc * xc).sum()) * float((yc * yc).sum()))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the column
+        xc = x - x.mean()
+        yc = y - y.mean()
+        sxx, syy, sxy = float((xc * xc).sum()), float((yc * yc).sum()), float((xc * yc).sum())
+    den = math.sqrt(sxx * syy)
+    if not (math.isfinite(den) and math.isfinite(sxy)):
+        raise DataError(f"{where}: a centred sum of squares or products is not finite")
     if den == 0.0:
         return float("nan")
-    r = float((xc * yc).sum()) / den
+    r = sxy / den
     return min(1.0, max(-1.0, r))
 
 
@@ -106,10 +111,6 @@ class SelectionReport:
         return tuple(s.name for s in self.scores if s.kept)
 
 
-def _is_dropped(name: str, drops: Sequence[str]) -> bool:
-    return any(name == d or name.startswith(d + "_") for d in drops)
-
-
 def select(
     x: np.ndarray,
     names: Sequence[str],
@@ -130,18 +131,15 @@ def select(
     r_label: dict[str, float] = {}
     mi_score: dict[str, float] = {}
     for n in names:
-        r_label[n] = pearson(col[n], label)
+        r_label[n] = pearson(col[n], label, f"column {n!r}")
         mi_score[n] = mutual_information(col[n], label, bins=policy.mi_bins, categorical=n in cat)
-
-    dropped = [n for n in names if _is_dropped(n, policy.mandatory_drops)]
-    candidates = [n for n in names if n not in dropped]
 
     def rank_key(n: str):
         r = r_label[n]
         rel = 0.0 if math.isnan(r) else abs(r)
         return (-rel, -mi_score[n], n)
 
-    ranked = sorted(candidates, key=rank_key)
+    ranked = sorted(names, key=rank_key)
     kept: list[str] = []
     reasons: dict[str, str] = {}
     for n in ranked:
@@ -150,7 +148,7 @@ def select(
             continue
         clash = None
         for g in kept:
-            r = pearson(col[n], col[g])
+            r = pearson(col[n], col[g], f"columns {n!r} and {g!r}")
             if not math.isnan(r) and abs(r) > policy.redundancy_threshold:
                 clash = g
                 break
@@ -166,9 +164,6 @@ def select(
         FeatureScore(n, r_label[n], mi_score[n], reasons[n] == "kept", reasons[n])
         for n in ranked
     ]
-    scores.extend(
-        FeatureScore(n, r_label[n], mi_score[n], False, "mandatory_drop") for n in dropped
-    )
     return SelectionReport(scores=scores, policy=policy)
 
 

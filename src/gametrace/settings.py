@@ -28,15 +28,6 @@ def check_protocol(protocol: str) -> None:
         raise ConfigError(f"unknown protocol {protocol!r}")
 
 
-# Question -> level_group convention used by the label join; overridable in
-# the run config because the upstream export does not carry the mapping.
-DEFAULT_QUESTION_GROUPS: dict[int, str] = {
-    **{q: "0-4" for q in range(1, 4)},
-    **{q: "5-12" for q in range(4, 14)},
-    **{q: "13-22" for q in range(14, 19)},
-}
-
-
 @dataclass(frozen=True)
 class SplitPlan:
     """How the holdout splits rows: its test share. Every split keeps each
@@ -55,9 +46,6 @@ def check_folds(folds: int) -> None:
         raise ConfigError("folds must be >= 2")
 
 
-DEFAULT_MANDATORY_DROPS = ("page", "hover_duration", "text_fqid", "text")
-
-
 def check_mi_params(bins: int) -> None:
     if bins < 2:
         raise ConfigError("mi_bins must be >= 2")
@@ -67,7 +55,6 @@ def check_mi_params(bins: int) -> None:
 class SelectionPolicy:
     k: int = 11  # features kept, at most
     redundancy_threshold: float = 0.9
-    mandatory_drops: tuple[str, ...] = DEFAULT_MANDATORY_DROPS
     mi_bins: int = 10  # mutual information is in nats
 
     def __post_init__(self):

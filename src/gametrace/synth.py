@@ -26,10 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from .events import EVENT_COLUMNS, LEVEL_GROUPS, LabelRecord, level_group_for, write_events, write_labels
+from .events import DEFAULT_QUESTION_GROUPS, EVENT_COLUMNS, LEVEL_GROUPS, LabelRecord, level_group_for
+from .events import write_events, write_labels
 from .pool import fork_map
 from .rng import derive_seed
-from .settings import DEFAULT_NULL_RATES, DEFAULT_QUESTION_GROUPS, FEATURE_NAMES, SynthConfig
+from .settings import DEFAULT_NULL_RATES, FEATURE_NAMES, SynthConfig
 
 _EVENT_VOCAB = (
     "navigate_click",

@@ -12,6 +12,8 @@ from collections import defaultdict
 
 import numpy as np
 
+from gametrace.events import DEFAULT_QUESTION_GROUPS
+
 GROUP_ORDER = {"0-4": 0, "5-12": 1, "13-22": 2}
 
 NUMERIC = {
@@ -76,12 +78,12 @@ def brute_force_aggregate(events, specs):
     return out, code_tables
 
 
-def nested_loop_join(rows, labels, q_map):
-    """Row-by-row join count: (session, q_map[question]) must match a row."""
+def nested_loop_join(rows, labels):
+    """Row-by-row join: (session, the question's level group) must match a row."""
     matched = []
     for lab in labels:
         for row in rows:
-            if row.session_id == lab.session_id and row.level_group == q_map[lab.question]:
+            if row.session_id == lab.session_id and row.level_group == DEFAULT_QUESTION_GROUPS[lab.question]:
                 matched.append((lab.session_id, lab.question))
                 break
     return matched

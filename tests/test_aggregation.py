@@ -85,8 +85,8 @@ def test_spec_type_mismatch():
 
 
 def test_duplicate_output_names_rejected():
-    with pytest.raises(ConfigError):
-        validate_specs([AggregatorSpec("level", "mean", "x"), AggregatorSpec("level", "max", "x")])
+    with pytest.raises(ConfigError, match="^duplicate output feature name: 'level_mean'$"):
+        validate_specs([AggregatorSpec("level", "mean"), AggregatorSpec("level", "mean")])
 
 
 def test_all_absent_column_yields_absent_cell():

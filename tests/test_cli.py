@@ -69,6 +69,7 @@ def test_unknown_config_key_exits_1(tmp_path):
 @pytest.mark.parametrize("section, key, value", [
     ("split", "grouping", "by_session"),
     ("selection", "mi_unit", "nats"),
+    ("selection", "mandatory_drops", []),
     ("mlp", "output_dim", 2),
     ("knn", "scale", True),
     ("mlp", "scale", True),
@@ -76,14 +77,32 @@ def test_unknown_config_key_exits_1(tmp_path):
 ])
 def test_removed_setting_exits_1_as_an_unknown_key(tmp_path, capsys, section, key, value):
     # Every split keeps a session on one side, mutual information is in
-    # nats, the MLP has one output per label, and KNN and the MLP always
-    # scale their inputs while the forest never does; none is a setting,
-    # not even at its former default.
+    # nats, the aggregator specs alone choose the feature columns, the MLP
+    # has one output per label, and KNN and the MLP always scale their
+    # inputs while the forest never does; none is a setting, not even at
+    # its former default.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({section: {key: value}}))
     capsys.readouterr()
     assert run("aggregate", "--workdir", str(tmp_path), "--config", str(cfg)) == 1
     assert f"unknown key {key!r} in config.{section}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"question_groups": {"1": "0-4"}}, "unknown key 'question_groups' in config"),
+    (
+        {"aggregator_specs": [{"column": "level", "kind": "mean", "output_name": "level_mean"}]},
+        "unknown key 'output_name' in config.aggregator_specs[0]",
+    ),
+], ids=["question_groups", "output_name"])
+def test_removed_key_outside_a_section_exits_1_as_an_unknown_key(tmp_path, capsys, bad, message):
+    # The question -> level group map is the game's, not a run's, and a
+    # feature is always named <column>_<kind>.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    capsys.readouterr()
+    assert run("aggregate", "--workdir", str(tmp_path), "--config", str(cfg)) == 1
+    assert message in capsys.readouterr().err
 
 
 MALFORMED_CONFIGS = [
@@ -506,6 +525,9 @@ UNREADABLE_INPUTS = {
     "labels.csv not UTF-8": (
         "labels.csv", 40, lambda line: line + b"\xff", "select", "labels.csv: line 40 is not UTF-8"
     ),
+    "features.csv not UTF-8": (
+        "features.csv", 61, lambda line: line + b"\xff", "select", "features.csv: line 61 is not UTF-8"
+    ),
     "events.csv field over the csv limit": (
         "events.csv", 3, lambda line: line + b"," + b"x" * 140_000, "aggregate",
         "events.csv: line 3: field larger than field limit",
@@ -548,6 +570,14 @@ def _sidecar_with(**changes):
     return edit
 
 
+def _first_column_named(name):
+    def edit(meta: bytes) -> bytes:
+        data = json.loads(meta)
+        data["columns"][0]["name"] = name
+        return json.dumps(data).encode()
+    return edit
+
+
 # case -> (file, new bytes from the old, expected message)
 HALF_WRITTEN_WORKDIRS = {
     "features.csv empty": ("features.csv", lambda _: b"", "features.csv: empty file, no header row"),
@@ -558,6 +588,10 @@ HALF_WRITTEN_WORKDIRS = {
     ),
     "columns entry not an object": (
         "features.meta.json", _sidecar_with(columns=[1]), "features.meta.json: columns[0] must be dict, got 1",
+    ),
+    "columns entry not named <source>_<kind>": (
+        "features.meta.json", _first_column_named("x"),
+        "features.meta.json: columns[0].name must be 'room_coor_x_mean', got 'x'",
     ),
     "columns entry without source": (
         "features.meta.json", _sidecar_with(columns=[{"kind": "mean", "name": "x"}]),
@@ -711,6 +745,17 @@ def test_a_finite_column_whose_mean_or_std_overflows_exits_2_naming_it(tmp_path,
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("data error: ")  # cv names the fold first
     assert f"column 'room_coor_x_mean' has a {what} that is not finite" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_a_column_whose_centred_sum_of_squares_overflows_exits_2_naming_it(tmp_path):
+    # The column separates the labels perfectly; its correlation must not
+    # read as 0 because its sum of squares is past the float range.
+    _two_class_workdir(tmp_path, -1e200, 1e200)
+    proc = cli_child("select", "--workdir", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("data error: column 'room_coor_x_mean': ")
+    assert "a centred sum of squares or products is not finite" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
 
 
@@ -957,24 +1002,34 @@ def test_config_fingerprint_stability_and_sensitivity():
 
 
 def test_config_fingerprints_are_pinned():
-    # Values since the MLP's output width and the three classifiers' scale
-    # flags left the payload; any change here changes every artifact's
-    # fingerprint.
+    # Values since the question map, the selection's drop list and each
+    # spec's output name left the payload; any change here changes every
+    # artifact's fingerprint.
     assert RunConfig().fingerprint() == (
-        "c571cc2dd0edca99c751e78c717468735c4cc4d4eb95b3adb110842dae08bdb7"
+        "1ea994316352070877719cdb2e2ddc73343cbdd8d5c55881ddd640a340bccdfe"
     )
     assert load_config(REPO / "perfbench" / "config.json").fingerprint() == (
-        "46f9a050d88b8ac04019bb3f755898cd63f22e49142775503b6ec860a88517cc"
+        "4309fd229a450f2c8468f46358c3ece94d1788d9bb10adbc2324719c31979f8b"
     )
-    groups = {"question_groups": {"1": "0-4", "2": "0-4", "10": "5-12"}}
-    assert load_config(None, overrides=groups).fingerprint() == (
-        "096a87fad1f39c4d0755ca9c9c3989af2c654a0bf2c0652a0f7a1bf95a854f2f"
+    assert load_config(REPO / "scripts" / "allkinds_config.json").fingerprint() == (
+        "adcec25a2595772115c25df9473133d8e807f0e46d01b5fb509771efbe390ae7"
     )
     payload = RunConfig().fingerprint_payload()
     assert payload["split"] == {"test_fraction": 0.2}
-    assert "mi_unit" not in payload["selection"]
+    assert "question_groups" not in payload
+    assert set(payload["selection"]) == {"k", "redundancy_threshold", "mi_bins"}
+    assert payload["aggregator_specs"][0] == {"column": "room_coor_x", "kind": "mean"}
     assert "output_dim" not in payload["mlp"]
     assert not any("scale" in payload[kind] for kind in ("knn", "mlp", "forest"))
+
+
+def test_readme_config_example_is_the_defaults(tmp_path):
+    # The one JSON block of the README's Configuration section says it shows
+    # the defaults; a deleted or renamed setting in it fails to load.
+    section = (REPO / "README.md").read_text().split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = [b.split("\n", 1)[1] for b in section.split("```")[1::2] if b.startswith("json\n")]
+    (tmp_path / "readme.json").write_text(block)
+    assert load_config(tmp_path / "readme.json").fingerprint() == RunConfig().fingerprint()
 
 
 def test_config_int_for_float_is_kept_as_given():

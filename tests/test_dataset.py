@@ -18,8 +18,8 @@ from gametrace.dataset import (
     split_train_test,
 )
 from gametrace.errors import ConfigError, DataError
-from gametrace.events import LEVEL_GROUPS, LabelRecord, read_labels
-from gametrace.settings import DEFAULT_QUESTION_GROUPS, SplitPlan
+from gametrace.events import DEFAULT_QUESTION_GROUPS, LEVEL_GROUPS, LabelRecord, read_labels
+from gametrace.settings import SplitPlan
 from conftest import make_event, random_events
 
 from oracles import naive_impute, naive_standardize, nested_loop_join
@@ -68,11 +68,6 @@ def test_join_empty_raises():
         join(full_matrix(), [LabelRecord("ghost", 1, True)])
 
 
-def test_join_requires_full_question_map():
-    with pytest.raises(ConfigError):
-        join(full_matrix(), labels_for(), q_map={1: "0-4"})
-
-
 def test_join_matches_nested_loop_oracle():
     rng = np.random.default_rng(21)
     evs = random_events(rng, 300, sessions=("a", "b", "c", "d"))
@@ -84,7 +79,7 @@ def test_join_matches_nested_loop_oracle():
         if rng.random() < 0.7
     ]
     ds, dropped = join(matrix, labels)
-    expected = nested_loop_join(matrix.rows, labels, DEFAULT_QUESTION_GROUPS)
+    expected = nested_loop_join(matrix.rows, labels)
     assert ds.row_keys == expected
     assert dropped == len(labels) - len(expected)
 
@@ -410,6 +405,7 @@ def test_default_question_groups_cover_1_to_18():
     assert DEFAULT_QUESTION_GROUPS[13] == "5-12"
     assert DEFAULT_QUESTION_GROUPS[14] == "13-22"
     assert DEFAULT_QUESTION_GROUPS[18] == "13-22"
+    assert set(DEFAULT_QUESTION_GROUPS.values()) == set(LEVEL_GROUPS)
 
 
 def test_dataset_arrays_are_immutable():

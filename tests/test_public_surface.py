@@ -128,7 +128,6 @@ UNPINNED = {
     "labels_path": "a path, by default inside the workdir",
     "seed": "the digest run passes --seed",
     "protocol": "the digest run passes benchmark both --protocol values",
-    "question_groups": "data for the label join; every mapping runs the same code",
     "split.test_fraction": "a number; it selects no code path",
     "selection.mi_bins": "a number; it selects no code path",
     "knn.k": "a number; it selects no code path",

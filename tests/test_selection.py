@@ -45,6 +45,18 @@ def test_pearson_length_mismatch():
         pearson(np.array([1.0]), np.array([1.0]))
 
 
+def test_pearson_past_the_float_range_raises_naming_where():
+    big = np.where(np.arange(200) % 2 == 1, 1e200, -1e200)
+    message = ": a centred sum of squares or products is not finite$"
+    with pytest.raises(DataError, match="^pearson" + message):
+        pearson(big, big)  # each sum of squares overflows
+    with pytest.raises(DataError, match="^columns 'a' and 'b'" + message):
+        pearson(big / 1e120, big / 1e120, "columns 'a' and 'b'")  # only their product does
+    y = (np.arange(200) % 2).astype(np.int64)
+    with pytest.raises(DataError, match="^column 'big'" + message):
+        select(np.column_stack([big, y]), ("big", "y"), y, SelectionPolicy(k=1))
+
+
 @given(
     st.lists(st.floats(-100, 100), min_size=3, max_size=30),
     st.floats(0.1, 50),
@@ -153,7 +165,7 @@ def test_select_k_all_threshold_one_keeps_everything():
     x = rng.normal(size=(100, 4))
     y = rng.integers(0, 2, size=100)
     names = ("a", "b", "c", "d")
-    policy = SelectionPolicy(k=4, redundancy_threshold=1.0, mandatory_drops=())
+    policy = SelectionPolicy(k=4, redundancy_threshold=1.0)
     report = select(x, names, y, policy)
     assert len(report.selected) == 4
     ranked = [s.name for s in report.scores]
@@ -179,19 +191,6 @@ def test_select_never_keeps_correlated_pair():
             ra = x[:, names.index(a)]
             rb = x[:, names.index(b)]
             assert abs(pearson(ra, rb)) <= 0.9
-
-
-def test_select_mandatory_drops_match_source_prefix():
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(50, 3))
-    y = rng.integers(0, 2, size=50)
-    names = ("page_mean", "level_mean", "text")
-    policy = SelectionPolicy(k=1, mandatory_drops=("page", "text"))
-    report = select(x, names, y, policy)
-    assert report.selected == ("level_mean",)
-    reasons = {s.name: s.reason for s in report.scores}
-    assert reasons["page_mean"] == "mandatory_drop"
-    assert reasons["text"] == "mandatory_drop"
 
 
 def test_select_unsatisfiable_policy_raises():
