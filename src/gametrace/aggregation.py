@@ -393,7 +393,8 @@ def aggregate_file(
     """
     specs = validate_specs(specs)
     with open(path, newline="") as source:
-        report = IngestReport(unknown_columns=check_event_header(source))
+        check_event_header(source)
+    report = IngestReport()
     parts = fork_workers() if Path(path).stat().st_size >= _SHARD_FLOOR else 1
     task = partial(_aggregate_part, path, specs, parts)
     reduced: list = []
@@ -440,8 +441,8 @@ def save_feature_matrix(
     meta_sink.write("\n")
 
 
-def _read_sidecar(meta_path: Path) -> tuple[tuple[AggregatorSpec, ...], dict[str, dict[str, int]]]:
-    """The column specs and code tables a feature matrix sidecar records."""
+def _read_sidecar(meta_path: Path) -> tuple[tuple[AggregatorSpec, ...], dict[str, dict[str, int]], int]:
+    """The column specs, code tables and row count a feature matrix sidecar records."""
     try:
         meta = json.loads(Path(meta_path).read_text())
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
@@ -461,9 +462,10 @@ def _read_sidecar(meta_path: Path) -> tuple[tuple[AggregatorSpec, ...], dict[str
             if name != specs[-1].output_name:
                 raise ConfigError(f"columns[{i}].name must be {specs[-1].output_name!r}, got {name!r}")
         code_tables = check(meta.get("code_tables"), dict[str, dict[str, int]], "code_tables")
+        row_count = check(meta.get("row_count"), int, "row_count")
     except ConfigError as exc:
         raise DataError(f"{meta_path}: {exc}") from None
-    return tuple(specs), code_tables
+    return tuple(specs), code_tables, row_count
 
 
 def _parse_cell(text: str) -> Optional[float]:
@@ -478,7 +480,7 @@ def _parse_cell(text: str) -> Optional[float]:
 
 
 def load_feature_matrix(csv_path: Path, meta_path: Path) -> FeatureMatrix:
-    specs, code_tables = _read_sidecar(meta_path)
+    specs, code_tables, row_count = _read_sidecar(meta_path)
     rows: list[FeatureRow] = []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -498,6 +500,8 @@ def load_feature_matrix(csv_path: Path, meta_path: Path) -> FeatureMatrix:
             raise unreadable(fh, reader, exc) from None
         except ValueError as exc:
             raise DataError(f"{csv_path}: line {reader.line_num}: {exc}") from None
+    if len(rows) != row_count:
+        raise DataError(f"{csv_path} holds {len(rows)} rows, {meta_path} records {row_count}")
     return FeatureMatrix(
         column_names=tuple(s.output_name for s in specs),
         rows=rows,

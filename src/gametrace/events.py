@@ -141,7 +141,6 @@ class IngestReport:
     consistency_violations: int = 0
     cell_errors: list[CellError] = field(default_factory=list)
     errors_by_column: dict[str, int] = field(default_factory=dict)
-    unknown_columns: tuple[str, ...] = ()
 
     def record_error(self, row: int, column: str, value: str) -> None:
         self.rows_skipped += 1
@@ -206,22 +205,22 @@ def unreadable(source: IO[str], reader, exc: Exception) -> DataError:
     return DataError(f"{where}: line {reader.line_num}: {exc}")
 
 
-def _event_header(reader, warn: bool) -> tuple[list[str], dict[str, int], tuple[str, ...]]:
-    """The header, the position of each event column in it, and its unknown
-    columns, logged when ``warn``. DataError if it lacks a column."""
+def _event_header(reader, warn: bool) -> tuple[list[str], dict[str, int]]:
+    """The header and the position of each event column in it; its unknown
+    columns are logged when ``warn``. DataError if it lacks a column."""
     header, pos = _positions(reader, EVENT_COLUMNS)
     extras = tuple(c for c in header if c not in EVENT_COLUMNS)
     if extras and warn:
         logger.warning("ignoring %d unknown column(s): %s", len(extras), ", ".join(extras))
-    return header, pos, extras
+    return header, pos
 
 
-def check_event_header(source: IO[str]) -> tuple[str, ...]:
-    """Read only the header of an event file: its unknown columns, logged
+def check_event_header(source: IO[str]) -> None:
+    """Read only the header of an event file, logging its unknown columns
     once. Raises as ``read_events`` does on a missing column or bad text."""
     reader = csv.reader(source)
     try:
-        return _event_header(reader, warn=True)[2]
+        _event_header(reader, warn=True)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise unreadable(source, reader, exc) from None
 
@@ -253,9 +252,7 @@ def read_events(
     # is closed.
     rows = emitted = inconsistent = 0
     try:
-        header, pos, extras = _event_header(reader, warn=part is None)
-        if extras:
-            rep.unknown_columns = extras
+        header, pos = _event_header(reader, warn=part is None)
 
         # Hot loop: one itemgetter unpacks a row, conversions and checks are
         # inline (a second statement of _RULES, kept for speed), one

@@ -23,8 +23,11 @@ from .settings import TreeConfig, check_tree_count
 
 @dataclass(frozen=True, slots=True)
 class Leaf:
-    label: int
     counts: tuple[int, ...]
+
+    @property
+    def label(self) -> int:
+        return 1 if self.counts[1] > self.counts[0] else 0  # tie -> label 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,10 +160,6 @@ def _plog2(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _majority(n0: int, n1: int) -> int:
-    return 1 if n1 > n0 else 0  # tie -> label 0
-
-
 def _training_arrays(x, y, who: str) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -230,7 +229,7 @@ def tree_fit(
             or ys.shape[0] < config.min_samples_split
             or (config.max_depth is not None and depth >= config.max_depth)
         ):
-            done.append(Leaf(_majority(n0, n1), (n0, n1)))
+            done.append(Leaf((n0, n1)))
             continue
         if n_candidates < d:
             candidates = np.sort(rng.choice(d, size=n_candidates, replace=False))
@@ -239,7 +238,7 @@ def tree_fit(
         block = x.T[candidates[:, None], node_rows]  # (c, n): one row per candidate
         found = _scan_split(block, ys, config, candidates)
         if found is None:
-            done.append(Leaf(_majority(n0, n1), (n0, n1)))
+            done.append(Leaf((n0, n1)))
             continue
         f, thr, gain = found
         mask = x[node_rows, f] <= thr
@@ -270,10 +269,9 @@ def tree_predict(node: TreeNode, queries: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]  # tree t grew from derive_seed(seed, t)
+    trees: list[TreeNode]
     config: TreeConfig
-    seed: int
-    n_features: int = 0
+    n_features: int
 
     def predict(self, queries: np.ndarray) -> np.ndarray:
         return forest_predict(self, queries)
@@ -295,7 +293,7 @@ def forest_fit(
         rng = np.random.default_rng(derive_seed(seed, t))
         rows = rng.integers(0, n, size=n)
         trees.append(tree_fit(x, y, config, rng=rng, rows=rows))
-    return ForestModel(trees=trees, config=config, seed=seed, n_features=x.shape[1])
+    return ForestModel(trees=trees, config=config, n_features=x.shape[1])
 
 
 def forest_predict(model: ForestModel, queries: np.ndarray) -> np.ndarray:
@@ -303,7 +301,7 @@ def forest_predict(model: ForestModel, queries: np.ndarray) -> np.ndarray:
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim == 1:
         q = q[None, :]
-    if model.n_features and q.shape[1] != model.n_features:
+    if q.shape[1] != model.n_features:
         raise DimensionMismatchError(model.n_features, q.shape[1])
     votes = np.zeros(q.shape[0], dtype=np.int64)
     for tree in model.trees:
@@ -311,54 +309,42 @@ def forest_predict(model: ForestModel, queries: np.ndarray) -> np.ndarray:
     return (votes * 2 > len(model.trees)).astype(np.int64)
 
 
-# Flat-array encoding of a list of trees, in preorder: the model container layout.
+# Flat-array encoding of a list of trees, in preorder: the model container
+# layout. A node is a leaf exactly when its feature is -1.
 
-_KIND_LEAF = 0
-_KIND_INTERNAL = 1
-_NODE_ARRAYS = (
-    "tree_kinds", "tree_features", "tree_thresholds", "tree_gains",
-    "tree_labels", "tree_count0", "tree_count1",
-)
+_NODE_ARRAYS = ("tree_features", "tree_thresholds", "tree_gains", "tree_count0", "tree_count1")
 
 
 def flatten_trees(trees: list[TreeNode]) -> dict[str, np.ndarray]:
-    kinds: list[int] = []
     features: list[int] = []
     thresholds: list[float] = []
     gains: list[float] = []
-    labels: list[int] = []
     c0: list[int] = []
     c1: list[int] = []
     offsets: list[int] = []
     for root in trees:
-        offsets.append(len(kinds))
+        offsets.append(len(features))
         stack = [root]
         while stack:
             node = stack.pop()
             if isinstance(node, Leaf):
-                kinds.append(_KIND_LEAF)
                 features.append(-1)
                 thresholds.append(0.0)
                 gains.append(0.0)
-                labels.append(node.label)
                 c0.append(node.counts[0])
                 c1.append(node.counts[1])
             else:
-                kinds.append(_KIND_INTERNAL)
                 features.append(node.feature)
                 thresholds.append(node.threshold)
                 gains.append(node.gain)
-                labels.append(-1)
                 c0.append(0)
                 c1.append(0)
                 stack.append(node.right)  # preorder: left subtree first
                 stack.append(node.left)
     return {
-        "tree_kinds": np.array(kinds, dtype=np.int8),
         "tree_features": np.array(features, dtype=np.int64),
         "tree_thresholds": np.array(thresholds, dtype=np.float64),
         "tree_gains": np.array(gains, dtype=np.float64),
-        "tree_labels": np.array(labels, dtype=np.int64),
         "tree_count0": np.array(c0, dtype=np.int64),
         "tree_count1": np.array(c1, dtype=np.int64),
         "tree_offsets": np.array(offsets, dtype=np.int64),
@@ -366,34 +352,33 @@ def flatten_trees(trees: list[TreeNode]) -> dict[str, np.ndarray]:
 
 
 def unflatten_trees(arrays: dict[str, np.ndarray], n_features: int) -> list[TreeNode]:
-    """The trees ``flatten_trees`` encoded. ContainerFormatError unless each
-    offset range holds exactly one preorder tree whose splits read features
-    in [0, n_features)."""
-    kinds = arrays["tree_kinds"]
-    if kinds.ndim != 1 or arrays["tree_offsets"].ndim != 1 or any(
-        arrays[name].shape != kinds.shape for name in _NODE_ARRAYS
+    """The trees ``flatten_trees`` encoded. ContainerFormatError unless the
+    offsets start at 0 and each offset range holds exactly one preorder
+    tree whose splits read features in [0, n_features)."""
+    features, offsets = arrays["tree_features"], arrays["tree_offsets"]
+    if features.ndim != 1 or offsets.ndim != 1 or any(
+        arrays[name].shape != features.shape for name in _NODE_ARRAYS
     ):
         raise ContainerFormatError("tree arrays differ in shape")
+    if offsets.size and offsets[0] != 0:  # no node may sit before the first tree
+        raise ContainerFormatError(f"tree offsets must start at 0, not {offsets[0]}")
     # Infinite thresholds are legal: containers from before the [a, b) rule can hold them.
     if np.isnan(arrays["tree_thresholds"]).any() or np.isnan(arrays["tree_gains"]).any():
         raise ContainerFormatError("tree thresholds and gains must not be NaN")
-    leaves = kinds != _KIND_INTERNAL
-    if not np.isin(arrays["tree_labels"][leaves], (0, 1)).all():
-        raise ContainerFormatError("tree leaf labels must be 0 or 1")
     if (arrays["tree_count0"] < 0).any() or (arrays["tree_count1"] < 0).any():
         raise ContainerFormatError("tree class counts must not be negative")
-    kinds, features, thresholds, gains, labels, c0, c1 = (arrays[a].tolist() for a in _NODE_ARRAYS)
-    starts = arrays["tree_offsets"].tolist()
+    features, thresholds, gains, c0, c1 = (arrays[a].tolist() for a in _NODE_ARRAYS)
+    starts = offsets.tolist()
     trees: list[TreeNode] = []
-    for t, (start, end) in enumerate(zip(starts, starts[1:] + [len(kinds)])):
-        if not 0 <= start < end <= len(kinds):
+    for t, (start, end) in enumerate(zip(starts, starts[1:] + [len(features)])):
+        if not 0 <= start < end <= len(features):
             raise ContainerFormatError(f"tree {t} offsets out of range")
         # Preorder read backwards: when a node is reached, both its subtrees
         # are on the stack, the left one on top.
         stack: list[TreeNode] = []
         for i in range(end - 1, start - 1, -1):
-            if kinds[i] != _KIND_INTERNAL:
-                stack.append(Leaf(int(labels[i]), (int(c0[i]), int(c1[i]))))
+            if features[i] == -1:
+                stack.append(Leaf((int(c0[i]), int(c1[i]))))
             elif not 0 <= features[i] < n_features:
                 raise ContainerFormatError(f"tree {t} splits on feature {features[i]}")
             elif len(stack) < 2:

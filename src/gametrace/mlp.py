@@ -28,7 +28,6 @@ class MlpModel:
     weights: list[np.ndarray]  # W_l with shape (fan_in, fan_out)
     biases: list[np.ndarray]
     config: MlpConfig
-    seed: int
     loss_history: list[float] = field(default_factory=list)
 
     @property
@@ -219,7 +218,7 @@ def mlp_train(config: MlpConfig, x: np.ndarray, y: np.ndarray, seed: int) -> Mlp
         raise ConfigError("labels must be 0 or 1")
 
     weights, biases, rng = init_params(config, x.shape[1], seed)
-    model = MlpModel(weights=weights, biases=biases, config=config, seed=seed)
+    model = MlpModel(weights=weights, biases=biases, config=config)
     params = weights + biases  # the model's own arrays: Adam updates them in place
     state = AdamState.zeros_like(params)
     n = x.shape[0]

@@ -129,11 +129,10 @@ def save_model(
     arrays = {f"pre_{name}": v for name in _PRE_ARRAYS if (v := pre.pop(name)) is not None}
     header: dict = {
         "kind": kind,
-        "feature_names": list(preprocessor.input_names),
         "config_fingerprint": config_fingerprint,
         "preprocessor": {**pre, "scaled": preprocessor.scaler_std is not None},
         # deterministic creation metadata: identical inputs => identical bytes
-        "created_by": {"tool": "gametrace", "container_version": FORMAT_VERSION, "seed": seed},
+        "created_by": {"tool": "gametrace", "seed": seed},
         kind: section,
     }
     save_container(path, header, {**arrays, **model_arrays})
@@ -153,7 +152,7 @@ def load_model(path: Path) -> LoadedModel:
         for name in _PRE_ARRAYS if scaled else ("means",):
             section[name] = arrays[f"pre_{name}"]
         pre = build(Preprocessor, section, "preprocessor")
-        model = MODELS[kind].from_container(header[kind], arrays)
+        model = MODELS[kind].from_container(header[kind], arrays, len(pre.output_names))
     except KeyError as exc:  # a header section or an array the kind needs
         raise ContainerFormatError(f"container is missing {exc.args[0]!r}: {path}") from None
     except (ConfigError, DataError) as exc:  # values the model's own checks reject

@@ -9,6 +9,7 @@ undefined correlation; they are marked NaN and rank as zero relevance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence
 
@@ -39,9 +40,12 @@ def pearson(xcol: np.ndarray, ycol: np.ndarray, where: str = "pearson") -> float
         xc = x - x.mean()
         yc = y - y.mean()
         sxx, syy, sxy = float((xc * xc).sum()), float((yc * yc).sum()), float((xc * yc).sum())
-    den = math.sqrt(sxx * syy)
-    if not (math.isfinite(den) and math.isfinite(sxy)):
+    if not (math.isfinite(sxx) and math.isfinite(syy) and math.isfinite(sxy)):
         raise DataError(f"{where}: a centred sum of squares or products is not finite")
+    prod = sxx * syy
+    # The root of the product where that is a normal float, else the product
+    # of the roots, which stays in the float range.
+    den = math.sqrt(prod) if sys.float_info.min <= prod < math.inf else math.sqrt(sxx) * math.sqrt(syy)
     if den == 0.0:
         return float("nan")
     r = sxy / den

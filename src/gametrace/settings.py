@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import lazy_module
 from .errors import ConfigError, ContainerFormatError
-from .schema import build, check
+from .schema import build
 
 forest = lazy_module("forest")
 knn = lazy_module("knn")
@@ -192,7 +192,8 @@ class Classifier:
     are its config section, range-checked when it is built, and ``module``
     its model's lazy module. ``fit(x, y, seed)`` returns a fitted model,
     whose own ``predict(x)`` gives its labels, and ``to_container`` and
-    ``from_container`` map one to its container header section and arrays.
+    ``from_container`` map one to its container header section and arrays;
+    the input width is the preprocessor's, so no section records it.
     Its ``folds`` field sets how it is evaluated; its ``scale`` constant, not a
     setting, whether its inputs are standardized (KNN and the MLP, not the forest)."""
 
@@ -216,7 +217,7 @@ class KnnClassifier(Classifier):
         return {"k": model.k, "metric": model.metric}, {"knn_x": model.x, "knn_y": model.y}
 
     @staticmethod
-    def from_container(section: dict, arrays: dict) -> knn.KnnModel:
+    def from_container(section: dict, arrays: dict, width: int) -> knn.KnnModel:
         params = build(KnnClassifier, {"k": section["k"], "metric": section["metric"]}, "knn")
         model = knn.knn_fit(arrays["knn_x"], arrays["knn_y"], k=params.k, metric=params.metric)
         if not ((model.y == 0) | (model.y == 1)).all():
@@ -246,21 +247,17 @@ class MlpClassifier(MlpConfig, Classifier):
         for i, (w, b) in enumerate(zip(model.weights, model.biases)):
             arrays[f"mlp_w{i}"] = w
             arrays[f"mlp_b{i}"] = b
-        section = {f.name: getattr(model.config, f.name) for f in fields(MlpConfig)}
-        section.update(input_dim=model.input_dim, seed=model.seed, layers=len(model.weights))
-        return section, arrays
+        return {f.name: getattr(model.config, f.name) for f in fields(MlpConfig)}, arrays
 
     @staticmethod
-    def from_container(section: dict, arrays: dict) -> mlp.MlpModel:
+    def from_container(section: dict, arrays: dict, width: int) -> mlp.MlpModel:
         import numpy as np  # loaded with the model's module
 
         config = build(MlpConfig, {f.name: section[f.name] for f in fields(MlpConfig)}, "mlp")
-        names = ("input_dim", "seed", "layers")
-        input_dim, seed, layers = (check(section[n], int, f"mlp.{n}") for n in names)
-        weights = [arrays[f"mlp_w{i}"] for i in range(layers)]
-        biases = [arrays[f"mlp_b{i}"] for i in range(layers)]
-        dims = config.layer_dims(input_dim)
-        if len(weights) != len(dims) - 1 or any(
+        dims = config.layer_dims(width)
+        weights = [arrays[f"mlp_w{i}"] for i in range(len(dims) - 1)]
+        biases = [arrays[f"mlp_b{i}"] for i in range(len(dims) - 1)]
+        if any(
             w.shape != dims[i : i + 2] or b.shape != dims[i + 1 : i + 2]
             for i, (w, b) in enumerate(zip(weights, biases))
         ):
@@ -270,7 +267,7 @@ class MlpClassifier(MlpConfig, Classifier):
             raise ContainerFormatError(f"mlp loss history has shape {history.shape}, not ({config.epochs},)")
         if not all(np.isfinite(a).all() for a in (*weights, *biases, history)):
             raise ContainerFormatError("mlp weights, biases and loss history must be finite")
-        return mlp.MlpModel(weights, biases, config, seed, list(history))
+        return mlp.MlpModel(weights, biases, config, list(history))
 
 
 @dataclass(frozen=True)
@@ -293,19 +290,14 @@ class ForestClassifier(TreeConfig, Classifier):
     @staticmethod
     def to_container(model: forest.ForestModel) -> tuple[dict, dict]:
         section = {f.name: getattr(model.config, f.name) for f in fields(TreeConfig)}
-        section.update(seed=model.seed, tree_count=len(model.trees), n_features=model.n_features)
         return section, forest.flatten_trees(model.trees)
 
     @staticmethod
-    def from_container(section: dict, arrays: dict) -> forest.ForestModel:
+    def from_container(section: dict, arrays: dict, width: int) -> forest.ForestModel:
         config = build(TreeConfig, {f.name: section[f.name] for f in fields(TreeConfig)}, "forest")
-        names = ("seed", "tree_count", "n_features")
-        seed, tree_count, n_features = (check(section[n], int, f"forest.{n}") for n in names)
-        check_tree_count(tree_count)
-        trees = forest.unflatten_trees(arrays, n_features)
-        if len(trees) != tree_count:
-            raise ContainerFormatError(f"forest holds {len(trees)} trees, header says {tree_count}")
-        return forest.ForestModel(trees=trees, config=config, seed=seed, n_features=n_features)
+        trees = forest.unflatten_trees(arrays, width)
+        check_tree_count(len(trees))
+        return forest.ForestModel(trees=trees, config=config, n_features=width)
 
 
 # The registry: the only list of model kinds, in benchmark order.

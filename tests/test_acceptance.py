@@ -159,7 +159,7 @@ def test_criterion_2_compression_property(cli_runs):
 def test_criterion_3_mlp_gradient_check():
     cfg = MlpConfig(hidden_sizes=(4,))
     weights, biases, _ = init_params(cfg, 3, 42)
-    model = MlpModel(weights=weights, biases=biases, config=cfg, seed=42)
+    model = MlpModel(weights=weights, biases=biases, config=cfg)
     rng = np.random.default_rng(42)
     x = rng.normal(size=(10, 3))
     y = rng.integers(0, 2, size=10)

@@ -338,7 +338,7 @@ def _array(name, edit):
 def _first_split_on(feature):
     def edit(h, a):
         features = a["tree_features"].copy()
-        features[np.flatnonzero(a["tree_kinds"] == 1)[0]] = feature
+        features[np.flatnonzero(a["tree_features"] != -1)[0]] = feature
         return h, {**a, "tree_features": features}
 
     return edit
@@ -349,15 +349,21 @@ def _leaves(name, value):
 
     def edit(h, a):
         v = a[name].copy()
-        v[a["tree_kinds"] == 0] = value
+        v[a["tree_features"] == -1] = value
         return h, {**a, name: v}
 
     return edit
 
 
 def _no_trees(h, a):
-    empty = {name: v[:0] for name, v in a.items() if name.startswith("tree_")}
-    return {**h, "forest": {**h["forest"], "tree_count": 3}}, {**a, **empty}
+    return h, {**a, **{name: v[:0] for name, v in a.items() if name.startswith("tree_")}}
+
+
+def _leaf_before_first_tree(h, a):
+    """One leaf before tree 0, which no offset range holds."""
+    leaf = {"tree_features": -1, "tree_thresholds": 0.0, "tree_gains": 0.0, "tree_count0": 1, "tree_count1": 0}
+    arrays = {name: np.insert(a[name], 0, value) for name, value in leaf.items()}
+    return h, {**a, **arrays, "tree_offsets": a["tree_offsets"] + 1}
 
 
 def _extra_output_name(h):
@@ -368,7 +374,9 @@ def _extra_output_name(h):
 # case -> (kind, edit of (header, arrays), expected message)
 MALFORMED_CONTAINERS = {
     "knn section missing": ("knn", _header(lambda h: _without(h, "knn")), "container is missing 'knn'"),
-    "mlp layers beyond arrays": ("mlp", _section("mlp", layers=5), "container is missing 'mlp_w2'"),
+    "mlp layers beyond arrays": (
+        "mlp", _section("mlp", hidden_sizes=[128, 128]), "container is missing 'mlp_w2'"
+    ),
     "preprocessor missing": (
         "forest", _header(lambda h: _without(h, "preprocessor")), "container is missing 'preprocessor'"
     ),
@@ -376,7 +384,8 @@ MALFORMED_CONTAINERS = {
     "split on feature 999": ("forest", _first_split_on(999), "splits on feature 999"),
     "split on feature -2": ("forest", _first_split_on(-2), "splits on feature -2"),
     "tree_thresholds short": ("forest", _array("tree_thresholds", lambda v: v[:-1]), "tree arrays differ"),
-    "no trees, tree_count 3": ("forest", _no_trees, "forest holds 0 trees, header says 3"),
+    "no trees": ("forest", _no_trees, "tree_count must be >= 1"),
+    "a leaf before the first tree": ("forest", _leaf_before_first_tree, "tree offsets must start at 0, not 1"),
     "knn_y short": ("knn", _array("knn_y", lambda v: v[:-1]), "row and label counts differ"),
     "knn k above rows": ("knn", _section("knn", k=100000), "k=100000 exceeds"),
     "knn k a string": ("knn", _section("knn", k="5"), "knn.k must be int"),
@@ -396,8 +405,6 @@ MALFORMED_CONTAINERS = {
         "mlp", _array("mlp_loss_history", lambda v: v[:, None]),
         "mlp loss history has shape (100, 1), not (100,)",
     ),
-    "leaf labels 5": ("forest", _leaves("tree_labels", 5), "tree leaf labels must be 0 or 1"),
-    "leaf labels -3": ("forest", _leaves("tree_labels", -3), "tree leaf labels must be 0 or 1"),
     "tree_count0 negative": ("forest", _leaves("tree_count0", -1), "tree class counts must not be negative"),
     "tree_count1 negative": ("forest", _leaves("tree_count1", -1), "tree class counts must not be negative"),
     "knn_y all 7": ("knn", _array("knn_y", lambda v: np.full_like(v, 7)), "knn labels must be 0 or 1"),
@@ -604,6 +611,9 @@ HALF_WRITTEN_WORKDIRS = {
     "sidecar of another format": (
         "features.meta.json", _sidecar_with(format="other"), "not a feature matrix sidecar: ",
     ),
+    "sidecar without row_count": (
+        "features.meta.json", _sidecar_with(row_count=None), "features.meta.json: row_count must be int, got None",
+    ),
     "features.csv header not the sidecar's": (
         "features.csv", lambda csv: csv.replace(b"session_id", b"session", 1),
         "feature CSV header does not match sidecar: ",
@@ -620,6 +630,20 @@ def test_half_written_workdir_exits_2_naming_the_file(pipeline_dir, tmp_path, ca
     capsys.readouterr()
     assert run("select", "--workdir", str(tmp_path)) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["select", "train", "cv", "evaluate", "benchmark"])
+def test_features_csv_short_of_the_sidecars_row_count_exits_2(evaluate_dir, tmp_path, capsys, command):
+    for kept in ("labels.csv", "features.csv", "features.meta.json", "model_knn.bin"):
+        shutil.copy(evaluate_dir / kept, tmp_path / kept)
+    lines = (tmp_path / "features.csv").read_bytes().split(b"\n")  # header, rows, ""
+    (tmp_path / "features.csv").write_bytes(b"\n".join([*lines[:-31], b""]))  # the last 30 rows cut
+    rows = len(lines) - 2
+    capsys.readouterr()
+    model = [] if command in ("select", "benchmark") else ["--model", "knn"]
+    assert run(command, "--workdir", str(tmp_path), *model) == 2
+    meta = tmp_path / "features.meta.json"
+    assert f"features.csv holds {rows - 30} rows, {meta} records {rows}" in capsys.readouterr().err
 
 
 # case -> (path in the workdir made a directory, command line; "{}" is that path)
@@ -708,7 +732,8 @@ def _two_class_workdir(wd, x_of_label_0, x_of_label_1):
     (wd / "features.csv").write_text("\n".join([header, *rows]) + "\n")
     columns = [{"source": c, "kind": "mean", "name": f"{c}_mean"} for c in ("room_coor_x", "level")]
     (wd / "features.meta.json").write_text(
-        json.dumps({"format": "gametrace-feature-matrix", "columns": columns, "code_tables": {}})
+        json.dumps({"format": "gametrace-feature-matrix", "columns": columns, "code_tables": {},
+                    "row_count": len(rows)})
     )
     labels = [f"{sid},{q},{label}" for sid, label in sessions for q in range(1, 19)]
     (wd / "labels.csv").write_text("\n".join(["session_id,question,correct", *labels]) + "\n")

@@ -154,14 +154,15 @@ def test_column_order_is_not_significant():
     assert ev.level == 13 and ev.fullscreen == 1
 
 
-def test_unknown_extra_columns_ignored_with_warning():
+def test_unknown_extra_columns_ignored_with_warning(caplog):
     rep = IngestReport()
     header = ",".join(EVENT_COLUMNS + ("mystery",))
     row = ",".join(["s", "0", "1", "e", "n", "2", "", "", "", "", "", "", "", "", "",
                     "", "0", "0", "0", "0-4", "whatever"])
     events = list(read_events(io.StringIO(header + "\n" + row + "\n"), report=rep))
     assert len(events) == 1
-    assert rep.unknown_columns == ("mystery",)
+    assert rep.rows_skipped == 0
+    assert [r.getMessage() for r in caplog.records] == ["ignoring 1 unknown column(s): mystery"]
 
 
 def test_row_with_more_fields_than_the_header_is_skipped_under_row():

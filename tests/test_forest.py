@@ -200,10 +200,10 @@ def test_tree_fit_rejects_rows_that_are_not_row_indices(rows):
 
 
 def test_tree_nodes_have_no_instance_dict():
-    leaf = Leaf(1, (0, 2))
+    leaf = Leaf((0, 2))
     node = Internal(0, 0.5, 0.1, leaf, leaf)
     assert not hasattr(leaf, "__dict__") and not hasattr(node, "__dict__")
-    assert node == Internal(0, 0.5, 0.1, Leaf(1, (0, 2)), Leaf(1, (0, 2)))
+    assert node == Internal(0, 0.5, 0.1, Leaf((0, 2)), Leaf((0, 2)))
 
 
 def test_min_samples_split_stops_growth():
@@ -227,8 +227,8 @@ def test_split_of_two_values_separates_them(a, b):
     tree = tree_fit(np.array([[a], [b]]), np.array([0, 1]), TreeConfig(max_depth=5))
     assert isinstance(tree, Internal)
     assert a <= tree.threshold < b
-    assert tree.left == Leaf(0, (1, 0))
-    assert tree.right == Leaf(1, (0, 1))
+    assert tree.left == Leaf((1, 0))
+    assert tree.right == Leaf((0, 1))
 
 
 def _blobs(seed, n, gap=5.0):
@@ -288,15 +288,14 @@ def test_forest_votes_match_per_tree_traversal():
 
 
 def test_forest_majority_three_votes():
-    t_one = Leaf(1, (0, 1))
-    t_zero = Leaf(0, (1, 0))
-    model = ForestModel(trees=[t_one, t_one, t_zero], config=TreeConfig(), seed=0, n_features=2)
+    t_one = Leaf((0, 1))
+    t_zero = Leaf((1, 0))
+    model = ForestModel(trees=[t_one, t_one, t_zero], config=TreeConfig(), n_features=2)
     assert forest_predict(model, np.zeros((1, 2))).tolist() == [1]
 
 
 def test_forest_vote_tie_prefers_zero():
-    model = ForestModel(trees=[Leaf(1, (0, 1)), Leaf(0, (1, 0))], config=TreeConfig(),
-                        seed=0, n_features=2)
+    model = ForestModel(trees=[Leaf((0, 1)), Leaf((1, 0))], config=TreeConfig(), n_features=2)
     assert forest_predict(model, np.zeros((1, 2))).tolist() == [0]
 
 

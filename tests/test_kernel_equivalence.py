@@ -49,7 +49,7 @@ def test_forest_arrays_match_reference_scan(monkeypatch, criterion, subsample):
     for name in fast:
         assert fast[name].dtype == slow[name].dtype, name
         assert fast[name].tobytes() == slow[name].tobytes(), name
-    assert fast["tree_kinds"].shape[0] > 6 * 15  # the trees are not stumps
+    assert fast["tree_features"].shape[0] > 6 * 15  # the trees are not stumps
 
 
 @pytest.mark.parametrize("criterion", ["gini", "entropy"])

@@ -26,7 +26,7 @@ def zero_model(input_dim=3, hidden=(4,), activation="logistic"):
     dims = cfg.layer_dims(input_dim)
     weights = [np.zeros((a, b)) for a, b in zip(dims, dims[1:])]
     biases = [np.zeros(b) for b in dims[1:]]
-    return MlpModel(weights=weights, biases=biases, config=cfg, seed=0)
+    return MlpModel(weights=weights, biases=biases, config=cfg)
 
 
 def test_zero_network_outputs_uniform_probabilities():
@@ -45,7 +45,7 @@ def test_forward_rows_sum_to_one():
     rng = np.random.default_rng(0)
     cfg = MlpConfig(hidden_sizes=(7,))
     w, b, _ = init_params(cfg, 5, 1)
-    model = MlpModel(weights=w, biases=b, config=cfg, seed=1)
+    model = MlpModel(weights=w, biases=b, config=cfg)
     probs = mlp_forward(model, rng.normal(size=(50, 5)))
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-9)
     assert np.all(probs > 0.0) and np.all(probs < 1.0)
@@ -57,7 +57,7 @@ def test_forward_matches_hand_computed_2_2_2_network():
     b1 = np.array([0.1, -0.2])
     w2 = np.array([[1.0, -1.0], [0.5, 0.25]])
     b2 = np.array([0.0, 0.3])
-    model = MlpModel(weights=[w1, w2], biases=[b1, b2], config=cfg, seed=0)
+    model = MlpModel(weights=[w1, w2], biases=[b1, b2], config=cfg)
     x1, x2 = 0.8, -0.4
 
     # scalar-by-scalar recomputation of the same arithmetic
@@ -117,7 +117,7 @@ def test_output_bias_gradient_zero_at_symmetric_point():
 def test_duplicating_batch_rows_leaves_gradients_unchanged():
     cfg = MlpConfig(hidden_sizes=(4,))
     w, b, _ = init_params(cfg, 3, 3)
-    model = MlpModel(weights=w, biases=b, config=cfg, seed=3)
+    model = MlpModel(weights=w, biases=b, config=cfg)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(6, 3))
     y = rng.integers(0, 2, size=6)
@@ -131,7 +131,7 @@ def test_duplicating_batch_rows_leaves_gradients_unchanged():
 def test_gradient_check_central_differences(activation):
     cfg = MlpConfig(hidden_sizes=(4,), hidden_activation=activation)
     weights, biases, _ = init_params(cfg, 3, 42)
-    model = MlpModel(weights=weights, biases=biases, config=cfg, seed=42)
+    model = MlpModel(weights=weights, biases=biases, config=cfg)
     rng = np.random.default_rng(7)
     x = rng.normal(size=(12, 3))
     y = rng.integers(0, 2, size=12)
@@ -242,7 +242,7 @@ def test_training_matches_the_functional_adam_reference(activation):
     got = mlp_train(cfg, x, y, 11)
 
     weights, biases, order = init_params(cfg, x.shape[1], 11)
-    model = MlpModel(weights=weights, biases=biases, config=cfg, seed=11)
+    model = MlpModel(weights=weights, biases=biases, config=cfg)
     m = [np.zeros_like(p) for p in weights + biases]
     v = [np.zeros_like(p) for p in weights + biases]
     t, losses = 0, []

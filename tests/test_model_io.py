@@ -82,13 +82,13 @@ def test_container_rejects_trailing_bytes(tmp_path):
 def test_tree_flatten_unflatten_identity():
     tree = Internal(
         feature=1, threshold=0.5, gain=0.3,
-        left=Leaf(0, (5, 1)),
+        left=Leaf((5, 1)),
         right=Internal(feature=0, threshold=-1.25, gain=0.1,
-                       left=Leaf(1, (0, 4)), right=Leaf(0, (2, 2))),
+                       left=Leaf((0, 4)), right=Leaf((2, 2))),
     )
-    arrays = flatten_trees([tree, Leaf(1, (0, 7))])
+    arrays = flatten_trees([tree, Leaf((0, 7))])
     back = unflatten_trees(arrays, n_features=2)
-    assert back == [tree, Leaf(1, (0, 7))]
+    assert back == [tree, Leaf((0, 7))]
 
 
 @pytest.mark.parametrize("criterion", ["gini", "entropy"])
@@ -105,13 +105,13 @@ def test_tree_decoder_round_trips_random_forests(criterion, subsample, max_depth
     assert all(again[name].tobytes() == arrays[name].tobytes() for name in arrays)
 
 
-NODE_ARRAYS = ("tree_kinds", "tree_features", "tree_thresholds", "tree_gains",
-               "tree_labels", "tree_count0", "tree_count1")
+NODE_ARRAYS = ("tree_features", "tree_thresholds", "tree_gains", "tree_count0", "tree_count1")
 
 
-def _flip_kind(arrays, at):
-    kinds = arrays["tree_kinds"]
-    kinds[at % kinds.size] = 1 - kinds[at % kinds.size]
+def _flip_leaf(arrays, at):
+    """A leaf made a split on feature 0, or a split made a leaf."""
+    features = arrays["tree_features"]
+    features[at % features.size] = 0 if features[at % features.size] == -1 else -1
 
 
 def _shift_offset(arrays, at):
@@ -130,14 +130,14 @@ def _truncate_all(arrays, at):
 
 
 def _feature_out_of_range(arrays, at):
-    splits = np.flatnonzero(arrays["tree_kinds"] == 1)
+    splits = np.flatnonzero(arrays["tree_features"] != -1)
     assume(splits.size > 0)
     arrays["tree_features"][splits[at % splits.size]] = (5, 999, -1, -2)[at % 4]
 
 
 # A full binary tree has one more leaf than it has splits, so each mutation
 # leaves some offset range that is not exactly one preorder tree.
-MUTATIONS = [_flip_kind, _shift_offset, _truncate_one, _truncate_all, _feature_out_of_range]
+MUTATIONS = [_flip_leaf, _shift_offset, _truncate_one, _truncate_all, _feature_out_of_range]
 
 
 @given(seed=st.integers(0, 40), mutate=st.sampled_from(MUTATIONS), at=st.integers(0, 10**6))
@@ -180,7 +180,9 @@ def test_model_round_trip_predictions(tmp_path, kind):
 
     # load -> save is byte-identical
     first = path.read_bytes()
-    save_model(path, kind, loaded.model, loaded.preprocessor, config_fingerprint="fp42", seed=7)
+    header = loaded.header
+    save_model(path, kind, loaded.model, loaded.preprocessor,
+               config_fingerprint=header["config_fingerprint"], seed=header["created_by"]["seed"])
     assert path.read_bytes() == first
 
 
@@ -236,7 +238,7 @@ def test_forest_container_preserves_structure(tmp_path):
     loaded = load_model(path)
     assert loaded.model.trees == model.trees
     assert loaded.model.config == model.config
-    assert loaded.model.seed == model.seed == 13
+    assert loaded.model.n_features == model.n_features == 4
 
 
 def test_unknown_kind_rejected(tmp_path):
@@ -271,25 +273,48 @@ PINNED_SECTIONS = {
     "knn": '{"k":3,"metric":"cosine"}',
     "mlp": (
         '{"batch_size":16,"epochs":2,"hidden_activation":"logistic","hidden_sizes":[4,3],'
-        '"input_dim":3,"layers":3,"learning_rate":0.01,"seed":11}'
+        '"learning_rate":0.01}'
     ),
-    "forest": (
-        '{"criterion":"entropy","feature_subsample":"sqrt","max_depth":3,'
-        '"min_samples_split":2,"n_features":3,"seed":11,"tree_count":2}'
-    ),
+    "forest": '{"criterion":"entropy","feature_subsample":"sqrt","max_depth":3,"min_samples_split":2}',
+}
+
+PINNED_ARRAYS = {
+    "knn": ["knn_x", "knn_y", "pre_means", "pre_scaler_mean", "pre_scaler_std"],
+    "mlp": [
+        "mlp_b0", "mlp_b1", "mlp_b2", "mlp_loss_history", "mlp_w0", "mlp_w1", "mlp_w2",
+        "pre_means", "pre_scaler_mean", "pre_scaler_std",
+    ],
+    "forest": [
+        "pre_means", "tree_count0", "tree_count1", "tree_features", "tree_gains", "tree_offsets",
+        "tree_thresholds",
+    ],
 }
 
 
 @pytest.mark.parametrize("kind", list(MODELS))
 def test_container_header_section_is_pinned(tmp_path, kind):
-    header, _ = load_container(small_container(tmp_path, kind)[0])
+    header, arrays = load_container(small_container(tmp_path, kind)[0])
     assert json.dumps(header[kind], sort_keys=True, separators=(",", ":")) == PINNED_SECTIONS[kind]
+    assert sorted(header) == sorted(["config_fingerprint", "created_by", "kind", "preprocessor", kind])
+    assert header["created_by"] == {"seed": 11, "tool": "gametrace"}
+    assert sorted(arrays) == PINNED_ARRAYS[kind]
 
 
-# Header keys and arrays that earlier containers held and the loader no longer reads.
+def _former_tree_arrays(a):
+    leaf = a["tree_features"] == -1
+    return {
+        "tree_kinds": (~leaf).astype(np.int8),
+        "tree_labels": np.where(leaf, (a["tree_count1"] > a["tree_count0"]).astype(np.int64), -1),
+        "tree_seeds": np.array([5, 6], dtype=np.uint64),
+    }
+
+
+# Header keys and arrays that earlier containers held and the loader no longer
+# reads: per kind, its section's keys and its arrays, from the current ones.
 FORMER_ENTRIES = {
-    "mlp": ({"output_dim": 2}, {}),
-    "forest": ({"bootstrap": True}, {"tree_seeds": np.array([5, 6], dtype=np.uint64)}),
+    "knn": ({}, lambda a: {}),
+    "mlp": ({"output_dim": 2, "input_dim": 3, "layers": 3, "seed": 11}, lambda a: {}),
+    "forest": ({"bootstrap": True, "n_features": 3, "seed": 11, "tree_count": 2}, _former_tree_arrays),
 }
 
 
@@ -299,8 +324,18 @@ def test_container_with_former_entries_still_loads(tmp_path, kind):
     header, arrays = load_container(path)
     keys, extra = FORMER_ENTRIES[kind]
     old = tmp_path / "old.bin"
-    save_container(old, {**header, kind: {**header[kind], **keys}}, {**arrays, **extra})
-    assert np.array_equal(load_model(old).predict(x), load_model(path).predict(x))
+    former = {
+        **header,
+        "feature_names": ["a", "b", "c"],
+        "created_by": {**header["created_by"], "container_version": FORMAT_VERSION},
+        kind: {**header[kind], **keys},
+    }
+    save_container(old, former, {**arrays, **extra(arrays)})
+    loaded = load_model(old)
+    assert np.array_equal(loaded.predict(x), load_model(path).predict(x))
+    again = tmp_path / "again.bin"
+    save_model(again, kind, loaded.model, loaded.preprocessor, config_fingerprint="fp", seed=11)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def _meta_spans(raw: bytes) -> list[tuple[int, int]]:

@@ -51,10 +51,23 @@ def test_pearson_past_the_float_range_raises_naming_where():
     with pytest.raises(DataError, match="^pearson" + message):
         pearson(big, big)  # each sum of squares overflows
     with pytest.raises(DataError, match="^columns 'a' and 'b'" + message):
-        pearson(big / 1e120, big / 1e120, "columns 'a' and 'b'")  # only their product does
+        pearson(big, -big, "columns 'a' and 'b'")
     y = (np.arange(200) % 2).astype(np.int64)
     with pytest.raises(DataError, match="^column 'big'" + message):
         select(np.column_stack([big, y]), ("big", "y"), y, SelectionPolicy(k=1))
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e-90])
+def test_pearson_whose_product_of_sums_leaves_the_float_range(scale):
+    # Each sum of squares is finite and nonzero; their product overflows at
+    # 1e80 and underflows to 0 at 1e-90.
+    x, z = np.random.default_rng(0).normal(size=(2, 200)) * scale
+    assert pearson(x, x) == pytest.approx(1.0)
+    assert pearson(x, -x) == pytest.approx(-1.0)
+    assert pearson(x, z) == pytest.approx(pearson(x / scale, z / scale))
+    y = (x > 0).astype(np.int64)
+    report = select(np.column_stack([x, x, z]), ("a", "b", "z"), y, SelectionPolicy(k=2))
+    assert report.selected == ("a", "z")  # b duplicates a
 
 
 @given(
