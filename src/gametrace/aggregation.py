@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import IO, Iterable, Optional
@@ -124,10 +124,13 @@ class FeatureMatrix:
     depend on event arrival order.
     """
 
-    column_names: tuple[str, ...]
+    specs: tuple[AggregatorSpec, ...]
     rows: list[FeatureRow]
-    code_tables: dict[str, dict[str, int]] = field(default_factory=dict)
-    specs: tuple[AggregatorSpec, ...] = ()
+    code_tables: dict[str, dict[str, int]]
+
+    @property
+    def column_names(self) -> tuple[str, ...]:
+        return tuple(s.output_name for s in self.specs)
 
     def categorical_code_columns(self) -> tuple[str, ...]:
         return tuple(s.output_name for s in self.specs if s.is_categorical_code)
@@ -222,7 +225,7 @@ class StreamingAggregator:
     on the number of owners.
     """
 
-    def __init__(self, specs: Iterable[AggregatorSpec] = DEFAULT_SPECS):
+    def __init__(self, specs: Iterable[AggregatorSpec]):
         self.specs = validate_specs(specs)
         slots: dict[tuple[str, str], int] = {}  # (column, statistic) -> slot
         self._cells = []  # per spec: (spec, slot of its numeric column's count, slot it reads)
@@ -347,17 +350,10 @@ def _assemble(
             if values[j] is not None:
                 values[j] = float(table.setdefault(values[j][1], len(table)))
         rows.append(FeatureRow(session_id, level_group, tuple(values)))
-    return FeatureMatrix(
-        column_names=tuple(s.output_name for s in specs),
-        rows=rows,
-        code_tables=code_tables,
-        specs=specs,
-    )
+    return FeatureMatrix(specs, rows, code_tables)
 
 
-def aggregate(
-    events: Iterable[RawEvent], specs: Iterable[AggregatorSpec] = DEFAULT_SPECS
-) -> FeatureMatrix:
+def aggregate(events: Iterable[RawEvent], specs: Iterable[AggregatorSpec]) -> FeatureMatrix:
     """Aggregate an event stream into one feature row per (session, level_group)."""
     agg = StreamingAggregator(specs)
     agg.update_all(events)
@@ -379,9 +375,7 @@ def _aggregate_part(path: Path, specs: tuple[AggregatorSpec, ...], parts: int, k
     return agg._reduced(), report
 
 
-def aggregate_file(
-    path: Path, specs: Iterable[AggregatorSpec] = DEFAULT_SPECS
-) -> tuple[FeatureMatrix, IngestReport]:
+def aggregate_file(path: Path, specs: Iterable[AggregatorSpec]) -> tuple[FeatureMatrix, IngestReport]:
     """Aggregate an event CSV file: the matrix and the ingest report, whose
     ``events_emitted`` counts the events aggregated.
 
@@ -412,8 +406,8 @@ def save_feature_matrix(
     matrix: FeatureMatrix,
     csv_sink: IO[str],
     meta_sink: IO[str],
-    config_fingerprint: str = "",
-    seed: Optional[int] = None,
+    config_fingerprint: str,
+    seed: int,
 ) -> None:
     """Write the matrix CSV plus its JSON sidecar (types, codes, specs)."""
     writer = csv.writer(csv_sink, lineterminator="\n")
@@ -502,9 +496,4 @@ def load_feature_matrix(csv_path: Path, meta_path: Path) -> FeatureMatrix:
             raise DataError(f"{csv_path}: line {reader.line_num}: {exc}") from None
     if len(rows) != row_count:
         raise DataError(f"{csv_path} holds {len(rows)} rows, {meta_path} records {row_count}")
-    return FeatureMatrix(
-        column_names=tuple(s.output_name for s in specs),
-        rows=rows,
-        code_tables=code_tables,
-        specs=specs,
-    )
+    return FeatureMatrix(specs, rows, code_tables)

@@ -277,7 +277,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
     loaded = model_io.load_model(path)
     if loaded.kind != kind:
         raise DataError(f"container holds a {loaded.kind} model, not {kind}")
-    if loaded.header.get("config_fingerprint") not in ("", cfg.fingerprint()):
+    if loaded.header.get("config_fingerprint") != cfg.fingerprint():
         print("warning: container fingerprint differs from current config", file=sys.stderr)
     ds, _ = _load_joined(cfg)
     if loaded.preprocessor.input_names != ds.feature_names:
@@ -329,9 +329,8 @@ def cmd_benchmark(cfg: RunConfig, args) -> int:
     wd = _workdir(cfg)
     ds, _ = _load_joined(cfg)
     started = time.perf_counter()
-    reports = evaluation.benchmark(
-        {kind: getattr(cfg, kind) for kind in MODELS}, ds, cfg.split, cfg.seed, protocol=cfg.protocol
-    )
+    holdout = cfg.split if cfg.protocol == "holdout" else None
+    reports = evaluation.benchmark({kind: getattr(cfg, kind) for kind in MODELS}, ds, cfg.seed, holdout)
     rows = _benchmark_rows(reports)
     payload = {
         "rows": rows,

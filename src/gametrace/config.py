@@ -23,13 +23,13 @@ from .aggregation import DEFAULT_SPECS, AggregatorSpec, validate_specs
 from .errors import ConfigError
 from .schema import build
 from .settings import (
+    PROTOCOLS,
     ForestClassifier,
     KnnClassifier,
     MlpClassifier,
     SelectionPolicy,
     SplitPlan,
     SynthConfig,
-    check_protocol,
 )
 
 _PATH = {"path": True}  # field metadata: resolved at run time, never fingerprinted
@@ -67,7 +67,8 @@ def _check_ranges(cfg: RunConfig) -> None:
     if cfg.seed < 0:
         raise ConfigError("config.seed must be >= 0")
     validate_specs(cfg.aggregator_specs)
-    check_protocol(cfg.protocol)
+    if cfg.protocol not in PROTOCOLS:
+        raise ConfigError(f"unknown protocol {cfg.protocol!r}")
 
 
 def load_config(path: Optional[Path] = None, overrides: Optional[dict] = None) -> RunConfig:

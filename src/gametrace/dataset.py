@@ -20,7 +20,7 @@ from .aggregation import FeatureMatrix
 from .errors import ConfigError, DataError
 from .events import DEFAULT_QUESTION_GROUPS, LabelRecord
 from .rng import Xoshiro256StarStar
-from .settings import SplitPlan, check_folds
+from .settings import SplitPlan
 
 @dataclass
 class LabeledDataset:
@@ -195,8 +195,8 @@ class Preprocessor:
 def fit_preprocessor(
     x: np.ndarray,
     feature_names: Sequence[str],
-    categorical_names: Sequence[str] = (),
-    scale: bool = True,
+    categorical_names: Sequence[str],
+    scale: bool,
 ) -> Preprocessor:
     """Fit all preprocessing constants on training rows only."""
     x = np.asarray(x, dtype=np.float64)
@@ -257,7 +257,6 @@ def split_train_test(d: LabeledDataset, plan: SplitPlan, seed: int) -> tuple[Lab
 def kfold_indices(d: LabeledDataset, folds: int, seed: int) -> list[np.ndarray]:
     """Validation index arrays for each of ``folds`` folds; folds partition
     all rows and keep each session in one fold."""
-    check_folds(folds)
     order, rows = _session_order(d, seed)
     if folds > len(order):
         raise DataError(f"too few rows: {folds} folds exceed {len(order)} sessions")

@@ -24,7 +24,7 @@ from .dataset import LabeledDataset, fit_preprocessor, holdout_indices, kfold_in
 from .errors import ConfigError, DataError
 from .pool import fork_map
 from .selection import check_paired
-from .settings import MODELS, Classifier, SplitPlan, check_protocol
+from .settings import MODELS, Classifier, SplitPlan
 
 # The model sections are declared in ``settings``, which runs no numpy;
 # perfbench/traced_cli.py wraps their ``fit`` under these names.
@@ -139,7 +139,7 @@ class _Job:
 
 
 def _plan(classifier: Classifier, dataset: LabeledDataset, seed: int, model_name: str,
-          holdout: Optional[SplitPlan] = None) -> _Job:
+          holdout: Optional[SplitPlan]) -> _Job:
     """The job over the classifier's ``folds`` folds, or over ``holdout``'s split."""
     if holdout is None:
         folds, protocol = kfold_index_pairs(dataset, classifier.folds, seed), f"cv-{classifier.folds}"
@@ -204,18 +204,17 @@ def cross_validate(
     model_name: str = "model",
 ) -> EvalReport:
     """Evaluation on the classifier's ``folds`` folds, preprocessing re-fit in each."""
-    return _run([_plan(classifier, dataset, seed, model_name)])[0]
+    return _run([_plan(classifier, dataset, seed, model_name, None)])[0]
 
 
 def benchmark(
     models: Mapping[str, Classifier],
     dataset: LabeledDataset,
-    plan: SplitPlan,
     seed: int,
-    protocol: str = "cv",
+    holdout: Optional[SplitPlan],
 ) -> list[EvalReport]:
-    """One EvalReport per model, in ``models`` order, each under the model's
-    own fold count.
+    """One EvalReport per model, in ``models`` order, each on ``holdout``'s
+    split or, when it is None, under the model's own fold count.
 
     ``models`` maps a kind in ``MODELS`` to that kind's classifier. The folds
     of every model are planned first, so a model whose folds outnumber the
@@ -223,6 +222,4 @@ def benchmark(
     """
     if not models:
         raise ConfigError("benchmark requires at least one model spec")
-    check_protocol(protocol)
-    holdout = plan if protocol == "holdout" else None
     return _run([_plan(classifier, dataset, seed, name, holdout) for name, classifier in models.items()])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, ContainerFormatError, DataError, DimensionMismatchError
 from .rng import derive_seed
-from .settings import TreeConfig, check_tree_count
+from .settings import ForestClassifier, TreeConfig
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,8 +250,6 @@ def tree_fit(
 
 def tree_predict(node: TreeNode, queries: np.ndarray) -> np.ndarray:
     q = np.asarray(queries, dtype=np.float64)
-    if q.ndim == 1:
-        q = q[None, :]
     out = np.empty(q.shape[0], dtype=np.int64)
     stack: list[tuple[TreeNode, np.ndarray]] = [(node, np.arange(q.shape[0]))]
     while stack:
@@ -277,19 +275,13 @@ class ForestModel:
         return forest_predict(self, queries)
 
 
-def forest_fit(
-    x: np.ndarray,
-    y: np.ndarray,
-    tree_count: int = 100,
-    config: TreeConfig = TreeConfig(feature_subsample="sqrt"),
-    seed: int = 42,
-) -> ForestModel:
-    """Bagged ensemble; per-tree seeds derive from (seed, tree index)."""
-    check_tree_count(tree_count)
+def forest_fit(x: np.ndarray, y: np.ndarray, config: ForestClassifier, seed: int) -> ForestModel:
+    """Bagged ensemble of ``config.trees`` trees; per-tree seeds derive
+    from (seed, tree index)."""
     x, y = _training_arrays(x, y, "forest_fit")
     n = x.shape[0]
     trees: list[TreeNode] = []
-    for t in range(tree_count):
+    for t in range(config.trees):
         rng = np.random.default_rng(derive_seed(seed, t))
         rows = rng.integers(0, n, size=n)
         trees.append(tree_fit(x, y, config, rng=rng, rows=rows))
@@ -299,8 +291,6 @@ def forest_fit(
 def forest_predict(model: ForestModel, queries: np.ndarray) -> np.ndarray:
     """Majority vote over trees; ties go to label 0."""
     q = np.asarray(queries, dtype=np.float64)
-    if q.ndim == 1:
-        q = q[None, :]
     if q.shape[1] != model.n_features:
         raise DimensionMismatchError(model.n_features, q.shape[1])
     votes = np.zeros(q.shape[0], dtype=np.int64)
@@ -354,7 +344,8 @@ def flatten_trees(trees: list[TreeNode]) -> dict[str, np.ndarray]:
 def unflatten_trees(arrays: dict[str, np.ndarray], n_features: int) -> list[TreeNode]:
     """The trees ``flatten_trees`` encoded. ContainerFormatError unless the
     offsets start at 0 and each offset range holds exactly one preorder
-    tree whose splits read features in [0, n_features)."""
+    tree whose splits read features in [0, n_features) and whose leaves
+    each count at least one row."""
     features, offsets = arrays["tree_features"], arrays["tree_offsets"]
     if features.ndim != 1 or offsets.ndim != 1 or any(
         arrays[name].shape != features.shape for name in _NODE_ARRAYS
@@ -367,6 +358,8 @@ def unflatten_trees(arrays: dict[str, np.ndarray], n_features: int) -> list[Tree
         raise ContainerFormatError("tree thresholds and gains must not be NaN")
     if (arrays["tree_count0"] < 0).any() or (arrays["tree_count1"] < 0).any():
         raise ContainerFormatError("tree class counts must not be negative")
+    if ((features == -1) & (arrays["tree_count0"] == 0) & (arrays["tree_count1"] == 0)).any():
+        raise ContainerFormatError("tree leaves must count at least one row")
     features, thresholds, gains, c0, c1 = (arrays[a].tolist() for a in _NODE_ARRAYS)
     starts = offsets.tolist()
     trees: list[TreeNode] = []

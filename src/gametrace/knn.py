@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionMismatchError, LengthMismatchError, ShapeMismatchError
-from .settings import check_knn_params
+from .settings import KnnClassifier
 
 @dataclass(frozen=True)
 class KnnModel:
@@ -24,28 +24,26 @@ class KnnModel:
 
     x: np.ndarray
     y: np.ndarray
-    k: int
-    metric: str
+    config: KnnClassifier
 
     def predict(self, queries: np.ndarray) -> np.ndarray:
         return knn_predict(self, queries)
 
 
-def knn_fit(x: np.ndarray, y: Sequence[int], k: int = 5, metric: str = "euclidean") -> KnnModel:
+def knn_fit(x: np.ndarray, y: Sequence[int], config: KnnClassifier) -> KnnModel:
     x = np.array(x, dtype=np.float64)  # private copy, caller mutations invisible
     y = np.array(y, dtype=np.int64)
-    check_knn_params(k, metric)
     if x.ndim != 2 or y.ndim != 1:
         raise ShapeMismatchError(f"knn needs 2-D rows and 1-D labels, got {x.ndim}-D and {y.ndim}-D")
     if x.shape[0] != y.shape[0]:
         raise LengthMismatchError(x.shape[0], y.shape[0], "row and label counts")
-    if k > x.shape[0]:
-        raise ConfigError(f"k={k} exceeds number of stored rows ({x.shape[0]})")
+    if config.k > x.shape[0]:
+        raise ConfigError(f"k={config.k} exceeds number of stored rows ({x.shape[0]})")
     if np.isnan(x).any():
         raise ConfigError("stored matrix must not contain absent values")
     x.setflags(write=False)
     y.setflags(write=False)
-    return KnnModel(x=x, y=y, k=k, metric=metric)
+    return KnnModel(x=x, y=y, config=config)
 
 
 def _distance_block(queries: np.ndarray, stored: np.ndarray, metric: str) -> np.ndarray:
@@ -195,23 +193,22 @@ def _break_tie(labs: np.ndarray, nd: np.ndarray) -> int:
 def knn_predict(model: KnnModel, queries: np.ndarray) -> np.ndarray:
     """Majority label of the k nearest stored rows for each query."""
     q = np.asarray(queries, dtype=np.float64)
-    if q.ndim == 1:
-        q = q[None, :]
     if q.shape[1] != model.x.shape[1]:
         raise DimensionMismatchError(model.x.shape[1], q.shape[1])
+    k, metric = model.config.k, model.config.metric
     classes, codes = np.unique(model.y, return_inverse=True)
     out = np.empty(q.shape[0], dtype=np.int64)
-    step = _block_rows(model.metric, *model.x.shape)
-    if model.metric == "euclidean":
+    step = _block_rows(metric, *model.x.shape)
+    if metric == "euclidean":
         with np.errstate(over="ignore"):  # an infinite norm only widens the screen
             stored_sq = (model.x * model.x).sum(axis=1)
     for start in range(0, q.shape[0], step):
         block = q[start : start + step]
-        if model.metric == "euclidean":
-            nbr, nd = _euclidean_neighbors(block, model.x, stored_sq, model.k)
+        if metric == "euclidean":
+            nbr, nd = _euclidean_neighbors(block, model.x, stored_sq, k)
         else:
-            dists = _distance_block(block, model.x, model.metric)
-            nbr, nd = _nearest(dists, 0.0, model.k, lambda flat, rows, cols: dists.ravel()[flat])
+            dists = _distance_block(block, model.x, metric)
+            nbr, nd = _nearest(dists, 0.0, k, lambda flat, rows, cols: dists.ravel()[flat])
             del dists  # freed before the next block is built
         rows = nbr.shape[0]
         # votes[r, c]: how many of row r's neighbours carry label classes[c]

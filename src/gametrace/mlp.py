@@ -92,8 +92,6 @@ def _layer_outputs(model: MlpModel, x: np.ndarray) -> Iterator[np.ndarray]:
 def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Per-class probability matrix; each row sums to 1."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
     if x.shape[1] != model.input_dim:
         raise ShapeMismatchError(f"expected {model.input_dim} inputs, got {x.shape[1]}")
     for a in _layer_outputs(model, x):

@@ -17,7 +17,6 @@ import re
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -118,8 +117,8 @@ def save_model(
     kind: str,
     model,
     preprocessor: Preprocessor,
-    config_fingerprint: str = "",
-    seed: Optional[int] = None,
+    config_fingerprint: str,
+    seed: int,
 ) -> None:
     """Persist a trained model with everything needed to apply it."""
     if kind not in MODELS:

@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import IO, Optional, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, LengthMismatchError, ShapeMismatchError
-from .settings import SelectionPolicy, check_mi_params
+from .settings import SelectionPolicy
 
 
 def check_paired(a: np.ndarray, b: np.ndarray) -> None:
@@ -55,7 +55,7 @@ def pearson(xcol: np.ndarray, ycol: np.ndarray, where: str = "pearson") -> float
 def mutual_information(
     feature: np.ndarray,
     label: np.ndarray,
-    bins: int = 10,
+    bins: int,
     categorical: bool = False,
 ) -> float:
     """Plug-in mutual information from the joint histogram, in nats.
@@ -70,7 +70,6 @@ def mutual_information(
     n = f.shape[0]
     if n == 0:
         raise DataError("mutual information requires at least 1 observation")
-    check_mi_params(bins)
 
     if categorical:
         _, fx = np.unique(f, return_inverse=True)
@@ -136,7 +135,7 @@ def select(
     mi_score: dict[str, float] = {}
     for n in names:
         r_label[n] = pearson(col[n], label, f"column {n!r}")
-        mi_score[n] = mutual_information(col[n], label, bins=policy.mi_bins, categorical=n in cat)
+        mi_score[n] = mutual_information(col[n], label, policy.mi_bins, categorical=n in cat)
 
     def rank_key(n: str):
         r = r_label[n]
@@ -171,16 +170,10 @@ def select(
     return SelectionReport(scores=scores, policy=policy)
 
 
-def save_selection_report(
-    report: SelectionReport,
-    sink: IO[str],
-    config_fingerprint: str = "",
-    seed: Optional[int] = None,
-) -> None:
+def save_selection_report(report: SelectionReport, sink: IO[str], config_fingerprint: str, seed: int) -> None:
     """Tab-separated score table; one row per feature in rank order."""
     sink.write(f"# config_fingerprint={config_fingerprint}\n")
-    if seed is not None:
-        sink.write(f"# seed={seed}\n")
+    sink.write(f"# seed={seed}\n")
     sink.write("feature\tpearson_vs_label\tmi\tkept\treason\n")
     for s in report.scores:
         r = "undefined" if math.isnan(s.pearson_vs_label) else repr(s.pearson_vs_label)

@@ -1,10 +1,12 @@
 """The settings each stage consumes: one frozen dataclass per config section.
 
 Each section's fields are its schema, and its ``__post_init__`` range-checks
-them, so a config is fully checked when it is built. Importing this module
-runs no stage module and no numpy: a classifier section runs its model's
-module at its first fit, predict or container call, so loading a config
-costs no model code, and a command runs only the stages it calls.
+them, so a config is fully checked when it is built; the stage functions
+take the checked section and neither check nor default a setting again.
+Importing this module runs no stage module and no numpy: a classifier
+section runs its model's module at its first fit, predict or container
+call, so loading a config costs no model code, and a command runs only the
+stages it calls.
 """
 
 from __future__ import annotations
@@ -21,11 +23,6 @@ knn = lazy_module("knn")
 mlp = lazy_module("mlp")
 
 PROTOCOLS = ("cv", "holdout")
-
-
-def check_protocol(protocol: str) -> None:
-    if protocol not in PROTOCOLS:
-        raise ConfigError(f"unknown protocol {protocol!r}")
 
 
 @dataclass(frozen=True)
@@ -46,11 +43,6 @@ def check_folds(folds: int) -> None:
         raise ConfigError("folds must be >= 2")
 
 
-def check_mi_params(bins: int) -> None:
-    if bins < 2:
-        raise ConfigError("mi_bins must be >= 2")
-
-
 @dataclass(frozen=True)
 class SelectionPolicy:
     k: int = 11  # features kept, at most
@@ -62,7 +54,8 @@ class SelectionPolicy:
             raise ConfigError("k must be >= 1")
         if not 0.0 < self.redundancy_threshold <= 1.0:
             raise ConfigError("redundancy_threshold must be in (0, 1]")
-        check_mi_params(self.mi_bins)
+        if self.mi_bins < 2:
+            raise ConfigError("mi_bins must be >= 2")
 
 
 FEATURE_NAMES = (
@@ -127,13 +120,6 @@ class SynthConfig:
 METRICS = ("euclidean", "manhattan", "cosine")
 
 
-def check_knn_params(k: int, metric: str) -> None:
-    if metric not in METRICS:
-        raise ConfigError(f"unknown metric {metric!r}")
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-
-
 ACTIVATIONS = ("logistic", "relu")
 
 
@@ -182,11 +168,6 @@ class TreeConfig:
             raise ConfigError(f"unknown feature_subsample {self.feature_subsample!r}")
 
 
-def check_tree_count(tree_count: int) -> None:
-    if tree_count < 1:
-        raise ConfigError("tree_count must be >= 1")
-
-
 class Classifier:
     """One model kind, listed in ``MODELS``; each is a dataclass whose fields
     are its config section, range-checked when it is built, and ``module``
@@ -206,20 +187,23 @@ class KnnClassifier(Classifier):
     scale = True
 
     def __post_init__(self):
-        check_knn_params(self.k, self.metric)
+        if self.metric not in METRICS:
+            raise ConfigError(f"unknown metric {self.metric!r}")
+        if self.k < 1:
+            raise ConfigError("k must be >= 1")
         check_folds(self.folds)
 
     def fit(self, x, y, seed: int) -> knn.KnnModel:
-        return knn.knn_fit(x, y, k=self.k, metric=self.metric)
+        return knn.knn_fit(x, y, self)
 
     @staticmethod
     def to_container(model: knn.KnnModel) -> tuple[dict, dict]:
-        return {"k": model.k, "metric": model.metric}, {"knn_x": model.x, "knn_y": model.y}
+        return {"k": model.config.k, "metric": model.config.metric}, {"knn_x": model.x, "knn_y": model.y}
 
     @staticmethod
     def from_container(section: dict, arrays: dict, width: int) -> knn.KnnModel:
-        params = build(KnnClassifier, {"k": section["k"], "metric": section["metric"]}, "knn")
-        model = knn.knn_fit(arrays["knn_x"], arrays["knn_y"], k=params.k, metric=params.metric)
+        config = build(KnnClassifier, {"k": section["k"], "metric": section["metric"]}, "knn")
+        model = knn.knn_fit(arrays["knn_x"], arrays["knn_y"], config)
         if not ((model.y == 0) | (model.y == 1)).all():
             raise ContainerFormatError("knn labels must be 0 or 1")
         return model
@@ -281,11 +265,12 @@ class ForestClassifier(TreeConfig, Classifier):
 
     def __post_init__(self):
         super().__post_init__()
-        check_tree_count(self.trees)
+        if self.trees < 1:
+            raise ConfigError("trees must be >= 1")
         check_folds(self.folds)
 
     def fit(self, x, y, seed: int) -> forest.ForestModel:
-        return forest.forest_fit(x, y, tree_count=self.trees, config=self, seed=seed)
+        return forest.forest_fit(x, y, self, seed)
 
     @staticmethod
     def to_container(model: forest.ForestModel) -> tuple[dict, dict]:
@@ -296,7 +281,8 @@ class ForestClassifier(TreeConfig, Classifier):
     def from_container(section: dict, arrays: dict, width: int) -> forest.ForestModel:
         config = build(TreeConfig, {f.name: section[f.name] for f in fields(TreeConfig)}, "forest")
         trees = forest.unflatten_trees(arrays, width)
-        check_tree_count(len(trees))
+        if not trees:
+            raise ContainerFormatError("forest container holds no trees")
         return forest.ForestModel(trees=trees, config=config, n_features=width)
 
 

@@ -362,11 +362,11 @@ def reference_knn_predict(model, queries, block_size=256):
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim == 1:
         q = q[None, :]
-    k = model.k
+    k = model.config.k
     y = model.y
     out = np.empty(q.shape[0], dtype=np.int64)
     for start in range(0, q.shape[0], block_size):
-        dists = _reference_distance_block(q[start : start + block_size], model.x, model.metric)
+        dists = _reference_distance_block(q[start : start + block_size], model.x, model.config.metric)
         for r in range(dists.shape[0]):
             row = dists[r]
             nbr = np.argsort(row, kind="stable")[:k]  # stable: distance ties -> lower index

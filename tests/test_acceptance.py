@@ -29,7 +29,15 @@ from gametrace.forest import (
 from gametrace.knn import knn_fit, knn_predict
 from gametrace.mlp import MlpModel, cross_entropy, init_params, mlp_backward, mlp_forward
 from gametrace.selection import mutual_information, pearson, select
-from gametrace.settings import FEATURE_NAMES, MlpConfig, SelectionPolicy, SynthConfig, TreeConfig
+from gametrace.settings import (
+    FEATURE_NAMES,
+    ForestClassifier,
+    KnnClassifier,
+    MlpConfig,
+    SelectionPolicy,
+    SynthConfig,
+    TreeConfig,
+)
 from gametrace.synth import generate
 
 from oracles import best_split_oracle, brute_force_aggregate, knn_oracle
@@ -192,11 +200,11 @@ def test_criterion_4_knn_bruteforce_equivalence():
     queries = rng.normal(size=(50, 6)) + 1.5
     mismatches = 0
     for metric in ("euclidean", "manhattan", "cosine"):
-        model = knn_fit(x, y, k=5, metric=metric)
+        model = knn_fit(x, y, KnnClassifier(k=5, metric=metric))
         got = knn_predict(model, queries).tolist()
         want = knn_oracle(x.tolist(), y.tolist(), queries.tolist(), 5, metric)
         mismatches += sum(1 for a, b in zip(got, want) if a != b)
-    self_model = knn_fit(x, y, k=1)
+    self_model = knn_fit(x, y, KnnClassifier(k=1))
     self_acc = float((knn_predict(self_model, x) == y).mean())
     ok = mismatches == 0 and self_acc == 1.0
     report(4, ok, f"200 points x 3 metrics: {mismatches} oracle mismatches; "
@@ -234,7 +242,7 @@ def test_criterion_5_tree_and_forest_correctness():
     bly = np.array([0] * half + [1] * half)
     order = rng.permutation(2 * half)
     bl, bly = bl[order], bly[order]
-    forest = forest_fit(bl[:200], bly[:200], tree_count=100, seed=42)
+    forest = forest_fit(bl[:200], bly[:200], ForestClassifier(trees=100), 42)
     forest_acc = float((forest_predict(forest, bl[200:]) == bly[200:]).mean())
 
     units = (

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import events_csv, random_events
 from gametrace import aggregation, pool
-from gametrace.aggregation import aggregate_file
+from gametrace.aggregation import DEFAULT_SPECS, aggregate_file
 from gametrace.errors import DataError
 from gametrace.events import EVENT_COLUMNS, MAX_CELL_ERRORS, write_events
 
@@ -62,7 +62,7 @@ def _line(cells: dict) -> str:
 def _run(monkeypatch, path, cpus):
     monkeypatch.setattr(aggregation, "_SHARD_FLOOR", 0)
     monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
-    return aggregate_file(path)
+    return aggregate_file(path, DEFAULT_SPECS)
 
 
 @needs_fork
@@ -193,5 +193,5 @@ def test_one_cpu_or_a_file_below_the_floor_starts_no_pool(monkeypatch, tmp_path,
     monkeypatch.setattr(pool, "_in_pool", no_pool)
     monkeypatch.setattr(aggregation, "_SHARD_FLOOR", floor)
     monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
-    matrix, report = aggregate_file(path)
+    matrix, report = aggregate_file(path, DEFAULT_SPECS)
     assert (len(matrix.rows), report.rows_read, report.events_emitted) == (1, 1, 1)

@@ -141,9 +141,13 @@ def test_malformed_config_exits_1_before_reading_inputs(tmp_path, bad):
 
 def test_section_check_names_its_section(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mlp": {"epochs": 0}}))
-    assert run("aggregate", "--workdir", str(tmp_path), "--config", str(cfg)) == 1
-    assert "config.mlp: epochs must be >= 1" in capsys.readouterr().err
+    for bad, message in (
+        ({"mlp": {"epochs": 0}}, "config.mlp: epochs must be >= 1"),
+        ({"forest": {"trees": 0}}, "config.forest: trees must be >= 1"),
+    ):
+        cfg.write_text(json.dumps(bad))
+        assert run("aggregate", "--workdir", str(tmp_path), "--config", str(cfg)) == 1
+        assert message in capsys.readouterr().err
 
 
 def test_config_path_that_is_a_directory_exits_1(tmp_path, capsys):
@@ -359,6 +363,15 @@ def _no_trees(h, a):
     return h, {**a, **{name: v[:0] for name, v in a.items() if name.startswith("tree_")}}
 
 
+def _empty_leaf(h, a):
+    """The first leaf of tree 0 with no row of either class."""
+    first = np.flatnonzero(a["tree_features"] == -1)[0]
+    counts = {name: a[name].copy() for name in ("tree_count0", "tree_count1")}
+    for v in counts.values():
+        v[first] = 0
+    return h, {**a, **counts}
+
+
 def _leaf_before_first_tree(h, a):
     """One leaf before tree 0, which no offset range holds."""
     leaf = {"tree_features": -1, "tree_thresholds": 0.0, "tree_gains": 0.0, "tree_count0": 1, "tree_count1": 0}
@@ -384,7 +397,8 @@ MALFORMED_CONTAINERS = {
     "split on feature 999": ("forest", _first_split_on(999), "splits on feature 999"),
     "split on feature -2": ("forest", _first_split_on(-2), "splits on feature -2"),
     "tree_thresholds short": ("forest", _array("tree_thresholds", lambda v: v[:-1]), "tree arrays differ"),
-    "no trees": ("forest", _no_trees, "tree_count must be >= 1"),
+    "no trees": ("forest", _no_trees, "forest container holds no trees"),
+    "an empty leaf": ("forest", _empty_leaf, "tree leaves must count at least one row"),
     "a leaf before the first tree": ("forest", _leaf_before_first_tree, "tree offsets must start at 0, not 1"),
     "knn_y short": ("knn", _array("knn_y", lambda v: v[:-1]), "row and label counts differ"),
     "knn k above rows": ("knn", _section("knn", k=100000), "k=100000 exceeds"),
@@ -423,6 +437,19 @@ def test_malformed_container_exits_2(evaluate_dir, tmp_path, capsys, case):
     capsys.readouterr()
     assert evaluate(evaluate_dir, kind, bad) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stamp", ["", "0" * 64], ids=["unstamped", "another config"])
+def test_evaluate_warns_on_a_container_of_another_fingerprint(evaluate_dir, tmp_path, capsys, stamp):
+    for name in ("features.csv", "features.meta.json", "labels.csv", "model_knn.bin"):
+        shutil.copy(evaluate_dir / name, tmp_path / name)
+    header, arrays = load_container(tmp_path / "model_knn.bin")
+    save_container(tmp_path / "other.bin", {**header, "config_fingerprint": stamp}, arrays)
+    capsys.readouterr()
+    assert evaluate(tmp_path, "knn", tmp_path / "model_knn.bin") == 0
+    assert "warning" not in capsys.readouterr().err
+    assert evaluate(tmp_path, "knn", tmp_path / "other.bin") == 0
+    assert "warning: container fingerprint differs from current config" in capsys.readouterr().err
 
 
 def _first_entry(value):

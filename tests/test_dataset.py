@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gametrace.aggregation import AggregatorSpec, FeatureMatrix, FeatureRow, aggregate
+from gametrace.aggregation import DEFAULT_SPECS, AggregatorSpec, FeatureMatrix, FeatureRow, aggregate
 from gametrace.dataset import (
     LabeledDataset,
     export_fold_assignments,
@@ -86,9 +86,10 @@ def test_join_matches_nested_loop_oracle():
 
 def test_join_gathers_absent_values_as_nan_rows_of_the_feature_table():
     matrix = FeatureMatrix(
-        ("a", "b"),
+        tuple(SPECS),
         [FeatureRow("s1", "0-4", (1.5, None)), FeatureRow("s1", "5-12", (None, -0.0)),
          FeatureRow("s2", "0-4", (3, 4.25))],
+        {},
     )
     labels = [LabelRecord("s2", 2, True), LabelRecord("s1", 5, False), LabelRecord("s1", 1, True),
               LabelRecord("s3", 1, True)]
@@ -112,7 +113,7 @@ def _holdout_large_shape():
     ]
     text = "session_id,question,correct\n" + "".join(
         f"{sid},{q},{(q + s) % 2}\n" for s, sid in enumerate(sessions) for q in range(1, 19))
-    return FeatureMatrix(tuple(f"f{j}" for j in range(11)), rows), io.StringIO(text)
+    return FeatureMatrix(DEFAULT_SPECS, rows, {}), io.StringIO(text)
 
 
 def test_read_labels_and_join_memory_on_the_holdout_large_shape():
@@ -151,11 +152,11 @@ def names(x):
 
 
 def imputer(x):
-    return fit_preprocessor(x, names(x), scale=False)
+    return fit_preprocessor(x, names(x), (), scale=False)
 
 
 def scaler(x):
-    return fit_preprocessor(x, names(x), scale=True)
+    return fit_preprocessor(x, names(x), (), scale=True)
 
 
 def test_impute_simple_column():
@@ -194,7 +195,7 @@ def test_impute_random_matches_oracle():
 def test_impute_all_missing_column_raises():
     x = np.array([[np.nan], [np.nan]])
     with pytest.raises(DataError, match="^column 'broken' has no present values; mean undefined$"):
-        fit_preprocessor(x, ["broken"])
+        fit_preprocessor(x, ["broken"], (), scale=True)
     with pytest.raises(DataError, match="^column 'broken' has no present values; mean undefined$"):
         impute_mean(x, feature_names=["broken"])
 
@@ -361,7 +362,7 @@ def test_one_hot_unknown_test_code_is_all_zeros():
 def test_preprocessor_never_uses_test_statistics():
     rng = np.random.default_rng(17)
     train_x = rng.normal(0.0, 1.0, size=(30, 3))
-    pre = fit_preprocessor(train_x, ("a", "b", "c"), scale=True)
+    pre = fit_preprocessor(train_x, ("a", "b", "c"), (), scale=True)
     test_x = rng.normal(50.0, 10.0, size=(10, 3))  # wildly different stats
     out = pre.transform(test_x)
     # transformed with train constants: values stay far from zero mean

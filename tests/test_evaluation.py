@@ -182,10 +182,7 @@ def test_cross_validate_annotates_fold_errors():
 
 def test_holdout_evaluate_reports_single_fold():
     ds = balanced_dataset(100, seed=5)
-    (report,) = benchmark(
-        {"knn": KnnClassifier(k=3, folds=5)}, ds, SplitPlan(test_fraction=0.2), 4,
-        protocol="holdout",
-    )
+    (report,) = benchmark({"knn": KnnClassifier(k=3, folds=5)}, ds, 4, SplitPlan(test_fraction=0.2))
     assert report.protocol == "holdout-0.2"
     assert len(report.folds) == 1
     assert report.confusion_total.total == 20
@@ -194,13 +191,13 @@ def test_holdout_evaluate_reports_single_fold():
 def test_benchmark_empty_model_list_rejected():
     ds = balanced_dataset(30)
     with pytest.raises(ConfigError):
-        benchmark([], ds, SplitPlan(), 42)
+        benchmark([], ds, 42, None)
 
 
 def test_benchmark_table_has_reference_row():
     ds = balanced_dataset(80, seed=6)
     specs = {"knn": KnnClassifier(k=3, folds=5), "forest": ForestClassifier(trees=5)}
-    rows = _benchmark_rows(benchmark(specs, ds, SplitPlan(), 1))
+    rows = _benchmark_rows(benchmark(specs, ds, 1, None))
     assert len(rows) == len(specs) + 1
     assert [r["model"] for r in rows[:-1]] == list(specs)
     ref = rows[-1]
@@ -218,7 +215,7 @@ def test_benchmark_models_learn_signal_above_baseline():
         "mlp": MlpClassifier(hidden_sizes=(16,), epochs=30, batch_size=32),
         "forest": ForestClassifier(trees=20),
     }
-    reports = benchmark(specs, ds, SplitPlan(), 2)
+    reports = benchmark(specs, ds, 2, None)
     assert [r.model_name for r in reports] == list(specs)
     base = majority_baseline_f1(ds.y)
     for report in reports:
@@ -228,7 +225,7 @@ def test_benchmark_models_learn_signal_above_baseline():
 def test_benchmark_respects_per_model_protocols():
     ds = balanced_dataset(100, seed=8)
     specs = {"knn": KnnClassifier(k=3, folds=10), "forest": ForestClassifier(trees=3)}
-    knn, forest = benchmark(specs, ds, SplitPlan(), 3)
+    knn, forest = benchmark(specs, ds, 3, None)
     assert knn.protocol == "cv-10"
     assert forest.protocol == "cv-5"
     assert len(knn.folds) == 10
@@ -238,14 +235,14 @@ def test_benchmark_respects_per_model_protocols():
 def test_benchmark_holdout_protocol():
     ds = balanced_dataset(100, seed=9)
     specs = {"knn": KnnClassifier(k=3, folds=5)}
-    (report,) = benchmark(specs, ds, SplitPlan(), 4, protocol="holdout")
+    (report,) = benchmark(specs, ds, 4, SplitPlan())
     assert report.protocol == "holdout-0.2"
 
 
 def test_benchmark_render_and_dict():
     ds = balanced_dataset(50, seed=10)
     specs = {"knn": KnnClassifier(k=3, folds=5)}
-    reports = benchmark(specs, ds, SplitPlan(), 5)
+    reports = benchmark(specs, ds, 5, None)
     rows = _benchmark_rows(reports)
     text = _table(rows)
     assert "french_touch" in text and "knn" in text
@@ -319,7 +316,7 @@ def test_benchmark_from_the_pool_equals_the_serial_report(monkeypatch, protocol)
     ds = balanced_dataset(90, seed=13)
 
     def run():
-        reports = benchmark(POOL_MODELS, ds, SplitPlan(), 6, protocol=protocol)
+        reports = benchmark(POOL_MODELS, ds, 6, SplitPlan() if protocol == "holdout" else None)
         return [report.to_dict() for report in reports]
 
     pooled = _with_workers(monkeypatch, 4, run)
@@ -412,7 +409,7 @@ def test_failing_fold_raises_the_same_error_from_the_pool(monkeypatch, case):
     models = {"knn": KnnClassifier(k=1, folds=3), "bad": ExplodesOnHeldOutRow(error, row=7, folds=4)}
 
     def run():
-        return benchmark(models, ds, SplitPlan(), 1)
+        return benchmark(models, ds, 1, None)
 
     pooled = _failure(lambda: _with_workers(monkeypatch, 2, run))
     serial = _failure(lambda: _with_workers(monkeypatch, 1, run))
@@ -430,4 +427,4 @@ def test_a_later_models_planning_error_comes_before_any_fold(monkeypatch):
     bad = ExplodesOnHeldOutRow(lambda: ValueError("boom"), row=0, folds=3)
     models = {"bad": bad, "knn": KnnClassifier(k=1, folds=50)}  # 50 folds > 24 rows
     with pytest.raises(DataError, match="^too few rows: 50 folds exceed 24 sessions$"):
-        benchmark(models, ds, SplitPlan(), 1)
+        benchmark(models, ds, 1, None)

@@ -18,7 +18,7 @@ from gametrace.forest import (
     tree_predict,
 )
 from gametrace.rng import derive_seed
-from gametrace.settings import TreeConfig
+from gametrace.settings import ForestClassifier, TreeConfig
 
 from oracles import best_split_oracle
 
@@ -244,8 +244,8 @@ def _blobs(seed, n, gap=5.0):
 
 def test_forest_of_one_equals_single_tree_on_its_bootstrap_rows():
     x, y = _blobs(4, 60)
-    cfg = TreeConfig(feature_subsample="all")
-    forest = forest_fit(x, y, tree_count=1, config=cfg, seed=9)
+    cfg = ForestClassifier(trees=1, feature_subsample="all")
+    forest = forest_fit(x, y, cfg, 9)
     rng = np.random.default_rng(derive_seed(9, 0))
     rows = rng.integers(0, len(x), len(x))
     lone = tree_fit(x, y, cfg, rng=rng, rows=rows)
@@ -256,29 +256,29 @@ def test_forest_of_one_equals_single_tree_on_its_bootstrap_rows():
 
 def test_forest_same_seed_identical_structures():
     x, y = _blobs(5, 80)
-    a = forest_fit(x, y, tree_count=12, seed=42)
-    b = forest_fit(x, y, tree_count=12, seed=42)
+    a = forest_fit(x, y, ForestClassifier(trees=12), 42)
+    b = forest_fit(x, y, ForestClassifier(trees=12), 42)
     assert a.trees == b.trees
 
 
 def test_forest_different_seed_differs():
     x, y = _blobs(5, 80)
-    a = forest_fit(x, y, tree_count=5, seed=1)
-    b = forest_fit(x, y, tree_count=5, seed=2)
+    a = forest_fit(x, y, ForestClassifier(trees=5), 1)
+    b = forest_fit(x, y, ForestClassifier(trees=5), 2)
     assert a.trees != b.trees
 
 
 def test_forest_separable_blobs_test_accuracy():
     x_train, y_train = _blobs(6, 300)
     x_test, y_test = _blobs(7, 200)
-    forest = forest_fit(x_train, y_train, tree_count=100, seed=42)
+    forest = forest_fit(x_train, y_train, ForestClassifier(trees=100), 42)
     acc = float((forest_predict(forest, x_test) == y_test).mean())
     assert acc >= 0.95
 
 
 def test_forest_votes_match_per_tree_traversal():
     x, y = _blobs(8, 100)
-    forest = forest_fit(x, y, tree_count=7, seed=3)
+    forest = forest_fit(x, y, ForestClassifier(trees=7), 3)
     queries = x[:30]
     votes = np.zeros(len(queries), dtype=int)
     for tree in forest.trees:
@@ -302,7 +302,7 @@ def test_forest_vote_tie_prefers_zero():
 def test_forest_beats_or_matches_single_tree_on_blobs():
     x_train, y_train = _blobs(10, 240)
     x_test, y_test = _blobs(11, 160)
-    forest = forest_fit(x_train, y_train, tree_count=50, seed=42)
+    forest = forest_fit(x_train, y_train, ForestClassifier(trees=50), 42)
     tree = tree_fit(x_train, y_train, TreeConfig(feature_subsample="all"))
     train_forest = float((forest_predict(forest, x_train) == y_train).mean())
     train_tree = float((tree_predict(tree, x_train) == y_train).mean())
@@ -314,7 +314,7 @@ def test_forest_beats_or_matches_single_tree_on_blobs():
 
 def test_forest_dimension_mismatch():
     x, y = _blobs(12, 40)
-    forest = forest_fit(x, y, tree_count=3, seed=1)
+    forest = forest_fit(x, y, ForestClassifier(trees=3), 1)
     with pytest.raises(DimensionMismatchError):
         forest_predict(forest, np.zeros((2, 5)))
 
@@ -324,5 +324,5 @@ def test_forest_rejects_bad_config():
         TreeConfig(criterion="variance")
     with pytest.raises(ConfigError):
         TreeConfig(max_depth=0)
-    with pytest.raises(ConfigError):
-        forest_fit(np.zeros((2, 2)), np.zeros(2, dtype=int), tree_count=0)
+    with pytest.raises(ConfigError, match="^trees must be >= 1$"):
+        ForestClassifier(trees=0)

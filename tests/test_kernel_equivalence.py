@@ -15,7 +15,7 @@ from gametrace.errors import ConfigError
 from gametrace.forest import flatten_trees, forest_fit
 from gametrace.knn import knn_fit, knn_predict
 from gametrace.mlp import _logistic
-from gametrace.settings import METRICS, TreeConfig
+from gametrace.settings import METRICS, ForestClassifier, KnnClassifier, TreeConfig
 
 from oracles import reference_knn_predict, reference_logistic, reference_scan_split
 
@@ -41,10 +41,10 @@ def _split_bytes(found):
 @pytest.mark.parametrize("subsample", ["sqrt", "all"])
 def test_forest_arrays_match_reference_scan(monkeypatch, criterion, subsample):
     x, y = _duplicated_rows(3, 240, 9, levels=4)
-    config = TreeConfig(criterion=criterion, feature_subsample=subsample, max_depth=None)
-    fast = flatten_trees(forest_fit(x, y, tree_count=6, config=config, seed=5).trees)
+    config = ForestClassifier(criterion=criterion, feature_subsample=subsample, max_depth=None, trees=6)
+    fast = flatten_trees(forest_fit(x, y, config, 5).trees)
     monkeypatch.setattr(forest, "_scan_split", reference_scan_split)
-    slow = flatten_trees(forest_fit(x, y, tree_count=6, config=config, seed=5).trees)
+    slow = flatten_trees(forest_fit(x, y, config, 5).trees)
     assert fast.keys() == slow.keys()
     for name in fast:
         assert fast[name].dtype == slow[name].dtype, name
@@ -84,7 +84,7 @@ def test_forest_entry_points_reject_absent_values():
         with pytest.raises(ConfigError, match="absent"):
             fit(x, y, TreeConfig())
     with pytest.raises(ConfigError, match="absent"):  # also when no bootstrap draws the row
-        forest_fit(x, y, tree_count=3, seed=1)
+        forest_fit(x, y, ForestClassifier(trees=3), 1)
 
 
 @pytest.mark.parametrize("metric", METRICS)
@@ -99,7 +99,7 @@ def test_knn_labels_match_reference(metric, k):
         queries[::3] = stored[rng.integers(0, n_stored, size=queries[::3].shape[0])]
         queries[7] = np.nan
         queries[8, 1] = np.nan
-        model = knn_fit(stored, y, k=k, metric=metric)
+        model = knn_fit(stored, y, KnnClassifier(k=k, metric=metric))
         got = knn_predict(model, queries)
         finite = np.isfinite(queries).all(axis=1)
         assert got[finite].tolist() == reference_knn_predict(model, queries[finite]).tolist()
@@ -166,14 +166,14 @@ def test_nearest_is_the_stable_argsort_of_the_exact_block(case):
 
 
 def test_knn_predict_takes_no_block_size():
-    model = knn_fit(np.eye(3), [0, 1, 0], k=1)
+    model = knn_fit(np.eye(3), [0, 1, 0], KnnClassifier(k=1))
     with pytest.raises(TypeError):
         knn_predict(model, np.eye(3), block_size=2)
 
 
 def test_knn_predict_memory_is_bounded_by_the_block_budget():
     rng = np.random.default_rng(0)
-    model = knn_fit(rng.normal(size=(5760, 11)), rng.integers(0, 2, size=5760), k=5)
+    model = knn_fit(rng.normal(size=(5760, 11)), rng.integers(0, 2, size=5760), KnnClassifier(k=5))
     queries = rng.normal(size=(1440, 11))
     tracemalloc.start()
     try:

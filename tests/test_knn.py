@@ -8,33 +8,33 @@ from hypothesis import strategies as st
 import gametrace.knn as knn
 from gametrace.errors import ConfigError, DataError, DimensionMismatchError, LengthMismatchError
 from gametrace.knn import knn_fit, knn_predict
-from gametrace.settings import METRICS
+from gametrace.settings import METRICS, KnnClassifier
 
 from oracles import _reference_distance_block, knn_oracle, reference_knn_predict
 
 
 def test_fit_with_k_equal_rows_is_valid():
     x = np.eye(3)
-    model = knn_fit(x, [0, 1, 0], k=3)
-    assert model.k == 3
+    model = knn_fit(x, [0, 1, 0], KnnClassifier(k=3))
+    assert model.config.k == 3
 
 
 def test_fit_with_k_above_rows_raises():
     with pytest.raises(ConfigError, match=r"^k=4 exceeds number of stored rows \(3\)$"):
-        knn_fit(np.eye(3), [0, 1, 0], k=4)
+        knn_fit(np.eye(3), [0, 1, 0], KnnClassifier(k=4))
 
 
-def test_fit_rejects_bad_k_and_metric():
-    with pytest.raises(ConfigError):
-        knn_fit(np.eye(2), [0, 1], k=0)
-    with pytest.raises(ConfigError):
-        knn_fit(np.eye(2), [0, 1], k=1, metric="chebyshev")
+def test_section_rejects_bad_k_and_metric():
+    with pytest.raises(ConfigError, match="^k must be >= 1$"):
+        KnnClassifier(k=0)
+    with pytest.raises(ConfigError, match="^unknown metric 'chebyshev'$"):
+        KnnClassifier(k=1, metric="chebyshev")
 
 
 def test_fit_stores_immutable_copy():
     x = np.array([[0.0, 0.0], [10.0, 10.0]])
     y = np.array([0, 1])
-    model = knn_fit(x, y, k=1)
+    model = knn_fit(x, y, KnnClassifier(k=1))
     before = knn_predict(model, np.array([[0.1, 0.1]]))
     x[0] = [100.0, 100.0]  # caller mutates after fit
     y[0] = 1
@@ -46,7 +46,7 @@ def test_fit_stores_immutable_copy():
 
 def nearest(stored, query, metric):
     """Index of the stored row ``knn_predict`` finds closest to ``query``."""
-    model = knn_fit(np.array(stored, dtype=float), np.arange(len(stored)), k=1, metric=metric)
+    model = knn_fit(np.array(stored, dtype=float), np.arange(len(stored)), KnnClassifier(k=1, metric=metric))
     return int(knn_predict(model, np.array([query], dtype=float))[0])
 
 
@@ -74,41 +74,41 @@ def test_cosine_orthogonal_vectors():
 
 
 def test_cosine_zero_vector_raises():
-    model = knn_fit(np.array([[1.0, 1.0], [2.0, 0.5]]), [0, 1], k=1, metric="cosine")
+    model = knn_fit(np.array([[1.0, 1.0], [2.0, 0.5]]), [0, 1], KnnClassifier(k=1, metric="cosine"))
     with pytest.raises(DataError, match="^cosine distance undefined for zero-norm vector$"):
         knn_predict(model, np.array([[0.0, 0.0]]))
-    stored_zero = knn_fit(np.array([[0.0, 0.0], [2.0, 0.5]]), [0, 1], k=1, metric="cosine")
+    stored_zero = knn_fit(np.array([[0.0, 0.0], [2.0, 0.5]]), [0, 1], KnnClassifier(k=1, metric="cosine"))
     with pytest.raises(DataError, match="^cosine distance undefined for zero-norm vector$"):
         knn_predict(stored_zero, np.array([[1.0, 1.0]]))
 
 
 def test_distance_dimension_mismatch():
-    model = knn_fit(np.array([[1.0, 2.0], [3.0, 4.0]]), [0, 1], k=1)
+    model = knn_fit(np.array([[1.0, 2.0], [3.0, 4.0]]), [0, 1], KnnClassifier(k=1))
     with pytest.raises(DimensionMismatchError):
         knn_predict(model, np.array([[1.0]]))
 
 
 def test_fit_names_rows_against_labels():
     with pytest.raises(LengthMismatchError, match="row and label counts differ: 3 vs 2"):
-        knn_fit(np.eye(3), [0, 1], k=1)
+        knn_fit(np.eye(3), [0, 1], KnnClassifier(k=1))
 
 
 def test_predict_k1_on_training_row_returns_its_label():
     x = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]])
     y = [1, 0, 1]
-    model = knn_fit(x, y, k=1)
+    model = knn_fit(x, y, KnnClassifier(k=1))
     assert knn_predict(model, x).tolist() == y
 
 
 def test_predict_majority_vote():
     x = np.array([[0.0], [0.1], [0.2], [50.0]])
     y = [1, 1, 0, 0]
-    model = knn_fit(x, y, k=3)
+    model = knn_fit(x, y, KnnClassifier(k=3))
     assert knn_predict(model, np.array([[0.0]])).tolist() == [1]
 
 
 def test_predict_dimension_mismatch():
-    model = knn_fit(np.eye(2), [0, 1], k=1)
+    model = knn_fit(np.eye(2), [0, 1], KnnClassifier(k=1))
     with pytest.raises(DimensionMismatchError):
         knn_predict(model, np.array([[1.0, 2.0, 3.0]]))
 
@@ -119,7 +119,7 @@ def test_200_random_points_match_bruteforce_oracle(metric):
     x = rng.normal(size=(200, 5)) + 1.0  # offset keeps cosine norms nonzero
     y = rng.integers(0, 2, size=200)
     queries = rng.normal(size=(60, 5)) + 1.0
-    model = knn_fit(x, y, k=5, metric=metric)
+    model = knn_fit(x, y, KnnClassifier(k=5, metric=metric))
     got = knn_predict(model, queries)
     want = knn_oracle(x.tolist(), y.tolist(), queries.tolist(), 5, metric)
     assert got.tolist() == want
@@ -129,7 +129,7 @@ def test_distance_ties_break_by_lower_stored_index():
     # two stored rows equidistant from the query with different labels
     x = np.array([[1.0, 0.0], [-1.0, 0.0], [8.0, 8.0]])
     y = [1, 0, 0]
-    model = knn_fit(x, y, k=1)
+    model = knn_fit(x, y, KnnClassifier(k=1))
     assert knn_predict(model, np.array([[0.0, 0.0]])).tolist() == [1]
 
 
@@ -137,14 +137,14 @@ def test_vote_tie_breaks_by_smaller_total_distance():
     # k=2: one neighbor per class; class of the nearer neighbor wins
     x = np.array([[1.0], [-2.0], [50.0]])
     y = [1, 0, 0]
-    model = knn_fit(x, y, k=2)
+    model = knn_fit(x, y, KnnClassifier(k=2))
     assert knn_predict(model, np.array([[0.0]])).tolist() == [1]
 
 
 def test_vote_tie_with_equal_totals_prefers_label_zero():
     x = np.array([[1.0], [-1.0]])
     y = [1, 0]
-    model = knn_fit(x, y, k=2)
+    model = knn_fit(x, y, KnnClassifier(k=2))
     assert knn_predict(model, np.array([[0.0]])).tolist() == [0]
 
 
@@ -153,9 +153,9 @@ def test_predictions_invariant_under_training_permutation():
     x = rng.normal(size=(80, 4))
     y = rng.integers(0, 2, size=80)
     queries = rng.normal(size=(25, 4))
-    a = knn_predict(knn_fit(x, y, k=5), queries)
+    a = knn_predict(knn_fit(x, y, KnnClassifier(k=5)), queries)
     order = rng.permutation(80)
-    b = knn_predict(knn_fit(x[order], y[order], k=5), queries)
+    b = knn_predict(knn_fit(x[order], y[order], KnnClassifier(k=5)), queries)
     assert a.tolist() == b.tolist()
 
 
@@ -165,16 +165,16 @@ def test_uniform_feature_scaling_preserves_predictions(metric):
     x = rng.normal(size=(60, 3))
     y = rng.integers(0, 2, size=60)
     queries = rng.normal(size=(20, 3))
-    a = knn_predict(knn_fit(x, y, k=5, metric=metric), queries)
+    a = knn_predict(knn_fit(x, y, KnnClassifier(k=5, metric=metric)), queries)
     c = 37.5
-    b = knn_predict(knn_fit(x * c, y, k=5, metric=metric), queries * c)
+    b = knn_predict(knn_fit(x * c, y, KnnClassifier(k=5, metric=metric)), queries * c)
     assert a.tolist() == b.tolist()
 
 
 def test_predict_rejects_nan_training_data():
     x = np.array([[np.nan, 1.0], [0.0, 2.0]])
     with pytest.raises(ConfigError):
-        knn_fit(x, [0, 1], k=1)
+        knn_fit(x, [0, 1], KnnClassifier(k=1))
 
 
 @st.composite
@@ -217,7 +217,7 @@ def test_screened_euclidean_search_matches_brute_force(case):
         assert nbr.tolist() == want.tolist()
         assert nd.tobytes() == np.take_along_axis(full, want, axis=1).tobytes()
 
-        model = knn_fit(stored, y, k=k)
+        model = knn_fit(stored, y, KnnClassifier(k=k))
         got = knn_predict(model, queries)
         finite = ~np.isnan(queries).any(axis=1)
         assert got[finite].tolist() == reference_knn_predict(model, queries[finite]).tolist()
@@ -246,7 +246,7 @@ def test_screen_keeps_few_candidates_on_scaled_features(monkeypatch):
     # standardized features: the rounding bound is far below the gap
     # between neighbours, so about k rows per query reach the exact re-rank
     rng = np.random.default_rng(5)
-    model = knn_fit(rng.normal(size=(3000, 11)), rng.integers(0, 2, size=3000), k=5)
+    model = knn_fit(rng.normal(size=(3000, 11)), rng.integers(0, 2, size=3000), KnnClassifier(k=5))
     queries = rng.normal(size=(200, 11))
     reranked = []
     exact = knn._pair_distances
@@ -263,7 +263,7 @@ def test_screen_keeps_few_candidates_on_scaled_features(monkeypatch):
 def test_euclidean_predict_memory_stays_under_4_mib():
     # the holdout-large shape: 5,760 stored rows of 11 features, 1,440 queries
     rng = np.random.default_rng(0)
-    model = knn_fit(rng.normal(size=(5760, 11)), rng.integers(0, 2, size=5760), k=5)
+    model = knn_fit(rng.normal(size=(5760, 11)), rng.integers(0, 2, size=5760), KnnClassifier(k=5))
     queries = rng.normal(size=(1440, 11))
     tracemalloc.start()
     try:
@@ -278,7 +278,8 @@ def test_cosine_predict_memory_stays_near_two_distance_blocks():
     # one cosine block of 256 queries against the holdout-large shape's 5,760
     # stored rows: the distances and one temporary of their size, not a third
     rng = np.random.default_rng(0)
-    model = knn_fit(rng.normal(size=(5760, 11)), rng.integers(0, 2, size=5760), k=5, metric="cosine")
+    model = knn_fit(rng.normal(size=(5760, 11)), rng.integers(0, 2, size=5760),
+                    KnnClassifier(k=5, metric="cosine"))
     queries = rng.normal(size=(256, 11))
     block = queries.shape[0] * 5760 * 8
     tracemalloc.start()

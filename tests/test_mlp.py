@@ -37,7 +37,7 @@ def test_zero_network_outputs_uniform_probabilities():
 
 def test_single_row_output_shape():
     model = zero_model()
-    probs = mlp_forward(model, np.array([1.0, 2.0, 3.0]))
+    probs = mlp_forward(model, np.array([[1.0, 2.0, 3.0]]))
     assert probs.shape == (1, 2)
 
 

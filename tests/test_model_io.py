@@ -24,7 +24,7 @@ from gametrace.model_io import (
     save_container,
     save_model,
 )
-from gametrace.settings import MODELS, MlpConfig, TreeConfig
+from gametrace.settings import MODELS, ForestClassifier, MlpConfig, TreeConfig
 
 
 def training_data(seed=0, n=80, d=4):
@@ -96,8 +96,8 @@ def test_tree_flatten_unflatten_identity():
 @pytest.mark.parametrize("max_depth", [None, 1, 3])
 def test_tree_decoder_round_trips_random_forests(criterion, subsample, max_depth):
     x, y = training_data(seed=11, n=60, d=5)
-    config = TreeConfig(criterion=criterion, max_depth=max_depth, feature_subsample=subsample)
-    trees = forest_fit(x, y, tree_count=6, config=config, seed=3).trees
+    config = ForestClassifier(criterion=criterion, max_depth=max_depth, feature_subsample=subsample, trees=6)
+    trees = forest_fit(x, y, config, 3).trees
     arrays = flatten_trees(trees)
     back = unflatten_trees(arrays, n_features=5)
     assert back == trees
@@ -144,7 +144,7 @@ MUTATIONS = [_flip_leaf, _shift_offset, _truncate_one, _truncate_all, _feature_o
 @settings(max_examples=200, deadline=None)
 def test_tree_decoder_rejects_each_mutation(seed, mutate, at):
     x, y = training_data(seed=seed, n=40, d=5)
-    arrays = flatten_trees(forest_fit(x, y, tree_count=3, seed=seed).trees)
+    arrays = flatten_trees(forest_fit(x, y, ForestClassifier(trees=3), seed).trees)
     mutate(arrays, at)
     with pytest.raises(ContainerFormatError):
         unflatten_trees(arrays, n_features=5)
@@ -162,7 +162,7 @@ FAST_SETTINGS = {
 def test_model_round_trip_predictions(tmp_path, kind):
     x, y = training_data(seed=3)
     classifier = MODELS[kind](**FAST_SETTINGS.get(kind, {}))
-    pre = fit_preprocessor(x, ("a", "b", "c", "d"), scale=classifier.scale)
+    pre = fit_preprocessor(x, ("a", "b", "c", "d"), (), scale=classifier.scale)
     model = classifier.fit(pre.transform(x), y, seed=4)
 
     path = tmp_path / f"{kind}.bin"
@@ -216,12 +216,12 @@ def test_model_round_trip_with_one_hot_columns(tmp_path, kind):
 
 def test_mlp_container_preserves_config_and_history(tmp_path):
     x, y = training_data(seed=5)
-    pre = fit_preprocessor(x, ("a", "b", "c", "d"), scale=True)
+    pre = fit_preprocessor(x, ("a", "b", "c", "d"), (), scale=True)
     cfg = MlpConfig(hidden_sizes=(6, 3), epochs=4, learning_rate=0.01,
                     batch_size=16, hidden_activation="relu")
     model = mlp_train(cfg, pre.transform(x), y, 11)
     path = tmp_path / "m.bin"
-    save_model(path, "mlp", model, pre)
+    save_model(path, "mlp", model, pre, config_fingerprint="fp", seed=11)
     loaded = load_model(path)
     assert loaded.model.config == cfg
     assert loaded.model.loss_history == pytest.approx(model.loss_history)
@@ -229,23 +229,22 @@ def test_mlp_container_preserves_config_and_history(tmp_path):
 
 def test_forest_container_preserves_structure(tmp_path):
     x, y = training_data(seed=6)
-    pre = fit_preprocessor(x, ("a", "b", "c", "d"), scale=False)
-    model = forest_fit(pre.transform(x), y, tree_count=7,
-                       config=TreeConfig(criterion="entropy", max_depth=4,
-                                         feature_subsample="sqrt"), seed=13)
+    pre = fit_preprocessor(x, ("a", "b", "c", "d"), (), scale=False)
+    config = ForestClassifier(criterion="entropy", max_depth=4, feature_subsample="sqrt", trees=7)
+    model = forest_fit(pre.transform(x), y, config, 13)
     path = tmp_path / "f.bin"
-    save_model(path, "forest", model, pre)
+    save_model(path, "forest", model, pre, config_fingerprint="fp", seed=13)
     loaded = load_model(path)
     assert loaded.model.trees == model.trees
-    assert loaded.model.config == model.config
+    assert loaded.model.config == TreeConfig(criterion="entropy", max_depth=4, feature_subsample="sqrt")
     assert loaded.model.n_features == model.n_features == 4
 
 
 def test_unknown_kind_rejected(tmp_path):
     x, y = training_data()
-    pre = fit_preprocessor(x, ("a", "b", "c", "d"))
+    pre = fit_preprocessor(x, ("a", "b", "c", "d"), (), scale=True)
     with pytest.raises(ContainerFormatError):
-        save_model(tmp_path / "x.bin", "svm", None, pre)
+        save_model(tmp_path / "x.bin", "svm", None, pre, config_fingerprint="fp", seed=0)
 
 
 # A small fit per kind whose settings differ from the defaults.
@@ -262,7 +261,7 @@ def small_container(tmp_path, kind):
     x = rng.normal(size=(40, 3))
     y = (x[:, 0] > 0).astype(np.int64)
     classifier = MODELS[kind](**SMALL_SETTINGS[kind])
-    pre = fit_preprocessor(x, ("a", "b", "c"), scale=classifier.scale)
+    pre = fit_preprocessor(x, ("a", "b", "c"), (), scale=classifier.scale)
     model = classifier.fit(pre.transform(x), y, 11)
     path = tmp_path / f"{kind}.bin"
     save_model(path, kind, model, pre, config_fingerprint="fp", seed=11)

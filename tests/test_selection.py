@@ -105,7 +105,7 @@ def test_mi_matches_exhaustive_histogram_oracle():
     rng = np.random.default_rng(11)
     codes = rng.integers(0, 3, size=400)
     y = ((codes == 2) | (rng.random(400) < 0.2)).astype(int)
-    got = mutual_information(codes.astype(float), y, categorical=True)
+    got = mutual_information(codes.astype(float), y, 10, categorical=True)
     want = mi_from_counts(list(zip(codes.tolist(), y.tolist())))
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -136,16 +136,16 @@ def test_mi_invariant_under_monotone_code_relabeling():
     codes = rng.integers(0, 4, size=500).astype(float)
     y = (codes >= 2).astype(int)
     relabeled = codes * 10.0 + 3.0  # strictly monotone map of the categories
-    a = mutual_information(codes, y, categorical=True)
-    b = mutual_information(relabeled, y, categorical=True)
+    a = mutual_information(codes, y, 10, categorical=True)
+    b = mutual_information(relabeled, y, 10, categorical=True)
     assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_mi_length_mismatch():
     with pytest.raises(LengthMismatchError, match="^vector lengths differ: 3 vs 4$"):
-        mutual_information(np.zeros(3), np.zeros(4))
+        mutual_information(np.zeros(3), np.zeros(4), 10)
     with pytest.raises(ShapeMismatchError, match=r"^shape mismatch: expected two 1-D vectors, got \(2,\) and \(2, 2\)"):
-        mutual_information(np.zeros(2), np.zeros((2, 2)))
+        mutual_information(np.zeros(2), np.zeros((2, 2)), 10)
 
 
 # select -----------------------------------------------------------------
@@ -228,12 +228,13 @@ def test_selection_report_file_format():
     policy = SelectionPolicy(k=2, redundancy_threshold=0.9)
     report = select(x, names, y, policy)
     sink = io.StringIO()
-    save_selection_report(report, sink, config_fingerprint="fp123")
+    save_selection_report(report, sink, config_fingerprint="fp123", seed=7)
     lines = sink.getvalue().splitlines()
     assert lines[0] == "# config_fingerprint=fp123"
-    assert lines[1] == "feature\tpearson_vs_label\tmi\tkept\treason"
-    assert len(lines) == 2 + len(names)
-    for line in lines[2:]:
+    assert lines[1] == "# seed=7"
+    assert lines[2] == "feature\tpearson_vs_label\tmi\tkept\treason"
+    assert len(lines) == 3 + len(names)
+    for line in lines[3:]:
         cells = line.split("\t")
         assert len(cells) == 5
         float(cells[2])  # mi parses

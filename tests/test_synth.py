@@ -12,7 +12,7 @@ from gametrace.dataset import join, split_train_test, fit_preprocessor
 from gametrace.errors import ConfigError
 from gametrace.events import IngestReport, read_events, read_labels
 from gametrace.forest import forest_fit, forest_predict
-from gametrace.settings import FEATURE_NAMES, SplitPlan, SynthConfig
+from gametrace.settings import FEATURE_NAMES, ForestClassifier, SplitPlan, SynthConfig
 from gametrace.synth import generate
 
 
@@ -156,8 +156,8 @@ def test_noise_zero_extreme_weights_gives_learnable_labels(tmp_path):
     matrix = aggregate(events, DEFAULT_SPECS)
     ds, _ = join(matrix, labels)
     train, test = split_train_test(ds, SplitPlan(), 1)
-    pre = fit_preprocessor(train.x, train.feature_names, scale=False)
-    model = forest_fit(pre.transform(train.x), train.y, tree_count=50, seed=42)
+    pre = fit_preprocessor(train.x, train.feature_names, (), scale=False)
+    model = forest_fit(pre.transform(train.x), train.y, ForestClassifier(trees=50), 42)
     acc = float((forest_predict(model, pre.transform(test.x)) == test.y).mean())
     assert acc >= 0.95
 
